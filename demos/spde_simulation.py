@@ -1,14 +1,14 @@
 """Monte Carlo check of the closed-form variance.
 
-Integrates the linear stochastic PDE with drift -x^2 - p on a periodic
-mesh using the semi-implicit Euler scheme, then compares three numbers
-at each p:
+Integrates the linear stochastic PDE with drift -x^2 - p with the
+implicit Euler scheme on an interior-only, uncoupled lattice (every
+mesh point is its own chain), then compares three numbers at each p:
 
   * the Monte Carlo estimate of the windowed stationary variance,
   * the exact prediction for the discrete scheme (geometric-series sum),
   * the continuum quadrature with the step-size correction.
 
-Run:  python demos/spde_simulation.py           (about half a minute)
+Run:  python demos/spde_simulation.py           (about ten seconds)
 """
 import ewslab as ew
 

@@ -10,7 +10,7 @@ sign convention that makes the triangular factor's diagonal positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

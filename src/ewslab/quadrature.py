@@ -199,6 +199,8 @@ class VarianceQuery:
             raise TypeError("symbol must be a Symbol instance")
         p = float(p)
         sigma = float(sigma)
+        if not (math.isfinite(p) and math.isfinite(sigma)):
+            raise ValueError("p and sigma must be finite")
         if p >= 0:
             raise ValueError("p must be negative, the equation is only stable for p < 0")
         if sigma <= 0:
@@ -375,8 +377,8 @@ def _box_resolvent(alpha: float, upper: float, q):
 
 
 def _phi_factory(dt: float) -> Callable:
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    if not (math.isfinite(dt) and dt >= 0):
+        raise ValueError("dt must be finite and nonnegative")
     if dt == 0.0:
         return lambda t: 1.0 / t
     half = 0.5 * dt

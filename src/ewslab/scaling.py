@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import quadrature as quadmod
 from .quadrature import TestFunction, VarianceQuery, variance_quadrature, dimension_reduce
 from .symbols import MultiIndex, Symbol, as_multi_index, minimal_support, predicts_convergence
 

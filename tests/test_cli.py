@@ -232,6 +232,14 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
     assert main(["sweep", "--symbol", "tool:0", "--g", "box:0,1",
                  "--p-decades", "-8:-2", "--out", str(tmp_path)]) == 3
+    for flag in ("--sigma", "--dt"):
+        assert main(["sweep", "--symbol", "tool:2", "--g", "box:0,1", "--p-decades", "-4:-2",
+                     flag, "nan", "--out", str(tmp_path)]) == 3
+    for bad in (["--sigma", "nan"], ["--p", "nan"], ["--dt", "inf"]):
+        # the last occurrence of a repeated flag wins
+        assert main(["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5",
+                     "--n", "9", "--nt", "200", *bad, "--out", str(tmp_path)]) == 3
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_missing_input_file_exit_3(tmp_path):

@@ -156,6 +156,13 @@ def test_query_validation():
         VarianceQuery(ToolAlpha(1.0), g, -1.0, 0.0)
     with pytest.raises(ValueError):
         VarianceQuery(Radial2D(2.0), g, -1.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            VarianceQuery(ToolAlpha(1.0), g, bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            VarianceQuery(ToolAlpha(1.0), g, -1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            variance_quadrature(VarianceQuery(ToolAlpha(1.0), g, -1.0, 1.0), dt=bad)
 
 
 def test_window_validation():

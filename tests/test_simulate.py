@@ -11,10 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from ewslab.noise import build_noise_model
+from ewslab.noise import NoiseModel, build_noise_model, noise_increment
 from ewslab.simulate import (
+    _BLOCK_BYTES,
     Mesh,
     SimConfig,
+    VarianceEstimate,
+    _batch_count,
+    _steps_per_block,
     predict_discrete_variance,
     project,
     projection_weights,
@@ -22,7 +26,7 @@ from ewslab.simulate import (
     step,
 )
 from ewslab.quadrature import IndicatorBox
-from ewslab.symbols import CustomSymbol, ToolAlpha, Zero
+from ewslab.symbols import CustomSymbol, Radial2D, ToolAlpha, Zero
 
 AR1_SINGLE_MODE = 1.0 / 2.1  # lambda=-1, sigma=1, dt=0.1
 AR1_TWO_MODE = 1.0 / 2.01 + 1.0 / 4.04  # lambdas -1,-2 at dt=0.01
@@ -104,6 +108,14 @@ def test_config_validation():
     wrong_size = build_noise_model(5, [0, 1])
     with pytest.raises(ValueError):
         SimConfig(ToolAlpha(2.0), g, -0.5, mesh, 0.01, 1000, noise=wrong_size)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="p must be finite"):
+            SimConfig(ToolAlpha(2.0), g, bad, mesh, 0.01, 1000)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            SimConfig(ToolAlpha(2.0), g, -0.5, mesh, bad, 1000)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            SimConfig(ToolAlpha(2.0), g, -0.5, mesh, 0.01, 1000, sigma=bad)
 
 
 def test_unstable_drift_is_rejected():
@@ -169,6 +181,94 @@ def test_predicted_variance_structured_noise():
     want = float(w @ v @ w)
     got = predict_discrete_variance(config)
     assert math.isclose(got, want, rel_tol=1e-10)
+
+
+def test_predicted_variance_row_blocks_match_dense_formula():
+    # a support wide enough that the structured prediction takes several row blocks
+    mesh = Mesh(1.0, 401, 1)
+    g = IndicatorBox(-0.95, 0.95)
+    idx, w = projection_weights(g, mesh)
+    assert _BLOCK_BYTES // (8 * idx.size) < idx.size
+    noise = build_noise_model(mesh.size, idx, m=40, seed=7)
+    config = SimConfig(ToolAlpha(2.0), g, -0.2, mesh, dt=0.02, nt=100,
+                       sigma=0.7, noise=noise)
+    lam = -mesh.grid()[idx] ** 2 - 0.2
+    a = 1.0 / (1.0 - lam * 0.02)
+    basis = noise.basis[idx]
+    cov = (basis * noise.eigenvalues) @ basis.T
+    pair = np.outer(a, a)
+    want = float(w @ (0.7 ** 2 * 0.02 * cov * pair / (1.0 - pair)) @ w)
+    assert math.isclose(predict_discrete_variance(config), want, rel_tol=1e-12)
+
+
+def _reference_run(config):
+    """The step-by-step simulation: one noise_increment and one step per time step."""
+    drift = np.asarray(config.symbol(config.mesh.grid()), dtype=float) + config.p
+    idx, w = projection_weights(config.g, config.mesh, config.unweighted)
+    model = config.noise if config.noise is not None else NoiseModel.identity(config.mesh.size)
+    n_kept = config.nt - config.burn_in
+    n_batches = _batch_count(config, drift, idx, n_kept)
+    means, variances, errs = [], [], []
+    for replica in range(config.replicas):
+        seq = np.random.SeedSequence(config.seed, spawn_key=(replica,))
+        rng = np.random.Generator(np.random.Philox(seq))
+        u = np.zeros(config.mesh.size)
+        series = np.empty(n_kept)
+        for i in range(config.nt):
+            u = step(u, drift, config.dt, noise_increment(model, config.dt, rng), config.sigma)
+            if i >= config.burn_in:
+                series[i - config.burn_in] = w @ u[idx]
+        means.append(np.mean(series))
+        variances.append(float(np.var(series, ddof=1)))
+        usable = (n_kept // n_batches) * n_batches
+        block_vars = np.var(series[:usable].reshape(n_batches, -1), axis=1, ddof=1)
+        errs.append(np.std(block_vars, ddof=1) / math.sqrt(n_batches))
+    r = config.replicas
+    se_within = math.sqrt(sum(e ** 2 for e in errs)) / r
+    se_between = np.std(variances, ddof=1) / math.sqrt(r) if r > 1 else 0.0
+    return VarianceEstimate(float(np.mean(means)), float(np.mean(variances)),
+                            float(max(se_within, se_between)), r * n_batches,
+                            tuple(variances))
+
+
+@pytest.mark.parametrize("dim, rank, replicas, unweighted, timing", [
+    (1, None, 1, False, "below"),   # one short block, recorded from step 0
+    (1, None, 3, False, "ragged"),  # burn-in ends mid-block, last block partial
+    (1, 12, 3, False, "ragged"),
+    (1, 12, 1, True, "below"),
+    (2, None, 3, True, "ragged"),
+    (2, 9, 3, False, "below"),
+    (2, 9, 1, False, "ragged"),
+])
+def test_run_matches_step_by_step_reference(dim, rank, replicas, unweighted, timing):
+    if dim == 1:
+        mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
+    else:
+        mesh, symbol, g = Mesh(1.0, 15, 2), Radial2D(2.0), IndicatorBox([-0.4, -0.6], [0.6, 0.4])
+    idx, _ = projection_weights(g, mesh)
+    noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
+    chunk = _steps_per_block(replicas, idx.size, mesh.size if rank is None else rank)
+    nt, burn_in = (chunk // 2, 0) if timing == "below" else (2 * chunk + 37, chunk + 11)
+    config = SimConfig(symbol, g, -0.3, mesh, dt=0.05, nt=nt, sigma=0.8, burn_in=burn_in,
+                       replicas=replicas, seed=11, noise=noise, batches=4,
+                       unweighted=unweighted)
+    got, want = run(config), _reference_run(config)
+    assert got.effective_samples == want.effective_samples
+    for name in ("mean", "variance", "stderr"):
+        assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12), name
+    np.testing.assert_allclose(got.replica_variances, want.replica_variances, rtol=1e-12, atol=0)
+
+
+def test_run_identity_noise_states_match_reference_exactly():
+    # with one support point the projection is a single product, so equal
+    # estimates need every recorded state to match the one-step update
+    mesh = Mesh(1.0, 199, 1)
+    g = IndicatorBox(-0.004, 0.004)
+    assert projection_weights(g, mesh)[0].size == 1
+    chunk = _steps_per_block(3, 1, mesh.size)
+    config = SimConfig(ToolAlpha(2.0), g, -0.3, mesh, dt=0.05, nt=2 * chunk + 37, sigma=0.8,
+                       burn_in=chunk + 11, replicas=3, seed=11, batches=4)
+    assert run(config) == _reference_run(config)
 
 
 def test_run_matches_single_mode_oracle():
