@@ -22,7 +22,6 @@ from .symbols import (
     ToolAlpha,
     Zero,
     as_multi_index,
-    eval_symbol,
     minimal_support,
     predicts_convergence,
     real_part_symbol,
@@ -81,6 +80,7 @@ from .spectral import (
     LawUnavailableError,
     covers_zero_set,
     frequency_symbol,
+    predicted_law,
     predicted_spectral_law,
     spectral_sweep,
     variance_spectral,

@@ -30,12 +30,9 @@ from .quadrature import (
     PowerIndicator,
     QuadratureError,
     QuarterDisc,
-    VarianceQuery,
     appendix_c_integral,
-    variance_quadrature,
 )
 from .scaling import (
-    FitResult,
     SweepResult,
     classify,
     fit_loglog,
@@ -47,12 +44,7 @@ from .scaling import (
     quadrature_sweep,
 )
 from .simulate import Mesh, SimConfig, predict_discrete_variance, run
-from .spectral import (
-    FrequencyQuery,
-    LawUnavailableError,
-    predicted_spectral_law,
-    spectral_sweep,
-)
+from .spectral import LawUnavailableError, predicted_law, predicted_spectral_law, spectral_sweep
 from .symbols import (
     ConvolutionKernel,
     Piecewise,
@@ -378,16 +370,8 @@ def cmd_compare(args) -> int:
     sim = SweepResult(sim_ps, sim_vals, sim_errs, "simulation")
 
     fit = fit_loglog(quad)
-    law = None
     try:
-        if isinstance(symbol, ToolAlpha):
-            law = law_1d(symbol.alpha)
-        elif isinstance(symbol, Polynomial):
-            from .scaling import polynomial_law
-            law = polynomial_law(symbol.coeffs)
-        elif symbol.kind in ("power2m", "swift_hohenberg_1d", "swift_hohenberg_2d",
-                             "convolution"):
-            law = predicted_spectral_law(symbol, g)
+        law = predicted_law(symbol, g)
     except (ValueError, LawUnavailableError):
         law = None
 

@@ -26,15 +26,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 
 from .symbols import (
-    ConvolutionKernel,
     Piecewise,
     Polynomial,
     PowerWavenumber,
     Radial2D,
+    Registered,
     Symbol,
-    SwiftHohenberg1D,
     ToolAlpha,
-    Zero,
+    as_finite,
     as_multi_index,
 )
 
@@ -51,20 +50,22 @@ class QuadratureError(RuntimeError):
 # test functions
 
 
-class TestFunction:
+class TestFunction(Registered):
     """Observation window g; subclasses define the support and the profile."""
 
     dim: int
+    kinds = {}
 
 
 class IndicatorBox(TestFunction):
     """g = 1 on the closed box [lo, hi], 0 outside."""
 
     kind = "box"
+    fields = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo = np.atleast_1d(as_finite(lo, "box corners"))
+        hi = np.atleast_1d(as_finite(hi, "box corners"))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box corners must be vectors of equal length")
         if np.any(hi <= lo):
@@ -100,10 +101,11 @@ class PowerIndicator(TestFunction):
     """
 
     kind = "power"
+    fields = ("gamma", "eps")
 
     def __init__(self, gamma: float, eps: float = 1.0):
-        gamma = float(gamma)
-        eps = float(eps)
+        gamma = as_finite(gamma, "gamma")
+        eps = as_finite(eps, "eps")
         if not 0.0 <= gamma < 0.5:
             raise ValueError("gamma must lie in [0, 1/2) for a square-integrable window")
         if eps <= 0:
@@ -127,9 +129,10 @@ class QuarterDisc(TestFunction):
     """g = 1 on the quarter disc of given radius in the positive quadrant."""
 
     kind = "quarter_disc"
+    fields = ("radius",)
 
     def __init__(self, radius: float):
-        radius = float(radius)
+        radius = as_finite(radius, "radius")
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = radius
@@ -149,9 +152,10 @@ class Disc(TestFunction):
     """g = 1 on the full disc of given radius centered at the origin."""
 
     kind = "disc"
+    fields = ("radius",)
 
     def __init__(self, radius: float):
-        radius = float(radius)
+        radius = as_finite(radius, "radius")
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.radius = radius
@@ -167,28 +171,11 @@ class Disc(TestFunction):
 
 
 def test_function_to_dict(g: TestFunction) -> dict:
-    if isinstance(g, IndicatorBox):
-        return {"kind": "box", "lo": g.lo.tolist(), "hi": g.hi.tolist()}
-    if isinstance(g, PowerIndicator):
-        return {"kind": "power", "gamma": g.gamma, "eps": g.eps}
-    if isinstance(g, QuarterDisc):
-        return {"kind": "quarter_disc", "radius": g.radius}
-    if isinstance(g, Disc):
-        return {"kind": "disc", "radius": g.radius}
-    raise TypeError(f"unknown test function {g!r}")
+    return g.to_dict()
 
 
 def test_function_from_dict(data) -> TestFunction:
-    kind = data.get("kind")
-    if kind == "box":
-        return IndicatorBox(data["lo"], data["hi"])
-    if kind == "power":
-        return PowerIndicator(data["gamma"], data.get("eps", 1.0))
-    if kind == "quarter_disc":
-        return QuarterDisc(data["radius"])
-    if kind == "disc":
-        return Disc(data["radius"])
-    raise ValueError(f"unknown test function kind: {kind!r}")
+    return TestFunction.build(data)
 
 
 class VarianceQuery:
@@ -197,10 +184,8 @@ class VarianceQuery:
     def __init__(self, symbol: Symbol, test_function: TestFunction, p: float, sigma: float = 1.0):
         if not isinstance(symbol, Symbol):
             raise TypeError("symbol must be a Symbol instance")
-        p = float(p)
-        sigma = float(sigma)
-        if not (math.isfinite(p) and math.isfinite(sigma)):
-            raise ValueError("p and sigma must be finite")
+        p = as_finite(p, "p")
+        sigma = as_finite(sigma, "sigma")
         if p >= 0:
             raise ValueError("p must be negative, the equation is only stable for p < 0")
         if sigma <= 0:
@@ -238,6 +223,15 @@ def _quad(fn, a, b, epsrel, points=None):
     )
     value, abserr = out[0], out[1]
     return value, abserr
+
+
+def _checked(value, err, tol, what):
+    """``value`` when its error estimate is within ``tol``; else QuadratureError."""
+    if err > 10 * tol * max(abs(value), 1e-300):
+        raise QuadratureError(
+            f"{what} did not reach tolerance: error estimate {err:.2e} for value {value:.6e}"
+        )
+    return value
 
 
 def _side_integral(alpha, length, q, phi, gamma, epsrel):
@@ -278,8 +272,11 @@ def _side_integral(alpha, length, q, phi, gamma, epsrel):
 
 def _offset_integral(alpha, d1, d2, q, phi, epsrel):
     """integral over [d1, d2] of phi(q + x**alpha) dx for 0 <= d1 < d2."""
-    if d2 - d1 < 0.1 * max(d1, q ** (1.0 / alpha)):
-        # no boundary layer inside the interval, integrate directly
+    layer = q ** (1.0 / alpha)
+    if (d1 > 0 and d1 >= layer) or d2 - d1 < 0.1 * layer:
+        # no boundary layer inside the interval, integrate directly; once
+        # d1 is past the layer, the difference of the two side integrals
+        # below would cancel to no accuracy as q -> 0
         return _quad(lambda x: phi(q + x**alpha), d1, d2, epsrel)
     v2, e2 = _side_integral(alpha, d2, q, phi, 0.0, epsrel)
     v1, e1 = _side_integral(alpha, d1, q, phi, 0.0, epsrel)
@@ -317,12 +314,7 @@ def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol, singular_points=()):
         v, e = _quad(fn, lo, hi, rel_tol * 0.01)
         total += v
         err += e
-    if err > 10 * rel_tol * max(abs(total), 1e-300):
-        raise QuadratureError(
-            f"one-dimensional quadrature error estimate {err:.2e} exceeds tolerance "
-            f"for value {total:.6e}"
-        )
-    return total
+    return _checked(total, err, rel_tol, "one-dimensional quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +369,8 @@ def _box_resolvent(alpha: float, upper: float, q):
 
 
 def _phi_factory(dt: float) -> Callable:
-    if not (math.isfinite(dt) and dt >= 0):
-        raise ValueError("dt must be finite and nonnegative")
+    if as_finite(dt, "dt") < 0:
+        raise ValueError("dt must be nonnegative")
     if dt == 0.0:
         return lambda t: 1.0 / t
     half = 0.5 * dt
@@ -391,9 +383,7 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
         if isinstance(symbol, (ToolAlpha, PowerWavenumber)) and abs(root) < 1e-300:
             alpha = symbol.alpha
             val, err = _side_integral(alpha, g.eps, q, phi, g.gamma, rel_tol)
-            if err > 10 * rel_tol * max(abs(val), 1e-300):
-                raise QuadratureError("power-window quadrature did not reach tolerance")
-            return val
+            return _checked(val, err, rel_tol, "power-window quadrature")
         anchors = set(symbol.zeros_in(-g.eps, 2 * g.eps)) | {0.0}
         fn = lambda x: (x ** (-2.0 * g.gamma) if x > 0 else 0.0) * phi(q - float(symbol(x)))
         floor = symbol.root_scale(q) / 4.0
@@ -430,9 +420,7 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
             v, e = _offset_integral(alpha, d1, d2, q, phi, rel_tol)
             total += v
             tol_err += e
-        if tol_err > 10 * rel_tol * max(abs(total), 1e-300):
-            raise QuadratureError("power-law quadrature did not reach tolerance")
-        return total
+        return _checked(total, tol_err, rel_tol, "power-law quadrature")
 
     # generic one-dimensional route: graded panels anchored at the zeros
     margin = b - a
@@ -458,8 +446,6 @@ def _axis_floors(symbol, q, dim):
         return floors
     if isinstance(symbol, Radial2D):
         return [q ** (1.0 / symbol.exponent) / 64.0] * dim
-    if isinstance(symbol, Zero):
-        return [math.inf] * dim
     return [max(symbol.root_scale(q), q) / 64.0] * dim
 
 
@@ -571,9 +557,7 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
         # one-dimensional resolvent integral with exponent beta/2
         alpha = symbol.exponent / 2.0
         val, err = _side_integral(alpha, g.radius**2, q, phi, 0.0, tol)
-        if err > 10 * tol * max(abs(val), 1e-300):
-            raise QuadratureError("radial quadrature did not reach tolerance")
-        value = 0.5 * angle * val
+        value = 0.5 * angle * _checked(val, err, tol, "radial quadrature")
     elif isinstance(g, IndicatorBox) and symbol.dim in (2, 3):
         tol = rel_tol if rel_tol is not None else REL_TOL_ND
         value = _variance_tensor(symbol, g, q, tol, phi)
@@ -714,6 +698,4 @@ def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:
         v2, e2 = _quad(tail, 0.0, log_upper, epsrel)
         val += v2
         err += e2
-    if err > 10 * rel_tol * max(abs(val), 1e-300):
-        raise QuadratureError("log-power integral did not reach tolerance")
-    return val
+    return _checked(val, err, rel_tol, "log-power integral")

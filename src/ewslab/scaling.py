@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .quadrature import TestFunction, VarianceQuery, variance_quadrature, dimension_reduce
-from .symbols import MultiIndex, Symbol, as_multi_index, minimal_support, predicts_convergence
+from .symbols import Symbol, as_multi_index, minimal_support, predicts_convergence
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,12 @@ def law_1d_case(alpha: float, gamma: float = 0.0) -> str:
     return f"{family}, 2*gamma+alpha > 1 (power divergence)"
 
 
-def law_analytic_1d(coeffs: Mapping) -> ScalingLaw:
+def law_analytic_1d(coeffs: Mapping, gamma: float = 0.0) -> ScalingLaw:
     """Law for an analytic one-dimensional drift -sum a_m x**m.
 
     Only the least order m with a nonzero coefficient matters: near the
     root the drift behaves like -a_m x**m, so the rate is the tool-law
-    with alpha = m.
+    with alpha = m (and the window exponent ``gamma``).
     """
     orders = {}
     for key, a in coeffs.items():
@@ -114,7 +114,7 @@ def law_analytic_1d(coeffs: Mapping) -> ScalingLaw:
     nonzero = [m for m, a in orders.items() if a != 0.0]
     if not nonzero:
         raise ValueError("coefficient map has no nonzero entries")
-    return law_1d(float(min(nonzero)))
+    return law_1d(float(min(nonzero)), gamma)
 
 
 def law_upper_bound(j) -> ScalingLaw:
@@ -250,12 +250,8 @@ class SweepResult:
         return text
 
     @classmethod
-    def from_csv(cls, path_or_text) -> "SweepResult":
-        if "\n" in str(path_or_text) or "," in str(path_or_text):
-            text = str(path_or_text)
-        else:
-            with open(path_or_text) as fh:
-                text = fh.read()
+    def from_csv(cls, text: str) -> "SweepResult":
+        """Parse the text that :meth:`to_csv` writes (not a path)."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0][:4] != ["p", "value", "stderr", "source"]:
             raise ValueError("expected a header row p,value,stderr,source")

@@ -31,7 +31,7 @@ import numpy as np
 # perfbench/test_harness.py checks that the tracer wraps it here.
 from .noise import NoiseModel, noise_increment  # noqa: F401
 from .quadrature import TestFunction
-from .symbols import Symbol
+from .symbols import Symbol, as_finite
 
 # Working-set budget of the simulation and prediction kernels: the
 # number of steps (or prediction rows) per block is derived from it so
@@ -53,7 +53,7 @@ class Mesh:
     dim: int = 1
 
     def __post_init__(self):
-        if self.half_width <= 0:
+        if as_finite(self.half_width, "half_width") <= 0:
             raise ValueError("half_width must be positive")
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -132,8 +132,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("p", "dt", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            as_finite(getattr(self, name), name)
         if self.p >= 0:
             raise ValueError("p must be negative")
         if self.sigma <= 0:

@@ -21,21 +21,24 @@ import numpy as np
 from .quadrature import (
     Disc,
     IndicatorBox,
-    QuadratureError,
+    PowerIndicator,
     TestFunction,
     VarianceQuery,
+    _checked,
     _offset_integral,
     _phi_factory,
     _side_integral,
     variance_quadrature,
 )
-from .scaling import ScalingLaw, SweepResult, law_1d
+from .scaling import ScalingLaw, SweepResult, law_1d, law_analytic_1d, polynomial_law
 from .symbols import (
     ConvolutionKernel,
+    Polynomial,
     PowerWavenumber,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
     Symbol,
+    ToolAlpha,
 )
 
 REL_TOL_SPECTRAL = 1e-8
@@ -49,65 +52,44 @@ class LawUnavailableError(RuntimeError):
 
 def frequency_symbol(kind: str, **params) -> Symbol:
     """Factory for the frequency symbol families by kind name."""
-    if kind == "power2m":
-        return PowerWavenumber(params.get("m", 1))
-    if kind == "swift_hohenberg_1d":
-        return SwiftHohenberg1D()
-    if kind == "swift_hohenberg_2d":
-        return SwiftHohenberg2D()
-    if kind == "convolution":
-        return ConvolutionKernel(params["samples"], params["spacing"])
-    raise ValueError(f"unknown frequency symbol kind: {kind!r}")
+    cls = Symbol.kinds.get(kind)
+    if cls not in _FREQUENCY_KINDS:
+        raise ValueError(f"unknown frequency symbol kind: {kind!r}")
+    return cls.from_dict(params)
 
 
-class FrequencyQuery:
+class FrequencyQuery(VarianceQuery):
     """One spectral variance evaluation: multiplier, window, p < 0, sigma."""
 
     def __init__(self, symbol: Symbol, ghat: TestFunction, p: float, sigma: float = 1.0):
         if not isinstance(symbol, _FREQUENCY_KINDS):
             raise TypeError("symbol must be one of the frequency multiplier kinds")
-        p = float(p)
-        sigma = float(sigma)
-        if p >= 0:
-            raise ValueError("p must be negative")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if symbol.dim != ghat.dim:
-            raise ValueError("symbol and window dimensions must agree")
-        self.symbol = symbol
-        self.ghat = ghat
-        self.p = p
-        self.sigma = sigma
+        super().__init__(symbol, ghat, p, sigma)
+
+    @property
+    def ghat(self) -> TestFunction:
+        return self.test_function
 
     def covers_zero_set(self) -> bool:
         return covers_zero_set(self.symbol, self.ghat)
 
 
 def covers_zero_set(symbol: Symbol, ghat: TestFunction) -> bool:
-    """Whether the window touches the multiplier's zero set.
+    """Whether the window touches the symbol's zero set.
 
     If it does not, the resolvent integrand stays bounded as p -> 0-
     and the variance converges regardless of the divergence law the
-    family would otherwise follow.
+    family would otherwise follow.  One-dimensional symbols take box or
+    power windows and report their zeros in the window's interval; the
+    planar pattern multiplier takes a disc, which meets |k| = 1 once its
+    radius reaches 1.
     """
-    if isinstance(symbol, PowerWavenumber):
-        if not isinstance(ghat, IndicatorBox):
-            raise ValueError("one-dimensional multipliers take box windows")
-        return float(ghat.lo[0]) <= 0.0 <= float(ghat.hi[0])
-    if isinstance(symbol, SwiftHohenberg1D):
-        if not isinstance(ghat, IndicatorBox):
-            raise ValueError("one-dimensional multipliers take box windows")
-        a, b = float(ghat.lo[0]), float(ghat.hi[0])
-        return a <= -1.0 <= b or a <= 1.0 <= b
-    if isinstance(symbol, SwiftHohenberg2D):
-        if not isinstance(ghat, Disc):
-            raise ValueError("the planar pattern multiplier takes a disc window")
+    if symbol.dim == 1 and isinstance(ghat, (IndicatorBox, PowerIndicator)):
+        lo, hi = (0.0, ghat.eps) if isinstance(ghat, PowerIndicator) else (ghat.lo[0], ghat.hi[0])
+        return len(symbol.zeros_in(float(lo), float(hi))) > 0
+    if isinstance(symbol, SwiftHohenberg2D) and isinstance(ghat, Disc):
         return ghat.radius >= 1.0
-    if isinstance(symbol, ConvolutionKernel):
-        if not isinstance(ghat, IndicatorBox):
-            raise ValueError("kernel multipliers take box windows")
-        return len(symbol.zeros_in(float(ghat.lo[0]), float(ghat.hi[0]))) > 0
-    raise TypeError("not a frequency symbol")
+    raise ValueError(f"no zero-set rule for a {symbol.kind} symbol with a {ghat.kind} window")
 
 
 def _kernel_variance(symbol: ConvolutionKernel, ghat: IndicatorBox, q: float, sigma: float) -> float:
@@ -148,9 +130,7 @@ def variance_spectral(query: FrequencyQuery, rel_tol: float | None = None) -> fl
     symbol = query.symbol
     ghat = query.ghat
     if isinstance(symbol, (PowerWavenumber, SwiftHohenberg1D)):
-        return variance_quadrature(
-            VarianceQuery(symbol, ghat, query.p, query.sigma), rel_tol=tol
-        )
+        return variance_quadrature(query, rel_tol=tol)
     if isinstance(symbol, SwiftHohenberg2D):
         if not isinstance(ghat, Disc):
             raise ValueError("the planar pattern multiplier takes a disc window")
@@ -164,9 +144,7 @@ def variance_spectral(query: FrequencyQuery, rel_tol: float | None = None) -> fl
             err = e1 + e2
         else:
             val, err = _offset_integral(2.0, u_lo, 1.0, q, phi, tol)
-        if err > 10 * tol * max(abs(val), 1e-300):
-            raise QuadratureError("radial spectral quadrature did not reach tolerance")
-        return 0.5 * query.sigma**2 * math.pi * val
+        return 0.5 * query.sigma**2 * math.pi * _checked(val, err, tol, "radial spectral quadrature")
     if isinstance(symbol, ConvolutionKernel):
         if not isinstance(ghat, IndicatorBox):
             raise ValueError("kernel multipliers take box windows")
@@ -174,28 +152,47 @@ def variance_spectral(query: FrequencyQuery, rel_tol: float | None = None) -> fl
     raise TypeError("not a frequency symbol")
 
 
-def predicted_spectral_law(symbol: Symbol, ghat: TestFunction | None = None) -> ScalingLaw:
-    """Catalog law for a frequency family.
+def predicted_law(symbol: Symbol, g: TestFunction | None = None) -> ScalingLaw:
+    """Catalog law for a symbol seen through a window.
 
-    The power multiplier -k**(2m) follows the one-dimensional law with
-    alpha = 2m.  Both pattern-forming multipliers vanish quadratically
-    across their zero set, and integrating across it (after the radial
-    reduction in the plane) gives the square-root divergence.  Sampled
-    kernels carry no expansion around their zeros, so no law is
-    offered; fit a sweep instead.
+    Polynomials in several variables take the corner law of their
+    coefficient map.  In one dimension a window that misses the zero
+    set keeps the variance bounded; otherwise the tool family, the
+    power multiplier -k**(2m) (alpha = 2m) and polynomials (alpha = the
+    least order) follow the one-dimensional law, with the exponent
+    gamma of a power window whose singular end x = 0 is the root.  The
+    planar ring multiplier is bounded on a disc of radius below 1.
+    Both pattern-forming multipliers vanish quadratically across their
+    zero set, and integrating across it (after the radial reduction in
+    the plane) gives the square-root divergence.  Sampled kernels carry
+    no expansion around their zeros and the remaining kinds no catalog
+    row, so no law is offered; fit a sweep instead.
     """
-    if ghat is not None and not covers_zero_set(symbol, ghat):
+    if isinstance(symbol, Polynomial) and symbol.dim > 1:
+        return polynomial_law(symbol.coeffs)
+    if not isinstance(symbol, (ToolAlpha, Polynomial) + _FREQUENCY_KINDS):
+        raise LawUnavailableError(f"no catalog law for {symbol.kind} symbols")
+    if g is not None and not covers_zero_set(symbol, g):
         return ScalingLaw.bounded()
-    if isinstance(symbol, PowerWavenumber):
-        return law_1d(2.0 * symbol.m)
-    if isinstance(symbol, (SwiftHohenberg1D, SwiftHohenberg2D)):
-        return ScalingLaw(-0.5, 0)
+    # x**(-gamma) shifts the law only where its singular end meets the root
+    gamma = g.gamma if isinstance(g, PowerIndicator) and symbol.root[0] == 0.0 else 0.0
+    if isinstance(symbol, Polynomial):
+        return law_analytic_1d(symbol.coeffs, gamma)
+    if isinstance(symbol, (ToolAlpha, PowerWavenumber)):
+        return law_1d(symbol.alpha, gamma)
     if isinstance(symbol, ConvolutionKernel):
         raise LawUnavailableError(
             "sampled kernels have no expansion around their zero set; "
             "run a sweep and use fit_loglog"
         )
-    raise TypeError("not a frequency symbol")
+    return ScalingLaw(-0.5, 0)
+
+
+def predicted_spectral_law(symbol: Symbol, ghat: TestFunction | None = None) -> ScalingLaw:
+    """:func:`predicted_law` for the frequency families only."""
+    if not isinstance(symbol, _FREQUENCY_KINDS):
+        raise TypeError("not a frequency symbol")
+    return predicted_law(symbol, ghat)
 
 
 def spectral_sweep(

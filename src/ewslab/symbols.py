@@ -50,8 +50,16 @@ def as_multi_index(value) -> MultiIndex:
     return tuple(out)
 
 
+def as_finite(value, name: str):
+    """``value`` as a float (a float array for sequences); NaN or infinity raises ValueError."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr if arr.ndim else float(arr)
+
+
 def _as_point(value, dim: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    arr = np.atleast_1d(as_finite(value, "coordinates"))
     if arr.shape != (dim,):
         raise ValueError(f"expected a point with {dim} coordinates, got shape {arr.shape}")
     return arr
@@ -65,7 +73,56 @@ def _as_box(lo, hi, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-class Symbol:
+def _plain(value):
+    """JSON-ready form of a stored constructor argument."""
+    if isinstance(value, Registered):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+class Registered:
+    """Kind registry and dictionary form shared by symbols and windows.
+
+    A base class that sets ``kinds = {}`` starts a registry.  Every
+    subclass that defines its own ``fields``, the names of its
+    constructor arguments (stored under the same attribute names), is
+    entered in it under its ``kind``; classes without ``fields`` have no
+    serialized form.  Subclasses whose stored form differs from their
+    constructor arguments override ``to_dict`` and ``from_dict``.
+    """
+
+    kind = "abstract"
+    kinds: dict[str, type]
+    fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "fields" in cls.__dict__:
+            cls.kinds[cls.kind] = cls
+
+    def to_dict(self) -> dict:
+        if self.kinds.get(self.kind) is not type(self):
+            raise TypeError(f"{type(self).__name__} has no serialized form")
+        return {"kind": self.kind, **{name: _plain(getattr(self, name)) for name in self.fields}}
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        return cls(**{name: data[name] for name in cls.fields if name in data})
+
+    @classmethod
+    def build(cls, data: Mapping):
+        """Rebuild an instance of any kind in this registry from its dictionary."""
+        kind = data.get("kind")
+        if kind not in cls.kinds:
+            raise ValueError(f"unknown {cls.__name__} kind: {kind!r}")
+        return cls.kinds[kind].from_dict(data)
+
+
+class Symbol(Registered):
     """Common interface for drift multipliers f(x).
 
     Subclasses evaluate elementwise on scalars or arrays when ``dim`` is
@@ -79,7 +136,7 @@ class Symbol:
     root: np.ndarray
     domain: tuple[np.ndarray, np.ndarray]
     sign_ok: bool
-    kind = "abstract"
+    kinds = {}
 
     def __call__(self, x):
         raise NotImplementedError
@@ -159,9 +216,10 @@ class ToolAlpha(Symbol):
     """f(x) = -|x - root|**alpha on an interval around the root."""
 
     kind = "tool_alpha"
+    fields = ("alpha", "root", "domain")
 
     def __init__(self, alpha: float, root: float = 0.0, domain=None):
-        alpha = float(alpha)
+        alpha = as_finite(alpha, "alpha")
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = alpha
@@ -179,6 +237,10 @@ class ToolAlpha(Symbol):
     def root_scale(self, q: float) -> float:
         return float(q) ** (1.0 / self.alpha)
 
+    def to_dict(self) -> dict:
+        lo, hi = (float(v[0]) for v in self.domain)
+        return {**super().to_dict(), "root": float(self.root[0]), "domain": [lo, hi]}
+
     def __repr__(self):
         return f"ToolAlpha(alpha={self.alpha}, root={self.root[0]})"
 
@@ -191,12 +253,13 @@ class Polynomial(Symbol):
     """
 
     kind = "polynomial"
+    fields = ("coeffs", "root", "domain")
 
     def __init__(self, coeffs: Mapping, root=None, domain=None):
         terms = {}
         for j, a in coeffs.items():
             idx = as_multi_index(j)
-            a = float(a)
+            a = as_finite(a, "coefficients")
             if idx in terms:
                 raise ValueError(f"duplicate multi-index {idx}")
             terms[idx] = a
@@ -245,6 +308,15 @@ class Polynomial(Symbol):
         amax = max(abs(a) for a in self.coeffs.values())
         return (float(q) / amax) ** (1.0 / min(degrees))
 
+    def to_dict(self) -> dict:
+        coeffs = [{"index": list(j), "coeff": a} for j, a in self.coeffs.items()]
+        return {**super().to_dict(), "coeffs": coeffs}
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "Polynomial":
+        coeffs = {tuple(entry["index"]): entry["coeff"] for entry in data["coeffs"]}
+        return super().from_dict({**data, "coeffs": coeffs})
+
     def __repr__(self):
         return f"Polynomial({self.coeffs})"
 
@@ -257,6 +329,7 @@ class Piecewise(Symbol):
     """
 
     kind = "piecewise"
+    fields = ("left", "right")
 
     def __init__(self, left: Symbol, right: Symbol):
         if left.dim != 1 or right.dim != 1:
@@ -277,6 +350,10 @@ class Piecewise(Symbol):
     def root_scale(self, q: float) -> float:
         return min(self.left.root_scale(q), self.right.root_scale(q))
 
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "Piecewise":
+        return cls(symbol_from_dict(data["left"]), symbol_from_dict(data["right"]))
+
     def __repr__(self):
         return f"Piecewise(left={self.left!r}, right={self.right!r})"
 
@@ -285,9 +362,10 @@ class Radial2D(Symbol):
     """f(x) = -(x1**2 + x2**2)**(exponent/2), radially symmetric in the plane."""
 
     kind = "radial2d"
+    fields = ("exponent",)
 
     def __init__(self, exponent: float = 2.0, domain=None):
-        exponent = float(exponent)
+        exponent = as_finite(exponent, "exponent")
         if exponent <= 0:
             raise ValueError("exponent must be positive")
         self.exponent = exponent
@@ -321,9 +399,10 @@ class Zero(Symbol):
     """
 
     kind = "zero"
+    fields = ("dim",)
 
     def __init__(self, dim: int = 1, domain=None):
-        self.dim = int(dim)
+        self.dim = int(as_finite(dim, "dim"))
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         self.root = np.zeros(self.dim)
@@ -353,9 +432,10 @@ class PowerWavenumber(Symbol):
     """Fourier multiplier f(k) = -k**(2m) of the operator -(-Laplace)**m."""
 
     kind = "power2m"
+    fields = ("m",)
 
     def __init__(self, m: int = 1):
-        m = int(m)
+        m = int(as_finite(m, "m"))
         if m < 1:
             raise ValueError("m must be a positive integer")
         self.m = m
@@ -380,6 +460,7 @@ class SwiftHohenberg1D(Symbol):
     """Fourier multiplier f(k) = -(1 - k**2)**2, vanishing at k = +-1."""
 
     kind = "swift_hohenberg_1d"
+    fields = ()
 
     def __init__(self):
         self.dim = 1
@@ -405,6 +486,7 @@ class SwiftHohenberg2D(Symbol):
     """Fourier multiplier f(k) = -(1 - |k|**2)**2, vanishing on |k| = 1."""
 
     kind = "swift_hohenberg_2d"
+    fields = ()
 
     def __init__(self):
         self.dim = 2
@@ -438,12 +520,13 @@ class ConvolutionKernel(Symbol):
     """
 
     kind = "convolution"
+    fields = ("samples", "spacing")
 
     def __init__(self, samples, spacing: float):
-        samples = np.asarray(samples, dtype=float)
+        samples = np.atleast_1d(as_finite(samples, "kernel samples"))
         if samples.ndim != 1 or samples.size < 4:
             raise ValueError("kernel samples must be a vector with at least 4 entries")
-        spacing = float(spacing)
+        spacing = as_finite(spacing, "spacing")
         if spacing <= 0:
             raise ValueError("spacing must be positive")
         self.samples = samples
@@ -533,13 +616,6 @@ class CustomSymbol(Symbol):
         return f"CustomSymbol(dim={self.dim})"
 
 
-def eval_symbol(symbol: Symbol, x):
-    """Evaluate a symbol at points ``x`` with dimension checking."""
-    if not isinstance(symbol, Symbol):
-        raise TypeError("eval_symbol expects a Symbol instance")
-    return symbol(x)
-
-
 def real_part_symbol(fn: Callable, dim: int = 1, root=None, domain=None) -> Symbol:
     """Reduce a complex-spectrum drift to the real part that drives variance.
 
@@ -618,78 +694,9 @@ def predicts_convergence(coeffs: Mapping) -> bool:
 
 def symbol_to_dict(symbol: Symbol) -> dict:
     """JSON-ready description of a symbol; inverse of :func:`symbol_from_dict`."""
-    if isinstance(symbol, ToolAlpha):
-        return {
-            "kind": "tool_alpha",
-            "alpha": symbol.alpha,
-            "root": float(symbol.root[0]),
-            "domain": [float(symbol.domain[0][0]), float(symbol.domain[1][0])],
-        }
-    if isinstance(symbol, Polynomial):
-        return {
-            "kind": "polynomial",
-            "coeffs": [{"index": list(j), "coeff": a} for j, a in symbol.coeffs.items()],
-            "root": [float(v) for v in symbol.root],
-            "domain": [
-                [float(v) for v in symbol.domain[0]],
-                [float(v) for v in symbol.domain[1]],
-            ],
-        }
-    if isinstance(symbol, Piecewise):
-        return {
-            "kind": "piecewise",
-            "left": symbol_to_dict(symbol.left),
-            "right": symbol_to_dict(symbol.right),
-        }
-    if isinstance(symbol, Radial2D):
-        return {"kind": "radial2d", "exponent": symbol.exponent}
-    if isinstance(symbol, Zero):
-        return {"kind": "zero", "dim": symbol.dim}
-    if isinstance(symbol, PowerWavenumber):
-        return {"kind": "power2m", "m": symbol.m}
-    if isinstance(symbol, SwiftHohenberg1D):
-        return {"kind": "swift_hohenberg_1d"}
-    if isinstance(symbol, SwiftHohenberg2D):
-        return {"kind": "swift_hohenberg_2d"}
-    if isinstance(symbol, ConvolutionKernel):
-        return {
-            "kind": "convolution",
-            "samples": [float(v) for v in symbol.samples],
-            "spacing": symbol.spacing,
-        }
-    raise TypeError(f"{symbol.kind} symbols have no serialized form")
+    return symbol.to_dict()
 
 
 def symbol_from_dict(data: Mapping) -> Symbol:
     """Rebuild a symbol from its dictionary description."""
-    kind = data.get("kind")
-    if kind == "tool_alpha":
-        domain = data.get("domain")
-        return ToolAlpha(
-            data["alpha"],
-            root=data.get("root", 0.0),
-            domain=tuple(domain) if domain else None,
-        )
-    if kind == "polynomial":
-        coeffs = {tuple(entry["index"]): entry["coeff"] for entry in data["coeffs"]}
-        domain = data.get("domain")
-        return Polynomial(
-            coeffs,
-            root=data.get("root"),
-            domain=tuple(domain) if domain else None,
-        )
-    if kind == "piecewise":
-        return Piecewise(symbol_from_dict(data["left"]), symbol_from_dict(data["right"]))
-    if kind == "radial2d":
-        return Radial2D(data.get("exponent", 2.0))
-    if kind == "zero":
-        return Zero(data.get("dim", 1))
-    if kind == "power2m":
-        return PowerWavenumber(data.get("m", 1))
-    if kind == "swift_hohenberg_1d":
-        return SwiftHohenberg1D()
-    if kind == "swift_hohenberg_2d":
-        return SwiftHohenberg2D()
-    if kind == "convolution":
-        return ConvolutionKernel(data["samples"], data["spacing"])
-    raise ValueError(f"unknown symbol kind: {kind!r}")
+    return Symbol.build(data)

@@ -97,7 +97,7 @@ def test_sweep_writes_monotone_csv_and_manifest(tmp_path):
                  "--p-decades", "-6:-2", "--points", "12",
                  "--out", str(out), "--svg"])
     assert code == 0
-    sweep = SweepResult.from_csv(str(out / "sweep.csv"))
+    sweep = SweepResult.from_csv((out / "sweep.csv").read_text())
     assert len(sweep.ps) == 12
     assert all(a < b for a, b in zip(sweep.values, sweep.values[1:]))
     assert (out / "sweep.svg").exists()
@@ -127,7 +127,7 @@ def test_config_flags_can_be_overridden(tmp_path):
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg), "--points", "4",
                  "--out", str(out)]) == 0
-    sweep = SweepResult.from_csv(str(out / "sweep.csv"))
+    sweep = SweepResult.from_csv((out / "sweep.csv").read_text())
     assert len(sweep.ps) == 4
 
 
@@ -167,7 +167,7 @@ def test_simulate_writes_single_row(tmp_path, capsys):
                  "--dt", "0.1", "--nt", "4000", "--replicas", "2",
                  "--unweighted", "--out", str(out)])
     assert code == 0
-    sweep = SweepResult.from_csv(str(out / "simulate.csv"))
+    sweep = SweepResult.from_csv((out / "simulate.csv").read_text())
     assert sweep.source == "simulation"
     assert len(sweep.ps) == 1
     assert "predicted discrete" in capsys.readouterr().out
@@ -181,7 +181,7 @@ def test_spectral_sweep_and_law(tmp_path, capsys):
                  "--p-decades", "-6:-3", "--points", "8", "--out", str(out)])
     assert code == 0
     assert "predicted law: s=-0.5" in capsys.readouterr().out
-    sweep = SweepResult.from_csv(str(out / "spectral.csv"))
+    sweep = SweepResult.from_csv((out / "spectral.csv").read_text())
     assert sweep.source == "spectral"
 
 
@@ -196,12 +196,23 @@ def test_compare_overlay_annotates_fitted_slope(tmp_path, capsys):
     svg = (out / "compare.svg").read_text()
     assert "fitted slope -0.50" in svg
     assert "reference slope -0.5" in svg
-    quad = SweepResult.from_csv(str(out / "compare_quadrature.csv"))
-    sim = SweepResult.from_csv(str(out / "compare_simulation.csv"))
+    quad = SweepResult.from_csv((out / "compare_quadrature.csv").read_text())
+    sim = SweepResult.from_csv((out / "compare_simulation.csv").read_text())
     assert quad.source == "quadrature" and sim.source == "simulation"
     manifest = json.loads((out / "compare_manifest.json").read_text())
     assert set(manifest["outputs"]) >= {
         "compare_quadrature.csv", "compare_simulation.csv", "compare.svg"}
+
+
+def test_compare_reference_line_uses_the_window(tmp_path):
+    # x**(-1/4) on (0, 1] shifts the tool-1 law from a logarithm to s = -1/2
+    out = tmp_path / "cmp"
+    assert main(["compare", "--symbol", "tool:1", "--g", "power:0.25,1",
+                 "--p-decades", "-6:-1", "--points", "24",
+                 "--sim-points", "2", "--sim-decades", "-1:0",
+                 "--n", "49", "--nt", "3000", "--dt", "0.05",
+                 "--replicas", "2", "--out", str(out)]) == 0
+    assert "reference slope -0.5<" in (out / "compare.svg").read_text()
 
 
 def test_appendix_check_exit_codes(capsys):
@@ -239,6 +250,17 @@ def test_validation_errors_exit_3(tmp_path, capsys):
         # the last occurrence of a repeated flag wins
         assert main(["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5",
                      "--n", "9", "--nt", "200", *bad, "--out", str(tmp_path)]) == 3
+    # non-finite numbers inside symbol and window specs
+    for symbol, window in (("tool:nan", "box:0,1"), ("pw:nan,2", "box:-1,1"),
+                           ("tool:2", "box:nan,1"), ("tool:1", "power:0.25,nan"),
+                           ("radial:nan", "qdisc:1"), ("radial:2", "qdisc:nan"),
+                           ("radial:2", "disc:inf")):
+        assert main(["sweep", "--symbol", symbol, "--g", window, "--p-decades", "-4:-2",
+                     "--points", "3", "--out", str(tmp_path)]) == 3, (symbol, window)
+    assert main(["spectral", "--symbol", "sh2d", "--g", "disc:2", "--p-decades", "-4:-2",
+                 "--points", "3", "--sigma", "nan", "--out", str(tmp_path)]) == 3
+    assert main(["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5",
+                 "--n", "9", "--nt", "200", "--half-width", "nan", "--out", str(tmp_path)]) == 3
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -5,6 +5,7 @@ not take: textbook antiderivatives, scipy's generic adaptive quad on
 the raw integrand, or tensor brute force.  Frozen decimals are recorded
 next to the formulas that produced them.
 """
+import json
 import math
 
 import numpy as np
@@ -174,6 +175,12 @@ def test_window_validation():
         PowerIndicator(-0.1, 1.0)
     with pytest.raises(ValueError):
         QuarterDisc(0.0)
+    for bad in (math.nan, math.inf):
+        for build in (lambda: IndicatorBox(bad, 1.0), lambda: IndicatorBox((0.0, 0.0), (1.0, bad)),
+                      lambda: IndicatorBox.cube(bad), lambda: PowerIndicator(0.25, bad),
+                      lambda: QuarterDisc(bad), lambda: Disc(bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                build()
 
 
 def test_window_serialization_round_trip():
@@ -182,6 +189,33 @@ def test_window_serialization_round_trip():
         clone = window_from_dict(window_to_dict(g))
         assert type(clone) is type(g)
         assert window_to_dict(clone) == window_to_dict(g)
+
+
+def test_window_dicts_are_pinned():
+    pinned = [
+        (IndicatorBox((0.0, -1.0), (1.0, 2.0)), {"kind": "box", "lo": [0.0, -1.0], "hi": [1.0, 2.0]}),
+        (PowerIndicator(0.25, 0.5), {"kind": "power", "gamma": 0.25, "eps": 0.5}),
+        (QuarterDisc(2.0), {"kind": "quarter_disc", "radius": 2.0}),
+        (Disc(1.5), {"kind": "disc", "radius": 1.5}),
+    ]
+    # every window kind is in the registry the four classes share
+    assert IndicatorBox.kinds == {type(g).kind: type(g) for g, _ in pinned}
+    for g, want in pinned:
+        assert json.dumps(window_to_dict(g)) == json.dumps(want)
+    with pytest.raises(ValueError, match="unknown"):
+        window_from_dict({"kind": "oval"})
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
+def test_window_off_the_root_matches_brute_force(alpha):
+    # The window misses the root, so the variance stays bounded as q -> 0
+    # while each side integral measured from the root diverges.
+    for a, b in ((0.5, 1.0), (-1.0, -0.5), (1e-3, 0.2)):
+        for q in (1e-5, 1e-8, 1e-10, 1e-16):
+            got = variance_quadrature(VarianceQuery(ToolAlpha(alpha), IndicatorBox(a, b), -q))
+            want = 0.5 * integrate.quad(lambda x: 1.0 / (abs(x) ** alpha + q), a, b,
+                                        epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            assert math.isclose(got, want, rel_tol=1e-10), (a, b, q)
 
 
 # --------------------------------------------------------------------------

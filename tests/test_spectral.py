@@ -5,20 +5,24 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ewslab.quadrature import Disc, IndicatorBox, QuarterDisc
-from ewslab.scaling import ScalingLaw, fit_loglog, log_spaced_p
+from ewslab.quadrature import Disc, IndicatorBox, PowerIndicator, QuarterDisc, VarianceQuery
+from ewslab.scaling import ScalingLaw, fit_loglog, log_spaced_p, polynomial_law
 from ewslab.spectral import (
     FrequencyQuery,
     LawUnavailableError,
     covers_zero_set,
     frequency_symbol,
+    predicted_law,
     predicted_spectral_law,
     spectral_sweep,
     variance_spectral,
 )
 from ewslab.symbols import (
     ConvolutionKernel,
+    Piecewise,
+    Polynomial,
     PowerWavenumber,
+    Radial2D,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
     ToolAlpha,
@@ -52,6 +56,11 @@ def test_query_validation():
         FrequencyQuery(ToolAlpha(2.0), g, -1.0, 1.0)
     with pytest.raises(ValueError):
         FrequencyQuery(SwiftHohenberg2D(), g, -1.0, 1.0)  # needs a disc window
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            FrequencyQuery(SwiftHohenberg2D(), Disc(2.0), -1.0, bad)
+    query = FrequencyQuery(PowerWavenumber(1), g, -1.0)
+    assert isinstance(query, VarianceQuery) and query.ghat is g
 
 
 def test_zero_set_coverage_rules():
@@ -64,6 +73,10 @@ def test_zero_set_coverage_rules():
     crossing = _kernel_with_multiplier(lambda k: -(k ** 2 - 1.0))
     assert covers_zero_set(crossing, IndicatorBox(-3.0, 3.0))
     assert not covers_zero_set(crossing, IndicatorBox(2.0, 3.0))
+    assert covers_zero_set(ToolAlpha(1.0), PowerIndicator(0.25, 1.0))
+    assert not covers_zero_set(ToolAlpha(1.0, root=-0.5), PowerIndicator(0.25, 1.0))
+    with pytest.raises(ValueError):
+        covers_zero_set(SwiftHohenberg2D(), QuarterDisc(2.0))
 
 
 def test_power_multiplier_variance_brute_force():
@@ -147,6 +160,38 @@ def test_predicted_law_away_from_zero_set_is_bounded():
     assert predicted_spectral_law(PowerWavenumber(1),
                                   IndicatorBox(0.5, 1.0)) == ScalingLaw.bounded()
     assert predicted_spectral_law(SwiftHohenberg2D(), Disc(0.5)) == ScalingLaw.bounded()
+
+
+def test_predicted_law_is_window_aware():
+    assert predicted_law(ToolAlpha(1.0), PowerIndicator(0.25, 1.0)) == ScalingLaw(-0.5, 0)
+    assert predicted_law(ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)) == ScalingLaw(-0.5, 0)
+    # the window is smooth at a root inside it: the plain tool-1 logarithm
+    assert predicted_law(ToolAlpha(1.0, root=0.5), PowerIndicator(0.25, 1.0)) == ScalingLaw(0.0, 1)
+    assert predicted_law(ToolAlpha(2.0), IndicatorBox(0.5, 1.0)) == ScalingLaw.bounded()
+    assert predicted_law(PowerWavenumber(1), IndicatorBox(0.5, 1.0)) == ScalingLaw.bounded()
+    line = Polynomial({(1,): 1.0, (3,): 2.0})
+    assert predicted_law(line, PowerIndicator(0.25, 1.0)) == ScalingLaw(-0.5, 0)
+    assert predicted_law(line, IndicatorBox(0.5, 1.0)) == ScalingLaw.bounded()
+    plane = Polynomial({(2, 0): 1.0, (0, 4): 1.0})
+    assert predicted_law(plane, IndicatorBox((0.0, 0.0), (1.0, 1.0))) == polynomial_law(plane.coeffs)
+    for symbol in (Radial2D(2.0), Piecewise(ToolAlpha(1.0), ToolAlpha(2.0))):
+        with pytest.raises(LawUnavailableError):
+            predicted_law(symbol)
+    with pytest.raises(TypeError):
+        predicted_spectral_law(ToolAlpha(2.0))
+
+
+@pytest.mark.parametrize("symbol, window, integrand, lo, hi", [
+    (PowerWavenumber(1), IndicatorBox(0.5, 1.0), lambda k, q: 1.0 / (k ** 2 + q), 0.5, 1.0),
+    # polar form of the disc integral
+    (SwiftHohenberg2D(), Disc(0.5),
+     lambda r, q: 2.0 * math.pi * r / ((1.0 - r ** 2) ** 2 + q), 0.0, 0.5),
+])
+def test_window_off_the_zero_set_matches_brute_force(symbol, window, integrand, lo, hi):
+    for q in (1e-5, 1e-8, 1e-10, 1e-16):
+        got = variance_spectral(FrequencyQuery(symbol, window, -q))
+        want = 0.5 * integrate.quad(integrand, lo, hi, args=(q,), epsabs=0.0, epsrel=1e-13)[0]
+        assert math.isclose(got, want, rel_tol=1e-10), q
 
 
 def test_kernel_law_is_declared_unavailable():

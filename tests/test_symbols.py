@@ -1,4 +1,5 @@
 """Drift symbol construction, evaluation, stability checks, serialization."""
+import json
 import math
 
 import numpy as np
@@ -15,10 +16,10 @@ from ewslab.symbols import (
     Radial2D,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
+    Symbol,
     ToolAlpha,
     Zero,
     as_multi_index,
-    eval_symbol,
     minimal_support,
     predicts_convergence,
     real_part_symbol,
@@ -186,10 +187,10 @@ def test_custom_symbol_shape_check():
         CustomSymbol(lambda x: np.zeros(3), dim=1)
 
 
-def test_eval_symbol_checks_dimension():
+def test_symbol_call_checks_dimension():
     f = Polynomial({(1, 1): 1.0})
     with pytest.raises(ValueError):
-        eval_symbol(f, np.zeros((3,)))
+        f(np.zeros((3,)))
 
 
 def test_minimal_support_drops_dominated_indices():
@@ -269,3 +270,96 @@ def test_custom_symbol_has_no_serialized_form():
 def test_symbol_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         symbol_from_dict({"kind": "mystery"})
+
+
+def test_registry_holds_the_serializable_kinds():
+    assert Symbol.kinds == {
+        "tool_alpha": ToolAlpha,
+        "polynomial": Polynomial,
+        "piecewise": Piecewise,
+        "radial2d": Radial2D,
+        "zero": Zero,
+        "power2m": PowerWavenumber,
+        "swift_hohenberg_1d": SwiftHohenberg1D,
+        "swift_hohenberg_2d": SwiftHohenberg2D,
+        "convolution": ConvolutionKernel,
+    }
+
+
+# The stored form of each kind, the format of poly:FILE.json files; the
+# key order is part of it.
+PINNED_DICTS = [
+    (ToolAlpha(2.5, root=0.5),
+     {"kind": "tool_alpha", "alpha": 2.5, "root": 0.5, "domain": [-0.5, 1.5]}),
+    (Polynomial({(2, 0): 1.0, (0, 2): 0.5}),
+     {"kind": "polynomial",
+      "coeffs": [{"index": [0, 2], "coeff": 0.5}, {"index": [2, 0], "coeff": 1.0}],
+      "root": [0.0, 0.0], "domain": [[0.0, 0.0], [1.0, 1.0]]}),
+    (Piecewise(ToolAlpha(1.0), ToolAlpha(3.0)),
+     {"kind": "piecewise",
+      "left": {"kind": "tool_alpha", "alpha": 1.0, "root": 0.0, "domain": [-1.0, 1.0]},
+      "right": {"kind": "tool_alpha", "alpha": 3.0, "root": 0.0, "domain": [-1.0, 1.0]}}),
+    (Radial2D(3.0), {"kind": "radial2d", "exponent": 3.0}),
+    (Zero(2), {"kind": "zero", "dim": 2}),
+    (PowerWavenumber(2), {"kind": "power2m", "m": 2}),
+    (SwiftHohenberg1D(), {"kind": "swift_hohenberg_1d"}),
+    (SwiftHohenberg2D(), {"kind": "swift_hohenberg_2d"}),
+    (ConvolutionKernel([-1.0, -2.0, -2.0, -1.0], 0.5),
+     {"kind": "convolution", "samples": [-1.0, -2.0, -2.0, -1.0], "spacing": 0.5}),
+]
+
+
+def test_symbol_dicts_are_pinned():
+    assert {type(s) for s, _ in PINNED_DICTS} == set(Symbol.kinds.values())
+    for symbol, want in PINNED_DICTS:
+        assert json.dumps(symbol_to_dict(symbol)) == json.dumps(want)
+
+
+_finite = st.floats(-3.0, 3.0)
+_positive = st.floats(0.1, 6.0)
+_KIND_STRATEGIES = {
+    "tool_alpha": st.builds(ToolAlpha, _positive, root=_finite),
+    "polynomial": st.integers(1, 3).flatmap(lambda dim: st.builds(
+        Polynomial,
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * dim).filter(any), _positive,
+                        min_size=1, max_size=4),
+        root=st.tuples(*[_finite] * dim))),
+    "piecewise": st.builds(Piecewise, st.builds(ToolAlpha, _positive),
+                           st.builds(ToolAlpha, _positive)),
+    "radial2d": st.builds(Radial2D, _positive),
+    "zero": st.builds(Zero, st.integers(1, 3)),
+    "power2m": st.builds(PowerWavenumber, st.integers(1, 4)),
+    "swift_hohenberg_1d": st.builds(SwiftHohenberg1D),
+    "swift_hohenberg_2d": st.builds(SwiftHohenberg2D),
+    "convolution": st.builds(ConvolutionKernel, st.lists(_finite, min_size=4, max_size=12),
+                             _positive),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_KIND_STRATEGIES)).flatmap(lambda k: _KIND_STRATEGIES[k]))
+def test_every_kind_survives_a_json_round_trip(symbol):
+    assert set(_KIND_STRATEGIES) == set(Symbol.kinds)
+    data = symbol_to_dict(symbol)
+    clone = symbol_from_dict(json.loads(json.dumps(data)))
+    assert type(clone) is type(symbol)
+    assert json.dumps(symbol_to_dict(clone)) == json.dumps(data)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ToolAlpha(math.nan),
+    lambda: ToolAlpha(2.0, root=math.inf),
+    lambda: ToolAlpha(2.0, domain=(math.nan, 1.0)),
+    lambda: Polynomial({(1,): math.nan}),
+    lambda: Polynomial({(1, 1): 1.0}, root=(0.0, math.inf)),
+    lambda: Radial2D(math.nan),
+    lambda: Radial2D(2.0, domain=((-1.0, -1.0), (1.0, math.inf))),
+    lambda: Zero(math.inf),
+    lambda: PowerWavenumber(math.inf),
+    lambda: ConvolutionKernel([-1.0, math.nan, -1.0, -1.0], 0.5),
+    lambda: ConvolutionKernel(np.full(8, -1.0), math.inf),
+    lambda: CustomSymbol(lambda x: -np.abs(x), root=math.nan),
+])
+def test_constructors_reject_non_finite_input(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
