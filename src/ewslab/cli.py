@@ -44,7 +44,8 @@ from .scaling import (
     quadrature_sweep,
 )
 from .simulate import Mesh, SimConfig, predict_discrete_variance, run
-from .spectral import LawUnavailableError, predicted_law, predicted_spectral_law, spectral_sweep
+from .spectral import (FREQUENCY_KINDS, LawUnavailableError, predicted_law,
+                       predicted_spectral_law, spectral_sweep)
 from .symbols import (
     ConvolutionKernel,
     Piecewise,
@@ -189,18 +190,6 @@ def _prepare_out(args) -> str:
     return out
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("EWS_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"EWS_THREADS must be an integer, got {env!r}") from exc
-    return 1
-
-
 # --------------------------------------------------------------------------
 # subcommand bodies
 
@@ -246,7 +235,7 @@ def cmd_sweep(args) -> int:
     lo, hi = parse_decades(args.p_decades)
     ps = log_spaced_p(lo, hi, args.points)
     sweep = quadrature_sweep(symbol, g, ps, sigma=args.sigma,
-                             threads=_threads(args), rel_tol=args.rel_tol,
+                             threads=args.threads, rel_tol=args.rel_tol,
                              dt=args.dt)
     keys = ["symbol", "g", "p_decades", "points", "sigma", "rel_tol", "dt", "prefix", "svg"]
     return _emit_sweep(args, sweep, _resolved_params(args, keys), "sweep")
@@ -254,6 +243,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectral(args) -> int:
     symbol = parse_symbol(args.symbol)
+    if not isinstance(symbol, FREQUENCY_KINDS):
+        raise ValueError(f"spectral takes a frequency symbol (power2m:M, sh1d, sh2d or "
+                         f"conv:FILE:SPACING), not {args.symbol!r}")
     g = parse_window(args.g, symbol.dim)
     lo, hi = parse_decades(args.p_decades)
     ps = log_spaced_p(lo, hi, args.points)
@@ -352,7 +344,7 @@ def cmd_compare(args) -> int:
     lo, hi = parse_decades(args.p_decades)
     ps = log_spaced_p(lo, hi, args.points)
     quad = quadrature_sweep(symbol, g, ps, sigma=args.sigma,
-                            threads=_threads(args), dt=args.dt)
+                            threads=args.threads, dt=args.dt)
 
     if args.sim_decades:
         sim_lo, sim_hi = parse_decades(args.sim_decades)
@@ -465,8 +457,7 @@ def _add_sim_args(sub):
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: EWS_THREADS or 1)")
+    common.add_argument("--threads", type=int, default=1, help="worker threads")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--config", default=None,
                         help="JSON file (bare params or a run manifest)")
@@ -579,10 +570,7 @@ def main(argv=None) -> int:
             args.prefix = args.default_prefix
         args._started = started
         return args.func(args)
-    except QuadratureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except LawUnavailableError as exc:
+    except (QuadratureError, LawUnavailableError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

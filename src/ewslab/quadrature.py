@@ -26,11 +26,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 
 from .symbols import (
+    ConvolutionKernel,
     Piecewise,
     Polynomial,
     PowerWavenumber,
     Radial2D,
     Registered,
+    SwiftHohenberg2D,
     Symbol,
     ToolAlpha,
     as_finite,
@@ -377,6 +379,52 @@ def _phi_factory(dt: float) -> Callable:
     return lambda t: 1.0 / (t + half * t * t)
 
 
+def _power_law_box(alpha, root, a, b, q, phi, tol, what):
+    """integral over [a, b] of phi(q + |x - root|**alpha) dx."""
+    total = 0.0
+    err = 0.0
+    # left and right pieces measured as distances from the root
+    if a < root:
+        v, e = _offset_integral(alpha, max(root - b, 0.0), root - a, q, phi, tol)
+        total += v
+        err += e
+    if b > root:
+        v, e = _offset_integral(alpha, max(a - root, 0.0), b - root, q, phi, tol)
+        total += v
+        err += e
+    return _checked(total, err, tol, what)
+
+
+def _kernel_variance(symbol, g, q, dt):
+    """Exact integral of the resolvent of the piecewise-linear multiplier interpolant.
+
+    On each grid segment the resolvent of a linear function integrates
+    to a logarithm, which stays finite as long as q > 0, so no special
+    treatment of near-zero multiplier values is needed.  The implicit
+    scheme's 1/(t + dt t**2/2) is 1/t - 1/(t + 2/dt), two such integrals.
+    Accuracy is limited by the kernel's sample resolution, not by this step.
+    """
+    a, b = float(g.lo[0]), float(g.hi[0])
+    grid = symbol.freq_grid
+    if a < grid[0] or b > grid[-1]:
+        raise ValueError("window exceeds the kernel's resolved frequency range")
+    ks = np.unique(np.concatenate([grid[(grid > a) & (grid < b)], [a, b]]))
+    tvals = q - np.interp(ks, grid, symbol.multiplier)
+    if np.any(tvals <= 0):
+        raise ValueError("kernel multiplier is positive inside the window, no stable regime")
+    dk = np.diff(ks)
+
+    def integral(t):
+        t1, t2 = t[:-1], t[1:]
+        close = np.abs(t2 - t1) <= 1e-12 * np.maximum(t1, t2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            seg = np.where(close, dk * 2.0 / (t1 + t2), dk * np.log(t2 / t1) / (t2 - t1))
+        return float(np.sum(seg))
+
+    value = integral(tvals)
+    return value - integral(tvals + 2.0 / dt) if dt > 0 else value
+
+
 def _variance_1d(symbol, g, q, rel_tol, phi):
     if isinstance(g, PowerIndicator):
         root = float(symbol.root[0])
@@ -405,22 +453,8 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
         return total
 
     if isinstance(symbol, (ToolAlpha, PowerWavenumber)):
-        alpha = symbol.alpha
         root = float(symbol.root[0])
-        total = 0.0
-        tol_err = 0.0
-        # left and right pieces measured as distances from the root
-        if a < root:
-            d1, d2 = max(root - b, 0.0), root - a
-            v, e = _offset_integral(alpha, d1, d2, q, phi, rel_tol)
-            total += v
-            tol_err += e
-        if b > root:
-            d1, d2 = max(a - root, 0.0), b - root
-            v, e = _offset_integral(alpha, d1, d2, q, phi, rel_tol)
-            total += v
-            tol_err += e
-        return _checked(total, tol_err, rel_tol, "power-law quadrature")
+        return _power_law_box(symbol.alpha, root, a, b, q, phi, rel_tol, "power-law quadrature")
 
     # generic one-dimensional route: graded panels anchored at the zeros
     margin = b - a
@@ -542,22 +576,32 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     of the implicit Euler chain with that step, sigma**2 * g**2 /
     (2|f+p| + (f+p)**2 dt), which is the right reference when comparing
     against discretized simulations.
+
+    This is the one router for physical and frequency symbols alike;
+    sampled kernels on a box take the exact integral of their interpolant.
     """
     q = -query.p
     symbol = query.symbol
     g = query.test_function
     phi = _phi_factory(dt)
-    if symbol.dim == 1:
+    if isinstance(symbol, ConvolutionKernel) and isinstance(g, IndicatorBox):
+        value = _kernel_variance(symbol, g, q, dt)
+    elif symbol.dim == 1:
         tol = rel_tol if rel_tol is not None else REL_TOL_1D
         value = _variance_1d(symbol, g, q, tol, phi)
-    elif isinstance(g, (QuarterDisc, Disc)) and isinstance(symbol, Radial2D):
+    elif isinstance(g, (QuarterDisc, Disc)) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
         tol = rel_tol if rel_tol is not None else REL_TOL_ND
         angle = math.pi / 2.0 if isinstance(g, QuarterDisc) else 2.0 * math.pi
-        # polar coordinates and u = r**2 turn the disc integral into a
-        # one-dimensional resolvent integral with exponent beta/2
-        alpha = symbol.exponent / 2.0
-        val, err = _side_integral(alpha, g.radius**2, q, phi, 0.0, tol)
-        value = 0.5 * angle * _checked(val, err, tol, "radial quadrature")
+        # polar coordinates and u = r**2 turn the disc integral into the
+        # one-dimensional power law |u - root|**alpha on [0, R**2]: the
+        # radial drift has alpha = beta/2 and its root at 0, the planar
+        # ring multiplier alpha = 2 and its root at 1
+        if isinstance(symbol, Radial2D):
+            alpha, root = symbol.exponent / 2.0, 0.0
+        else:
+            alpha, root = 2.0, 1.0
+        value = 0.5 * angle * _power_law_box(
+            alpha, root, 0.0, g.radius**2, q, phi, tol, "polar quadrature")
     elif isinstance(g, IndicatorBox) and symbol.dim in (2, 3):
         tol = rel_tol if rel_tol is not None else REL_TOL_ND
         value = _variance_tensor(symbol, g, q, tol, phi)

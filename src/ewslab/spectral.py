@@ -9,12 +9,13 @@ physical space, taken over wavenumbers:
 
 The divergence as p -> 0- is controlled by the zero set of m, which
 for the pattern-forming families sits on |k| = 1 rather than at the
-origin, and only enters when the window covers it.
+origin, and only enters when the window covers it.  The integral goes
+through :func:`variance_quadrature` like any other; this module holds
+the frequency entry points and the law of a symbol seen through a
+window.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,10 +25,6 @@ from .quadrature import (
     PowerIndicator,
     TestFunction,
     VarianceQuery,
-    _checked,
-    _offset_integral,
-    _phi_factory,
-    _side_integral,
     variance_quadrature,
 )
 from .scaling import ScalingLaw, SweepResult, law_1d, law_analytic_1d, polynomial_law
@@ -43,7 +40,7 @@ from .symbols import (
 
 REL_TOL_SPECTRAL = 1e-8
 
-_FREQUENCY_KINDS = (PowerWavenumber, SwiftHohenberg1D, SwiftHohenberg2D, ConvolutionKernel)
+FREQUENCY_KINDS = (PowerWavenumber, SwiftHohenberg1D, SwiftHohenberg2D, ConvolutionKernel)
 
 
 class LawUnavailableError(RuntimeError):
@@ -53,7 +50,7 @@ class LawUnavailableError(RuntimeError):
 def frequency_symbol(kind: str, **params) -> Symbol:
     """Factory for the frequency symbol families by kind name."""
     cls = Symbol.kinds.get(kind)
-    if cls not in _FREQUENCY_KINDS:
+    if cls not in FREQUENCY_KINDS:
         raise ValueError(f"unknown frequency symbol kind: {kind!r}")
     return cls.from_dict(params)
 
@@ -62,7 +59,7 @@ class FrequencyQuery(VarianceQuery):
     """One spectral variance evaluation: multiplier, window, p < 0, sigma."""
 
     def __init__(self, symbol: Symbol, ghat: TestFunction, p: float, sigma: float = 1.0):
-        if not isinstance(symbol, _FREQUENCY_KINDS):
+        if not isinstance(symbol, FREQUENCY_KINDS):
             raise TypeError("symbol must be one of the frequency multiplier kinds")
         super().__init__(symbol, ghat, p, sigma)
 
@@ -92,64 +89,14 @@ def covers_zero_set(symbol: Symbol, ghat: TestFunction) -> bool:
     raise ValueError(f"no zero-set rule for a {symbol.kind} symbol with a {ghat.kind} window")
 
 
-def _kernel_variance(symbol: ConvolutionKernel, ghat: IndicatorBox, q: float, sigma: float) -> float:
-    """Exact integral of the piecewise-linear multiplier interpolant.
-
-    On each grid segment the resolvent of a linear function integrates
-    to a logarithm, which stays finite as long as q > 0, so no special
-    treatment of near-zero multiplier values is needed.  Accuracy is
-    limited by the kernel's sample resolution, not by this step.
-    """
-    a, b = float(ghat.lo[0]), float(ghat.hi[0])
-    grid = symbol.freq_grid
-    if a < grid[0] or b > grid[-1]:
-        raise ValueError("window exceeds the kernel's resolved frequency range")
-    ks = np.unique(np.concatenate([grid[(grid > a) & (grid < b)], [a, b]]))
-    tvals = q - np.interp(ks, grid, symbol.multiplier)
-    if np.any(tvals <= 0):
-        raise ValueError("kernel multiplier is positive inside the window, no stable regime")
-    t1, t2 = tvals[:-1], tvals[1:]
-    dk = np.diff(ks)
-    close = np.abs(t2 - t1) <= 1e-12 * np.maximum(t1, t2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        seg = np.where(close, dk * 2.0 / (t1 + t2), dk * np.log(t2 / t1) / (t2 - t1))
-    return 0.5 * sigma**2 * float(np.sum(seg))
-
-
 def variance_spectral(query: FrequencyQuery, rel_tol: float | None = None) -> float:
     """Stationary variance of a frequency-window observable.
 
-    One-dimensional multipliers reduce to the same quadrature as
-    physical-space symbols.  The planar pattern multiplier reduces over
-    angles and the substitution u = 1 - |k|**2 to a one-dimensional
-    resolvent integral with a quadratic zero.  Sampled kernels use the
-    exact integral of their linear interpolant.
+    The multiplier is the same resolvent integral as a physical-space
+    drift, so this is :func:`variance_quadrature` at the spectral
+    default tolerance.
     """
-    tol = rel_tol if rel_tol is not None else REL_TOL_SPECTRAL
-    q = -query.p
-    symbol = query.symbol
-    ghat = query.ghat
-    if isinstance(symbol, (PowerWavenumber, SwiftHohenberg1D)):
-        return variance_quadrature(query, rel_tol=tol)
-    if isinstance(symbol, SwiftHohenberg2D):
-        if not isinstance(ghat, Disc):
-            raise ValueError("the planar pattern multiplier takes a disc window")
-        phi = _phi_factory(0.0)
-        u_lo = 1.0 - ghat.radius**2
-        err = 0.0
-        if u_lo < 0.0:
-            v1, e1 = _side_integral(2.0, -u_lo, q, phi, 0.0, tol)
-            v2, e2 = _side_integral(2.0, 1.0, q, phi, 0.0, tol)
-            val = v1 + v2
-            err = e1 + e2
-        else:
-            val, err = _offset_integral(2.0, u_lo, 1.0, q, phi, tol)
-        return 0.5 * query.sigma**2 * math.pi * _checked(val, err, tol, "radial spectral quadrature")
-    if isinstance(symbol, ConvolutionKernel):
-        if not isinstance(ghat, IndicatorBox):
-            raise ValueError("kernel multipliers take box windows")
-        return _kernel_variance(symbol, ghat, q, query.sigma)
-    raise TypeError("not a frequency symbol")
+    return variance_quadrature(query, rel_tol=rel_tol if rel_tol is not None else REL_TOL_SPECTRAL)
 
 
 def predicted_law(symbol: Symbol, g: TestFunction | None = None) -> ScalingLaw:
@@ -170,7 +117,7 @@ def predicted_law(symbol: Symbol, g: TestFunction | None = None) -> ScalingLaw:
     """
     if isinstance(symbol, Polynomial) and symbol.dim > 1:
         return polynomial_law(symbol.coeffs)
-    if not isinstance(symbol, (ToolAlpha, Polynomial) + _FREQUENCY_KINDS):
+    if not isinstance(symbol, (ToolAlpha, Polynomial) + FREQUENCY_KINDS):
         raise LawUnavailableError(f"no catalog law for {symbol.kind} symbols")
     if g is not None and not covers_zero_set(symbol, g):
         return ScalingLaw.bounded()
@@ -190,7 +137,7 @@ def predicted_law(symbol: Symbol, g: TestFunction | None = None) -> ScalingLaw:
 
 def predicted_spectral_law(symbol: Symbol, ghat: TestFunction | None = None) -> ScalingLaw:
     """:func:`predicted_law` for the frequency families only."""
-    if not isinstance(symbol, _FREQUENCY_KINDS):
+    if not isinstance(symbol, FREQUENCY_KINDS):
         raise TypeError("not a frequency symbol")
     return predicted_law(symbol, ghat)
 

@@ -225,16 +225,24 @@ def test_appendix_check_exit_codes(capsys):
     assert main(["appendix-check", "--q", "1e-320"]) == 0
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    out = tmp_path / "env"
-    monkeypatch.setenv("EWS_THREADS", "3")
-    assert main(["sweep", "--symbol", "tool:1", "--g", "box:0,1",
-                 "--p-decades", "-4:-2", "--points", "6",
-                 "--out", str(out)]) == 0
-    monkeypatch.setenv("EWS_THREADS", "soon")
-    assert main(["sweep", "--symbol", "tool:1", "--g", "box:0,1",
-                 "--p-decades", "-4:-2", "--points", "6",
-                 "--out", str(out)]) == 3
+def test_sweep_reaches_the_kernel_and_ring_multiplier_routes(tmp_path):
+    # samples of the kernel with multiplier -(k^2 - 1)^2, spacing 0.25
+    n, dx = 128, 0.25
+    k = 2 * math.pi * np.fft.fftfreq(n, d=dx)
+    kernel = tmp_path / "K.txt"
+    np.savetxt(kernel, np.real(np.fft.ifft(-(k ** 2 - 1.0) ** 2)) / dx, fmt="%.17g")
+    for symbol, window in ((f"conv:{kernel}:0.25", "box:-3,3"), ("sh2d", "disc:1.5")):
+        values = {}
+        for command in ("sweep", "spectral"):
+            assert main([command, "--symbol", symbol, "--g", window, "--p-decades", "-8:-2",
+                         "--out", str(tmp_path), "--prefix", command]) == 0, (command, symbol)
+            csv = SweepResult.from_csv((tmp_path / f"{command}.csv").read_text())
+            values[command] = np.asarray(csv.values)
+        if symbol == "sh2d":
+            # the sweep runs at the looser multi-dimensional default tolerance
+            np.testing.assert_allclose(values["sweep"], values["spectral"], rtol=1e-6)
+        else:
+            assert np.array_equal(values["sweep"], values["spectral"])
 
 
 def test_validation_errors_exit_3(tmp_path, capsys):
@@ -259,6 +267,10 @@ def test_validation_errors_exit_3(tmp_path, capsys):
                      "--points", "3", "--out", str(tmp_path)]) == 3, (symbol, window)
     assert main(["spectral", "--symbol", "sh2d", "--g", "disc:2", "--p-decades", "-4:-2",
                  "--points", "3", "--sigma", "nan", "--out", str(tmp_path)]) == 3
+    # a physical-space symbol has no frequency route
+    assert main(["spectral", "--symbol", "tool:2", "--g", "box:0,1", "--p-decades", "-4:-2",
+                 "--points", "3", "--out", str(tmp_path)]) == 3
+    assert "frequency symbol" in capsys.readouterr().err
     assert main(["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5",
                  "--n", "9", "--nt", "200", "--half-width", "nan", "--out", str(tmp_path)]) == 3
     assert not list(tmp_path.glob("*.csv"))

@@ -28,9 +28,11 @@ from ewslab.quadrature import (
     variance_quadrature,
 )
 from ewslab.symbols import (
+    ConvolutionKernel,
     Piecewise,
     Polynomial,
     Radial2D,
+    SwiftHohenberg2D,
     ToolAlpha,
     Zero,
 )
@@ -136,6 +138,43 @@ def test_radial_general_exponent_brute_force():
         epsabs=1e-13, epsrel=1e-11, points=[q ** (1.0 / 3.0)],
     )[0]
     assert math.isclose(got, want, rel_tol=1e-7)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.5])
+def test_ring_multiplier_disc_matches_polar_brute_force(radius):
+    # the planar ring multiplier -(1 - |k|^2)^2 goes through the same
+    # polar reduction as the radial drift; brute force in r
+    for q in (1e-3, 1e-8):
+        got = _value(SwiftHohenberg2D(), Disc(radius), -q, rel_tol=1e-10)
+        want = 2.0 * math.pi * integrate.quad(
+            lambda r: r / ((1.0 - r ** 2) ** 2 + q), 0.0, radius,
+            points=[1.0] if radius > 1.0 else None, epsabs=0.0, epsrel=1e-12, limit=300,
+        )[0]
+        assert math.isclose(got, want, rel_tol=1e-9), q
+
+
+def _double_zero_kernel():
+    # 128 samples, spacing 0.25, of the kernel with multiplier -(k^2 - 1)^2
+    n, dx = 128, 0.25
+    k = 2 * math.pi * np.fft.fftfreq(n, d=dx)
+    return ConvolutionKernel(np.real(np.fft.ifft(-(k ** 2 - 1.0) ** 2)) / dx, dx)
+
+
+@pytest.mark.parametrize("dt", [0.0, 0.01, 0.5])
+def test_kernel_matches_interpolant_brute_force(dt):
+    ker = _double_zero_kernel()
+    grid, mult = ker.freq_grid, ker.multiplier
+    kinks = [k for k in grid if -3.0 < k < 3.0]
+    for q in (1e-2, 1e-6):
+        got = _value(ker, IndicatorBox(-3.0, 3.0), -q, sigma=1.0, dt=dt)
+
+        def integrand(k):
+            t = q - np.interp(k, grid, mult)
+            return 1.0 / (t + 0.5 * dt * t * t)
+
+        want = 0.5 * integrate.quad(integrand, -3.0, 3.0, points=kinks,
+                                    epsabs=0.0, epsrel=1e-12, limit=400)[0]
+        assert math.isclose(got, want, rel_tol=1e-10), q
 
 
 def test_scheme_corrected_resolvent_oracle():

@@ -186,6 +186,8 @@ def test_predicted_law_is_window_aware():
     # polar form of the disc integral
     (SwiftHohenberg2D(), Disc(0.5),
      lambda r, q: 2.0 * math.pi * r / ((1.0 - r ** 2) ** 2 + q), 0.0, 0.5),
+    (SwiftHohenberg2D(), QuarterDisc(0.5),
+     lambda r, q: 0.5 * math.pi * r / ((1.0 - r ** 2) ** 2 + q), 0.0, 0.5),
 ])
 def test_window_off_the_zero_set_matches_brute_force(symbol, window, integrand, lo, hi):
     for q in (1e-5, 1e-8, 1e-10, 1e-16):
