@@ -18,12 +18,13 @@ dimensions.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate, special
+from scipy import integrate
 
 from .symbols import (
     ConvolutionKernel,
@@ -320,53 +321,6 @@ def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol, singular_points=()):
 
 
 # ---------------------------------------------------------------------------
-# vectorized resolvent profile (used by the nested monomial integrator)
-
-
-def _profile(alpha: float, y):
-    """J(y) = integral_0^y du / (1 + u**alpha), vectorized over y.
-
-    Exact logarithm and arctangent forms cover alpha in {1, 2}; other
-    exponents go through the Gauss hypergeometric function, with series
-    and tail expansions guarding the extreme arguments.
-    """
-    y = np.asarray(y, dtype=float)
-    if alpha == 1.0:
-        return np.log1p(y)
-    if alpha == 2.0:
-        return np.arctan(y)
-    out = np.empty_like(y)
-    small = y < 1e-8
-    # beyond this point y**alpha overflows or degrades hyp2f1
-    big = (alpha * np.log10(np.maximum(y, 1e-300))) > 100.0
-    mid = ~(small | big)
-    out[small] = y[small]
-    if np.any(mid):
-        ym = y[mid]
-        out[mid] = ym * special.hyp2f1(1.0, 1.0 / alpha, 1.0 + 1.0 / alpha, -(ym**alpha))
-    if np.any(big):
-        if alpha <= 1.0:
-            raise QuadratureError("resolvent profile diverges too strongly to expand the tail")
-        j_inf = math.pi / (alpha * math.sin(math.pi / alpha))
-        yb = y[big]
-        # next order of the tail integral, enough at y > 1e20
-        out[big] = j_inf - yb ** (1.0 - alpha) / (alpha - 1.0)
-    return out
-
-
-def _box_resolvent(alpha: float, upper: float, q):
-    """integral_0^upper dx / (x**alpha + q), vectorized over q."""
-    q = np.asarray(q, dtype=float)
-    if alpha == 1.0:
-        return np.log1p(upper / q)
-    if alpha == 2.0:
-        rq = np.sqrt(q)
-        return np.arctan(upper / rq) / rq
-    y = upper * q ** (-1.0 / alpha)
-    return q ** (1.0 / alpha - 1.0) * _profile(alpha, y)
-
-
-# ---------------------------------------------------------------------------
 # 1-D variance dispatch
 
 
@@ -602,7 +556,9 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
             alpha, root = 2.0, 1.0
         value = 0.5 * angle * _power_law_box(
             alpha, root, 0.0, g.radius**2, q, phi, tol, "polar quadrature")
-    elif isinstance(g, IndicatorBox) and symbol.dim in (2, 3):
+    elif (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
+          and not isinstance(symbol, SwiftHohenberg2D)):
+        # the tensor panels grade toward the root, not toward a ring
         tol = rel_tol if rel_tol is not None else REL_TOL_ND
         value = _variance_tensor(symbol, g, q, tol, phi)
     else:
@@ -633,39 +589,38 @@ def dimension_reduce(j, eps: float = 1.0) -> tuple[tuple[int, ...], float]:
     return reduced, eps ** (len(idx) - len(reduced))
 
 
-def _mono_2d(i1, i2, eps, q, ratio, n_gl):
-    """Nested rule for integral over [0,eps]^2 of 1/(x1**i1 x2**i2 + q).
+def _gamma_mixture(idx):
+    """Partial fractions of prod_k (1 + idx_k z)**-1 as arrays (c, a, m).
 
-    The inner axis (larger exponent) is the exact vectorized resolvent;
-    the outer axis uses graded panels from the crossover scale where the
-    inner integral saturates up to eps.
+    The product is the Laplace transform of S = sum_k idx_k E_k, E_k
+    i.i.d. Exp(1), so S has the density sum c * Gamma(shape m, scale a).
+    An exponent a repeated r times gives m = 1..r; with u = 1 + a z, c is
+    the exact u**(r - m) coefficient of the other factors (1 - b/a + u b/a)**-s.
     """
-    io, ii = min(i1, i2), max(i1, i2)
-    x_star = (q / eps**ii) ** (1.0 / io)
-    nodes, weights = _axis_rule(0.0, eps, 0.0, max(x_star * 1e-2, 1e-280), ratio, n_gl)
-    pow_out = nodes**io
-    inner = _box_resolvent(float(ii), eps, q / pow_out) / pow_out
-    return float(np.sum(weights * inner))
-
-
-def _mono_3d(idx, eps, q, ratio, n_gl):
-    i1, i2, i3 = sorted(idx)
-    floor1 = max((q / eps ** (i2 + i3)) ** (1.0 / i1) * 1e-2, 1e-280)
-    floor2 = max((q / eps ** (i1 + i3)) ** (1.0 / i2) * 1e-2, 1e-280)
-    n1, w1 = _axis_rule(0.0, eps, 0.0, floor1, ratio, n_gl)
-    n2, w2 = _axis_rule(0.0, eps, 0.0, floor2, ratio, n_gl)
-    pow1 = n1**i1
-    pow2 = n2**i2
-    prod = np.outer(pow1, pow2)
-    inner = _box_resolvent(float(i3), eps, q / prod) / prod
-    return float(np.einsum("i,j,ij->", w1, w2, inner))
+    terms = []
+    for a in sorted(set(idx)):
+        r = idx.count(a)
+        series = [Fraction(1)] + [Fraction(0)] * (r - 1)
+        for b in set(idx) - {a}:
+            s = idx.count(b)
+            factor = [Fraction(a, a - b) ** s * Fraction(b, b - a) ** n * math.comb(s + n - 1, n)
+                      for n in range(r)]
+            series = [sum(series[i] * factor[n - i] for i in range(n + 1)) for n in range(r)]
+        terms += [(float(series[r - m]), float(a), m) for m in range(1, r + 1)]
+    return tuple(map(np.array, zip(*terms)))
 
 
 def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-9) -> float:
-    """integral over [0, eps]**N of dx / (x**j + q) for a monomial index j.
+    """integral over [0, eps]**N of dx / (x**j + q) for a monomial index j, any N.
 
-    Zero components reduce out as powers of eps.  Up to three active
-    axes are supported, which covers the catalog of corner bounds.
+    Zero components reduce out as powers of eps, and x -> eps x leaves
+    eps**(N - |j|) I_j(q / eps**|j|).  With x uniform on the unit cube,
+    S = -log x**j is a sum of independent exponentials and I_j(q) =
+    E[1 / (exp(-S) + q)], one integral against the density of S
+    (``_gamma_mixture``) split at s = log(1/q).  S dominates each Gamma
+    term's variable, so no term integrates to more than I_j and rounding
+    in their signed sum loses at most about n * eps_machine * sum |c|;
+    above rel_tol, as for clustered exponents, QuadratureError is raised.
     """
     idx = as_multi_index(j)
     q = float(q)
@@ -676,23 +631,28 @@ def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-
         raise ValueError("eps must be positive")
     if all(c == 0 for c in idx):
         return eps ** len(idx) / q
-    reduced, prefactor = dimension_reduce(idx, eps)
-    if len(reduced) == 1:
-        value = float(_box_resolvent(float(reduced[0]), eps, q))
-        return prefactor * value
-    if len(reduced) == 2:
-        coarse = _mono_2d(reduced[0], reduced[1], eps, q, 2.0, 24)
-        fine = _mono_2d(reduced[0], reduced[1], eps, q, math.sqrt(2.0), 32)
-    elif len(reduced) == 3:
-        coarse = _mono_3d(reduced, eps, q, 2.0, 12)
-        fine = _mono_3d(reduced, eps, q, math.sqrt(2.0), 16)
-    else:
-        raise ValueError("monomial integrals support at most three active axes")
-    if abs(fine - coarse) > 50 * rel_tol * max(abs(fine), 1e-300):
-        raise QuadratureError(
-            f"nested monomial quadrature did not converge: {coarse!r} vs {fine!r}"
-        )
-    return prefactor * fine
+    reduced = dimension_reduce(idx, eps)[0]
+    c, a, m = _gamma_mixture(reduced)
+    loss = len(c) * np.finfo(float).eps * float(np.sum(np.abs(c)))
+    if loss > rel_tol:
+        raise QuadratureError(f"signed terms of {reduced} cancel: rounding may lose {loss:.1e}")
+    weight = c / (a**m * np.array([math.factorial(k - 1) for k in m]))
+    # logs of q / eps**|j| and eps**(N - |j|), which as numbers may overflow
+    log_q = math.log(q) - sum(reduced) * math.log(eps)
+    log_scale = (len(idx) - sum(reduced)) * math.log(eps)
+
+    def integrand(s):
+        # eps**(N - |j|) times the density of S times 1 / (exp(-s) + q)
+        log_terms = log_scale - s / a - np.logaddexp(-s, log_q)
+        return float(np.dot(weight, s ** (m - 1) * np.exp(log_terms)))
+
+    split = max(-log_q, 0.0)
+    v1, e1 = _quad(integrand, 0.0, split, 1e-2 * rel_tol)
+    v2, e2 = _quad(integrand, split, math.inf, 1e-2 * rel_tol)
+    value = _checked(v1 + v2, e1 + e2, rel_tol, "monomial reduction")
+    if not math.isfinite(value):
+        raise QuadratureError(f"monomial integral of {reduced} overflows at q = {q!r}")
+    return value
 
 
 def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:

@@ -23,6 +23,7 @@ from .quadrature import (
     Disc,
     IndicatorBox,
     PowerIndicator,
+    QuarterDisc,
     TestFunction,
     VarianceQuery,
     variance_quadrature,
@@ -78,13 +79,13 @@ def covers_zero_set(symbol: Symbol, ghat: TestFunction) -> bool:
     and the variance converges regardless of the divergence law the
     family would otherwise follow.  One-dimensional symbols take box or
     power windows and report their zeros in the window's interval; the
-    planar pattern multiplier takes a disc, which meets |k| = 1 once its
-    radius reaches 1.
+    planar pattern multiplier takes a disc or a quarter disc, which meets
+    |k| = 1 once its radius reaches 1.
     """
     if symbol.dim == 1 and isinstance(ghat, (IndicatorBox, PowerIndicator)):
         lo, hi = (0.0, ghat.eps) if isinstance(ghat, PowerIndicator) else (ghat.lo[0], ghat.hi[0])
         return len(symbol.zeros_in(float(lo), float(hi))) > 0
-    if isinstance(symbol, SwiftHohenberg2D) and isinstance(ghat, Disc):
+    if isinstance(symbol, SwiftHohenberg2D) and isinstance(ghat, (Disc, QuarterDisc)):
         return ghat.radius >= 1.0
     raise ValueError(f"no zero-set rule for a {symbol.kind} symbol with a {ghat.kind} window")
 

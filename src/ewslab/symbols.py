@@ -362,7 +362,7 @@ class Radial2D(Symbol):
     """f(x) = -(x1**2 + x2**2)**(exponent/2), radially symmetric in the plane."""
 
     kind = "radial2d"
-    fields = ("exponent",)
+    fields = ("exponent", "domain")
 
     def __init__(self, exponent: float = 2.0, domain=None):
         exponent = as_finite(exponent, "exponent")
@@ -399,7 +399,7 @@ class Zero(Symbol):
     """
 
     kind = "zero"
-    fields = ("dim",)
+    fields = ("dim", "domain")
 
     def __init__(self, dim: int = 1, domain=None):
         self.dim = int(as_finite(dim, "dim"))

@@ -245,6 +245,16 @@ def test_sweep_reaches_the_kernel_and_ring_multiplier_routes(tmp_path):
             assert np.array_equal(values["sweep"], values["spectral"])
 
 
+def test_spectral_ring_multiplier_on_a_quarter_disc_is_a_quarter_of_the_disc(tmp_path):
+    values = {}
+    for window in ("disc:1.5", "qdisc:1.5"):
+        assert main(["spectral", "--symbol", "sh2d", "--g", window, "--p-decades=-6:-3",
+                     "--points", "4", "--out", str(tmp_path), "--prefix", window[:4]]) == 0
+        csv = SweepResult.from_csv((tmp_path / f"{window[:4]}.csv").read_text())
+        values[window] = np.asarray(csv.values)
+    np.testing.assert_allclose(values["qdisc:1.5"], values["disc:1.5"] / 4.0, rtol=1e-14)
+
+
 def test_validation_errors_exit_3(tmp_path, capsys):
     assert main(["sweep", "--symbol", "tool:2", "--g", "box:0,1",
                  "--p-decades", "-2:-8", "--out", str(tmp_path)]) == 3
@@ -271,6 +281,10 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     assert main(["spectral", "--symbol", "tool:2", "--g", "box:0,1", "--p-decades", "-4:-2",
                  "--points", "3", "--out", str(tmp_path)]) == 3
     assert "frequency symbol" in capsys.readouterr().err
+    # the tensor route grades toward the origin, not toward the ring |k| = 1
+    assert main(["sweep", "--symbol", "sh2d", "--g", "box:0,1.5,0,1.5", "--p-decades=-6:-3",
+                 "--points", "4", "--out", str(tmp_path)]) == 3
+    assert "unsupported combination" in capsys.readouterr().err
     assert main(["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5",
                  "--n", "9", "--nt", "200", "--half-width", "nan", "--out", str(tmp_path)]) == 3
     assert not list(tmp_path.glob("*.csv"))

@@ -20,6 +20,7 @@ from ewslab.quadrature import (
     Disc,
     IndicatorBox,
     PowerIndicator,
+    QuadratureError,
     QuarterDisc,
     VarianceQuery,
     appendix_c_integral,
@@ -311,9 +312,42 @@ def test_monomial_window_scaling():
     assert math.isclose(got, want, rel_tol=1e-8)
 
 
-def test_monomial_rejects_more_than_three_active_axes():
-    with pytest.raises(ValueError):
-        monomial_integral((1, 1, 1, 1), 1.0, 1e-3)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_monomial_all_unit_orders_is_the_polylog(n):
+    # the cube integral of 1 / (x1 ... xn + q) is -Li_n(-1/q)
+    mpmath = pytest.importorskip("mpmath")
+    for q in (1e-2, 1e-8, 1e-14):
+        want = float(-mpmath.polylog(n, -1 / mpmath.mpf(q)))
+        assert math.isclose(monomial_integral((1,) * n, 1.0, q), want, rel_tol=1e-12), q
+
+
+def test_monomial_3d_repeated_orders_match_adaptive_tplquad():
+    j, q = (2, 2, 3), 1e-3
+    want = integrate.tplquad(
+        lambda z, y, x: 1.0 / (x ** 2 * y ** 2 * z ** 3 + q), 0, 1, 0, 1, 0, 1,
+        epsabs=1e-12, epsrel=1e-10,
+    )[0]
+    assert math.isclose(monomial_integral(j, 1.0, q), want, rel_tol=1e-8)
+
+
+def test_monomial_extreme_q_is_finite_or_refused():
+    # the value grows like q**(-2/3), to about 5.4e200 here
+    assert 1e200 < monomial_integral((1, 2, 3), 1.0, 1e-300) < 1e201
+    try:
+        got = monomial_integral((1, 1, 1), 1.0, 5e-324)
+    except QuadratureError:
+        return
+    # -Li_3(-1/q) = L**3/6 + pi**2 L/6 + O(q) with L = log(1/q)
+    big_l = -math.log(5e-324)
+    assert math.isclose(got, big_l ** 3 / 6 + math.pi ** 2 * big_l / 6, rel_tol=1e-12)
+
+
+def test_monomial_refuses_clustered_orders():
+    # the partial-fraction weights of (30, ..., 35) sum to 9.8e6 in size,
+    # so rounding in their signed sum could lose more than rel_tol
+    with pytest.raises(QuadratureError, match="cancel"):
+        monomial_integral(tuple(range(30, 36)), 1.0, 1e-3)
+    assert math.isfinite(monomial_integral((9, 10, 11, 12), 1.0, 1e-3))
 
 
 def test_dimension_reduce_strips_zero_axes():

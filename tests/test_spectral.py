@@ -75,8 +75,8 @@ def test_zero_set_coverage_rules():
     assert not covers_zero_set(crossing, IndicatorBox(2.0, 3.0))
     assert covers_zero_set(ToolAlpha(1.0), PowerIndicator(0.25, 1.0))
     assert not covers_zero_set(ToolAlpha(1.0, root=-0.5), PowerIndicator(0.25, 1.0))
-    with pytest.raises(ValueError):
-        covers_zero_set(SwiftHohenberg2D(), QuarterDisc(2.0))
+    assert covers_zero_set(SwiftHohenberg2D(), QuarterDisc(2.0))
+    assert not covers_zero_set(SwiftHohenberg2D(), QuarterDisc(0.5))
 
 
 def test_power_multiplier_variance_brute_force():

@@ -261,6 +261,23 @@ def test_serialization_round_trip(symbol):
     np.testing.assert_allclose(clone(pts), symbol(pts))
 
 
+@pytest.mark.parametrize("symbol", [
+    Radial2D(2.0, domain=((-2.0, -0.5), (3.0, 0.5))),
+    Zero(2, domain=((1.0, 2.0), (4.0, 3.0))),
+])
+def test_custom_domain_survives_a_round_trip(symbol):
+    clone = symbol_from_dict(json.loads(json.dumps(symbol_to_dict(symbol))))
+    for got, want in zip(clone.domain, symbol.domain):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_dicts_stored_without_a_domain_load_the_default_domain():
+    radial = symbol_from_dict({"kind": "radial2d", "exponent": 3.0})
+    assert [v.tolist() for v in radial.domain] == [[-1.0, -1.0], [1.0, 1.0]]
+    zero = symbol_from_dict({"kind": "zero", "dim": 2})
+    assert [v.tolist() for v in zero.domain] == [[0.0, 0.0], [1.0, 1.0]]
+
+
 def test_custom_symbol_has_no_serialized_form():
     f = CustomSymbol(lambda x: -np.abs(x), dim=1)
     with pytest.raises(TypeError):
@@ -299,8 +316,9 @@ PINNED_DICTS = [
      {"kind": "piecewise",
       "left": {"kind": "tool_alpha", "alpha": 1.0, "root": 0.0, "domain": [-1.0, 1.0]},
       "right": {"kind": "tool_alpha", "alpha": 3.0, "root": 0.0, "domain": [-1.0, 1.0]}}),
-    (Radial2D(3.0), {"kind": "radial2d", "exponent": 3.0}),
-    (Zero(2), {"kind": "zero", "dim": 2}),
+    (Radial2D(3.0),
+     {"kind": "radial2d", "exponent": 3.0, "domain": [[-1.0, -1.0], [1.0, 1.0]]}),
+    (Zero(2), {"kind": "zero", "dim": 2, "domain": [[0.0, 0.0], [1.0, 1.0]]}),
     (PowerWavenumber(2), {"kind": "power2m", "m": 2}),
     (SwiftHohenberg1D(), {"kind": "swift_hohenberg_1d"}),
     (SwiftHohenberg2D(), {"kind": "swift_hohenberg_2d"}),
