@@ -8,7 +8,7 @@ mesh point is its own chain), then compares three numbers at each p:
   * the exact prediction for the discrete scheme (geometric-series sum),
   * the continuum quadrature with the step-size correction.
 
-Run:  python demos/spde_simulation.py           (about ten seconds)
+Run:  python demos/spde_simulation.py           (about five seconds)
 """
 import ewslab as ew
 

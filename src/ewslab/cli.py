@@ -307,7 +307,8 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _sim_config(args, symbol, g, p: float) -> SimConfig:
+def _sim_configs(args, symbol, g, ps) -> list[SimConfig]:
+    # one mesh and one noise model serve every p
     mesh = Mesh(args.half_width, args.n, symbol.dim)
     noise = None
     if args.noise_rank is not None:
@@ -315,16 +316,17 @@ def _sim_config(args, symbol, g, p: float) -> SimConfig:
         support = np.flatnonzero(weights > 0)
         noise = build_noise_model(mesh.size, support, m=args.noise_rank,
                                   seed=args.seed)
-    return SimConfig(symbol=symbol, g=g, p=p, mesh=mesh, dt=args.dt,
-                     nt=args.nt, sigma=args.sigma, burn_in=args.burn_in,
-                     replicas=args.replicas, seed=args.seed, noise=noise,
-                     batches=args.batches, unweighted=args.unweighted)
+    return [SimConfig(symbol=symbol, g=g, p=p, mesh=mesh, dt=args.dt,
+                      nt=args.nt, sigma=args.sigma, burn_in=args.burn_in,
+                      replicas=args.replicas, seed=args.seed, noise=noise,
+                      batches=args.batches, unweighted=args.unweighted)
+            for p in ps]
 
 
 def cmd_simulate(args) -> int:
     symbol = parse_symbol(args.symbol)
     g = parse_window(args.g, symbol.dim)
-    config = _sim_config(args, symbol, g, args.p)
+    (config,) = _sim_configs(args, symbol, g, [args.p])
     predicted = predict_discrete_variance(config)
     estimate = run(config)
     sweep = SweepResult((args.p,), (estimate.variance,), (estimate.stderr,),
@@ -354,8 +356,7 @@ def cmd_compare(args) -> int:
         sim_lo, sim_hi = hi - 1, hi
     sim_ps = log_spaced_p(sim_lo, sim_hi, args.sim_points)
     sim_vals, sim_errs = [], []
-    for p in sim_ps:
-        config = _sim_config(args, symbol, g, p)
+    for config in _sim_configs(args, symbol, g, sim_ps):
         estimate = run(config)
         sim_vals.append(estimate.variance)
         sim_errs.append(estimate.stderr)

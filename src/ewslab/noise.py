@@ -79,7 +79,9 @@ class NoiseModel:
                 raise ValueError("eigenvalues must match the number of basis columns")
             if np.any(eig <= 0):
                 raise ValueError("eigenvalues must be positive")
-            gram = basis.T @ basis
+            # rows off the support are zero and add nothing to the Gram
+            active = basis[np.any(basis, axis=1)]
+            gram = active.T @ active
             if np.max(np.abs(gram - np.eye(basis.shape[1]))) > _ORTHO_TOL:
                 raise ValueError("basis columns are not orthonormal")
             object.__setattr__(self, "basis", basis)

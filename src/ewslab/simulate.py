@@ -12,12 +12,15 @@ linear observable is available in closed form, which
 ``predict_discrete_variance`` evaluates.
 
 ``run`` estimates the same quantity from trajectories.  Only the points
-on the window support reach the projection, so only they are stepped.
-Time advances in blocks of steps: each replica draws a block of normals
-for the whole noise model (the same stream as one ``noise_increment``
-per step), a column gather (identity noise) or one matrix product
-(rank-M noise) maps the block to increments on the support, and all
-replicas advance together as one (replicas, support) array.
+on the window support reach the projection, and points with one drift
+value share one multiplier, so the weighted sum of the points in each
+such group is itself an AR(1) chain, driven by the weighted sum of
+their noise.  ``run`` steps one chain per distinct drift value: with
+identity noise that sum is one normal per chain scaled by the root of
+its summed squared weights, with rank-M noise it is the M mode normals
+through the weight-summed basis rows.  The projection is the sum of
+the chains, exact in distribution.  Time advances in blocks of steps,
+all replicas together as one (replicas, chains) array.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ _BLOCK_BYTES = 1 << 20
 class Mesh:
     """Uniform interior lattice on [-half_width, half_width]**dim.
 
-    Along each axis the points are r_i = -L + 2 L i / (n + 1) for
-    i = 1..n, so the boundary points are excluded and the spacing is
-    h = 2 L / (n + 1).
+    Along each axis the points are r_i = L (2 i - (n + 1)) / (n + 1)
+    for i = 1..n, so the boundary points are excluded and the spacing
+    is h = 2 L / (n + 1).  The integer numerator makes the points
+    exactly antisymmetric, r_(n+1-i) = -r_i bit for bit, so symmetric
+    drifts give equal values at mirrored points.
     """
 
     half_width: float
@@ -70,7 +75,7 @@ class Mesh:
 
     def axis_points(self) -> np.ndarray:
         i = np.arange(1, self.n + 1)
-        return -self.half_width + 2.0 * self.half_width * i / (self.n + 1)
+        return self.half_width * (2 * i - (self.n + 1)) / (self.n + 1)
 
     def grid(self) -> np.ndarray:
         """All mesh points, flattened to shape (size,) or (size, dim)."""
@@ -224,9 +229,24 @@ def predict_discrete_variance(config: SimConfig) -> float:
     return float(total)
 
 
-def _steps_per_block(replicas: int, support: int, rank: int) -> int:
+def _lumped_chains(drift, idx, w, model: NoiseModel):
+    """Drifts of the chains, one per distinct drift value on the support
+    (``np.unique`` order), and the map from one step's normals to each
+    chain's weighted noise: per-chain scales sqrt(sum w**2) for identity
+    noise, or the (M, chains) weight-summed basis rows times
+    sqrt(eigenvalues) for rank-M noise.  A step draws mix.shape[0] normals.
+    """
+    lam, group = np.unique(drift[idx], return_inverse=True)
+    if model.is_identity:
+        return lam, np.sqrt(np.bincount(group, w**2))
+    rows = np.zeros((lam.size, model.rank))
+    np.add.at(rows, group, w[:, None] * model.basis[idx])
+    return lam, (rows * np.sqrt(model.eigenvalues)).T
+
+
+def _steps_per_block(replicas: int, chains: int, draws: int) -> int:
     # one step holds a row of draws and a state row per replica
-    return max(1, _BLOCK_BYTES // (8 * (replicas * support + rank)))
+    return max(1, _BLOCK_BYTES // (8 * (replicas * chains + draws)))
 
 
 def run(config: SimConfig) -> VarianceEstimate:
@@ -234,10 +254,11 @@ def run(config: SimConfig) -> VarianceEstimate:
 
     Replicas evolve independently from u = 0 with per-replica random
     streams split off the configured seed, so equal seeds give
-    identical estimates.  All replicas advance together over the window
-    support, a block of steps at a time (see the module docstring), with
-    the arithmetic of ``step``.  After the burn-in the projection is
-    recorded every step; each replica reports the sample variance of
+    identical estimates.  All replicas advance together, one chain per
+    distinct drift value on the window support (see the module
+    docstring), a block of steps at a time, with the arithmetic of
+    ``step``.  After the burn-in the projection, the sum of the chains,
+    is recorded every step; each replica reports the sample variance of
     its series and a batch-means standard error.
     """
     drift = _drift_vector(config)
@@ -256,21 +277,21 @@ def run(config: SimConfig) -> VarianceEstimate:
     r = config.replicas
     rngs = [np.random.Generator(np.random.Philox(
         np.random.SeedSequence(config.seed, spawn_key=(rep,)))) for rep in range(r)]
-    mix = None if model.is_identity else (model.basis[idx] * np.sqrt(model.eigenvalues)).T
+    lam, mix = _lumped_chains(drift, idx, w, model)
     sqrt_dt = np.sqrt(config.dt)
-    denom = 1.0 - drift[idx] * config.dt
-    chunk = _steps_per_block(r, idx.size, model.rank)
-    block = np.empty((chunk, r, idx.size))
-    u = np.zeros((r, idx.size))
+    denom = 1.0 - lam * config.dt
+    chunk = _steps_per_block(r, lam.size, mix.shape[0])
+    block = np.empty((chunk, r, lam.size))
+    u = np.zeros((r, lam.size))
     series = np.empty((r, n_kept))
     for start in range(0, config.nt, chunk):
         k = min(chunk, config.nt - start)
         for rep in range(r):
-            xi = rngs[rep].standard_normal((k, model.rank))
-            block[:k, rep] = xi[:, idx] if mix is None else xi @ mix
+            xi = rngs[rep].standard_normal((k, mix.shape[0]))
+            block[:k, rep] = xi * mix if mix.ndim == 1 else xi @ mix
         # sqrt(dt), then sigma, then the division, in the order of
-        # noise_increment and step: identity-noise states match the
-        # one-step update bit for bit
+        # noise_increment and step: every chain state matches the
+        # one-step update of that chain bit for bit
         block[:k] *= sqrt_dt
         block[:k] *= config.sigma
         prev = u
@@ -281,7 +302,7 @@ def run(config: SimConfig) -> VarianceEstimate:
         u[...] = prev
         first = max(burn - start, 0)
         if first < k:
-            series[:, start + first - burn:start + k - burn] = (block[first:k] @ w).T
+            series[:, start + first - burn:start + k - burn] = block[first:k].sum(axis=-1).T
 
     replica_vars = []
     replica_errs = []

@@ -66,6 +66,10 @@ def test_model_validation_errors():
     skewed[0, 1] = 0.5
     with pytest.raises(ValueError):
         NoiseModel(3, eigenvalues=np.array([1.0, 1.0]), basis=skewed)
+    # the Gram check skips zero rows but still sees a column that is all zero
+    for dead in (np.eye(3)[:, [0, 0]] * [1.0, 0.0], np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="orthonormal"):
+            NoiseModel(3, eigenvalues=np.array([1.0, 1.0]), basis=dead)
     with pytest.raises(ValueError):
         NoiseModel(2, eigenvalues=np.array([1.0, 1.0, 1.0]), basis=np.eye(3))
 

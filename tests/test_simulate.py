@@ -6,6 +6,7 @@ an AR(1) chain with multiplier a = 1/(1 - lambda dt), whose fixed-point
 variance solves V = a^2 (V + sigma^2 dt), giving
 sigma^2 dt a^2 / (1 - a^2) = sigma^2 / (2|lambda| + lambda^2 dt).
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from ewslab.simulate import (
     SimConfig,
     VarianceEstimate,
     _batch_count,
+    _drift_vector,
+    _lumped_chains,
     _steps_per_block,
     predict_discrete_variance,
     project,
@@ -46,6 +49,21 @@ def test_mesh_2d_grid():
     assert pts.shape == (9, 2)
     np.testing.assert_allclose(pts[0], [-0.5, -0.5])
     np.testing.assert_allclose(pts[-1], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("half_width, n", [(1.0, 1), (1.0, 199), (0.3, 64), (2.5, 1001), (1.0, 99999)])
+def test_mesh_axis_points_are_exactly_antisymmetric(half_width, n):
+    axis = Mesh(half_width, n).axis_points()
+    assert np.array_equal(axis, -axis[::-1])
+    # the old formula -L + 2 L i / (n + 1), up to its rounding, a few ulps of L
+    np.testing.assert_allclose(axis, -half_width + 2.0 * half_width * np.arange(1, n + 1) / (n + 1),
+                               rtol=0, atol=4 * np.spacing(half_width))
+
+
+def test_closed_window_keeps_its_edge_points():
+    # r = +-0.01 are mesh points; -1 + 2 i / (n + 1) rounds them past the edges
+    idx, _ = projection_weights(IndicatorBox(-0.01, 0.01), Mesh(1.0, 99999))
+    assert idx.size == 1001
 
 
 def test_mesh_validation():
@@ -201,23 +219,86 @@ def test_predicted_variance_row_blocks_match_dense_formula():
     assert math.isclose(predict_discrete_variance(config), want, rel_tol=1e-12)
 
 
+def _acceptance_config(p=-0.1, sigma=1.0):
+    return SimConfig(ToolAlpha(2.0), IndicatorBox(-0.5, 0.5), p, Mesh(1.0, 199, 1),
+                     dt=0.01, nt=1000, sigma=sigma)
+
+
+def _chains_of(config):
+    drift = _drift_vector(config)
+    idx, w = projection_weights(config.g, config.mesh, config.unweighted)
+    model = config.noise if config.noise is not None else NoiseModel.identity(config.mesh.size)
+    return _lumped_chains(drift, idx, w, model)
+
+
+def test_mirrored_support_points_share_a_chain():
+    config = _acceptance_config()
+    assert projection_weights(config.g, config.mesh)[0].size == 101
+    lam, scale = _chains_of(config)
+    assert lam.size == scale.size == 51
+
+
+@pytest.mark.parametrize("p", [-1.0, -0.01])
+def test_lumped_identity_chains_carry_the_discrete_variance(p):
+    # each chain is an AR(1) chain of intensity scale**2
+    config = _acceptance_config(p, sigma=0.7)
+    lam, scale = _chains_of(config)
+    lumped = 0.7 ** 2 * np.sum(scale ** 2 / (2.0 * np.abs(lam) + lam ** 2 * config.dt))
+    assert math.isclose(lumped, predict_discrete_variance(config), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 32), (1, 101), (2, 9)])
+def test_lumped_rank_m_chains_carry_the_discrete_variance(dim, rank):
+    if dim == 1:
+        config = _acceptance_config(-0.05, sigma=0.7)
+    else:
+        mesh = Mesh(1.0, 15, 2)
+        config = SimConfig(Radial2D(2.0), IndicatorBox([-0.4, -0.6], [0.6, 0.4]), -0.3, mesh,
+                           dt=0.05, nt=1000, sigma=0.7)
+    idx, _ = projection_weights(config.g, config.mesh)
+    noise = build_noise_model(config.mesh.size, idx, m=rank, seed=5)
+    config = dataclasses.replace(config, noise=noise)
+    lam, mix = _chains_of(config)
+    assert mix.shape == (rank, lam.size) and lam.size < idx.size
+    a = 1.0 / (1.0 - lam * config.dt)
+    pair = np.outer(a, a)
+    lumped = 0.7 ** 2 * config.dt * np.sum((mix.T @ mix) * pair / (1.0 - pair))
+    assert math.isclose(lumped, predict_discrete_variance(config), rel_tol=1e-12)
+
+
 def _reference_run(config):
-    """The step-by-step simulation: one noise_increment and one step per time step."""
+    """The step-by-step simulation: one draw and one step() per time step.
+
+    Rank-M noise steps every mesh point with one noise_increment.  Identity
+    noise steps the lumped chains: the weighted sum of the support points
+    with one drift value, driven by one normal per chain (drawn in
+    np.unique order) scaled by the root of the chain's summed squared weights.
+    """
     drift = np.asarray(config.symbol(config.mesh.grid()), dtype=float) + config.p
     idx, w = projection_weights(config.g, config.mesh, config.unweighted)
     model = config.noise if config.noise is not None else NoiseModel.identity(config.mesh.size)
+    lam, group = np.unique(drift[idx], return_inverse=True)
+    scale = np.sqrt(np.bincount(group, w ** 2))
     n_kept = config.nt - config.burn_in
     n_batches = _batch_count(config, drift, idx, n_kept)
     means, variances, errs = [], [], []
     for replica in range(config.replicas):
         seq = np.random.SeedSequence(config.seed, spawn_key=(replica,))
         rng = np.random.Generator(np.random.Philox(seq))
-        u = np.zeros(config.mesh.size)
         series = np.empty(n_kept)
-        for i in range(config.nt):
-            u = step(u, drift, config.dt, noise_increment(model, config.dt, rng), config.sigma)
-            if i >= config.burn_in:
-                series[i - config.burn_in] = w @ u[idx]
+        if model.is_identity:
+            chains = np.zeros(lam.size)
+            for i in range(config.nt):
+                increment = np.sqrt(config.dt) * (scale * rng.standard_normal(lam.size))
+                chains = step(chains, lam, config.dt, increment, config.sigma)
+                if i >= config.burn_in:
+                    series[i - config.burn_in] = chains.sum()
+        else:
+            u = np.zeros(config.mesh.size)
+            for i in range(config.nt):
+                u = step(u, drift, config.dt, noise_increment(model, config.dt, rng), config.sigma)
+                if i >= config.burn_in:
+                    series[i - config.burn_in] = w @ u[idx]
         means.append(np.mean(series))
         variances.append(float(np.var(series, ddof=1)))
         usable = (n_kept // n_batches) * n_batches
@@ -245,11 +326,13 @@ def test_run_matches_step_by_step_reference(dim, rank, replicas, unweighted, tim
         mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
     else:
         mesh, symbol, g = Mesh(1.0, 15, 2), Radial2D(2.0), IndicatorBox([-0.4, -0.6], [0.6, 0.4])
+    p = -0.3
     idx, _ = projection_weights(g, mesh)
     noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
-    chunk = _steps_per_block(replicas, idx.size, mesh.size if rank is None else rank)
+    chains = np.unique(symbol(mesh.grid())[idx] + p).size
+    chunk = _steps_per_block(replicas, chains, chains if rank is None else rank)
     nt, burn_in = (chunk // 2, 0) if timing == "below" else (2 * chunk + 37, chunk + 11)
-    config = SimConfig(symbol, g, -0.3, mesh, dt=0.05, nt=nt, sigma=0.8, burn_in=burn_in,
+    config = SimConfig(symbol, g, p, mesh, dt=0.05, nt=nt, sigma=0.8, burn_in=burn_in,
                        replicas=replicas, seed=11, noise=noise, batches=4,
                        unweighted=unweighted)
     got, want = run(config), _reference_run(config)
@@ -260,12 +343,12 @@ def test_run_matches_step_by_step_reference(dim, rank, replicas, unweighted, tim
 
 
 def test_run_identity_noise_states_match_reference_exactly():
-    # with one support point the projection is a single product, so equal
+    # with one support point the projection is the one chain, so equal
     # estimates need every recorded state to match the one-step update
     mesh = Mesh(1.0, 199, 1)
     g = IndicatorBox(-0.004, 0.004)
     assert projection_weights(g, mesh)[0].size == 1
-    chunk = _steps_per_block(3, 1, mesh.size)
+    chunk = _steps_per_block(3, 1, 1)
     config = SimConfig(ToolAlpha(2.0), g, -0.3, mesh, dt=0.05, nt=2 * chunk + 37, sigma=0.8,
                        burn_in=chunk + 11, replicas=3, seed=11, batches=4)
     assert run(config) == _reference_run(config)
