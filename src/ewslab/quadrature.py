@@ -12,14 +12,16 @@ explicit change of variables for the power-law families (so the
 transformed integrand is O(1) uniformly in p) and by geometrically
 graded panels anchored at the zeros for everything else.  Tensorized
 versions with per-axis grading handle boxes in two and three
-dimensions.
+dimensions: a level evaluates the symbol on the product grid of its
+axis rules (``Symbol.on_grid``) one slab of first-axis nodes at a
+time and contracts each slab with the weights.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -43,6 +45,8 @@ from .symbols import (
 REL_TOL_1D = 1e-8
 REL_TOL_ND = 1e-6
 EVAL_CAP = 2**24
+# grid points per slab of a tensor level: each temporary stays near 256 kB
+_SLAB_POINTS = 1 << 15
 
 
 class QuadratureError(RuntimeError):
@@ -458,6 +462,7 @@ def _axis_rule(c0, c1, anchor, floor, ratio, n_gl):
 
 
 def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
+    """One graded product Gauss-Legendre level, evaluated ``on_grid`` in first-axis slabs."""
     dim = symbol.dim
     per_axis = []
     for d in range(dim):
@@ -475,21 +480,15 @@ def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
         raise QuadratureError(
             f"tensor quadrature needs {n_evals} evaluations, over the remaining budget {budget}"
         )
-    if dim == 2:
-        (x0, w0), (x1, w1) = per_axis
-        pts = np.stack(np.meshgrid(x0, x1, indexing="ij"), axis=-1)
-        t = q - symbol(pts)
-        total = float(np.einsum("i,j,ij->", w0, w1, phi(t)))
-    else:
-        (x0, w0), (x1, w1), (x2, w2) = per_axis
-        base = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
-        total = 0.0
-        for i, xv in enumerate(x0):
-            pts = np.concatenate(
-                [np.full(base.shape[:-1] + (1,), xv), base], axis=-1
-            )
-            t = q - symbol(pts)
-            total += w0[i] * float(np.einsum("j,k,jk->", w1, w2, phi(t)))
+    (x0, w0), *rest = per_axis
+    rest_nodes = [x for x, _ in rest]
+    inner = reduce(np.multiply.outer, [w for _, w in rest]).ravel()
+    step = max(1, _SLAB_POINTS // inner.size)
+    total = 0.0
+    for start in range(0, len(x0), step):
+        sl = slice(start, start + step)
+        t = q - symbol.on_grid([x0[sl], *rest_nodes])
+        total += float(w0[sl] @ (phi(t).reshape(-1, inner.size) @ inner))
     return total, n_evals
 
 
@@ -629,30 +628,43 @@ def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-
         raise ValueError("q must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if all(c == 0 for c in idx):
-        return eps ** len(idx) / q
-    reduced = dimension_reduce(idx, eps)[0]
+    # zero components only scale the value, which is done in logs
+    reduced = tuple(c for c in idx if c > 0)
+    try:
+        if reduced:
+            value = _corner_reduction(reduced, len(idx), eps, q, rel_tol)
+        else:
+            value = eps ** len(idx) / q
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise QuadratureError(f"monomial integral of {idx} overflows at q = {q!r}")
+    return value
+
+
+def _corner_reduction(reduced, n, eps, q, rel_tol):
+    """``monomial_integral`` over [0, eps]**n of an index without zero components."""
     c, a, m = _gamma_mixture(reduced)
     loss = len(c) * np.finfo(float).eps * float(np.sum(np.abs(c)))
     if loss > rel_tol:
         raise QuadratureError(f"signed terms of {reduced} cancel: rounding may lose {loss:.1e}")
     weight = c / (a**m * np.array([math.factorial(k - 1) for k in m]))
-    # logs of q / eps**|j| and eps**(N - |j|), which as numbers may overflow
+    terms = list(zip(weight.tolist(), a.tolist(), (m - 1).tolist()))
+    # logs of q / eps**|j| and eps**(n - |j|), which as numbers may overflow
     log_q = math.log(q) - sum(reduced) * math.log(eps)
-    log_scale = (len(idx) - sum(reduced)) * math.log(eps)
+    log_scale = (n - sum(reduced)) * math.log(eps)
 
     def integrand(s):
-        # eps**(N - |j|) times the density of S times 1 / (exp(-s) + q)
-        log_terms = log_scale - s / a - np.logaddexp(-s, log_q)
-        return float(np.dot(weight, s ** (m - 1) * np.exp(log_terms)))
+        # eps**(n - |j|) times the density of S times 1 / (exp(-s) + q), in
+        # scalar math (numpy's per-call cost dominates at 1-6 terms)
+        hi, lo = (-s, log_q) if -s > log_q else (log_q, -s)
+        log_resolvent = hi + math.log1p(math.exp(lo - hi))
+        return sum(w * s**k * math.exp(log_scale - s / ak - log_resolvent) for w, ak, k in terms)
 
     split = max(-log_q, 0.0)
     v1, e1 = _quad(integrand, 0.0, split, 1e-2 * rel_tol)
     v2, e2 = _quad(integrand, split, math.inf, 1e-2 * rel_tol)
-    value = _checked(v1 + v2, e1 + e2, rel_tol, "monomial reduction")
-    if not math.isfinite(value):
-        raise QuadratureError(f"monomial integral of {reduced} overflows at q = {q!r}")
-    return value
+    return _checked(v1 + v2, e1 + e2, rel_tol, "monomial reduction")
 
 
 def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:

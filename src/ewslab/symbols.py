@@ -141,6 +141,12 @@ class Symbol(Registered):
     def __call__(self, x):
         raise NotImplementedError
 
+    def on_grid(self, axes) -> np.ndarray:
+        """f on the product grid of per-axis node arrays, shape ``tuple(len(a) for a in axes)``."""
+        if self.dim == 1:
+            return self(np.asarray(axes[0], dtype=float))
+        return self(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
     def _coerce(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         if self.dim == 1:
@@ -285,21 +291,28 @@ class Polynomial(Symbol):
     def __call__(self, x):
         arr = self._coerce(x)
         if self.dim == 1:
-            shifted = arr - self.root[0]
-            total = np.zeros_like(np.asarray(shifted, dtype=float))
-            for j, a in self.coeffs.items():
-                if a:
-                    total = total + a * shifted ** j[0]
-            return -total
+            return self._terms([arr - self.root[0]], arr.shape)
         shifted = arr - self.root
-        total = np.zeros(arr.shape[:-1], dtype=float)
+        return self._terms([shifted[..., d] for d in range(self.dim)], arr.shape[:-1])
+
+    def on_grid(self, axes) -> np.ndarray:
+        # each monomial is an outer product of per-axis powers; _terms makes
+        # the products it makes for __call__, so the values match bit for bit
+        along = lambda d: [-1 if k == d else 1 for k in range(self.dim)]
+        shifted = [(np.asarray(a, dtype=float) - r).reshape(along(d))
+                   for d, (a, r) in enumerate(zip(axes, self.root, strict=True))]
+        return self._terms(shifted, tuple(s.size for s in shifted))
+
+    def _terms(self, shifted, shape) -> np.ndarray:
+        """-sum_j a_j prod_d shifted[d]**j_d on ``shape``, one fixed order of products."""
+        total = np.zeros(shape)
         for j, a in self.coeffs.items():
             if not a:
                 continue
-            term = np.full(arr.shape[:-1], a, dtype=float)
-            for d, e in enumerate(j):
+            term = a
+            for s, e in zip(shifted, j):
                 if e:
-                    term = term * shifted[..., d] ** e
+                    term = term * s**e
             total = total + term
         return -total
 

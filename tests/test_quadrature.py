@@ -30,6 +30,7 @@ from ewslab.quadrature import (
 )
 from ewslab.symbols import (
     ConvolutionKernel,
+    CustomSymbol,
     Piecewise,
     Polynomial,
     Radial2D,
@@ -369,6 +370,44 @@ def test_single_monomial_variance_equals_corner_integral(j, q):
     via_query = variance_quadrature(VarianceQuery(symbol, g, -q, SQRT2))
     direct = monomial_integral(j, 1.0, q)
     assert math.isclose(via_query, direct, rel_tol=1e-5)
+
+
+def test_monomial_overflow_raises_quadrature_error():
+    # eps**2 = 1e400 as a number; the zero axes are scaled in logs
+    with pytest.raises(QuadratureError, match="overflows"):
+        monomial_integral((0, 0, 1), 1e200, 1e-4)
+    with pytest.raises(QuadratureError, match="overflows"):
+        monomial_integral((0, 0), 1e200, 1e-4)
+
+
+UNIT_CUBE = IndicatorBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("j, q", [
+    ((1, 1, 1), 1e-2), ((1, 1, 1), 1e-3), ((1, 0, 2), 1e-4), ((2, 1, 1), 1e-4), ((0, 0, 2), 1e-3),
+])
+def test_single_monomial_3d_variance_equals_corner_integral(j, q):
+    via_query = _value(Polynomial({j: 1.0}), UNIT_CUBE, -q)
+    assert math.isclose(via_query, monomial_integral(j, 1.0, q), rel_tol=1e-5)
+
+
+def test_zero_symbol_3d_box_is_volume_over_q():
+    g = IndicatorBox((0.0, -1.0, 0.5), (1.0, 1.0, 2.0))
+    for q in (1.0, 1e-3, 1e-8):
+        got = variance_quadrature(VarianceQuery(Zero(dim=3), g, -q, 1.3))
+        assert math.isclose(got, 0.5 * 1.3 ** 2 * 3.0 / q, rel_tol=1e-12)
+
+
+def test_sum_of_squares_3d_split_axes_and_custom_symbol():
+    f = Polynomial({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
+    q = 1e-3
+    corner = _value(f, UNIT_CUBE, -q)
+    # the root at 0 splits every axis of [-1, 1]**3 into two graded pieces
+    whole = _value(f, IndicatorBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)), -q)
+    assert math.isclose(whole, 8.0 * corner, rel_tol=1e-12)
+    # a CustomSymbol evaluates the grid through the base Symbol.on_grid
+    custom = CustomSymbol(lambda x: -np.sum(x ** 2, axis=-1), dim=3)
+    assert math.isclose(_value(custom, UNIT_CUBE, -q), corner, rel_tol=1e-12)
 
 
 def test_general_polynomial_2d_brute_force():

@@ -73,6 +73,47 @@ def test_polynomial_matches_manual_sum():
     np.testing.assert_allclose(f(pts), want)
 
 
+def _grid_cases(dim):
+    # no constant index; the all-ones index gets a zero coefficient in the test
+    index = st.tuples(*[st.integers(0, 4)] * dim).filter(lambda j: any(j) and set(j) != {1})
+    return st.tuples(
+        st.dictionaries(index, st.floats(0.1, 10.0), min_size=1, max_size=5),
+        st.tuples(*[st.floats(-1.0, 1.0)] * dim),
+        st.tuples(*[st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6)] * dim),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 3).flatmap(_grid_cases))
+def test_polynomial_on_grid_is_call_on_the_meshgrid_bitwise(case):
+    coeffs, root, axes = case
+    coeffs = {**coeffs, (1,) * len(root): 0.0}
+    f = Polynomial(coeffs, root=root)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid = f.on_grid([np.array(a) for a in axes])
+    assert grid.shape == tuple(len(a) for a in axes)
+    assert np.array_equal(grid, f(pts))
+    # the pointwise loop, in sorted index order, as the reference
+    shifted = pts - np.asarray(root)
+    want = np.zeros(grid.shape)
+    for j, a in sorted(coeffs.items()):
+        if a:
+            term = np.full(grid.shape, a)
+            for d, e in enumerate(j):
+                if e:
+                    term = term * shifted[..., d] ** e
+            want = want + term
+    assert np.array_equal(grid, -want)
+
+
+def test_base_on_grid_evaluates_the_meshgrid():
+    f = Radial2D(3.0)
+    x, y = np.array([0.0, 0.5, -1.0]), np.array([0.25, 2.0])
+    pts = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1)
+    assert np.array_equal(f.on_grid([x, y]), f(pts))
+    assert np.array_equal(Zero(3).on_grid([x, y, x]), np.zeros((3, 2, 3)))
+
+
 def test_polynomial_rejects_degenerate_maps():
     with pytest.raises(ValueError):
         Polynomial({})
