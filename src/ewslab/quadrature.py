@@ -10,11 +10,14 @@ around the zero set of f as p approaches 0 from below, which is exactly
 the regime of interest.  The integrators here resolve that layer by an
 explicit change of variables for the power-law families (so the
 transformed integrand is O(1) uniformly in p) and by geometrically
-graded panels anchored at the zeros for everything else.  Tensorized
-versions with per-axis grading handle boxes in two and three
-dimensions: a level evaluates the symbol on the product grid of its
-axis rules (``Symbol.on_grid``) one slab of first-axis nodes at a
-time and contracts each slab with the weights.
+graded panels anchored at the zeros for everything else.  On boxes in
+two and three dimensions, a sum of one-axis powers c_k (x_k - r_k)**a_k
+with c_k > 0, each term nonnegative on the box, reduces exactly to one
+integral in t of exp(-q t) times a product of per-axis incomplete gamma
+functions (``_separable_reduction``).  Every other box query takes the
+tensorized route with per-axis grading: a level evaluates the symbol on
+the product grid of its axis rules (``Symbol.on_grid``) one slab of
+first-axis nodes at a time and contracts each slab with the weights.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
+from scipy import integrate, special
 
 from .symbols import (
     ConvolutionKernel,
@@ -47,6 +50,9 @@ REL_TOL_ND = 1e-6
 EVAL_CAP = 2**24
 # grid points per slab of a tensor level: each temporary stays near 256 kB
 _SLAB_POINTS = 1 << 15
+# logs of 45, above which P(1/a, z) rounds to 1, and of 750, above which exp(-z) underflows
+_LOG_45 = math.log(45.0)
+_LOG_750 = math.log(750.0)
 
 
 class QuadratureError(RuntimeError):
@@ -337,6 +343,13 @@ def _phi_factory(dt: float) -> Callable:
     return lambda t: 1.0 / (t + half * t * t)
 
 
+def _stable(t):
+    """``t = q - f`` at one point; ValueError where f + p is not negative there."""
+    if t <= 0:
+        raise ValueError("drift + p is not negative on the window")
+    return t
+
+
 def _power_law_box(alpha, root, a, b, q, phi, tol, what):
     """integral over [a, b] of phi(q + |x - root|**alpha) dx."""
     total = 0.0
@@ -391,7 +404,8 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
             val, err = _side_integral(alpha, g.eps, q, phi, g.gamma, rel_tol)
             return _checked(val, err, rel_tol, "power-window quadrature")
         anchors = set(symbol.zeros_in(-g.eps, 2 * g.eps)) | {0.0}
-        fn = lambda x: (x ** (-2.0 * g.gamma) if x > 0 else 0.0) * phi(q - float(symbol(x)))
+        fn = lambda x: ((x ** (-2.0 * g.gamma) if x > 0 else 0.0)
+                        * phi(_stable(q - float(symbol(x)))))
         floor = symbol.root_scale(q) / 4.0
         return _ladder_quad_1d(fn, 0.0, g.eps, sorted(anchors), floor, rel_tol)
 
@@ -420,7 +434,7 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
     floor = symbol.root_scale(q)
     if not math.isfinite(floor):
         floor = margin
-    fn = lambda x: phi(q - float(symbol(x)))
+    fn = lambda x: phi(_stable(q - float(symbol(x))))
     return _ladder_quad_1d(fn, a, b, anchors, floor / 4.0, rel_tol)
 
 
@@ -488,6 +502,7 @@ def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
     for start in range(0, len(x0), step):
         sl = slice(start, start + step)
         t = q - symbol.on_grid([x0[sl], *rest_nodes])
+        _stable(t.min())
         total += float(w0[sl] @ (phi(t).reshape(-1, inner.size) @ inner))
     return total, n_evals
 
@@ -515,6 +530,143 @@ def _variance_tensor(symbol, g, q, rel_tol, phi):
         "tensor quadrature did not converge within the evaluation budget; "
         f"last two values {prev:.9e}"
     )
+
+
+# ---------------------------------------------------------------------------
+# separable sums of one-axis powers on boxes (2-D and 3-D)
+
+
+def _separable_axes(symbol, g):
+    """Per-axis ``(c, a)`` of f = -sum_k c_k (x_k - r_k)**a_k, None on an axis without a term.
+
+    None instead, for the tensor route, unless f is a ``Polynomial`` with
+    c_k > 0, at most one term per axis and every term nonnegative on the
+    box g (a_k even, or the box above the root on that axis).
+    """
+    if not isinstance(symbol, Polynomial):
+        return None
+    axes = [None] * symbol.dim
+    for j, c in symbol.coeffs.items():
+        if not c:
+            continue
+        active = [d for d, e in enumerate(j) if e]
+        if len(active) != 1 or c < 0 or axes[active[0]] is not None:
+            return None
+        d = active[0]
+        if j[d] % 2 and g.lo[d] < symbol.root[d]:
+            return None
+        axes[d] = (c, j[d])
+    return axes
+
+
+def _incomplete_gamma(a):
+    """Regularized lower and upper incomplete gamma functions of shape 1/a, scalar in z."""
+    if a == 1:
+        return (lambda z: -math.expm1(-z)), (lambda z: math.exp(-z))
+    if a == 2:
+        return (lambda z: math.erf(math.sqrt(z))), (lambda z: math.erfc(math.sqrt(z)))
+    shape = 1.0 / a
+    return (lambda z: float(special.gammainc(shape, z)),
+            lambda z: float(special.gammaincc(shape, z)))
+
+
+def _axis_weight(c, a, lo, hi, r):
+    """F(t) = integral_lo^hi exp(-t c |x - r|**a) dx as Gamma(1 + 1/a) (t c)**(-1/a) w.
+
+    Returns ``(w, near, settle)``.  With z = t c d**a at distance d from
+    the root, w(log t) sums P(1/a, z) over the ``near`` sides that start
+    at the root and P(1/a, z2) - P(1/a, z1) over a side [d1, d2] that
+    does not, taken as Q(1/a, z1) - Q(1/a, z2) once z1 >= 1 so that the
+    tail difference stays accurate.  Beyond log t = ``settle`` every P
+    is 1 and every such difference has underflowed, so w is ``near``.
+    """
+    lower, upper = _incomplete_gamma(a)
+    d_lo, d_hi = lo - r, hi - r
+    if d_lo < 0.0 < d_hi:
+        near, far = [-d_lo, d_hi], []
+    else:
+        d1, d2 = sorted((abs(d_lo), abs(d_hi)))
+        near, far = ([d2], []) if d1 == 0.0 else ([], [(d1, d2)])
+    # log z = log t + log(c d**a)
+    log_c = math.log(c)
+    near = [log_c + a * math.log(d) for d in near]
+    far = [(log_c + a * math.log(d1), log_c + a * math.log(d2)) for d1, d2 in far]
+    settle = max([_LOG_45 - lz for lz in near] + [_LOG_750 - lz1 for lz1, _ in far])
+
+    def w(s):
+        total = 0.0
+        for lz in near:
+            total += 1.0 if s + lz > _LOG_45 else lower(math.exp(s + lz))
+        for lz1, lz2 in far:
+            if s + lz1 < _LOG_750:
+                z1, z2 = math.exp(s + lz1), math.exp(min(s + lz2, _LOG_750))
+                total += lower(z2) - lower(z1) if z1 < 1.0 else upper(z1) - upper(z2)
+        return total
+
+    return w, len(near), settle
+
+
+def _separable_reduction(axes, lo, hi, root, q, dt, rel_tol):
+    """integral over the box [lo, hi] of phi(q + sum_k c_k |x_k - r_k|**a_k), exactly in 1-D.
+
+    With 1/lam = integral_0^inf exp(-lam t) dt the box integral factorizes
+    into integral_0^inf exp(-q t) prod_k F_k(t) dt, F_k from
+    ``_axis_weight`` and an axis without a term giving its length.  The
+    scheme's 1/(lam + dt lam**2/2) = 1/lam - 1/(lam + 2/dt) weighs t by
+    1 - exp(-2 t/dt).  The integral runs in t up to min(1, 1/q) and in
+    s = log t beyond, split at t = 1/q and where every w_k has settled;
+    the powers of t are taken in logs, so every positive q is reached.
+    """
+    log_const = 0.0  # log prod_k Gamma(1 + 1/a_k) c_k**(-1/a_k), times the free lengths
+    decay = 0.0  # sum_k 1/a_k, the power of 1/t in prod_k F_k
+    weights = []
+    near = 1  # prod_k w_k beyond log t = settle
+    settle = -math.inf
+    for term, c0, c1, r in zip(axes, lo, hi, root):
+        if term is None:
+            log_const += math.log(c1 - c0)
+            continue
+        c, a = term
+        log_const += math.lgamma(1.0 + 1.0 / a) - math.log(c) / a
+        decay += 1.0 / a
+        w, n, s_k = _axis_weight(c, a, float(c0), float(c1), float(r))
+        weights.append(w)
+        near *= n
+        settle = max(settle, s_k)
+    log_near = math.log(near) if near else -math.inf
+    log_q = math.log(q)
+    log_rate = math.log(2.0 / dt) if dt > 0 else math.inf  # dt = 0 weighs every t by 1
+
+    def integrand(s, log_jacobian):
+        if s + log_q > _LOG_750:
+            return 0.0
+        log_w = log_near
+        if s < settle:
+            log_w = 0.0
+            for weight in weights:
+                w = weight(s)
+                if w <= 0.0:
+                    return 0.0
+                log_w += math.log(w)
+        value = math.exp(log_jacobian + log_const + log_w - s * decay - math.exp(s + log_q))
+        if s + log_rate < 4.0:
+            # exp(-2 t/dt) is below an ulp of 1 once 2 t/dt > e**4
+            value *= -math.expm1(-math.exp(s + log_rate))
+        return value
+
+    epsrel = 1e-2 * rel_tol
+    split = -log_q
+    head = min(split, 0.0)
+    value, err = _quad(lambda t: integrand(math.log(t), 0.0), 0.0, math.exp(head), epsrel)
+    # the shoulder where the w_k settle gets its own piece: left inside the
+    # long piece after it, it let quad accept x**2 + y**4 at q = 2e-9 with a
+    # relative error of 1.7e-10
+    edges = sorted({head, split, split + _LOG_750} | ({settle} if head < settle < split else set()))
+    for s0, s1 in zip(edges[:-1], edges[1:]):
+        v, e = _quad(lambda s: integrand(s, s), s0, s1, epsrel)
+        value += v
+        err += e
+    return _checked(value, err, rel_tol, "separable reduction")
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +711,11 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
           and not isinstance(symbol, SwiftHohenberg2D)):
         # the tensor panels grade toward the root, not toward a ring
         tol = rel_tol if rel_tol is not None else REL_TOL_ND
-        value = _variance_tensor(symbol, g, q, tol, phi)
+        axes = _separable_axes(symbol, g)
+        if axes is None:
+            value = _variance_tensor(symbol, g, q, tol, phi)
+        else:
+            value = _separable_reduction(axes, g.lo, g.hi, symbol.root, q, dt, tol)
     else:
         raise ValueError(
             f"unsupported combination of symbol {symbol!r} and window {g!r}"

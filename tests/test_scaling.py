@@ -24,7 +24,7 @@ from ewslab.scaling import (
     polynomial_law,
     quadrature_sweep,
 )
-from ewslab.symbols import ToolAlpha
+from ewslab.symbols import Polynomial, ToolAlpha
 
 
 def test_scaling_law_validation():
@@ -122,6 +122,25 @@ def test_polynomial_law_routes():
 
 # --------------------------------------------------------------------------
 # sweep container and CSV interchange
+
+@pytest.mark.parametrize("coeffs, s, law", [
+    ({(2, 0): 1.0, (0, 3): 1.0}, -1.0 / 6.0, None),
+    ({(2, 0): 1.0, (0, 4): 1.0}, -0.25, None),
+    ({(2, 0): 1.0, (0, 2): 1.0}, 0.0, ScalingLaw(0.0, 1)),
+    ({(1, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 3): 1.0}, 0.0, ScalingLaw.bounded()),
+])
+def test_separable_sum_rates_follow_the_weight_rule(coeffs, s, law):
+    # a sum of one-axis powers has Newton distance 1 / sum(1/a_k): the rate is
+    # q**(-1 + sum(1/a_k)) below sum 1, log at 1 and bounded above
+    dim = len(next(iter(coeffs)))
+    box = IndicatorBox((0.0,) * dim, (1.0,) * dim)
+    fit = fit_loglog(quadrature_sweep(Polynomial(coeffs), box, log_spaced_p(-14, -4, 41)))
+    assert abs(fit.s - s) <= 0.01
+    if law is not None:
+        assert classify(fit.s, fit.k) == law
+    # the corner catalog stays a ceiling: never a slower divergence than the attained one
+    assert polynomial_law(coeffs).s <= s
+
 
 def test_sweep_requires_negative_increasing_p():
     SweepResult((-0.1, -0.01), (1.0, 2.0))
