@@ -73,6 +73,7 @@ from .simulate import (
     project,
     projection_weights,
     run,
+    run_sweep,
     step,
 )
 from .spectral import (

@@ -43,7 +43,7 @@ from .scaling import (
     log_spaced_p,
     quadrature_sweep,
 )
-from .simulate import Mesh, SimConfig, predict_discrete_variance, run
+from .simulate import Mesh, SimConfig, predict_discrete_variance, run, run_sweep
 from .spectral import (FREQUENCY_KINDS, LawUnavailableError, predicted_law,
                        predicted_spectral_law, spectral_sweep)
 from .symbols import (
@@ -348,6 +348,13 @@ def cmd_compare(args) -> int:
     quad = quadrature_sweep(symbol, g, ps, sigma=args.sigma,
                             threads=args.threads, dt=args.dt)
 
+    # fit before simulating, so a bad fit window fails fast
+    fit = fit_loglog(quad)
+    try:
+        law = predicted_law(symbol, g)
+    except (ValueError, LawUnavailableError):
+        law = None
+
     if args.sim_decades:
         sim_lo, sim_hi = parse_decades(args.sim_decades)
     else:
@@ -355,18 +362,10 @@ def cmd_compare(args) -> int:
         # unless the caller explicitly asks for more.
         sim_lo, sim_hi = hi - 1, hi
     sim_ps = log_spaced_p(sim_lo, sim_hi, args.sim_points)
-    sim_vals, sim_errs = [], []
-    for config in _sim_configs(args, symbol, g, sim_ps):
-        estimate = run(config)
-        sim_vals.append(estimate.variance)
-        sim_errs.append(estimate.stderr)
-    sim = SweepResult(sim_ps, sim_vals, sim_errs, "simulation")
-
-    fit = fit_loglog(quad)
-    try:
-        law = predicted_law(symbol, g)
-    except (ValueError, LawUnavailableError):
-        law = None
+    # one pass for every p: shared draws, one step loop
+    estimates = run_sweep(_sim_configs(args, symbol, g, sim_ps))
+    sim = SweepResult(sim_ps, [e.variance for e in estimates],
+                      [e.stderr for e in estimates], "simulation")
 
     out_dir = _prepare_out(args)
     outputs = []

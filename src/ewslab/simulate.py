@@ -12,15 +12,22 @@ linear observable is available in closed form, which
 ``predict_discrete_variance`` evaluates.
 
 ``run`` estimates the same quantity from trajectories.  Only the points
-on the window support reach the projection, and points with one drift
+on the window support reach the projection, and points with one symbol
 value share one multiplier, so the weighted sum of the points in each
 such group is itself an AR(1) chain, driven by the weighted sum of
-their noise.  ``run`` steps one chain per distinct drift value: with
+their noise.  ``run`` steps one chain per distinct symbol value: with
 identity noise that sum is one normal per chain scaled by the root of
 its summed squared weights, with rank-M noise it is the M mode normals
 through the weight-summed basis rows.  The projection is the sum of
 the chains, exact in distribution.  Time advances in blocks of steps,
 all replicas together as one (replicas, chains) array.
+
+``run_sweep`` takes a grid of p in one pass.  The chains do not depend
+on p, and every p draws the same normals (common random numbers), so
+each replica's normals are drawn and mapped through the chain noise
+map once per block and one step loop advances a (p, replicas, chains)
+state.  Each p keeps its own burn-in and batch count and gets the
+estimate ``run`` gives it alone; ``run`` is the sweep of one config.
 """
 
 from __future__ import annotations
@@ -174,9 +181,13 @@ class VarianceEstimate:
     replica_variances: tuple[float, ...]
 
 
-def _drift_vector(config: SimConfig) -> np.ndarray:
-    pts = config.mesh.grid()
-    drift = np.asarray(config.symbol(pts), dtype=float) + config.p
+def _symbol_values(config: SimConfig) -> np.ndarray:
+    return np.asarray(config.symbol(config.mesh.grid()), dtype=float)
+
+
+def _drift_vector(config: SimConfig, values: np.ndarray | None = None) -> np.ndarray:
+    # ``values`` are the symbol on the mesh, when a caller already has them
+    drift = (_symbol_values(config) if values is None else values) + config.p
     if np.max(drift) >= 0:
         raise ValueError("drift is not strictly stable on the mesh")
     return drift
@@ -229,14 +240,14 @@ def predict_discrete_variance(config: SimConfig) -> float:
     return float(total)
 
 
-def _lumped_chains(drift, idx, w, model: NoiseModel):
-    """Drifts of the chains, one per distinct drift value on the support
-    (``np.unique`` order), and the map from one step's normals to each
-    chain's weighted noise: per-chain scales sqrt(sum w**2) for identity
+def _lumped_chains(values, idx, w, model: NoiseModel):
+    """Values of the chains, one per distinct value of ``values`` on the
+    support (``np.unique`` order), and the map from one step's normals to
+    each chain's weighted noise: per-chain scales sqrt(sum w**2) for identity
     noise, or the (M, chains) weight-summed basis rows times
     sqrt(eigenvalues) for rank-M noise.  A step draws mix.shape[0] normals.
     """
-    lam, group = np.unique(drift[idx], return_inverse=True)
+    lam, group = np.unique(values[idx], return_inverse=True)
     if model.is_identity:
         return lam, np.sqrt(np.bincount(group, w**2))
     rows = np.zeros((lam.size, model.rank))
@@ -249,61 +260,39 @@ def _steps_per_block(replicas: int, chains: int, draws: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (replicas * chains + draws)))
 
 
-def run(config: SimConfig) -> VarianceEstimate:
-    """Estimate the stationary window variance from simulated trajectories.
+# fields run_sweep needs shared: the same objects, or equal values
+_SHARED_OBJECTS = ("symbol", "g", "noise")
+_SHARED_VALUES = ("mesh", "dt", "nt", "sigma", "replicas", "seed", "batches", "unweighted")
 
-    Replicas evolve independently from u = 0 with per-replica random
-    streams split off the configured seed, so equal seeds give
-    identical estimates.  All replicas advance together, one chain per
-    distinct drift value on the window support (see the module
-    docstring), a block of steps at a time, with the arithmetic of
-    ``step``.  After the burn-in the projection, the sum of the chains,
-    is recorded every step; each replica reports the sample variance of
-    its series and a batch-means standard error.
-    """
-    drift = _drift_vector(config)
-    idx, w = projection_weights(config.g, config.mesh, config.unweighted)
-    model = config.noise if config.noise is not None else NoiseModel.identity(config.mesh.size)
-    burn = config.burn_in if config.burn_in is not None else _auto_burn_in(config, drift, idx)
+
+def _check_shared(configs) -> None:
+    base = configs[0]
+    for config in configs[1:]:
+        for name in _SHARED_OBJECTS:
+            if getattr(config, name) is not getattr(base, name):
+                raise ValueError(f"run_sweep configs must share one {name} object")
+        for name in _SHARED_VALUES:
+            if getattr(config, name) != getattr(base, name):
+                raise ValueError(f"run_sweep configs must have equal {name}")
+
+
+def _schedule(config: SimConfig, values, support) -> tuple[int, int]:
+    """Burn-in and batch count of one config."""
+    drift = _drift_vector(config, values)
+    burn = config.burn_in if config.burn_in is not None else _auto_burn_in(config, drift, support)
     n_kept = config.nt - burn
     if n_kept < 10:
-        lam_max = float(np.max(drift[idx]))
+        lam_max = float(np.max(drift[support]))
         need = int(math.ceil(math.log(1e4) / (2.0 * abs(lam_max)) / config.dt)) + 10
         raise ValueError(
             f"fewer than 10 recorded steps after burn-in; the slowest window "
             f"mode relaxes at rate {lam_max:g}, raise nt to at least {need}")
-    n_batches = _batch_count(config, drift, idx, n_kept)
+    return burn, _batch_count(config, drift, support, n_kept)
 
-    r = config.replicas
-    rngs = [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(config.seed, spawn_key=(rep,)))) for rep in range(r)]
-    lam, mix = _lumped_chains(drift, idx, w, model)
-    sqrt_dt = np.sqrt(config.dt)
-    denom = 1.0 - lam * config.dt
-    chunk = _steps_per_block(r, lam.size, mix.shape[0])
-    block = np.empty((chunk, r, lam.size))
-    u = np.zeros((r, lam.size))
-    series = np.empty((r, n_kept))
-    for start in range(0, config.nt, chunk):
-        k = min(chunk, config.nt - start)
-        for rep in range(r):
-            xi = rngs[rep].standard_normal((k, mix.shape[0]))
-            block[:k, rep] = xi * mix if mix.ndim == 1 else xi @ mix
-        # sqrt(dt), then sigma, then the division, in the order of
-        # noise_increment and step: every chain state matches the
-        # one-step update of that chain bit for bit
-        block[:k] *= sqrt_dt
-        block[:k] *= config.sigma
-        prev = u
-        for row in block[:k]:
-            row += prev
-            row /= denom
-            prev = row
-        u[...] = prev
-        first = max(burn - start, 0)
-        if first < k:
-            series[:, start + first - burn:start + k - burn] = block[first:k].sum(axis=-1).T
 
+def _estimate(series: np.ndarray, n_batches: int) -> VarianceEstimate:
+    """Sample variance and batch-means error of (replicas, steps) series."""
+    r, n_kept = series.shape
     replica_vars = []
     replica_errs = []
     replica_means = []
@@ -325,3 +314,75 @@ def run(config: SimConfig) -> VarianceEstimate:
         effective_samples=r * n_batches,
         replica_variances=tuple(replica_vars),
     )
+
+
+def run_sweep(configs) -> list[VarianceEstimate]:
+    """Estimate the stationary window variance at several p in one pass.
+
+    The configs may differ only in ``p`` and ``burn_in``: symbol, window
+    and noise model must be the same objects, every other field equal.
+    Replicas evolve independently from u = 0 with per-replica random
+    streams split off the configured seed, so equal seeds give identical
+    estimates, and every p sees the same draws.  One chain per distinct
+    symbol value on the window support (see the module docstring) steps
+    at drift value + p; all p and replicas advance together, a block of
+    steps at a time, with the arithmetic of ``step``.  After its burn-in
+    each p records the projection, the sum of its chains, every step;
+    each replica reports the sample variance of its series and a
+    batch-means standard error.  Estimate i equals ``run(configs[i])``.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    _check_shared(configs)
+    base = configs[0]
+    values = _symbol_values(base)
+    idx, w = projection_weights(base.g, base.mesh, base.unweighted)
+    burns, batches = zip(*(_schedule(config, values, idx) for config in configs))
+    model = base.noise if base.noise is not None else NoiseModel.identity(base.mesh.size)
+    chain_values, mix = _lumped_chains(values, idx, w, model)
+    # the chain drifts are chain_values + p, bit for bit the support drifts
+    lam = chain_values + np.array([config.p for config in configs])[:, None]
+    denom = (1.0 - lam * base.dt)[:, None, :]
+
+    nt, r = base.nt, base.replicas
+    rngs = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(base.seed, spawn_key=(rep,)))) for rep in range(r)]
+    sqrt_dt = np.sqrt(base.dt)
+    chunk = _steps_per_block(len(configs) * r, lam.shape[1], mix.shape[0])
+    block = np.empty((chunk, len(configs), r, lam.shape[1]))
+    u = np.zeros(block.shape[1:])
+    series = [np.empty((r, nt - burn)) for burn in burns]
+    for start in range(0, nt, chunk):
+        k = min(chunk, nt - start)
+        # every p steps on the same draws: fill the first p slab, copy it
+        drawn = block[:k, 0]
+        for rep in range(r):
+            xi = rngs[rep].standard_normal((k, mix.shape[0]))
+            drawn[:, rep] = xi * mix if mix.ndim == 1 else xi @ mix
+        # sqrt(dt), then sigma, then the division, in the order of
+        # noise_increment and step: every chain state matches the
+        # one-step update of that chain bit for bit
+        drawn *= sqrt_dt
+        drawn *= base.sigma
+        block[:k, 1:] = drawn[:, None]
+        prev = u
+        for row in block[:k]:
+            row += prev
+            row /= denom
+            prev = row
+        u[...] = prev
+        first = max(min(burns) - start, 0)
+        if first < k:
+            sums = block[first:k].sum(axis=-1)
+            for j, burn in enumerate(burns):
+                lo = max(burn - start, 0)
+                if lo < k:
+                    series[j][:, start + lo - burn:start + k - burn] = sums[lo - first:, j].T
+    return [_estimate(s, n_batches) for s, n_batches in zip(series, batches)]
+
+
+def run(config: SimConfig) -> VarianceEstimate:
+    """Estimate the stationary window variance from simulated trajectories:
+    ``run_sweep`` of the one config."""
+    return run_sweep([config])[0]

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from ewslab import cli
 from ewslab.cli import main, parse_symbol, parse_window
-from ewslab.scaling import SweepResult
+from ewslab.scaling import SweepResult, log_spaced_p
+from ewslab.simulate import run
 from ewslab.symbols import (
     ConvolutionKernel,
     Piecewise,
@@ -213,6 +215,36 @@ def test_compare_reference_line_uses_the_window(tmp_path):
                  "--n", "49", "--nt", "3000", "--dt", "0.05",
                  "--replicas", "2", "--out", str(out)]) == 0
     assert "reference slope -0.5<" in (out / "compare.svg").read_text()
+
+
+def test_compare_checks_the_fit_window_before_simulating(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def refuse(configs):
+        calls.append(configs)
+        raise RuntimeError("compare simulated before fitting")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    assert main(["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5",
+                 "--p-decades", "-6:-1", "--points", "6", "--out", str(tmp_path)]) == 3
+    assert "need >= 8" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_compare_simulation_csv_equals_per_p_runs(tmp_path):
+    # the shared draws of one sweep keep every p on its own stream
+    argv = ["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5",
+            "--p-decades", "-6:-1", "--points", "24", "--sim-points", "3",
+            "--sim-decades", "-1:0", "--n", "49", "--nt", "3000", "--dt", "0.05",
+            "--noise-rank", "8", "--replicas", "2", "--seed", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    args = cli.build_parser().parse_args(cli._merge_dash_values(argv))
+    symbol, g = parse_symbol(args.symbol), parse_window(args.g, 1)
+    ps = log_spaced_p(-1, 0, 3)
+    estimates = [run(config) for config in cli._sim_configs(args, symbol, g, ps)]
+    want = SweepResult(ps, [e.variance for e in estimates], [e.stderr for e in estimates],
+                       "simulation").to_csv()
+    assert (tmp_path / "compare_simulation.csv").read_bytes().decode("utf-8") == want
 
 
 def test_appendix_check_exit_codes(capsys):

@@ -18,14 +18,17 @@ from ewslab.simulate import (
     Mesh,
     SimConfig,
     VarianceEstimate,
+    _auto_burn_in,
     _batch_count,
     _drift_vector,
     _lumped_chains,
     _steps_per_block,
+    _symbol_values,
     predict_discrete_variance,
     project,
     projection_weights,
     run,
+    run_sweep,
     step,
 )
 from ewslab.quadrature import IndicatorBox
@@ -236,6 +239,10 @@ def test_mirrored_support_points_share_a_chain():
     assert projection_weights(config.g, config.mesh)[0].size == 101
     lam, scale = _chains_of(config)
     assert lam.size == scale.size == 51
+    # run_sweep lumps by symbol value, independent of p: the same 51 chains
+    idx, w = projection_weights(config.g, config.mesh)
+    values, _ = _lumped_chains(_symbol_values(config), idx, w, NoiseModel.identity(199))
+    assert np.array_equal(values + config.p, lam)
 
 
 @pytest.mark.parametrize("p", [-1.0, -0.01])
@@ -384,3 +391,74 @@ def test_run_burn_in_message_names_required_length():
                        dt=0.05, nt=1000, replicas=2)
     with pytest.raises(ValueError, match="raise nt"):
         run(config)
+
+
+def _sweep_case(dim, rank, replicas):
+    if dim == 1:
+        mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
+    else:
+        mesh, symbol, g = Mesh(1.0, 15, 2), Radial2D(2.0), IndicatorBox([-0.4, -0.6], [0.6, 0.4])
+    idx, _ = projection_weights(g, mesh)
+    noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
+    chains = np.unique(symbol(mesh.grid())[idx]).size
+    chunk = _steps_per_block(3 * replicas, chains, chains if rank is None else rank)
+    return mesh, symbol, g, noise, chunk
+
+
+@pytest.mark.parametrize("burns", ["explicit", "automatic", "mixed"])
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("dim, rank", [(1, None), (1, 12), (2, None), (2, 9)])
+def test_run_sweep_equals_run_per_p(dim, rank, replicas, burns):
+    mesh, symbol, g, noise, chunk = _sweep_case(dim, rank, replicas)
+    dt, nt = 0.05, 3 * chunk + 37
+    # burn-ins that end mid-block, each in its own block
+    targets = (chunk // 2, chunk + chunk // 3, 2 * chunk + chunk // 5)
+    # the slowest support drift is p (the symbol vanishes on the support),
+    # so this p gives an automatic burn-in of about the target
+    ps = [-math.log(1e4) / (2.0 * dt * t) for t in targets]
+    explicit = {"explicit": targets, "automatic": (None,) * 3,
+                "mixed": (targets[0], None, targets[2])}[burns]
+    configs = [SimConfig(symbol, g, p, mesh, dt=dt, nt=nt, sigma=0.8, burn_in=b,
+                         replicas=replicas, seed=11, noise=noise, batches=4)
+               for p, b in zip(ps, explicit)]
+    idx, _ = projection_weights(g, mesh)
+    actual = [c.burn_in if c.burn_in is not None else _auto_burn_in(c, _drift_vector(c), idx)
+              for c in configs]
+    assert [b // chunk for b in actual] == [0, 1, 2] and all(b % chunk for b in actual)
+    assert run_sweep(configs) == [run(c) for c in configs]
+
+
+def test_run_sweep_of_nothing_is_empty():
+    assert run_sweep([]) == []
+
+
+def test_run_sweep_rejects_configs_that_differ_beyond_p():
+    config = dataclasses.replace(_acceptance_config(), burn_in=500)
+    idx, _ = projection_weights(config.g, config.mesh)
+    noise = build_noise_model(config.mesh.size, idx, m=4, seed=1)
+    same_noise = build_noise_model(config.mesh.size, idx, m=4, seed=1)
+    with_noise = dataclasses.replace(config, noise=noise)
+    for other, name in ((dataclasses.replace(config, seed=1), "seed"),
+                        (dataclasses.replace(config, nt=2000), "nt"),
+                        (with_noise, "noise"),
+                        (dataclasses.replace(config, mesh=Mesh(1.0, 99, 1)), "mesh")):
+        with pytest.raises(ValueError, match=name):
+            run_sweep([config, dataclasses.replace(other, p=-0.2)])
+    # equal-valued noise models are not enough: the model must be shared
+    with pytest.raises(ValueError, match="noise"):
+        run_sweep([with_noise, dataclasses.replace(config, noise=same_noise)])
+    # p and burn_in may differ
+    assert len(run_sweep([config, dataclasses.replace(config, p=-0.2, burn_in=100)])) == 2
+
+
+def test_run_sweep_short_nt_message_matches_run():
+    mesh = Mesh(1.0, 9, 1)
+    ok = SimConfig(ToolAlpha(2.0), IndicatorBox(-0.5, 0.5), -0.5, mesh,
+                   dt=0.05, nt=1000, replicas=2)
+    short = dataclasses.replace(ok, p=-1e-6)
+    with pytest.raises(ValueError) as alone:
+        run(short)
+    assert "raise nt" in str(alone.value)
+    with pytest.raises(ValueError) as swept:
+        run_sweep([ok, short])
+    assert str(swept.value) == str(alone.value)
