@@ -3,8 +3,8 @@
 When the drift acts as a Fourier multiplier -f(k) - p, the variance
 integral runs over wavenumbers and the zero set of f controls the rate:
 
-  * f(k) = (k^2 - 1)^m  (power multiplier): isolated zeros of order 2m
-    give s = -1 + 1/(2m);
+  * f(k) = k^(2m)  (power multiplier, the tool family with alpha = 2m):
+    an isolated zero of order 2m gives s = -1 + 1/(2m);
   * the one-dimensional pattern-forming multiplier (1 - k^2)^2 behaves
     like m = 1, giving s = -1/2;
   * its planar version has a whole circle of zeros and admits a polar
@@ -32,8 +32,8 @@ def main():
         sweep = ew.spectral_sweep(symbol, ew.IndicatorBox(-1.0, 1.0), ps)
         law = ew.predicted_spectral_law(symbol)
         fit = ew.fit_loglog(sweep)
-        print(f"{f'(k^2-1)^{m}':>16} {law.s:>12.4f} {fit.s:>9.4f}")
-        series.append(sweep_series(sweep, label=f"(k^2-1)^{m}"))
+        print(f"{f'k^{2 * m}':>16} {law.s:>12.4f} {fit.s:>9.4f}")
+        series.append(sweep_series(sweep, label=f"k^{2 * m}"))
 
     symbol = ew.SwiftHohenberg1D()
     sweep = ew.spectral_sweep(symbol, ew.IndicatorBox(-2.0, 2.0), ps)
@@ -43,8 +43,8 @@ def main():
     series.append(sweep_series(sweep, label="(1-k^2)^2"))
 
     value = ew.variance_spectral(
-        ew.FrequencyQuery(ew.SwiftHohenberg2D(), ew.Disc(math.sqrt(2.0)),
-                          -1.0, math.sqrt(2.0)))
+        ew.VarianceQuery(ew.SwiftHohenberg2D(), ew.Disc(math.sqrt(2.0)),
+                         -1.0, math.sqrt(2.0)))
     print(f"\nplanar ring multiplier at p=-1, sigma=sqrt(2), R=sqrt(2):"
           f" {value:.12f}")
     print(f"closed form pi^2/2:                                          "

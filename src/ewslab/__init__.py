@@ -25,8 +25,6 @@ from .symbols import (
     minimal_support,
     predicts_convergence,
     real_part_symbol,
-    symbol_from_dict,
-    symbol_to_dict,
 )
 from .quadrature import (
     Disc,
@@ -37,10 +35,7 @@ from .quadrature import (
     TestFunction,
     VarianceQuery,
     appendix_c_integral,
-    dimension_reduce,
     monomial_integral,
-    test_function_from_dict,
-    test_function_to_dict,
     variance_quadrature,
 )
 from .scaling import (
@@ -77,10 +72,8 @@ from .simulate import (
     step,
 )
 from .spectral import (
-    FrequencyQuery,
     LawUnavailableError,
     covers_zero_set,
-    frequency_symbol,
     predicted_law,
     predicted_spectral_law,
     spectral_sweep,

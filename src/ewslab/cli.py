@@ -57,7 +57,6 @@ from .symbols import (
     Symbol,
     ToolAlpha,
     Zero,
-    symbol_from_dict,
 )
 
 EXIT_USAGE = 2
@@ -92,7 +91,7 @@ def parse_symbol(text: str) -> Symbol:
             return Piecewise(ToolAlpha(left), ToolAlpha(right))
         if head == "poly":
             with open(rest, "r", encoding="utf-8") as fh:
-                return symbol_from_dict(json.load(fh))
+                return Symbol.build(json.load(fh))
         if head == "power2m":
             return PowerWavenumber(int(rest))
         if head == "sh1d":
@@ -175,8 +174,10 @@ def _load_config(path: str) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    if "params" in data and isinstance(data["params"], dict):
-        data = data["params"]
+    if isinstance(data.get("params"), dict):
+        # a run manifest: the seed is stored beside the params
+        seed = {"seed": data["seed"]} if "seed" in data else {}
+        data = {**data["params"], **seed}
     return {str(k).replace("-", "_"): v for k, v in data.items()}
 
 
@@ -345,16 +346,6 @@ def cmd_compare(args) -> int:
     g = parse_window(args.g, symbol.dim)
     lo, hi = parse_decades(args.p_decades)
     ps = log_spaced_p(lo, hi, args.points)
-    quad = quadrature_sweep(symbol, g, ps, sigma=args.sigma,
-                            threads=args.threads, dt=args.dt)
-
-    # fit before simulating, so a bad fit window fails fast
-    fit = fit_loglog(quad)
-    try:
-        law = predicted_law(symbol, g)
-    except (ValueError, LawUnavailableError):
-        law = None
-
     if args.sim_decades:
         sim_lo, sim_hi = parse_decades(args.sim_decades)
     else:
@@ -362,8 +353,19 @@ def cmd_compare(args) -> int:
         # unless the caller explicitly asks for more.
         sim_lo, sim_hi = hi - 1, hi
     sim_ps = log_spaced_p(sim_lo, sim_hi, args.sim_points)
+    # build the simulation configs and fit before any long work, so bad
+    # simulation flags and a bad fit window fail fast
+    configs = _sim_configs(args, symbol, g, sim_ps)
+    quad = quadrature_sweep(symbol, g, ps, sigma=args.sigma,
+                            threads=args.threads, dt=args.dt)
+    fit = fit_loglog(quad)
+    try:
+        law = predicted_law(symbol, g)
+    except (ValueError, LawUnavailableError):
+        law = None
+
     # one pass for every p: shared draws, one step loop
-    estimates = run_sweep(_sim_configs(args, symbol, g, sim_ps))
+    estimates = run_sweep(configs)
     sim = SweepResult(sim_ps, [e.variance for e in estimates],
                       [e.stderr for e in estimates], "simulation")
 
@@ -457,7 +459,6 @@ def _add_sim_args(sub):
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--config", default=None,
                         help="JSON file (bare params or a run manifest)")
@@ -484,6 +485,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sweep = subs.add_parser("sweep", parents=[common],
                             help="closed-form variance sweep over p")
     _add_sweep_args(sweep)
+    sweep.add_argument("--threads", type=int, default=1, help="worker threads")
     sweep.add_argument("--rel-tol", type=float, default=None)
     sweep.add_argument("--dt", type=float, default=0.0,
                        help="include the implicit-scheme correction")
@@ -514,6 +516,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                            help="overlay quadrature, simulation, and the "
                                 "catalog reference line")
     _add_sweep_args(comp)
+    comp.add_argument("--threads", type=int, default=1, help="worker threads")
     comp.add_argument("--sim-points", type=int, default=3)
     comp.add_argument("--sim-decades", default=None,
                       help="log10 range LO:HI for the simulated points "

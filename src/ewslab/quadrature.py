@@ -35,7 +35,6 @@ from .symbols import (
     ConvolutionKernel,
     Piecewise,
     Polynomial,
-    PowerWavenumber,
     Radial2D,
     Registered,
     SwiftHohenberg2D,
@@ -183,14 +182,6 @@ class Disc(TestFunction):
         return f"Disc(radius={self.radius})"
 
 
-def test_function_to_dict(g: TestFunction) -> dict:
-    return g.to_dict()
-
-
-def test_function_from_dict(data) -> TestFunction:
-    return TestFunction.build(data)
-
-
 class VarianceQuery:
     """One stationary-variance evaluation: symbol, window, p < 0 and sigma."""
 
@@ -314,13 +305,9 @@ def _ladder_edges(a, b, anchors, floor, ratio=2.0):
     return sorted(edges)
 
 
-def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol, singular_points=()):
+def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol):
     """Adaptive panel quadrature of fn over [a, b] with graded panels."""
     edges = _ladder_edges(a, b, anchors, floor)
-    for s in singular_points:
-        if a < s < b and s not in edges:
-            edges.append(s)
-    edges = sorted(set(edges))
     total = 0.0
     err = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -399,7 +386,7 @@ def _kernel_variance(symbol, g, q, dt):
 def _variance_1d(symbol, g, q, rel_tol, phi):
     if isinstance(g, PowerIndicator):
         root = float(symbol.root[0])
-        if isinstance(symbol, (ToolAlpha, PowerWavenumber)) and abs(root) < 1e-300:
+        if isinstance(symbol, ToolAlpha) and abs(root) < 1e-300:
             alpha = symbol.alpha
             val, err = _side_integral(alpha, g.eps, q, phi, g.gamma, rel_tol)
             return _checked(val, err, rel_tol, "power-window quadrature")
@@ -424,7 +411,7 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
             total += _variance_1d(symbol.right, right_box, q, rel_tol, phi)
         return total
 
-    if isinstance(symbol, (ToolAlpha, PowerWavenumber)):
+    if isinstance(symbol, ToolAlpha):
         root = float(symbol.root[0])
         return _power_law_box(symbol.alpha, root, a, b, q, phi, rel_tol, "power-law quadrature")
 
@@ -721,27 +708,6 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
             f"unsupported combination of symbol {symbol!r} and window {g!r}"
         )
     return 0.5 * query.sigma**2 * value
-
-
-def dimension_reduce(j, eps: float = 1.0) -> tuple[tuple[int, ...], float]:
-    """Strip zero components from a monomial multi-index.
-
-    Axes with exponent zero integrate out to a plain factor eps per
-    axis, leaving a lower-dimensional monomial.  The all-zero index is
-    rejected: the drift has no bifurcation in that case and the caller
-    must report a convergent law instead.
-    """
-    idx = as_multi_index(j)
-    eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    reduced = tuple(c for c in idx if c > 0)
-    if not reduced:
-        raise ValueError(
-            "no bifurcation: the zero multi-index keeps the variance bounded, "
-            "report a convergent law"
-        )
-    return reduced, eps ** (len(idx) - len(reduced))
 
 
 def _gamma_mixture(idx):

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .quadrature import TestFunction, VarianceQuery, variance_quadrature, dimension_reduce
+from .quadrature import TestFunction, VarianceQuery, variance_quadrature
 from .symbols import Symbol, as_multi_index, minimal_support, predicts_convergence
 
 
@@ -52,16 +52,6 @@ class ScalingLaw:
     @classmethod
     def bounded(cls) -> "ScalingLaw":
         return cls(0.0, 0, convergent=True)
-
-    def describe(self) -> str:
-        if self.convergent:
-            return "bounded as p -> 0-"
-        pieces = []
-        if self.s != 0.0:
-            pieces.append(f"(-p)**({self.s:g})")
-        if self.k:
-            pieces.append(f"(-log(-p))**{self.k}")
-        return " * ".join(pieces)
 
 
 def law_1d(alpha: float, gamma: float = 0.0) -> ScalingLaw:
@@ -120,19 +110,23 @@ def law_analytic_1d(coeffs: Mapping, gamma: float = 0.0) -> ScalingLaw:
 def law_upper_bound(j) -> ScalingLaw:
     """Corner upper bound for the monomial drift -x**j on [0, eps]**N.
 
-    Sorting the components ascending, the dominant exponent is the
-    largest one: the bound is (-p)**(-1 + 1/i_max) with one logarithm
-    per additional repeat of i_max.  The all-ones index degenerates to
-    a pure logarithmic power N.
+    Zero components integrate out and are dropped; the all-zero index
+    has no bifurcation and raises ValueError.  Sorting the remaining
+    components ascending, the dominant exponent is the largest one: the
+    bound is (-p)**(-1 + 1/i_max) with one logarithm per additional
+    repeat of i_max.  The all-ones index degenerates to a pure
+    logarithmic power N, and a single component gives the
+    one-dimensional law of :func:`law_1d`.
     """
-    idx = as_multi_index(j)
-    if any(c == 0 for c in idx):
-        idx, _ = dimension_reduce(idx)
-    comps = sorted(idx)
-    n = len(comps)
+    comps = sorted(c for c in as_multi_index(j) if c > 0)
+    if not comps:
+        raise ValueError(
+            "no bifurcation: the zero multi-index keeps the variance bounded, "
+            "report a convergent law"
+        )
     i_max = comps[-1]
     if i_max == 1:
-        return ScalingLaw(0.0, n)
+        return ScalingLaw(0.0, len(comps))
     repeats = comps.count(i_max)
     return ScalingLaw(-1.0 + 1.0 / i_max, repeats - 1)
 
@@ -156,32 +150,21 @@ def _law_sort_key(law: ScalingLaw):
     return (law.s, -law.k)
 
 
-def best_upper_bound(cplus: Iterable, eps: float = 1.0) -> ScalingLaw:
+def best_upper_bound(cplus: Iterable) -> ScalingLaw:
     """Tightest corner bound over a minimal support set.
 
-    Each minimal multi-index is dimension-reduced and bounded on its
-    own; the slowest-growing bound wins because every member of the
-    minimal support provides a valid upper bound.  Indices that reduce
-    to nothing contribute a bounded law.
+    Every member of the minimal support provides a valid upper bound,
+    so the slowest-growing :func:`law_upper_bound` wins.  The all-zero
+    index contributes a bounded law.
     """
-    laws = []
-    for j in cplus:
-        idx = as_multi_index(j)
-        try:
-            reduced, _ = dimension_reduce(idx, eps)
-        except ValueError:
-            laws.append(ScalingLaw.bounded())
-            continue
-        if len(reduced) == 1:
-            laws.append(law_1d(float(reduced[0])))
-        else:
-            laws.append(law_upper_bound(reduced))
+    laws = [law_upper_bound(j) if any(as_multi_index(j)) else ScalingLaw.bounded()
+            for j in cplus]
     if not laws:
         raise ValueError("empty minimal support")
     return max(laws, key=_law_sort_key)
 
 
-def polynomial_law(coeffs: Mapping, eps: float = 1.0) -> ScalingLaw:
+def polynomial_law(coeffs: Mapping) -> ScalingLaw:
     """Predicted law for a polynomial drift from its coefficient map.
 
     One-dimensional maps use the analytic least-order law.  In several
@@ -198,7 +181,7 @@ def polynomial_law(coeffs: Mapping, eps: float = 1.0) -> ScalingLaw:
         return law_analytic_1d(coeffs)
     if predicts_convergence(coeffs):
         return ScalingLaw.bounded()
-    return best_upper_bound(minimal_support(coeffs), eps)
+    return best_upper_bound(minimal_support(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +219,14 @@ class SweepResult:
     def __len__(self):
         return len(self.ps)
 
-    def to_csv(self, path=None) -> str:
-        """Serialize as ``p,value,stderr,source`` rows; optionally write a file."""
+    def to_csv(self) -> str:
+        """Serialize as ``p,value,stderr,source`` rows."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["p", "value", "stderr", "source"])
         for p, v, e in zip(self.ps, self.values, self.stderrs):
             writer.writerow([repr(float(p)), repr(float(v)), repr(float(e)), self.source])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "SweepResult":

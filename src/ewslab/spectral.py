@@ -48,30 +48,6 @@ class LawUnavailableError(RuntimeError):
     """No closed-form law for this symbol; fit a sweep instead."""
 
 
-def frequency_symbol(kind: str, **params) -> Symbol:
-    """Factory for the frequency symbol families by kind name."""
-    cls = Symbol.kinds.get(kind)
-    if cls not in FREQUENCY_KINDS:
-        raise ValueError(f"unknown frequency symbol kind: {kind!r}")
-    return cls.from_dict(params)
-
-
-class FrequencyQuery(VarianceQuery):
-    """One spectral variance evaluation: multiplier, window, p < 0, sigma."""
-
-    def __init__(self, symbol: Symbol, ghat: TestFunction, p: float, sigma: float = 1.0):
-        if not isinstance(symbol, FREQUENCY_KINDS):
-            raise TypeError("symbol must be one of the frequency multiplier kinds")
-        super().__init__(symbol, ghat, p, sigma)
-
-    @property
-    def ghat(self) -> TestFunction:
-        return self.test_function
-
-    def covers_zero_set(self) -> bool:
-        return covers_zero_set(self.symbol, self.ghat)
-
-
 def covers_zero_set(symbol: Symbol, ghat: TestFunction) -> bool:
     """Whether the window touches the symbol's zero set.
 
@@ -90,13 +66,15 @@ def covers_zero_set(symbol: Symbol, ghat: TestFunction) -> bool:
     raise ValueError(f"no zero-set rule for a {symbol.kind} symbol with a {ghat.kind} window")
 
 
-def variance_spectral(query: FrequencyQuery, rel_tol: float | None = None) -> float:
+def variance_spectral(query: VarianceQuery, rel_tol: float | None = None) -> float:
     """Stationary variance of a frequency-window observable.
 
     The multiplier is the same resolvent integral as a physical-space
     drift, so this is :func:`variance_quadrature` at the spectral
-    default tolerance.
+    default tolerance.  The query's symbol must be a frequency kind.
     """
+    if not isinstance(query.symbol, FREQUENCY_KINDS):
+        raise TypeError("symbol must be one of the frequency multiplier kinds")
     return variance_quadrature(query, rel_tol=rel_tol if rel_tol is not None else REL_TOL_SPECTRAL)
 
 
@@ -126,7 +104,7 @@ def predicted_law(symbol: Symbol, g: TestFunction | None = None) -> ScalingLaw:
     gamma = g.gamma if isinstance(g, PowerIndicator) and symbol.root[0] == 0.0 else 0.0
     if isinstance(symbol, Polynomial):
         return law_analytic_1d(symbol.coeffs, gamma)
-    if isinstance(symbol, (ToolAlpha, PowerWavenumber)):
+    if isinstance(symbol, ToolAlpha):
         return law_1d(symbol.alpha, gamma)
     if isinstance(symbol, ConvolutionKernel):
         raise LawUnavailableError(
@@ -153,6 +131,6 @@ def spectral_sweep(
     """Evaluate the spectral variance on a grid of p values."""
     ps = np.asarray(ps, dtype=float)
     values = [
-        variance_spectral(FrequencyQuery(symbol, ghat, p, sigma), rel_tol=rel_tol) for p in ps
+        variance_spectral(VarianceQuery(symbol, ghat, p, sigma), rel_tol=rel_tol) for p in ps
     ]
     return SweepResult(ps, values, source="spectral")

@@ -116,10 +116,15 @@ class Registered:
     @classmethod
     def build(cls, data: Mapping):
         """Rebuild an instance of any kind in this registry from its dictionary."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a {cls.__name__} description must be a JSON object")
         kind = data.get("kind")
         if kind not in cls.kinds:
             raise ValueError(f"unknown {cls.__name__} kind: {kind!r}")
-        return cls.kinds[kind].from_dict(data)
+        try:
+            return cls.kinds[kind].from_dict(data)
+        except KeyError as exc:
+            raise ValueError(f"{kind} description lacks the entry {exc}") from exc
 
 
 class Symbol(Registered):
@@ -365,7 +370,7 @@ class Piecewise(Symbol):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Piecewise":
-        return cls(symbol_from_dict(data["left"]), symbol_from_dict(data["right"]))
+        return cls(Symbol.build(data["left"]), Symbol.build(data["right"]))
 
     def __repr__(self):
         return f"Piecewise(left={self.left!r}, right={self.right!r})"
@@ -441,29 +446,22 @@ class Zero(Symbol):
         return f"Zero(dim={self.dim})"
 
 
-class PowerWavenumber(Symbol):
-    """Fourier multiplier f(k) = -k**(2m) of the operator -(-Laplace)**m."""
+class PowerWavenumber(ToolAlpha):
+    """Fourier multiplier f(k) = -k**(2m) of the operator -(-Laplace)**m.
+
+    The tool family with alpha = 2m at the origin on [-3, 3], stored by m.
+    """
 
     kind = "power2m"
     fields = ("m",)
+    to_dict = Registered.to_dict
 
     def __init__(self, m: int = 1):
         m = int(as_finite(m, "m"))
         if m < 1:
             raise ValueError("m must be a positive integer")
         self.m = m
-        self.alpha = 2.0 * m
-        self.dim = 1
-        self.root = np.zeros(1)
-        self.domain = _as_box(-3.0, 3.0, 1)
-        self.sign_ok = True
-
-    def __call__(self, x):
-        arr = self._coerce(x)
-        return -np.abs(arr) ** (2 * self.m)
-
-    def root_scale(self, q: float) -> float:
-        return float(q) ** (1.0 / (2 * self.m))
+        super().__init__(2.0 * m, 0.0, (-3.0, 3.0))
 
     def __repr__(self):
         return f"PowerWavenumber(m={self.m})"
@@ -703,13 +701,3 @@ def predicts_convergence(coeffs: Mapping) -> bool:
         raise ValueError("the convergence test needs at least two variables")
     units = sum(1 for j, a in entries.items() if sum(j) == 1 and a > 0.0)
     return units >= 2
-
-
-def symbol_to_dict(symbol: Symbol) -> dict:
-    """JSON-ready description of a symbol; inverse of :func:`symbol_from_dict`."""
-    return symbol.to_dict()
-
-
-def symbol_from_dict(data: Mapping) -> Symbol:
-    """Rebuild a symbol from its dictionary description."""
-    return Symbol.build(data)

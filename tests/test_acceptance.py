@@ -174,8 +174,8 @@ def test_frequency_multiplier_rates():
     assert abs(fit.s + 0.5) <= 0.03
 
     value = ew.variance_spectral(
-        ew.FrequencyQuery(ew.SwiftHohenberg2D(), ew.Disc(math.sqrt(2.0)),
-                          -1.0, math.sqrt(2.0)))
+        ew.VarianceQuery(ew.SwiftHohenberg2D(), ew.Disc(math.sqrt(2.0)),
+                         -1.0, math.sqrt(2.0)))
     assert abs(value - math.pi ** 2 / 2.0) / (math.pi ** 2 / 2.0) <= 1e-4
 
 

@@ -1,4 +1,5 @@
 """Command-line interface: parsing, outputs, manifests, exit codes."""
+import argparse
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from ewslab.symbols import (
     SwiftHohenberg1D,
     ToolAlpha,
     Zero,
-    symbol_to_dict,
 )
 from ewslab.quadrature import Disc, IndicatorBox, PowerIndicator, QuarterDisc
 
@@ -46,7 +46,7 @@ def test_symbol_grammar():
 
 def test_symbol_grammar_file_kinds(tmp_path):
     poly_file = tmp_path / "sym.json"
-    poly_file.write_text(json.dumps(symbol_to_dict(Polynomial({(1, 1): 1.0}))))
+    poly_file.write_text(json.dumps(Polynomial({(1, 1): 1.0}).to_dict()))
     sym = parse_symbol(f"poly:{poly_file}")
     assert isinstance(sym, Polynomial)
 
@@ -88,6 +88,25 @@ def test_laws_lookup(capsys):
     assert "convergent=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, line", [
+    ("1d --alpha 2", "s=-0.5 k=0 convergent=False  "
+                     "[one-dim tool family, 2*gamma+alpha > 1 (power divergence)]"),
+    ("1d --alpha 1 --gamma 0.25", "s=-0.5 k=0 convergent=False  "
+                                  "[one-dim power window, 2*gamma+alpha > 1 (power divergence)]"),
+    ("1d --alpha 0.5", "s=0 k=0 convergent=True  "
+                       "[one-dim tool family, 2*gamma+alpha < 1 (bounded)]"),
+    ("1d --alpha 1", "s=0 k=1 convergent=False  "
+                     "[one-dim tool family, 2*gamma+alpha = 1 (log divergence)]"),
+    ("nd --indices 1,2,3", "s=-0.666667 k=0 convergent=False  [corner bound, distinct top index 3]"),
+    ("nd --indices 0,3,3", "s=-0.666667 k=1 convergent=False  "
+                           "[corner bound, top index 3 repeated 2 times]"),
+    ("nd --indices 1,1", "s=0 k=2 convergent=False  [corner bound, all indices 1 (log power 2)]"),
+])
+def test_laws_output_is_pinned(argv, line, capsys):
+    assert main(["laws", *argv.split()]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_laws_degenerate_indices_is_usage_error(capsys):
     assert main(["laws", "nd", "--indices", "0,0"]) == 2
     assert "no bifurcation" in capsys.readouterr().err
@@ -118,6 +137,17 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
     assert main(["sweep", "--config", str(a / "sweep_manifest.json"),
                  "--out", str(b)]) == 0
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_manifest_replay_restores_the_seed(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5",
+                 "--n", "19", "--nt", "4000", "--replicas", "2", "--seed", "5",
+                 "--out", str(a)]) == 0
+    assert main(["simulate", "--config", str(a / "simulate_manifest.json"),
+                 "--out", str(b)]) == 0
+    assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
+    assert json.loads((b / "simulate_manifest.json").read_text())["seed"] == 5
 
 
 def test_config_flags_can_be_overridden(tmp_path):
@@ -231,6 +261,28 @@ def test_compare_checks_the_fit_window_before_simulating(tmp_path, monkeypatch, 
     assert calls == []
 
 
+def test_compare_checks_simulation_flags_before_the_quadrature_sweep(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("compare ran the quadrature sweep before checking --nt")
+
+    monkeypatch.setattr(cli, "quadrature_sweep", refuse)
+    assert main(["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades",
+                 "-6:-1", "--nt", "5", "--out", str(tmp_path)]) == 3
+    assert "nt must be at least 10" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_only_sweep_and_compare_take_threads():
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name for name, sub in subs.items()
+            if "--threads" in sub._option_string_actions} == {"sweep", "compare"}
+
+
 def test_compare_simulation_csv_equals_per_p_runs(tmp_path):
     # the shared draws of one sweep keep every p on its own stream
     argv = ["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5",
@@ -325,6 +377,19 @@ def test_validation_errors_exit_3(tmp_path, capsys):
                      "--points", "3", "--out", str(tmp_path)]) == 3, (symbol, window)
         assert "not negative on the window" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("content", [
+    [{"kind": "polynomial"}],
+    {"kind": "polynomial", "coeffs": [{"index": [1, 1]}]},
+    {"kind": "polynomial", "root": [0.0, 0.0]},
+], ids=["list", "entry-without-coeff", "no-coeffs"])
+def test_malformed_symbol_file_exit_3(tmp_path, capsys, content):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(content))
+    assert main(["sweep", "--symbol", f"poly:{path}", "--g", "box:0,1,0,1",
+                 "--p-decades", "-4:-2", "--points", "3", "--out", str(tmp_path)]) == 3
+    assert "bad symbol spec" in capsys.readouterr().err
 
 
 def test_missing_input_file_exit_3(tmp_path):

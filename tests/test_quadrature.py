@@ -15,16 +15,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ewslab.quadrature import (
-    test_function_from_dict as window_from_dict,
-    test_function_to_dict as window_to_dict,
     Disc,
     IndicatorBox,
     PowerIndicator,
     QuadratureError,
     QuarterDisc,
+    TestFunction,
     VarianceQuery,
     appendix_c_integral,
-    dimension_reduce,
     monomial_integral,
     variance_quadrature,
 )
@@ -33,6 +31,7 @@ from ewslab.symbols import (
     CustomSymbol,
     Piecewise,
     Polynomial,
+    PowerWavenumber,
     Radial2D,
     SwiftHohenberg2D,
     ToolAlpha,
@@ -44,6 +43,14 @@ SQRT2 = math.sqrt(2.0)
 
 def _value(symbol, g, p, sigma=SQRT2, **kw):
     return variance_quadrature(VarianceQuery(symbol, g, p, sigma), **kw)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_power_multiplier_is_the_tool_family_bit_for_bit(m):
+    tool = ToolAlpha(2 * m, 0.0, (-3.0, 3.0))
+    for g in (IndicatorBox(-1.0, 1.0), IndicatorBox(0.5, 2.0), PowerIndicator(0.25, 1.0)):
+        for q, dt in ((1e-9, 0.0), (1e-3, 0.0), (1.0, 0.0), (1e-3, 0.05)):
+            assert _value(PowerWavenumber(m), g, -q, dt=dt) == _value(tool, g, -q, dt=dt)
 
 
 # --------------------------------------------------------------------------
@@ -227,9 +234,9 @@ def test_window_validation():
 def test_window_serialization_round_trip():
     for g in (IndicatorBox((0.0, -1.0), (1.0, 2.0)), PowerIndicator(0.25, 0.5),
               QuarterDisc(2.0), Disc(1.5)):
-        clone = window_from_dict(window_to_dict(g))
+        clone = TestFunction.build(g.to_dict())
         assert type(clone) is type(g)
-        assert window_to_dict(clone) == window_to_dict(g)
+        assert clone.to_dict() == g.to_dict()
 
 
 def test_window_dicts_are_pinned():
@@ -242,9 +249,9 @@ def test_window_dicts_are_pinned():
     # every window kind is in the registry the four classes share
     assert IndicatorBox.kinds == {type(g).kind: type(g) for g, _ in pinned}
     for g, want in pinned:
-        assert json.dumps(window_to_dict(g)) == json.dumps(want)
+        assert json.dumps(g.to_dict()) == json.dumps(want)
     with pytest.raises(ValueError, match="unknown"):
-        window_from_dict({"kind": "oval"})
+        TestFunction.build({"kind": "oval"})
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
@@ -349,14 +356,6 @@ def test_monomial_refuses_clustered_orders():
     with pytest.raises(QuadratureError, match="cancel"):
         monomial_integral(tuple(range(30, 36)), 1.0, 1e-3)
     assert math.isfinite(monomial_integral((9, 10, 11, 12), 1.0, 1e-3))
-
-
-def test_dimension_reduce_strips_zero_axes():
-    reduced, prefactor = dimension_reduce((0, 2, 0, 3), 0.5)
-    assert reduced == (2, 3)
-    assert math.isclose(prefactor, 0.5 ** 2)
-    with pytest.raises(ValueError):
-        dimension_reduce((0, 0), 1.0)
 
 
 @settings(max_examples=25, deadline=None)

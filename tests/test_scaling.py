@@ -90,6 +90,16 @@ def test_corner_bound_case_labels():
     assert "repeated" in law_upper_bound_case((3, 3))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4).filter(any))
+def test_corner_bound_drops_zeros_and_extends_the_1d_law(j):
+    nonzero = tuple(c for c in j if c)
+    law = law_upper_bound(tuple(j))
+    assert law == law_upper_bound(nonzero)
+    if len(nonzero) == 1:
+        assert law == law_1d(nonzero[0])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.permutations([1, 2, 4]))
 def test_corner_bound_permutation_invariance(perm):

@@ -8,10 +8,8 @@ from scipy import integrate
 from ewslab.quadrature import Disc, IndicatorBox, PowerIndicator, QuarterDisc, VarianceQuery
 from ewslab.scaling import ScalingLaw, fit_loglog, log_spaced_p, polynomial_law
 from ewslab.spectral import (
-    FrequencyQuery,
     LawUnavailableError,
     covers_zero_set,
-    frequency_symbol,
     predicted_law,
     predicted_spectral_law,
     spectral_sweep,
@@ -25,6 +23,7 @@ from ewslab.symbols import (
     Radial2D,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
+    Symbol,
     ToolAlpha,
 )
 
@@ -39,28 +38,26 @@ def _kernel_with_multiplier(values_of_k):
 
 
 def test_factory_builds_each_kind():
-    assert isinstance(frequency_symbol("power2m", m=2), PowerWavenumber)
-    assert isinstance(frequency_symbol("swift_hohenberg_1d"), SwiftHohenberg1D)
-    assert isinstance(frequency_symbol("swift_hohenberg_2d"), SwiftHohenberg2D)
-    ker = frequency_symbol("convolution", samples=np.full(8, -1.0), spacing=0.5)
+    assert isinstance(Symbol.build({"kind": "power2m", "m": 2}), PowerWavenumber)
+    assert isinstance(Symbol.build({"kind": "swift_hohenberg_1d"}), SwiftHohenberg1D)
+    assert isinstance(Symbol.build({"kind": "swift_hohenberg_2d"}), SwiftHohenberg2D)
+    ker = Symbol.build({"kind": "convolution", "samples": np.full(8, -1.0), "spacing": 0.5})
     assert isinstance(ker, ConvolutionKernel)
     with pytest.raises(ValueError):
-        frequency_symbol("tool")
+        Symbol.build({"kind": "tool"})
 
 
 def test_query_validation():
     g = IndicatorBox(-1.0, 1.0)
     with pytest.raises(ValueError):
-        FrequencyQuery(PowerWavenumber(1), g, 0.0, 1.0)
-    with pytest.raises(TypeError):
-        FrequencyQuery(ToolAlpha(2.0), g, -1.0, 1.0)
+        VarianceQuery(PowerWavenumber(1), g, 0.0, 1.0)
+    with pytest.raises(TypeError, match="frequency"):
+        variance_spectral(VarianceQuery(ToolAlpha(2.0), g, -1.0, 1.0))
     with pytest.raises(ValueError):
-        FrequencyQuery(SwiftHohenberg2D(), g, -1.0, 1.0)  # needs a disc window
+        VarianceQuery(SwiftHohenberg2D(), g, -1.0, 1.0)  # needs a disc window
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be finite"):
-            FrequencyQuery(SwiftHohenberg2D(), Disc(2.0), -1.0, bad)
-    query = FrequencyQuery(PowerWavenumber(1), g, -1.0)
-    assert isinstance(query, VarianceQuery) and query.ghat is g
+            VarianceQuery(SwiftHohenberg2D(), Disc(2.0), -1.0, bad)
 
 
 def test_zero_set_coverage_rules():
@@ -83,7 +80,7 @@ def test_power_multiplier_variance_brute_force():
     for m in (1, 2):
         q = 1e-5
         got = variance_spectral(
-            FrequencyQuery(PowerWavenumber(m), IndicatorBox(-1.0, 1.0), -q, 1.0))
+            VarianceQuery(PowerWavenumber(m), IndicatorBox(-1.0, 1.0), -q, 1.0))
         want = 0.5 * integrate.quad(
             lambda k: 1.0 / (k ** (2 * m) + q), -1.0, 1.0,
             points=[0.0], epsabs=1e-13, epsrel=1e-11,
@@ -94,7 +91,7 @@ def test_power_multiplier_variance_brute_force():
 def test_sh1d_variance_brute_force():
     q = 1e-4
     got = variance_spectral(
-        FrequencyQuery(SwiftHohenberg1D(), IndicatorBox(-2.0, 2.0), -q, 1.0))
+        VarianceQuery(SwiftHohenberg1D(), IndicatorBox(-2.0, 2.0), -q, 1.0))
     want = 0.5 * integrate.quad(
         lambda k: 1.0 / ((1.0 - k ** 2) ** 2 + q), -2.0, 2.0,
         points=[-1.0, 1.0], epsabs=1e-13, epsrel=1e-11, limit=300,
@@ -106,15 +103,15 @@ def test_sh2d_closed_form_value():
     # at p=-1 with sigma=sqrt(2) and radius sqrt(2) the polar reduction
     # collapses to pi * integral of 1/(u^2+1) over [-1, 1] = pi^2 / 2
     got = variance_spectral(
-        FrequencyQuery(SwiftHohenberg2D(), Disc(math.sqrt(2.0)), -1.0,
-                       math.sqrt(2.0)))
+        VarianceQuery(SwiftHohenberg2D(), Disc(math.sqrt(2.0)), -1.0,
+                      math.sqrt(2.0)))
     assert math.isclose(got, PI_SQ_HALF, rel_tol=1e-12)
 
 
 def test_sh2d_variance_polar_brute_force():
     q = 1e-3
     got = variance_spectral(
-        FrequencyQuery(SwiftHohenberg2D(), Disc(1.5), -q, 1.0))
+        VarianceQuery(SwiftHohenberg2D(), Disc(1.5), -q, 1.0))
     want = 0.5 * 2.0 * math.pi * integrate.quad(
         lambda r: r / ((1.0 - r ** 2) ** 2 + q), 0.0, 1.5,
         points=[1.0], epsabs=1e-13, epsrel=1e-11, limit=300,
@@ -124,14 +121,14 @@ def test_sh2d_variance_polar_brute_force():
 
 def test_kernel_variance_flat_multiplier():
     ker = _kernel_with_multiplier(lambda k: np.full(k.shape, -1.0))
-    got = variance_spectral(FrequencyQuery(ker, IndicatorBox(-1.0, 1.0), -0.5, 1.0))
+    got = variance_spectral(VarianceQuery(ker, IndicatorBox(-1.0, 1.0), -0.5, 1.0))
     assert math.isclose(got, 0.5 * 2.0 / 1.5, rel_tol=1e-12)
 
 
 def test_kernel_variance_interpolated_oracle():
     ker = _kernel_with_multiplier(lambda k: -(k ** 2 - 1.0) ** 2)
     q = 1e-2
-    got = variance_spectral(FrequencyQuery(ker, IndicatorBox(-3.0, 3.0), -q, 1.0))
+    got = variance_spectral(VarianceQuery(ker, IndicatorBox(-3.0, 3.0), -q, 1.0))
     grid, mult = ker.freq_grid, ker.multiplier
     kinks = [k for k in grid if -3.0 < k < 3.0]
     want = 0.5 * integrate.quad(
@@ -144,7 +141,7 @@ def test_kernel_variance_interpolated_oracle():
 def test_kernel_variance_rejects_unstable_multiplier():
     ker = _kernel_with_multiplier(lambda k: -(k ** 2 - 1.0))
     with pytest.raises(ValueError):
-        variance_spectral(FrequencyQuery(ker, IndicatorBox(-3.0, 3.0), -0.01, 1.0))
+        variance_spectral(VarianceQuery(ker, IndicatorBox(-3.0, 3.0), -0.01, 1.0))
 
 
 def test_predicted_laws():
@@ -191,7 +188,7 @@ def test_predicted_law_is_window_aware():
 ])
 def test_window_off_the_zero_set_matches_brute_force(symbol, window, integrand, lo, hi):
     for q in (1e-5, 1e-8, 1e-10, 1e-16):
-        got = variance_spectral(FrequencyQuery(symbol, window, -q))
+        got = variance_spectral(VarianceQuery(symbol, window, -q))
         want = 0.5 * integrate.quad(integrand, lo, hi, args=(q,), epsabs=0.0, epsrel=1e-13)[0]
         assert math.isclose(got, want, rel_tol=1e-10), q
 

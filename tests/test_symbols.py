@@ -23,8 +23,6 @@ from ewslab.symbols import (
     minimal_support,
     predicts_convergence,
     real_part_symbol,
-    symbol_from_dict,
-    symbol_to_dict,
 )
 
 
@@ -162,6 +160,16 @@ def test_power_wavenumber_equals_even_power():
     k = np.array([-1.5, 0.0, 0.5])
     np.testing.assert_allclose(f(k), -(k ** 4))
     assert f.alpha == 4.0
+    # the tool family at alpha = 2m on [-3, 3], bit for bit, stored by m
+    x = np.random.default_rng(0).uniform(-3.0, 3.0, 10_000)
+    for m in range(1, 5):
+        f, tool = PowerWavenumber(m), ToolAlpha(2 * m, 0.0, (-3.0, 3.0))
+        assert isinstance(f, ToolAlpha)
+        np.testing.assert_array_equal(f(x), tool(x))
+        assert f.alpha == tool.alpha and f.root_scale(1e-6) == tool.root_scale(1e-6)
+        for got, want in zip(f.domain, tool.domain):
+            np.testing.assert_array_equal(got, want)
+        assert f.to_dict() == {"kind": "power2m", "m": m}
 
 
 def test_swift_hohenberg_1d_values_and_zeros():
@@ -293,7 +301,7 @@ def test_predicts_convergence_needs_two_distinct_unit_directions():
     ],
 )
 def test_serialization_round_trip(symbol):
-    clone = symbol_from_dict(symbol_to_dict(symbol))
+    clone = Symbol.build(symbol.to_dict())
     assert type(clone) is type(symbol)
     if symbol.dim == 1:
         pts = np.linspace(-0.9, 0.9, 7)
@@ -307,27 +315,38 @@ def test_serialization_round_trip(symbol):
     Zero(2, domain=((1.0, 2.0), (4.0, 3.0))),
 ])
 def test_custom_domain_survives_a_round_trip(symbol):
-    clone = symbol_from_dict(json.loads(json.dumps(symbol_to_dict(symbol))))
+    clone = Symbol.build(json.loads(json.dumps(symbol.to_dict())))
     for got, want in zip(clone.domain, symbol.domain):
         np.testing.assert_array_equal(got, want)
 
 
 def test_dicts_stored_without_a_domain_load_the_default_domain():
-    radial = symbol_from_dict({"kind": "radial2d", "exponent": 3.0})
+    radial = Symbol.build({"kind": "radial2d", "exponent": 3.0})
     assert [v.tolist() for v in radial.domain] == [[-1.0, -1.0], [1.0, 1.0]]
-    zero = symbol_from_dict({"kind": "zero", "dim": 2})
+    zero = Symbol.build({"kind": "zero", "dim": 2})
     assert [v.tolist() for v in zero.domain] == [[0.0, 0.0], [1.0, 1.0]]
 
 
 def test_custom_symbol_has_no_serialized_form():
     f = CustomSymbol(lambda x: -np.abs(x), dim=1)
     with pytest.raises(TypeError):
-        symbol_to_dict(f)
+        f.to_dict()
 
 
-def test_symbol_from_dict_rejects_unknown_kind():
+def test_symbol_build_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        symbol_from_dict({"kind": "mystery"})
+        Symbol.build({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], "JSON object"),
+    ({"kind": "polynomial", "coeffs": [{"index": [1, 1]}]}, "'coeff'"),
+    ({"kind": "polynomial"}, "'coeffs'"),
+    ({"kind": "piecewise", "left": {"kind": "tool_alpha", "alpha": 1.0}}, "'right'"),
+])
+def test_symbol_build_rejects_malformed_descriptions(data, message):
+    with pytest.raises(ValueError, match=message):
+        Symbol.build(data)
 
 
 def test_registry_holds_the_serializable_kinds():
@@ -371,7 +390,7 @@ PINNED_DICTS = [
 def test_symbol_dicts_are_pinned():
     assert {type(s) for s, _ in PINNED_DICTS} == set(Symbol.kinds.values())
     for symbol, want in PINNED_DICTS:
-        assert json.dumps(symbol_to_dict(symbol)) == json.dumps(want)
+        assert json.dumps(symbol.to_dict()) == json.dumps(want)
 
 
 _finite = st.floats(-3.0, 3.0)
@@ -399,10 +418,10 @@ _KIND_STRATEGIES = {
 @given(st.sampled_from(sorted(_KIND_STRATEGIES)).flatmap(lambda k: _KIND_STRATEGIES[k]))
 def test_every_kind_survives_a_json_round_trip(symbol):
     assert set(_KIND_STRATEGIES) == set(Symbol.kinds)
-    data = symbol_to_dict(symbol)
-    clone = symbol_from_dict(json.loads(json.dumps(data)))
+    data = symbol.to_dict()
+    clone = Symbol.build(json.loads(json.dumps(data)))
     assert type(clone) is type(symbol)
-    assert json.dumps(symbol_to_dict(clone)) == json.dumps(data)
+    assert json.dumps(clone.to_dict()) == json.dumps(data)
 
 
 @pytest.mark.parametrize("build", [
