@@ -23,7 +23,6 @@ from .symbols import (
     Zero,
     as_multi_index,
     minimal_support,
-    predicts_convergence,
     real_part_symbol,
 )
 from .quadrature import (
@@ -40,10 +39,12 @@ from .quadrature import (
 )
 from .scaling import (
     FitResult,
+    LawUnavailableError,
     ScalingLaw,
     SweepResult,
     best_upper_bound,
     classify,
+    covers_zero_set,
     default_exponent_candidates,
     fit_loglog,
     law_1d,
@@ -51,6 +52,8 @@ from .scaling import (
     law_upper_bound,
     log_spaced_p,
     polynomial_law,
+    predicted_law,
+    predicts_convergence,
     quadrature_sweep,
 )
 from .noise import (
@@ -71,13 +74,6 @@ from .simulate import (
     run_sweep,
     step,
 )
-from .spectral import (
-    LawUnavailableError,
-    covers_zero_set,
-    predicted_law,
-    predicted_spectral_law,
-    spectral_sweep,
-    variance_spectral,
-)
+from .spectral import predicted_spectral_law, spectral_sweep, variance_spectral
 
 __version__ = "0.1.0"

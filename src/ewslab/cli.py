@@ -33,20 +33,21 @@ from .quadrature import (
     appendix_c_integral,
 )
 from .scaling import (
+    LawUnavailableError,
+    ScalingLaw,
     SweepResult,
     classify,
     fit_loglog,
     law_1d,
-    law_1d_case,
     law_upper_bound,
-    law_upper_bound_case,
     log_spaced_p,
+    predicted_law,
     quadrature_sweep,
 )
 from .simulate import Mesh, SimConfig, predict_discrete_variance, run, run_sweep
-from .spectral import (FREQUENCY_KINDS, LawUnavailableError, predicted_law,
-                       predicted_spectral_law, spectral_sweep)
+from .spectral import predicted_spectral_law, spectral_sweep
 from .symbols import (
+    FREQUENCY_KINDS,
     ConvolutionKernel,
     Piecewise,
     Polynomial,
@@ -194,19 +195,34 @@ def _prepare_out(args) -> str:
 # --------------------------------------------------------------------------
 # subcommand bodies
 
+def _law_case(args, law: ScalingLaw) -> str:
+    """The catalog row of a law that ``laws`` printed, read off the law itself."""
+    if args.family == "1d":
+        family = "one-dim power window" if args.gamma > 0 else "one-dim tool family"
+        if law.convergent:
+            return f"{family}, 2*gamma+alpha < 1 (bounded)"
+        if law.k:
+            return f"{family}, 2*gamma+alpha = 1 (log divergence)"
+        return f"{family}, 2*gamma+alpha > 1 (power divergence)"
+    if law.s == 0.0:
+        return f"corner bound, all indices 1 (log power {law.k})"
+    # s = -1 + 1/i_max, with one logarithm per extra repeat of i_max
+    i_max = round(1.0 / (1.0 + law.s))
+    if law.k == 0:
+        return f"corner bound, distinct top index {i_max}"
+    return f"corner bound, top index {i_max} repeated {law.k + 1} times"
+
+
 def cmd_laws(args) -> int:
     try:
         if args.family == "1d":
             law = law_1d(args.alpha, args.gamma)
-            case = law_1d_case(args.alpha, args.gamma)
         else:
-            idx = tuple(int(tok) for tok in args.indices.split(","))
-            law = law_upper_bound(idx)
-            case = law_upper_bound_case(idx)
+            law = law_upper_bound(tuple(int(tok) for tok in args.indices.split(",")))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"s={law.s:g} k={law.k} convergent={law.convergent}  [{case}]")
+    print(f"s={law.s:g} k={law.k} convergent={law.convergent}  [{_law_case(args, law)}]")
     return 0
 
 
@@ -220,8 +236,7 @@ def _emit_sweep(args, sweep: SweepResult, params: dict, command: str) -> int:
     if args.svg:
         svg_path = os.path.join(out_dir, f"{args.prefix}.svg")
         write_loglog(svg_path, [sweep_series(sweep)],
-                     title=f"{command}: {params.get('symbol', '')}",
-                     xlabel="-p", ylabel="variance")
+                     title=f"{command}: {params.get('symbol', '')}")
         outputs.append(svg_path)
     outputs.append(_write_manifest(out_dir, command, params, args.seed,
                                    outputs, started, args.prefix))

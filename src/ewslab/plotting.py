@@ -23,6 +23,9 @@ _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 44.0
 _MARGIN_BOTTOM = 58.0
 
+_XLABEL = "-p"
+_YLABEL = "variance"
+
 
 @dataclass(frozen=True)
 class Series:
@@ -34,7 +37,6 @@ class Series:
     label: str = ""
     line: bool = True
     markers: bool = True
-    color: str | None = None
 
     def __post_init__(self):
         x = tuple(float(v) for v in self.x)
@@ -52,12 +54,12 @@ class Series:
             object.__setattr__(self, "yerr", err)
 
 
-def sweep_series(sweep, label: str = "", line: bool = True, color: str | None = None) -> Series:
+def sweep_series(sweep, label: str = "", line: bool = True) -> Series:
     """Build a Series from a SweepResult, plotting against q = -p."""
     xs = tuple(-p for p in sweep.ps)
     err = tuple(sweep.stderrs) if any(e > 0 for e in sweep.stderrs) else None
     return Series(xs, tuple(sweep.values), yerr=err,
-                  label=label or sweep.source, line=line, color=color)
+                  label=label or sweep.source, line=line)
 
 
 def _fmt(v: float) -> str:
@@ -87,7 +89,6 @@ def _escape(text: str) -> str:
 
 
 def render_loglog(series: Sequence[Series], *, title: str = "",
-                  xlabel: str = "-p", ylabel: str = "variance",
                   ref_slope: float | None = None,
                   ref_anchor: tuple[float, float] | None = None,
                   ref_label: str = "",
@@ -153,10 +154,10 @@ def render_loglog(series: Sequence[Series], *, title: str = "",
                f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
                'fill="none" stroke="#333333" stroke-width="1"/>')
     out.append(f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 14)}" '
-               f'font-size="13" text-anchor="middle">{_escape(xlabel)}</text>')
+               f'font-size="13" text-anchor="middle">{_XLABEL}</text>')
     out.append(f'<text x="18" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" font-size="13" '
                f'text-anchor="middle" transform="rotate(-90 18 '
-               f'{_fmt(_MARGIN_TOP + plot_h / 2)})">{_escape(ylabel)}</text>')
+               f'{_fmt(_MARGIN_TOP + plot_h / 2)})">{_YLABEL}</text>')
 
     if ref_slope is not None:
         if ref_anchor is None:
@@ -172,7 +173,7 @@ def render_loglog(series: Sequence[Series], *, title: str = "",
                        f'font-size="11" fill="#555555">{_escape(ref_label)}</text>')
 
     for idx, s in enumerate(series):
-        color = s.color or _PALETTE[idx % len(_PALETTE)]
+        color = _PALETTE[idx % len(_PALETTE)]
         pts = sorted(zip(s.x, s.y, s.yerr or (0.0,) * len(s.x)))
         if s.line and len(pts) > 1:
             path = " ".join(f"{_fmt(px(math.log10(x)))},{_fmt(py(math.log10(y)))}"
@@ -199,7 +200,7 @@ def render_loglog(series: Sequence[Series], *, title: str = "",
     for idx, s in enumerate(series):
         if not s.label:
             continue
-        color = s.color or _PALETTE[idx % len(_PALETTE)]
+        color = _PALETTE[idx % len(_PALETTE)]
         lx = _MARGIN_LEFT + plot_w - 150.0
         out.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(legend_y - 4)}" '
                    f'x2="{_fmt(lx + 22)}" y2="{_fmt(legend_y - 4)}" '

@@ -1,11 +1,13 @@
 """Divergence-rate catalog, sweeps and log-log fitting.
 
 As p approaches 0 from below, the stationary variance either stays
-bounded or diverges like (-p)**s * (-log(-p))**k.  This module holds
-the catalog of predicted pairs (s, k) for the structured drift
-families, generates variance sweeps over p grids, fits the two-slope
-log-log model to sweep data and snaps fitted exponents back onto the
-catalog.
+bounded or diverges like (-p)**s * (-log(-p))**k.  This module is the
+one place that decides a law: the catalog of predicted pairs (s, k) for
+the structured drift families, the convergence and corner rules of
+polynomial coefficient maps, and the law of a symbol seen through a
+window.  It also generates variance sweeps over p grids, fits the
+two-slope log-log model to sweep data and snaps fitted exponents back
+onto the catalog.
 """
 
 from __future__ import annotations
@@ -19,8 +21,27 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .quadrature import TestFunction, VarianceQuery, variance_quadrature
-from .symbols import Symbol, as_multi_index, minimal_support, predicts_convergence
+from .quadrature import (
+    Disc,
+    IndicatorBox,
+    PowerIndicator,
+    QuarterDisc,
+    TestFunction,
+    VarianceQuery,
+    variance_quadrature,
+)
+from .symbols import (
+    FREQUENCY_KINDS,
+    ConvolutionKernel,
+    Polynomial,
+    SwiftHohenberg2D,
+    Symbol,
+    ToolAlpha,
+    as_coefficient_map,
+    as_finite,
+    as_multi_index,
+    minimal_support,
+)
 
 
 @dataclass(frozen=True)
@@ -61,8 +82,8 @@ def law_1d(alpha: float, gamma: float = 0.0) -> ScalingLaw:
     stays bounded, at 1 it diverges logarithmically, above 1 it runs
     like a power with exponent -1 + (1 - 2*gamma)/alpha.
     """
-    alpha = float(alpha)
-    gamma = float(gamma)
+    alpha = as_finite(alpha, "alpha")
+    gamma = as_finite(gamma, "gamma")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if not 0.0 <= gamma < 0.5:
@@ -75,17 +96,6 @@ def law_1d(alpha: float, gamma: float = 0.0) -> ScalingLaw:
     return ScalingLaw(-1.0 + (1.0 - 2.0 * gamma) / alpha, 0)
 
 
-def law_1d_case(alpha: float, gamma: float = 0.0) -> str:
-    """Catalog row identifier matching :func:`law_1d`."""
-    balance = 2.0 * gamma + alpha
-    family = "one-dim power window" if gamma > 0 else "one-dim tool family"
-    if balance < 1.0:
-        return f"{family}, 2*gamma+alpha < 1 (bounded)"
-    if balance == 1.0:
-        return f"{family}, 2*gamma+alpha = 1 (log divergence)"
-    return f"{family}, 2*gamma+alpha > 1 (power divergence)"
-
-
 def law_analytic_1d(coeffs: Mapping, gamma: float = 0.0) -> ScalingLaw:
     """Law for an analytic one-dimensional drift -sum a_m x**m.
 
@@ -93,15 +103,12 @@ def law_analytic_1d(coeffs: Mapping, gamma: float = 0.0) -> ScalingLaw:
     root the drift behaves like -a_m x**m, so the rate is the tool-law
     with alpha = m (and the window exponent ``gamma``).
     """
-    orders = {}
-    for key, a in coeffs.items():
-        idx = as_multi_index(key)
-        if len(idx) != 1:
-            raise ValueError("the analytic law applies to one-dimensional coefficient maps")
-        if idx[0] == 0 and float(a) != 0.0:
-            raise ValueError("constant terms are not allowed, f must vanish at the root")
-        orders[idx[0]] = float(a)
-    nonzero = [m for m, a in orders.items() if a != 0.0]
+    terms = as_coefficient_map(coeffs)
+    if len(next(iter(terms))) != 1:
+        raise ValueError("the analytic law applies to one-dimensional coefficient maps")
+    if terms.get((0,), 0.0) != 0.0:
+        raise ValueError("constant terms are not allowed, f must vanish at the root")
+    nonzero = [j[0] for j, a in terms.items() if a != 0.0]
     if not nonzero:
         raise ValueError("coefficient map has no nonzero entries")
     return law_1d(float(min(nonzero)), gamma)
@@ -131,20 +138,6 @@ def law_upper_bound(j) -> ScalingLaw:
     return ScalingLaw(-1.0 + 1.0 / i_max, repeats - 1)
 
 
-def law_upper_bound_case(j) -> str:
-    idx = as_multi_index(j)
-    comps = sorted(c for c in idx if c > 0)
-    if not comps:
-        return "no bifurcation (bounded)"
-    i_max = comps[-1]
-    if i_max == 1:
-        return f"corner bound, all indices 1 (log power {len(comps)})"
-    repeats = comps.count(i_max)
-    if repeats == 1:
-        return f"corner bound, distinct top index {i_max}"
-    return f"corner bound, top index {i_max} repeated {repeats} times"
-
-
 def _law_sort_key(law: ScalingLaw):
     # tightest bound first: largest s, then fewest logarithms
     return (law.s, -law.k)
@@ -164,6 +157,21 @@ def best_upper_bound(cplus: Iterable) -> ScalingLaw:
     return max(laws, key=_law_sort_key)
 
 
+def predicts_convergence(coeffs: Mapping) -> bool:
+    """Convergence test for multi-variable polynomial drifts.
+
+    Returns True when at least two distinct unit multi-indices (a single
+    1, all other components 0) carry strictly positive coefficients.
+    Two independent linear directions of contact are enough to keep the
+    stationary variance bounded as p approaches 0 from below, whatever
+    the remaining terms do.
+    """
+    terms = as_coefficient_map(coeffs)
+    if len(next(iter(terms))) < 2:
+        raise ValueError("the convergence test needs at least two variables")
+    return sum(1 for j, a in terms.items() if sum(j) == 1 and a > 0.0) >= 2
+
+
 def polynomial_law(coeffs: Mapping) -> ScalingLaw:
     """Predicted law for a polynomial drift from its coefficient map.
 
@@ -173,15 +181,81 @@ def polynomial_law(coeffs: Mapping) -> ScalingLaw:
     over the minimal support is returned (an upper bound, not always
     attained).
     """
-    keys = [as_multi_index(k) for k in coeffs]
-    if not keys:
-        raise ValueError("coefficient map is empty")
-    dim = len(keys[0])
-    if dim == 1:
-        return law_analytic_1d(coeffs)
-    if predicts_convergence(coeffs):
+    terms = as_coefficient_map(coeffs)
+    if len(next(iter(terms))) == 1:
+        return law_analytic_1d(terms)
+    if predicts_convergence(terms):
         return ScalingLaw.bounded()
-    return best_upper_bound(minimal_support(coeffs))
+    return best_upper_bound(minimal_support(terms))
+
+
+# ---------------------------------------------------------------------------
+# the law of a symbol seen through a window
+
+
+class LawUnavailableError(RuntimeError):
+    """No closed-form law for this symbol; fit a sweep instead."""
+
+
+def covers_zero_set(symbol: Symbol, ghat: TestFunction) -> bool:
+    """Whether the window touches the symbol's zero set.
+
+    If it does not, the resolvent integrand stays bounded as p -> 0-
+    and the variance converges regardless of the divergence law the
+    family would otherwise follow.  One-dimensional symbols take box or
+    power windows and report their zeros in the window's interval; the
+    planar pattern multiplier takes a disc or a quarter disc, which meets
+    |k| = 1 once its radius reaches 1.
+    """
+    if symbol.dim == 1 and isinstance(ghat, (IndicatorBox, PowerIndicator)):
+        lo, hi = (0.0, ghat.eps) if isinstance(ghat, PowerIndicator) else (ghat.lo[0], ghat.hi[0])
+        return len(symbol.zeros_in(float(lo), float(hi))) > 0
+    if isinstance(symbol, SwiftHohenberg2D) and isinstance(ghat, (Disc, QuarterDisc)):
+        return ghat.radius >= 1.0
+    raise ValueError(f"no zero-set rule for a {symbol.kind} symbol with a {ghat.kind} window")
+
+
+def predicted_law(symbol: Symbol, g: TestFunction | None = None) -> ScalingLaw:
+    """Catalog law for a symbol seen through a window.
+
+    Polynomials in several variables take the corner law of their
+    coefficient map, which holds on a box whose closed extent holds the
+    root; any other window has no catalog law.  In one dimension a
+    window that misses the zero set keeps the variance bounded;
+    otherwise the tool family, the power multiplier -k**(2m) (alpha =
+    2m) and polynomials (alpha = the least order) follow the
+    one-dimensional law, with the exponent gamma of a power window whose
+    singular end x = 0 is the root.  The planar ring multiplier is
+    bounded on a disc of radius below 1.  Both pattern-forming
+    multipliers vanish quadratically across their zero set, and
+    integrating across it (after the radial reduction in the plane)
+    gives the square-root divergence.  Sampled kernels carry no
+    expansion around their zeros and the remaining kinds no catalog
+    row, so no law is offered; fit a sweep instead.
+    """
+    if isinstance(symbol, Polynomial) and symbol.dim > 1:
+        if g is not None and not (isinstance(g, IndicatorBox) and g(symbol.root) > 0):
+            raise LawUnavailableError(
+                "the corner law of a polynomial needs a box window that holds its root; "
+                "run a sweep and use fit_loglog"
+            )
+        return polynomial_law(symbol.coeffs)
+    if not isinstance(symbol, (ToolAlpha, Polynomial) + FREQUENCY_KINDS):
+        raise LawUnavailableError(f"no catalog law for {symbol.kind} symbols")
+    if g is not None and not covers_zero_set(symbol, g):
+        return ScalingLaw.bounded()
+    # x**(-gamma) shifts the law only where its singular end meets the root
+    gamma = g.gamma if isinstance(g, PowerIndicator) and symbol.root[0] == 0.0 else 0.0
+    if isinstance(symbol, Polynomial):
+        return law_analytic_1d(symbol.coeffs, gamma)
+    if isinstance(symbol, ToolAlpha):
+        return law_1d(symbol.alpha, gamma)
+    if isinstance(symbol, ConvolutionKernel):
+        raise LawUnavailableError(
+            "sampled kernels have no expansion around their zero set; "
+            "run a sweep and use fit_loglog"
+        )
+    return ScalingLaw(-0.5, 0)
 
 
 # ---------------------------------------------------------------------------

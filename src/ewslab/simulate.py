@@ -193,22 +193,6 @@ def _drift_vector(config: SimConfig, values: np.ndarray | None = None) -> np.nda
     return drift
 
 
-def _auto_burn_in(config: SimConfig, drift: np.ndarray, support: np.ndarray) -> int:
-    # run until the slowest window mode has forgotten its start:
-    # exp(2 * lam_max * t) < 1e-4
-    lam_max = float(np.max(drift[support]))
-    t_relax = math.log(1e4) / (2.0 * abs(lam_max))
-    return min(int(math.ceil(t_relax / config.dt)), config.nt - 1)
-
-
-def _batch_count(config: SimConfig, drift: np.ndarray, support: np.ndarray, n_kept: int) -> int:
-    # cap the batch count so each batch spans several correlation times
-    lam_max = float(np.max(drift[support]))
-    tau_steps = max(1.0 / (abs(lam_max) * config.dt), 1.0)
-    by_correlation = int(n_kept / (5.0 * tau_steps))
-    return int(min(config.batches, max(2, by_correlation)))
-
-
 def predict_discrete_variance(config: SimConfig) -> float:
     """Exact stationary variance of the discretized window observable.
 
@@ -277,17 +261,24 @@ def _check_shared(configs) -> None:
 
 
 def _schedule(config: SimConfig, values, support) -> tuple[int, int]:
-    """Burn-in and batch count of one config."""
-    drift = _drift_vector(config, values)
-    burn = config.burn_in if config.burn_in is not None else _auto_burn_in(config, drift, support)
+    """Burn-in and batch count of one config.
+
+    Both follow the slowest window mode, the support drift lam_max
+    nearest 0.  The automatic burn-in runs until that mode has forgotten
+    its start, exp(2 * lam_max * t) < 1e-4; the batch count is capped so
+    each batch spans several of its correlation times 1/|lam_max|.
+    """
+    lam_max = float(np.max(_drift_vector(config, values)[support]))
+    relax_steps = int(math.ceil(math.log(1e4) / (2.0 * abs(lam_max)) / config.dt))
+    burn = config.burn_in if config.burn_in is not None else min(relax_steps, config.nt - 1)
     n_kept = config.nt - burn
     if n_kept < 10:
-        lam_max = float(np.max(drift[support]))
-        need = int(math.ceil(math.log(1e4) / (2.0 * abs(lam_max)) / config.dt)) + 10
         raise ValueError(
             f"fewer than 10 recorded steps after burn-in; the slowest window "
-            f"mode relaxes at rate {lam_max:g}, raise nt to at least {need}")
-    return burn, _batch_count(config, drift, support, n_kept)
+            f"mode relaxes at rate {lam_max:g}, raise nt to at least {relax_steps + 10}")
+    tau_steps = max(1.0 / (abs(lam_max) * config.dt), 1.0)
+    by_correlation = int(n_kept / (5.0 * tau_steps))
+    return burn, int(min(config.batches, max(2, by_correlation)))
 
 
 def _estimate(series: np.ndarray, n_batches: int) -> VarianceEstimate:

@@ -58,6 +58,26 @@ def as_finite(value, name: str):
     return arr if arr.ndim else float(arr)
 
 
+def as_coefficient_map(coeffs: Mapping) -> dict[MultiIndex, float]:
+    """``coeffs`` as {multi-index: finite float}; every reader of coefficient maps uses it.
+
+    Keys go through :func:`as_multi_index`; the map must be nonempty,
+    name each multi-index once and give every one the same length.
+    """
+    terms = {}
+    for j, a in coeffs.items():
+        idx = as_multi_index(j)
+        a = as_finite(a, "coefficients")
+        if idx in terms:
+            raise ValueError(f"duplicate multi-index {idx}")
+        terms[idx] = a
+    if not terms:
+        raise ValueError("coefficient map is empty")
+    if len({len(j) for j in terms}) != 1:
+        raise ValueError("all multi-indices must have the same number of components")
+    return terms
+
+
 def _as_point(value, dim: int) -> np.ndarray:
     arr = np.atleast_1d(as_finite(value, "coordinates"))
     if arr.shape != (dim,):
@@ -267,19 +287,8 @@ class Polynomial(Symbol):
     fields = ("coeffs", "root", "domain")
 
     def __init__(self, coeffs: Mapping, root=None, domain=None):
-        terms = {}
-        for j, a in coeffs.items():
-            idx = as_multi_index(j)
-            a = as_finite(a, "coefficients")
-            if idx in terms:
-                raise ValueError(f"duplicate multi-index {idx}")
-            terms[idx] = a
-        if not terms:
-            raise ValueError("coefficient map is empty")
-        dims = {len(j) for j in terms}
-        if len(dims) != 1:
-            raise ValueError("all multi-indices must have the same number of components")
-        self.dim = dims.pop()
+        terms = as_coefficient_map(coeffs)
+        self.dim = len(next(iter(terms)))
         if all(a == 0.0 for a in terms.values()):
             raise ValueError("coefficient map has no nonzero entries")
         if any(sum(j) == 0 for j in terms):
@@ -591,6 +600,9 @@ class ConvolutionKernel(Symbol):
         return f"ConvolutionKernel(n={self.samples.size}, spacing={self.spacing})"
 
 
+FREQUENCY_KINDS = (PowerWavenumber, SwiftHohenberg1D, SwiftHohenberg2D, ConvolutionKernel)
+
+
 class CustomSymbol(Symbol):
     """Wrapper around an arbitrary real-valued callable.
 
@@ -667,37 +679,12 @@ def minimal_support(coeffs: Mapping) -> frozenset[MultiIndex]:
     suffices: a dominator always has total degree at most that of the
     dominated index, and equal-degree indices never dominate each other.
     """
-    entries = [as_multi_index(j) for j, a in coeffs.items() if float(a) != 0.0]
+    entries = [j for j, a in as_coefficient_map(coeffs).items() if a != 0.0]
     if not entries:
         raise ValueError("coefficient map has no nonzero entries")
-    dims = {len(j) for j in entries}
-    if len(dims) != 1:
-        raise ValueError("all multi-indices must have the same number of components")
     entries.sort(key=lambda j: (sum(j), j))
     minima: list[MultiIndex] = []
     for j in entries:
         if not any(all(md <= jd for md, jd in zip(m, j)) for m in minima):
             minima.append(j)
     return frozenset(minima)
-
-
-def predicts_convergence(coeffs: Mapping) -> bool:
-    """Convergence test for multi-variable polynomial drifts.
-
-    Returns True when at least two distinct unit multi-indices (a single
-    1, all other components 0) carry strictly positive coefficients.
-    Two independent linear directions of contact are enough to keep the
-    stationary variance bounded as p approaches 0 from below, whatever
-    the remaining terms do.
-    """
-    entries = {as_multi_index(j): float(a) for j, a in coeffs.items()}
-    if not entries:
-        raise ValueError("coefficient map is empty")
-    dims = {len(j) for j in entries}
-    if len(dims) != 1:
-        raise ValueError("all multi-indices must have the same number of components")
-    dim = dims.pop()
-    if dim < 2:
-        raise ValueError("the convergence test needs at least two variables")
-    units = sum(1 for j, a in entries.items() if sum(j) == 1 and a > 0.0)
-    return units >= 2

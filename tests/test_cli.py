@@ -1,13 +1,18 @@
 """Command-line interface: parsing, outputs, manifests, exit codes."""
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewslab import cli
 from ewslab.cli import main, parse_symbol, parse_window
@@ -110,6 +115,56 @@ def test_laws_output_is_pinned(argv, line, capsys):
 def test_laws_degenerate_indices_is_usage_error(capsys):
     assert main(["laws", "nd", "--indices", "0,0"]) == 2
     assert "no bifurcation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_laws_rejects_non_finite_input(flag, value, capsys):
+    assert main(["laws", "1d", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag[2:]} must be finite" in captured.err
+
+
+def _laws_line(argv):
+    """(s, k, convergent, label) of one ``laws`` line, parsed back."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["laws", *argv]) == 0
+    m = re.fullmatch(r"s=(\S+) k=(\d+) convergent=(True|False)  \[(.*)\]\n", out.getvalue())
+    return float(m[1]), int(m[2]), m[3] == "True", m[4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 8.0, exclude_min=True), st.floats(0.0, 0.5, exclude_max=True))
+def test_one_dim_label_names_the_regime_of_the_printed_law(alpha, gamma):
+    s, k, convergent, case = _laws_line(["1d", f"--alpha={alpha!r}", f"--gamma={gamma!r}"])
+    family = "one-dim power window" if gamma > 0 else "one-dim tool family"
+    balance = 2.0 * gamma + alpha
+    if convergent:
+        assert balance < 1.0 and case == f"{family}, 2*gamma+alpha < 1 (bounded)"
+    elif (s, k) == (0.0, 1):
+        assert balance == 1.0 and case == f"{family}, 2*gamma+alpha = 1 (log divergence)"
+    else:
+        assert balance > 1.0 and s < 0.0 and k == 0
+        assert case == f"{family}, 2*gamma+alpha > 1 (power divergence)"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=4).filter(any))
+def test_corner_label_matches_the_printed_law(j):
+    s, k, convergent, case = _laws_line(["nd", "--indices", ",".join(map(str, j))])
+    top = max(j)
+    repeats = j.count(top)
+    assert not convergent
+    if top == 1:
+        assert (s, k) == (0.0, repeats)
+        assert case == f"corner bound, all indices 1 (log power {repeats})"
+        return
+    # s = -1 + 1/top, printed to six significant digits; one logarithm per extra repeat
+    assert s == pytest.approx(-1.0 + 1.0 / top, rel=1e-5) and k == repeats - 1
+    row = f"distinct top index {top}" if repeats == 1 else f"top index {top} repeated {repeats} times"
+    assert case == f"corner bound, {row}"
 
 
 def test_sweep_writes_monotone_csv_and_manifest(tmp_path):
@@ -245,6 +300,28 @@ def test_compare_reference_line_uses_the_window(tmp_path):
                  "--n", "49", "--nt", "3000", "--dt", "0.05",
                  "--replicas", "2", "--out", str(out)]) == 0
     assert "reference slope -0.5<" in (out / "compare.svg").read_text()
+
+
+@pytest.mark.parametrize("box, reference", [
+    ("0,1,0,1", "reference slope -0.5<"),
+    # x**2 + y**2 stays bounded on [1/2, 1]**2: no corner law, no line
+    ("0.5,1,0.5,1", None),
+])
+def test_compare_reference_line_of_a_polynomial_needs_the_root_in_the_box(
+        tmp_path, box, reference):
+    poly = tmp_path / "bowl.json"
+    poly.write_text(json.dumps(Polynomial({(2, 0): 1.0, (0, 2): 1.0}).to_dict()))
+    assert main(["compare", "--symbol", f"poly:{poly}", "--g", f"box:{box}",
+                 "--p-decades", "-8:-2", "--points", "24",
+                 "--sim-points", "2", "--sim-decades", "-1:0",
+                 "--n", "15", "--nt", "2000", "--dt", "0.05",
+                 "--replicas", "2", "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "compare.svg").read_text()
+    assert "fitted slope" in svg
+    if reference is None:
+        assert "reference slope" not in svg
+    else:
+        assert reference in svg
 
 
 def test_compare_checks_the_fit_window_before_simulating(tmp_path, monkeypatch, capsys):

@@ -31,11 +31,12 @@ def test_render_is_byte_deterministic():
 
 def test_render_contains_expected_elements():
     text = render_loglog(
-        [_demo_series()], title="growth", xlabel="-p", ylabel="variance",
+        [_demo_series()], title="growth",
         ref_slope=-0.5, ref_anchor=(1e-4, 10.0), ref_label="slope -1/2",
         annotations=["fitted slope -0.50 ± 0.01"],
     )
     assert "growth" in text
+    assert ">-p</text>" in text and ">variance</text>" in text  # the fixed axis labels
     assert "polyline" in text
     assert "circle" in text
     assert "stroke-dasharray" in text  # the reference line

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ewslab.quadrature import IndicatorBox, VarianceQuery, variance_quadrature
 from ewslab.scaling import (
     FitResult,
+    LawUnavailableError,
     ScalingLaw,
     SweepResult,
     best_upper_bound,
@@ -16,15 +17,15 @@ from ewslab.scaling import (
     default_exponent_candidates,
     fit_loglog,
     law_1d,
-    law_1d_case,
     law_analytic_1d,
     law_upper_bound,
-    law_upper_bound_case,
     log_spaced_p,
     polynomial_law,
+    predicted_law,
+    predicts_convergence,
     quadrature_sweep,
 )
-from ewslab.symbols import Polynomial, ToolAlpha
+from ewslab.symbols import Polynomial, ToolAlpha, minimal_support
 
 
 def test_scaling_law_validation():
@@ -54,12 +55,6 @@ def test_one_dim_weighted_window_law():
     assert law_1d(0.5, gamma=0.25) == ScalingLaw(0.0, 1, False)  # balance 1
 
 
-def test_one_dim_case_labels_cover_three_regimes():
-    assert "bounded" in law_1d_case(0.5)
-    assert "log" in law_1d_case(1.0)
-    assert "power" in law_1d_case(2.0)
-
-
 def test_analytic_law_uses_least_nonzero_order():
     assert law_analytic_1d({(1,): 2.0}) == ScalingLaw(0.0, 1, False)
     assert law_analytic_1d({(3,): 1.0, (5,): 7.0}) == ScalingLaw(-1.0 + 1.0 / 3.0, 0, False)
@@ -83,11 +78,6 @@ def test_corner_bound_reduces_zero_axes_first():
     assert law_upper_bound((0, 1, 0)) == ScalingLaw(0.0, 1, False)
     with pytest.raises(ValueError, match="no bifurcation"):
         law_upper_bound((0, 0))
-
-
-def test_corner_bound_case_labels():
-    assert "all indices 1" in law_upper_bound_case((1, 1))
-    assert "repeated" in law_upper_bound_case((3, 3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,6 +108,41 @@ def test_best_upper_bound_takes_slowest_divergence():
 
 def test_best_upper_bound_all_zero_is_bounded():
     assert best_upper_bound([(0, 0)]) == ScalingLaw.bounded()
+
+
+@pytest.mark.parametrize("reader", [Polynomial, minimal_support, predicts_convergence,
+                                    polynomial_law, law_analytic_1d])
+@pytest.mark.parametrize("coeffs, message", [
+    ({}, "coefficient map is empty"),
+    ({(1, 0): 1.0, (0, 1): math.nan}, "must be finite"),
+    ({(1, 0): 1.0, (0, 1): math.inf}, "must be finite"),
+    ({(1, 0): 1.0, (0, 1, 0): 0.0}, "same number of components"),
+])
+def test_coefficient_maps_share_one_reader(reader, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        reader(coeffs)
+
+
+def test_coefficient_readers_reject_a_repeated_index():
+    # the bare order 2 and the tuple (2,) name one multi-index
+    for reader in (minimal_support, predicts_convergence, polynomial_law, law_analytic_1d,
+                   Polynomial):
+        with pytest.raises(ValueError, match="duplicate multi-index"):
+            reader({2: 1.0, (2,): 3.0})
+
+
+def test_polynomial_corner_law_needs_a_box_that_holds_the_root():
+    bowl = Polynomial({(2, 0): 1.0, (0, 2): 1.0}, domain=((-1.0, -1.0), (1.0, 1.0)))
+    for window in (IndicatorBox((0.0, 0.0), (1.0, 1.0)), IndicatorBox((-1.0, -1.0), (1.0, 1.0)),
+                   IndicatorBox((-1.0, 0.0), (0.0, 0.5))):
+        assert predicted_law(bowl, window) == polynomial_law(bowl.coeffs)
+    assert predicted_law(bowl) == polynomial_law(bowl.coeffs)
+    cross = Polynomial({(1, 1): 1.0})
+    # bounded away from the root; x*y on [0,1]x[1/2,1] is a logarithm in x alone
+    for symbol, window in ((bowl, IndicatorBox((0.5, 0.5), (1.0, 1.0))),
+                           (cross, IndicatorBox((0.0, 0.5), (1.0, 1.0)))):
+        with pytest.raises(LawUnavailableError, match="box window that holds its root"):
+            predicted_law(symbol, window)
 
 
 def test_polynomial_law_routes():

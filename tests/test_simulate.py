@@ -18,10 +18,9 @@ from ewslab.simulate import (
     Mesh,
     SimConfig,
     VarianceEstimate,
-    _auto_burn_in,
-    _batch_count,
     _drift_vector,
     _lumped_chains,
+    _schedule,
     _steps_per_block,
     _symbol_values,
     predict_discrete_variance,
@@ -287,7 +286,7 @@ def _reference_run(config):
     lam, group = np.unique(drift[idx], return_inverse=True)
     scale = np.sqrt(np.bincount(group, w ** 2))
     n_kept = config.nt - config.burn_in
-    n_batches = _batch_count(config, drift, idx, n_kept)
+    _, n_batches = _schedule(config, _symbol_values(config), idx)
     means, variances, errs = [], [], []
     for replica in range(config.replicas):
         seq = np.random.SeedSequence(config.seed, spawn_key=(replica,))
@@ -422,8 +421,7 @@ def test_run_sweep_equals_run_per_p(dim, rank, replicas, burns):
                          replicas=replicas, seed=11, noise=noise, batches=4)
                for p, b in zip(ps, explicit)]
     idx, _ = projection_weights(g, mesh)
-    actual = [c.burn_in if c.burn_in is not None else _auto_burn_in(c, _drift_vector(c), idx)
-              for c in configs]
+    actual = [_schedule(c, _symbol_values(c), idx)[0] for c in configs]
     assert [b // chunk for b in actual] == [0, 1, 2] and all(b % chunk for b in actual)
     assert run_sweep(configs) == [run(c) for c in configs]
 

@@ -6,15 +6,16 @@ import pytest
 from scipy import integrate
 
 from ewslab.quadrature import Disc, IndicatorBox, PowerIndicator, QuarterDisc, VarianceQuery
-from ewslab.scaling import ScalingLaw, fit_loglog, log_spaced_p, polynomial_law
-from ewslab.spectral import (
+from ewslab.scaling import (
     LawUnavailableError,
+    ScalingLaw,
     covers_zero_set,
+    fit_loglog,
+    log_spaced_p,
+    polynomial_law,
     predicted_law,
-    predicted_spectral_law,
-    spectral_sweep,
-    variance_spectral,
 )
+from ewslab.spectral import predicted_spectral_law, spectral_sweep, variance_spectral
 from ewslab.symbols import (
     ConvolutionKernel,
     Piecewise,

@@ -21,9 +21,9 @@ from ewslab.symbols import (
     Zero,
     as_multi_index,
     minimal_support,
-    predicts_convergence,
     real_part_symbol,
 )
+from ewslab.scaling import predicts_convergence
 
 
 def test_as_multi_index_accepts_bare_int_and_tuples():
