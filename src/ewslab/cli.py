@@ -3,9 +3,10 @@
 Subcommands cover law lookup, variance sweeps, log-log fitting, SPDE
 simulation, quadrature/simulation comparison, frequency-space sweeps,
 and the resolvent-integral self check.  Every invocation that writes
-files also writes a JSON run manifest alongside them recording the
-resolved parameters, the seed, and the produced paths, so any output
-can be regenerated byte-for-byte with ``--config MANIFEST``.
+files also writes a JSON run manifest alongside them recording every
+parsed flag but ``--out``, ``--config`` and ``--seed``, the seed itself,
+and the produced file names, so any output can be regenerated
+byte-for-byte with ``--config MANIFEST``.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical
 failure.
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .noise import build_noise_model
-from .plotting import Series, sweep_series, write_loglog
+from .plotting import Series, render_loglog, sweep_series
 from .quadrature import (
     Disc,
     IndicatorBox,
@@ -44,7 +45,8 @@ from .scaling import (
     predicted_law,
     quadrature_sweep,
 )
-from .simulate import Mesh, SimConfig, predict_discrete_variance, run, run_sweep
+from .simulate import (Mesh, SimConfig, predict_discrete_variance, projection_weights,
+                       run, run_sweep)
 from .spectral import predicted_spectral_law, spectral_sweep
 from .symbols import (
     FREQUENCY_KINDS,
@@ -150,24 +152,32 @@ def parse_decades(text: str) -> tuple[int, int]:
 
 
 # --------------------------------------------------------------------------
-# manifests
+# outputs and manifests
 
-def _write_manifest(out_dir: str, command: str, params: dict, seed: int,
-                    outputs: list[str], started: float, prefix: str) -> str:
+# parsed attributes that are not run parameters; the seed has its own field
+_NOT_PARAMS = frozenset({"command", "func", "_started", "config", "out", "seed"})
+
+
+def _emit(args, command: str, texts: dict[str, str], stem: str | None = None) -> int:
+    """Write each ``{file name: text}`` into ``--out``, then the run manifest."""
     manifest = {
         "tool": "ewslab",
         "version": __version__,
         "command": command,
-        "params": params,
-        "seed": seed,
-        "outputs": [os.path.basename(p) for p in outputs],
-        "duration_s": round(time.monotonic() - started, 3),
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
+        "seed": args.seed,
+        "outputs": list(texts),
+        "duration_s": round(time.monotonic() - args._started, 3),
     }
-    path = os.path.join(out_dir, f"{prefix}_manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    texts = {**texts, f"{stem or args.prefix}_manifest.json":
+             json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in texts.items():
+        path = os.path.join(args.out, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    return 0
 
 
 def _load_config(path: str) -> dict:
@@ -180,16 +190,6 @@ def _load_config(path: str) -> dict:
         seed = {"seed": data["seed"]} if "seed" in data else {}
         data = {**data["params"], **seed}
     return {str(k).replace("-", "_"): v for k, v in data.items()}
-
-
-def _resolved_params(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
-def _prepare_out(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -226,23 +226,13 @@ def cmd_laws(args) -> int:
     return 0
 
 
-def _emit_sweep(args, sweep: SweepResult, params: dict, command: str) -> int:
-    out_dir = _prepare_out(args)
-    started = args._started
-    csv_path = os.path.join(out_dir, f"{args.prefix}.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(sweep.to_csv())
-    outputs = [csv_path]
+def _sweep_texts(args, command: str, sweep: SweepResult) -> dict[str, str]:
+    """The sweep CSV and, with ``--svg``, its figure."""
+    texts = {f"{args.prefix}.csv": sweep.to_csv()}
     if args.svg:
-        svg_path = os.path.join(out_dir, f"{args.prefix}.svg")
-        write_loglog(svg_path, [sweep_series(sweep)],
-                     title=f"{command}: {params.get('symbol', '')}")
-        outputs.append(svg_path)
-    outputs.append(_write_manifest(out_dir, command, params, args.seed,
-                                   outputs, started, args.prefix))
-    for path in outputs:
-        print(f"wrote {path}")
-    return 0
+        texts[f"{args.prefix}.svg"] = render_loglog([sweep_series(sweep)],
+                                                    title=f"{command}: {args.symbol}")
+    return texts
 
 
 def cmd_sweep(args) -> int:
@@ -253,8 +243,7 @@ def cmd_sweep(args) -> int:
     sweep = quadrature_sweep(symbol, g, ps, sigma=args.sigma,
                              threads=args.threads, rel_tol=args.rel_tol,
                              dt=args.dt)
-    keys = ["symbol", "g", "p_decades", "points", "sigma", "rel_tol", "dt", "prefix", "svg"]
-    return _emit_sweep(args, sweep, _resolved_params(args, keys), "sweep")
+    return _emit(args, "sweep", _sweep_texts(args, "sweep", sweep))
 
 
 def cmd_spectral(args) -> int:
@@ -271,8 +260,7 @@ def cmd_spectral(args) -> int:
         print(f"predicted law: s={law.s:g} k={law.k} convergent={law.convergent}")
     except LawUnavailableError as exc:
         print(f"predicted law: unavailable ({exc})")
-    keys = ["symbol", "g", "p_decades", "points", "sigma", "rel_tol", "prefix", "svg"]
-    return _emit_sweep(args, sweep, _resolved_params(args, keys), "spectral")
+    return _emit(args, "spectral", _sweep_texts(args, "spectral", sweep))
 
 
 def cmd_fit(args) -> int:
@@ -284,7 +272,11 @@ def cmd_fit(args) -> int:
         window = (10.0 ** lo, 10.0 ** hi)
     fit = fit_loglog(sweep, window=window)
     law = classify(fit.s, fit.k)
-    out_dir = _prepare_out(args)
+    print(fit)
+    if law is not None:
+        print(f"classified: s={law.s:g} k={law.k} convergent={law.convergent}")
+    else:
+        print("classified: no catalog match")
     summary = {
         "s": fit.s, "k": fit.k, "c": fit.c,
         "s_err": fit.s_err, "k_err": fit.k_err,
@@ -294,33 +286,17 @@ def cmd_fit(args) -> int:
         "source": sweep.source,
         "points": len(sweep.ps),
     }
-    json_path = os.path.join(out_dir, f"{args.prefix}_fit.json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs = [json_path]
+    stem = f"{args.prefix}_fit"
+    texts = {f"{stem}.json": json.dumps(summary, indent=2, sort_keys=True) + "\n"}
     if args.svg:
-        svg_path = os.path.join(out_dir, f"{args.prefix}_fit.svg")
         qs = [-p for p in sweep.ps]
         fitted = [math.exp(fit.c) * q ** fit.s * (-math.log(q)) ** fit.k for q in qs]
-        write_loglog(svg_path,
-                     [sweep_series(sweep, label=sweep.source),
-                      Series(tuple(qs), tuple(fitted), label="fit",
-                             markers=False)],
-                     title="log-log fit",
-                     annotations=[f"fitted slope {fit.s:.2f} ± {fit.s_err:.2f}"])
-        outputs.append(svg_path)
-    keys = ["csv", "window", "prefix", "svg"]
-    outputs.append(_write_manifest(out_dir, "fit", _resolved_params(args, keys),
-                                   args.seed, outputs, args._started, f"{args.prefix}_fit"))
-    print(fit)
-    if law is not None:
-        print(f"classified: s={law.s:g} k={law.k} convergent={law.convergent}")
-    else:
-        print("classified: no catalog match")
-    for path in outputs:
-        print(f"wrote {path}")
-    return 0
+        texts[f"{stem}.svg"] = render_loglog(
+            [sweep_series(sweep, label=sweep.source),
+             Series(tuple(qs), tuple(fitted), label="fit", markers=False)],
+            title="log-log fit",
+            annotations=[f"fitted slope {fit.s:.2f} ± {fit.s_err:.2f}"])
+    return _emit(args, "fit", texts, stem=stem)
 
 
 def _sim_configs(args, symbol, g, ps) -> list[SimConfig]:
@@ -328,8 +304,7 @@ def _sim_configs(args, symbol, g, ps) -> list[SimConfig]:
     mesh = Mesh(args.half_width, args.n, symbol.dim)
     noise = None
     if args.noise_rank is not None:
-        weights = g(mesh.grid())
-        support = np.flatnonzero(weights > 0)
+        support = projection_weights(g, mesh)[0]
         noise = build_noise_model(mesh.size, support, m=args.noise_rank,
                                   seed=args.seed)
     return [SimConfig(symbol=symbol, g=g, p=p, mesh=mesh, dt=args.dt,
@@ -350,10 +325,7 @@ def cmd_simulate(args) -> int:
     print(f"variance {estimate.variance!r} stderr {estimate.stderr!r} "
           f"(predicted discrete {predicted!r}, "
           f"effective samples {estimate.effective_samples})")
-    keys = ["symbol", "g", "p", "half_width", "n", "dt", "nt", "sigma",
-            "replicas", "burn_in", "batches", "noise_rank", "unweighted",
-            "prefix", "svg"]
-    return _emit_sweep(args, sweep, _resolved_params(args, keys), "simulate")
+    return _emit(args, "simulate", _sweep_texts(args, "simulate", sweep))
 
 
 def cmd_compare(args) -> int:
@@ -384,15 +356,6 @@ def cmd_compare(args) -> int:
     sim = SweepResult(sim_ps, [e.variance for e in estimates],
                       [e.stderr for e in estimates], "simulation")
 
-    out_dir = _prepare_out(args)
-    outputs = []
-    for tag, sweep in (("quadrature", quad), ("simulation", sim)):
-        path = os.path.join(out_dir, f"{args.prefix}_{tag}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(sweep.to_csv())
-        outputs.append(path)
-
-    svg_path = os.path.join(out_dir, f"{args.prefix}.svg")
     series = [sweep_series(quad, label="quadrature"),
               sweep_series(sim, label="simulation", line=False)]
     annotation = f"fitted slope {fit.s:.2f} ± {fit.s_err:.2f}"
@@ -401,20 +364,13 @@ def cmd_compare(args) -> int:
         anchor = (-quad.ps[0], quad.values[0])
         ref_kwargs = {"ref_slope": law.s, "ref_anchor": anchor,
                       "ref_label": f"reference slope {law.s:g}"}
-    write_loglog(svg_path, series, title=f"compare: {args.symbol}",
-                 annotations=[annotation], **ref_kwargs)
-    outputs.append(svg_path)
-
-    keys = ["symbol", "g", "p_decades", "points", "sim_points", "sim_decades",
-            "half_width", "n", "dt", "nt", "sigma", "replicas", "burn_in",
-            "batches", "noise_rank", "unweighted", "prefix"]
-    outputs.append(_write_manifest(out_dir, "compare",
-                                   _resolved_params(args, keys), args.seed,
-                                   outputs, args._started, args.prefix))
     print(annotation)
-    for path in outputs:
-        print(f"wrote {path}")
-    return 0
+    return _emit(args, "compare", {
+        f"{args.prefix}_quadrature.csv": quad.to_csv(),
+        f"{args.prefix}_simulation.csv": sim.to_csv(),
+        f"{args.prefix}.svg": render_loglog(series, title=f"compare: {args.symbol}",
+                                            annotations=[annotation], **ref_kwargs),
+    })
 
 
 def cmd_appendix_check(args) -> int:
@@ -422,6 +378,8 @@ def cmd_appendix_check(args) -> int:
     q = args.q
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
+    if not 0 < args.tol < math.inf:
+        raise ValueError("tol must be a finite positive number")
     worst = 0.0
     for m in ms:
         value = appendix_c_integral(m, q)
@@ -471,15 +429,17 @@ def _add_sim_args(sub):
                      help="project with raw window values, no cell volume")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--config", default=None,
-                        help="JSON file (bare params or a run manifest)")
-    common.add_argument("--prefix", default=None, help="output file stem")
-    common.add_argument("--svg", action="store_true", help="also write a figure")
+def _add_file_args(sub, prefix: str):
+    # only the subcommands that write files take these
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out", default=".", help="output directory")
+    sub.add_argument("--config", default=None,
+                     help="JSON file (bare params or a run manifest)")
+    sub.add_argument("--prefix", default=prefix, help="output file stem")
+    sub.add_argument("--svg", action="store_true", help="also write a figure")
 
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ewslab",
         description="Variance scaling laws near bifurcation: quadrature, "
@@ -488,48 +448,47 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                         version=f"ewslab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    laws = subs.add_parser("laws", parents=[common],
-                           help="look up a catalog scaling law")
+    laws = subs.add_parser("laws", help="look up a catalog scaling law")
     laws.add_argument("family", choices=["1d", "nd"])
     laws.add_argument("--alpha", type=float, default=2.0)
     laws.add_argument("--gamma", type=float, default=0.0)
     laws.add_argument("--indices", default="1,1",
                       help="comma-separated monomial orders")
-    laws.set_defaults(func=cmd_laws, default_prefix="laws")
+    laws.set_defaults(func=cmd_laws)
 
-    sweep = subs.add_parser("sweep", parents=[common],
-                            help="closed-form variance sweep over p")
+    sweep = subs.add_parser("sweep", help="closed-form variance sweep over p")
+    _add_file_args(sweep, "sweep")
     _add_sweep_args(sweep)
     sweep.add_argument("--threads", type=int, default=1, help="worker threads")
     sweep.add_argument("--rel-tol", type=float, default=None)
     sweep.add_argument("--dt", type=float, default=0.0,
                        help="include the implicit-scheme correction")
-    sweep.set_defaults(func=cmd_sweep, default_prefix="sweep")
+    sweep.set_defaults(func=cmd_sweep)
 
-    spect = subs.add_parser("spectral", parents=[common],
-                            help="frequency-space variance sweep")
+    spect = subs.add_parser("spectral", help="frequency-space variance sweep")
+    _add_file_args(spect, "spectral")
     _add_sweep_args(spect)
     spect.add_argument("--rel-tol", type=float, default=None)
-    spect.set_defaults(func=cmd_spectral, default_prefix="spectral")
+    spect.set_defaults(func=cmd_spectral)
 
-    fit = subs.add_parser("fit", parents=[common],
-                          help="fit s and k on a sweep CSV")
+    fit = subs.add_parser("fit", help="fit s and k on a sweep CSV")
+    _add_file_args(fit, "sweep")
     fit.add_argument("--csv", required=True, help="input sweep CSV")
     fit.add_argument("--window", default=None,
                      help="log10 fit window LO:HI for -p (default: "
                           "smallest two decades)")
-    fit.set_defaults(func=cmd_fit, default_prefix="sweep")
+    fit.set_defaults(func=cmd_fit)
 
-    sim = subs.add_parser("simulate", parents=[common],
-                          help="sample the stationary variance by SPDE runs")
+    sim = subs.add_parser("simulate", help="sample the stationary variance by SPDE runs")
+    _add_file_args(sim, "simulate")
     _add_sweep_args(sim, simulation=True)
     sim.add_argument("--p", type=float, required=True)
     _add_sim_args(sim)
-    sim.set_defaults(func=cmd_simulate, default_prefix="simulate")
+    sim.set_defaults(func=cmd_simulate)
 
-    comp = subs.add_parser("compare", parents=[common],
-                           help="overlay quadrature, simulation, and the "
-                                "catalog reference line")
+    comp = subs.add_parser("compare", help="overlay quadrature, simulation, and the "
+                                           "catalog reference line")
+    _add_file_args(comp, "compare")
     _add_sweep_args(comp)
     comp.add_argument("--threads", type=int, default=1, help="worker threads")
     comp.add_argument("--sim-points", type=int, default=3)
@@ -537,14 +496,13 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                       help="log10 range LO:HI for the simulated points "
                            "(default: the widest decade of --p-decades)")
     _add_sim_args(comp)
-    comp.set_defaults(func=cmd_compare, default_prefix="compare")
+    comp.set_defaults(func=cmd_compare)
 
-    appx = subs.add_parser("appendix-check", parents=[common],
-                           help="resolvent-integral ratio self check")
+    appx = subs.add_parser("appendix-check", help="resolvent-integral ratio self check")
     appx.add_argument("--m", default="0,1,2", help="comma-separated powers")
     appx.add_argument("--q", type=float, default=1e-10)
     appx.add_argument("--tol", type=float, default=0.05)
-    appx.set_defaults(func=cmd_appendix_check, default_prefix="appendix")
+    appx.set_defaults(func=cmd_appendix_check)
 
     if defaults:
         for sub in subs.choices.values():
@@ -584,8 +542,6 @@ def main(argv=None) -> int:
     try:
         parser = build_parser(_load_config(config_path) if config_path else None)
         args = parser.parse_args(argv)
-        if args.prefix is None:
-            args.prefix = args.default_prefix
         args._started = started
         return args.func(args)
     except (QuadratureError, LawUnavailableError) as exc:

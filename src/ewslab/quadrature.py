@@ -672,6 +672,8 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     This is the one router for physical and frequency symbols alike;
     sampled kernels on a box take the exact integral of their interpolant.
     """
+    if rel_tol is not None and not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
     q = -query.p
     symbol = query.symbol
     g = query.test_function

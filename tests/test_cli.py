@@ -353,11 +353,51 @@ def test_compare_checks_simulation_flags_before_the_quadrature_sweep(
     assert calls == []
 
 
-def test_only_sweep_and_compare_take_threads():
-    subs = next(a for a in cli.build_parser()._actions
+def _subcommands():
+    return next(a for a in cli.build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
-    assert {name for name, sub in subs.items()
+
+
+def test_only_sweep_and_compare_take_threads():
+    assert {name for name, sub in _subcommands().items()
             if "--threads" in sub._option_string_actions} == {"sweep", "compare"}
+
+
+def test_only_the_writing_subcommands_take_file_flags():
+    writing = {"sweep", "spectral", "fit", "simulate", "compare"}
+    for flag in ("--out", "--seed", "--prefix", "--svg", "--config"):
+        assert {name for name, sub in _subcommands().items()
+                if flag in sub._option_string_actions} == writing, flag
+    for argv in (["laws", "1d", "--out", "x"], ["appendix-check", "--svg"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+_WRITING_ARGV = {
+    "sweep": ["--symbol", "tool:2", "--g", "box:0,1", "--p-decades=-6:-2", "--points", "24"],
+    "spectral": ["--symbol", "power2m:1", "--g", "box:-1,1", "--p-decades=-6:-3", "--points", "4"],
+    "simulate": ["--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5", "--n", "9",
+                 "--nt", "2000", "--replicas", "2"],
+    "compare": ["--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-6:-1",
+                "--points", "24", "--sim-points", "2", "--sim-decades=-1:0", "--n", "9",
+                "--nt", "2000", "--dt", "0.05", "--replicas", "2"],
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "spectral", "fit", "simulate", "compare"])
+def test_manifest_records_every_parsed_parameter(tmp_path, command, capsys):
+    if command == "fit":
+        assert main(["sweep", *_WRITING_ARGV["sweep"], "--out", str(tmp_path)]) == 0
+        argv = ["--csv", str(tmp_path / "sweep.csv")]
+    else:
+        argv = _WRITING_ARGV[command]
+    assert main([command, *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    stem = {"fit": "sweep_fit"}.get(command, command)
+    manifest = json.loads((tmp_path / f"{stem}_manifest.json").read_text())
+    dests = {a.dest for a in _subcommands()[command]._actions}
+    assert set(manifest["params"]) == dests - {"help", "config", "out", "seed"}
 
 
 def test_compare_simulation_csv_equals_per_p_runs(tmp_path):
@@ -384,6 +424,13 @@ def test_appendix_check_exit_codes(capsys):
     assert main(["appendix-check", "--q", "2.0"]) == 3
     assert main(["appendix-check", "--q", "1e-200"]) == 0
     assert main(["appendix-check", "--q", "1e-320"]) == 0
+    capsys.readouterr()
+    # a tolerance that no ratio can exceed would turn the check off
+    for tol in ("nan", "inf", "0", "-1"):
+        assert main(["appendix-check", f"--tol={tol}"]) == 3, tol
+        captured = capsys.readouterr()
+        assert "tol must be a finite positive number" in captured.err
+        assert "all ratios within" not in captured.out
 
 
 def test_sweep_reaches_the_kernel_and_ring_multiplier_routes(tmp_path):
@@ -453,6 +500,13 @@ def test_validation_errors_exit_3(tmp_path, capsys):
         assert main(["sweep", "--symbol", symbol, "--g", window, "--p-decades=-4:-2",
                      "--points", "3", "--out", str(tmp_path)]) == 3, (symbol, window)
         assert "not negative on the window" in capsys.readouterr().err
+    # a NaN or infinite tolerance would turn off the error-estimate gate
+    for command, symbol, window in (("sweep", "tool:2", "box:0,1"),
+                                    ("spectral", "sh1d", "box:-2,2")):
+        for rel_tol in ("nan", "inf", "0", "-1"):
+            assert main([command, "--symbol", symbol, "--g", window, "--p-decades=-9:-3",
+                         "--points", "3", f"--rel-tol={rel_tol}", "--out", str(tmp_path)]) == 3
+            assert "rel_tol must be a finite number in (0, 1)" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
