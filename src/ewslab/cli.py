@@ -365,12 +365,12 @@ def cmd_compare(args) -> int:
         ref_kwargs = {"ref_slope": law.s, "ref_anchor": anchor,
                       "ref_label": f"reference slope {law.s:g}"}
     print(annotation)
-    return _emit(args, "compare", {
-        f"{args.prefix}_quadrature.csv": quad.to_csv(),
-        f"{args.prefix}_simulation.csv": sim.to_csv(),
-        f"{args.prefix}.svg": render_loglog(series, title=f"compare: {args.symbol}",
-                                            annotations=[annotation], **ref_kwargs),
-    })
+    texts = {f"{args.prefix}_quadrature.csv": quad.to_csv(),
+             f"{args.prefix}_simulation.csv": sim.to_csv()}
+    if args.svg:
+        texts[f"{args.prefix}.svg"] = render_loglog(
+            series, title=f"compare: {args.symbol}", annotations=[annotation], **ref_kwargs)
+    return _emit(args, "compare", texts)
 
 
 def cmd_appendix_check(args) -> int:
@@ -427,6 +427,10 @@ def _add_sim_args(sub):
                      help="rank of the noise model (default: identity)")
     sub.add_argument("--unweighted", action="store_true",
                      help="project with raw window values, no cell volume")
+
+
+# the subcommands that write files, the ones given ``_add_file_args``
+_WRITING_COMMANDS = frozenset({"sweep", "spectral", "fit", "simulate", "compare"})
 
 
 def _add_file_args(sub, prefix: str):
@@ -536,9 +540,11 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = _merge_dash_values(list(sys.argv[1:] if argv is None else argv))
     started = time.monotonic()
+    # the subcommand is the first bare token; elsewhere --config stays an unknown flag
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
-    config_path = pre.parse_known_args(argv)[0].config
+    config_path = pre.parse_known_args(argv)[0].config if command in _WRITING_COMMANDS else None
     try:
         parser = build_parser(_load_config(config_path) if config_path else None)
         args = parser.parse_args(argv)

@@ -10,7 +10,12 @@ around the zero set of f as p approaches 0 from below, which is exactly
 the regime of interest.  The integrators here resolve that layer by an
 explicit change of variables for the power-law families (so the
 transformed integrand is O(1) uniformly in p) and by geometrically
-graded panels anchored at the zeros for everything else.  On boxes in
+graded panels anchored at the zeros for everything else.  A generic
+one-dimensional symbol (``sh1d``, a 1-D polynomial, a ``Piecewise``
+side, a custom symbol) takes the graded Gauss-Legendre levels of the
+tensor route on one axis, evaluated vectorized (``_ladder_quad_1d``);
+a power window x**(-gamma) is taken in u = x**(1 - 2 gamma) near 0,
+where the weight becomes du / (1 - 2 gamma).  On boxes in
 two and three dimensions, a sum of one-axis powers c_k (x_k - r_k)**a_k
 with c_k > 0, each term nonnegative on the box, reduces exactly to one
 integral in t of exp(-q t) times a product of per-axis incomplete gamma
@@ -287,7 +292,7 @@ def _offset_integral(alpha, d1, d2, q, phi, epsrel):
     return v2 - v1, e2 + e1
 
 
-def _ladder_edges(a, b, anchors, floor, ratio=2.0):
+def _ladder_edges(a, b, anchors, floor, ratio):
     """Panel edges on [a, b], geometrically graded toward each anchor."""
     edges = {a, b}
     span = b - a
@@ -305,16 +310,61 @@ def _ladder_edges(a, b, anchors, floor, ratio=2.0):
     return sorted(edges)
 
 
-def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol):
-    """Adaptive panel quadrature of fn over [a, b] with graded panels."""
-    edges = _ladder_edges(a, b, anchors, floor)
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _quad(fn, lo, hi, rel_tol * 0.01)
-        total += v
-        err += e
-    return _checked(total, err, rel_tol, "one-dimensional quadrature")
+def _two_sum(a, b):
+    """a + b and the exact error of that rounded sum (Knuth's error-free sum)."""
+    s = a + b
+    back = s - a
+    return s, (a - (s - back)) + (b - back)
+
+
+def _axis_rule(c0, c1, anchors, floor, ratio, n_gl):
+    """Graded panel Gauss-Legendre rule on [c0, c1], refined toward each anchor.
+
+    Returns the nodes, the weights and each node's lag: its exact place
+    (lo + hi) / 2 + half * gx less the stored double, from error-free sums.
+    """
+    edges = np.array(_ladder_edges(c0, c1, anchors, floor, ratio))
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    gx, gw = _gl_nodes(n_gl)
+    span, span_lag = _two_sum(lo, hi)
+    nodes, node_lag = _two_sum(half[:, None] * gx, 0.5 * span[:, None])
+    lag = node_lag + 0.5 * span_lag[:, None]
+    return nodes.ravel(), (half[:, None] * gw).ravel(), lag.ravel()
+
+
+def _settled(levels, rel_tol, what):
+    """The first level value within ``rel_tol`` of the one before it; else QuadratureError."""
+    prev = None
+    for total in levels:
+        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
+            return total
+        prev = total
+    raise QuadratureError(f"{what} did not converge; last two values {prev:.9e}")
+
+
+# (ratio, points per panel) of the successive 1-D levels; the tensor's
+# schedule, which starts at ratio 4, misses power windows whose zero sits at 0
+_LEVELS_1D = ((2.0, 12), (2.0, 20), (1.5, 24), (1.25, 32))
+
+
+def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol, power=1.0):
+    """Graded Gauss-Legendre levels of the vectorized fn over [a, b] until two agree.
+
+    Each level grades its panels by its ratio raised to ``power``.
+    """
+
+    def level(ratio, n_gl):
+        x, w, lag = _axis_rule(a, b, anchors, floor, ratio**power, n_gl)
+        # a node sits up to an ulp off its exact place; where the layer spans few
+        # ulps of x (a simple zero away from 0 at small q) that moves the sum past
+        # rel_tol, so each value slides to the exact place along the next double
+        step = np.nextafter(x, np.where(lag < 0, -np.inf, np.inf)) - x
+        fx = fn(x)
+        return float(w @ (fx + (fn(x + step) - fx) * (lag / step)))
+
+    return _settled((level(ratio, n_gl) for ratio, n_gl in _LEVELS_1D), rel_tol,
+                    "one-dimensional quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +385,13 @@ def _stable(t):
     if t <= 0:
         raise ValueError("drift + p is not negative on the window")
     return t
+
+
+def _resolvent(symbol, x, q, phi):
+    """phi(q - f) on the node array x, after one stability check on its minimum."""
+    t = q - symbol(x)
+    _stable(t.min())
+    return phi(t)
 
 
 def _power_law_box(alpha, root, a, b, q, phi, tol, what):
@@ -390,11 +447,24 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
             alpha = symbol.alpha
             val, err = _side_integral(alpha, g.eps, q, phi, g.gamma, rel_tol)
             return _checked(val, err, rel_tol, "power-window quadrature")
-        anchors = set(symbol.zeros_in(-g.eps, 2 * g.eps)) | {0.0}
-        fn = lambda x: ((x ** (-2.0 * g.gamma) if x > 0 else 0.0)
-                        * phi(_stable(q - float(symbol(x)))))
+        # u = x**beta turns x**(-2 gamma) dx into du / beta, which Gauss-Legendre
+        # resolves at 0, and ratio**beta grading toward u = 0 is ratio grading in
+        # x; it runs a hundred times past the layer, because u**(1/beta) has a
+        # branch point at 0 that a first panel as wide as the layer misses by
+        # up to 6e-9.  From half the first zero z > 0 on, x itself is graded:
+        # the weight is smooth there, and u**(1/beta) would round x near z by
+        # more than the layer
+        beta = 1.0 - 2.0 * g.gamma
+        zeros = symbol.zeros_in(-g.eps, 2 * g.eps)
+        split = min([z / 2.0 for z in zeros if z > 0.0] + [g.eps])
         floor = symbol.root_scale(q) / 4.0
-        return _ladder_quad_1d(fn, 0.0, g.eps, sorted(anchors), floor, rel_tol)
+        head = lambda u: _resolvent(symbol, u ** (1.0 / beta), q, phi)
+        head_floor = (floor / 100.0) ** beta
+        total = _ladder_quad_1d(head, 0.0, split**beta, [0.0], head_floor, rel_tol, beta) / beta
+        if split < g.eps:
+            tail = lambda x: x ** (-2.0 * g.gamma) * _resolvent(symbol, x, q, phi)
+            total += _ladder_quad_1d(tail, split, g.eps, zeros, floor, rel_tol)
+        return total
 
     if not isinstance(g, IndicatorBox):
         raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
@@ -421,7 +491,7 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
     floor = symbol.root_scale(q)
     if not math.isfinite(floor):
         floor = margin
-    fn = lambda x: phi(_stable(q - float(symbol(x))))
+    fn = lambda x: _resolvent(symbol, x, q, phi)
     return _ladder_quad_1d(fn, a, b, anchors, floor / 4.0, rel_tol)
 
 
@@ -449,19 +519,6 @@ def _axis_intervals(lo, hi, r):
     return [(lo, hi, r)]
 
 
-def _axis_rule(c0, c1, anchor, floor, ratio, n_gl):
-    """Graded panel nodes and weights on [c0, c1], refined toward the anchor."""
-    edges = _ladder_edges(c0, c1, [anchor], floor, ratio)
-    gx, gw = _gl_nodes(n_gl)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * gx + 0.5 * (lo + hi))
-        weights.append(half * gw)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
     """One graded product Gauss-Legendre level, evaluated ``on_grid`` in first-axis slabs."""
     dim = symbol.dim
@@ -471,7 +528,7 @@ def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
         nodes = []
         weights = []
         for c0, c1, anchor in pieces:
-            n, w = _axis_rule(c0, c1, anchor, floors[d], ratio, n_gl)
+            n, w, _ = _axis_rule(c0, c1, [anchor], floors[d], ratio, n_gl)
             nodes.append(n)
             weights.append(w)
         per_axis.append((np.concatenate(nodes), np.concatenate(weights)))
@@ -505,18 +562,14 @@ def _variance_tensor(symbol, g, q, rel_tol, phi):
         (2.0, 16),
         (2.0, 24),
     ]
-    budget = EVAL_CAP
-    prev = None
-    for ratio, n_gl in levels:
-        total, used = _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget)
-        budget -= used
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
-            return total
-        prev = total
-    raise QuadratureError(
-        "tensor quadrature did not converge within the evaluation budget; "
-        f"last two values {prev:.9e}"
-    )
+
+    def totals(budget=EVAL_CAP):
+        for ratio, n_gl in levels:
+            total, used = _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget)
+            budget -= used
+            yield total
+
+    return _settled(totals(), rel_tol, "tensor quadrature")
 
 
 # ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ def test_compare_overlay_annotates_fitted_slope(tmp_path, capsys):
                  "--p-decades", "-8:-2", "--points", "30",
                  "--sim-points", "2", "--sim-decades", "-1:0",
                  "--n", "49", "--nt", "6000", "--dt", "0.05",
-                 "--replicas", "2", "--out", str(out)])
+                 "--replicas", "2", "--svg", "--out", str(out)])
     assert code == 0
     svg = (out / "compare.svg").read_text()
     assert "fitted slope -0.50" in svg
@@ -291,6 +291,15 @@ def test_compare_overlay_annotates_fitted_slope(tmp_path, capsys):
         "compare_quadrature.csv", "compare_simulation.csv", "compare.svg"}
 
 
+def test_compare_writes_a_figure_only_with_svg(tmp_path, capsys):
+    assert main(["compare", *_WRITING_ARGV["compare"], "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "compare_manifest.json").read_text())
+    assert manifest["outputs"] == ["compare_quadrature.csv", "compare_simulation.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "compare_manifest.json", "compare_quadrature.csv", "compare_simulation.csv"]
+
+
 def test_compare_reference_line_uses_the_window(tmp_path):
     # x**(-1/4) on (0, 1] shifts the tool-1 law from a logarithm to s = -1/2
     out = tmp_path / "cmp"
@@ -298,7 +307,7 @@ def test_compare_reference_line_uses_the_window(tmp_path):
                  "--p-decades", "-6:-1", "--points", "24",
                  "--sim-points", "2", "--sim-decades", "-1:0",
                  "--n", "49", "--nt", "3000", "--dt", "0.05",
-                 "--replicas", "2", "--out", str(out)]) == 0
+                 "--replicas", "2", "--svg", "--out", str(out)]) == 0
     assert "reference slope -0.5<" in (out / "compare.svg").read_text()
 
 
@@ -315,7 +324,7 @@ def test_compare_reference_line_of_a_polynomial_needs_the_root_in_the_box(
                  "--p-decades", "-8:-2", "--points", "24",
                  "--sim-points", "2", "--sim-decades", "-1:0",
                  "--n", "15", "--nt", "2000", "--dt", "0.05",
-                 "--replicas", "2", "--out", str(tmp_path)]) == 0
+                 "--replicas", "2", "--svg", "--out", str(tmp_path)]) == 0
     svg = (tmp_path / "compare.svg").read_text()
     assert "fitted slope" in svg
     if reference is None:
@@ -365,10 +374,12 @@ def test_only_sweep_and_compare_take_threads():
 
 def test_only_the_writing_subcommands_take_file_flags():
     writing = {"sweep", "spectral", "fit", "simulate", "compare"}
+    assert cli._WRITING_COMMANDS == writing
     for flag in ("--out", "--seed", "--prefix", "--svg", "--config"):
         assert {name for name, sub in _subcommands().items()
                 if flag in sub._option_string_actions} == writing, flag
-    for argv in (["laws", "1d", "--out", "x"], ["appendix-check", "--svg"]):
+    for argv in (["laws", "1d", "--out", "x"], ["appendix-check", "--svg"],
+                 ["laws", "1d", "--config", "missing.json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

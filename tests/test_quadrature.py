@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -22,6 +23,8 @@ from ewslab.quadrature import (
     QuarterDisc,
     TestFunction,
     VarianceQuery,
+    _axis_rule,
+    _ladder_edges,
     appendix_c_integral,
     monomial_integral,
     variance_quadrature,
@@ -463,6 +466,144 @@ def test_separable_sum_matches_tensor_route(case, log_q, dt):
     # takes the graded tensor route
     custom = CustomSymbol(poly, dim=poly.dim, root=poly.root, domain=poly.domain)
     assert math.isclose(_value(poly, g, -q, dt=dt), _value(custom, g, -q, dt=dt), rel_tol=1e-6)
+
+
+# --------------------------------------------------------------------------
+# the graded Gauss-Legendre panel rule shared by the 1-D and tensor routes
+
+def test_axis_rule_with_one_anchor_is_the_per_panel_construction():
+    for c0, c1, anchor, floor, ratio, n_gl in ((-1.0, 1.0, 0.0, 1e-4, 4.0, 12),
+                                               (0.0, 1.5, 1.0, 3e-7, 2.0, 20),
+                                               (0.25, 3.0, 0.25, 1e-9, 1.25, 32)):
+        edges = _ladder_edges(c0, c1, [anchor], floor, ratio)
+        gx, gw = leggauss(n_gl)
+        nodes, weights = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (hi - lo)
+            nodes.append(half * gx + 0.5 * (lo + hi))
+            weights.append(half * gw)
+        got_nodes, got_weights, _ = _axis_rule(c0, c1, [anchor], floor, ratio, n_gl)
+        assert np.array_equal(got_nodes, np.concatenate(nodes))
+        assert np.array_equal(got_weights, np.concatenate(weights))
+
+
+def test_tensor_route_values_are_frozen():
+    # x**2 + y**2 + xy/2 is not separable, so the box takes the tensor levels;
+    # the values are the ones computed before the 1-D route shared its rule
+    symbol = Polynomial({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.5}, domain=((-1, -1), (1, 1)))
+    g = IndicatorBox((-1.0, -1.0), (1.0, 1.0))
+    frozen = {(-1e-2, 0.0): 7.770380603225569, (-1e-2, 0.01): 7.760414271700268,
+              (-1e-4, 0.0): 15.227617873154765, (-1e-4, 0.01): 15.217651049930272,
+              (-1e-6, 0.0): 22.698499837237446, (-1e-6, 0.01): 22.688533009095714}
+    for (p, dt), want in frozen.items():
+        assert variance_quadrature(VarianceQuery(symbol, g, p), dt=dt) == want
+
+
+@pytest.mark.parametrize("root", [0.3, 0.9, -0.55])
+def test_simple_zero_off_the_origin_meets_the_tolerance(root):
+    # at q = 1e-12 the layer of c (x - root) spans a few thousand ulps of x,
+    # so nodes rounded to doubles would move the sum by up to 3e-7
+    for c in (0.5, 2.0):
+        for q in (1e-12, 3e-12):
+            g = IndicatorBox(root, root + 1.0)
+            symbol = Polynomial({(1,): c}, root=root, domain=(root, root + 1.0))
+            want = math.log1p(c * (g.hi[0] - g.lo[0]) / q) / c
+            got = variance_quadrature(VarianceQuery(symbol, g, -q, SQRT2))
+            assert math.isclose(got, want * 0.5 * SQRT2**2, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("k", [3, 5, 6])
+@pytest.mark.parametrize("gamma", [0.25, 0.45])
+def test_power_window_on_a_polynomial_zero_at_0_closed_form(k, gamma):
+    # integral_0^1 x**(-2 gamma) / (q + x**k) dx with beta = 1 - 2 gamma is the
+    # integral to infinity, q**(beta/k - 1) pi / (k sin(pi beta / k)), less the
+    # tail beyond 1, sum_n (-q)**n / ((n + 1) k - beta)
+    beta = 1.0 - 2.0 * gamma
+    for q in (1e-3, 1e-6, 1e-12):
+        want = q ** (beta / k - 1.0) * math.pi / (k * math.sin(math.pi * beta / k))
+        want -= sum((-q) ** n / ((n + 1) * k - beta) for n in range(8))
+        got = _value(Polynomial({(k,): 1.0}), PowerIndicator(gamma, 1.0), -q)
+        assert math.isclose(got, want, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.7])
+def test_power_window_on_a_simple_zero_at_its_edge_closed_form(eps):
+    # f = -2 (eps - x) on (0, eps]: with A = q + 2 eps and y = sqrt(2 eps / A),
+    # integral x**(-1/2) / (A - 2x) dx = sqrt(2 / A) artanh(y), artanh(y) =
+    # log((1 + y) sqrt(A / q)); at gamma = 0 the integral is log1p(2 eps / q) / 2
+    symbol = Polynomial({(1,): -2.0}, root=eps, domain=(0.0, eps))
+    for q in (1e-12, 1e-10):
+        big_a = q + 2.0 * eps
+        y = math.sqrt(2.0 * eps / big_a)
+        got = _value(symbol, PowerIndicator(0.25, eps), -q)
+        want = math.sqrt(2.0 / big_a) * math.log((1.0 + y) * math.sqrt(big_a / q))
+        assert math.isclose(got, want, rel_tol=1e-9)
+        got = _value(symbol, PowerIndicator(0.0, eps), -q)
+        assert math.isclose(got, 0.5 * math.log1p(2.0 * eps / q), rel_tol=1e-9)
+
+
+@st.composite
+def _one_sided_drifts(draw):
+    """-sum_j a_j (x - r)**j <= 0 on a box or power window, with the zero in, at or off it.
+
+    Odd powers are allowed where the window lies on one side of r; on the
+    left side a_j takes the sign (-1)**j.
+    """
+    q = 10.0 ** draw(st.floats(-12.0, -1.0))
+    dt = draw(st.sampled_from((0.0, 0.01)))
+    if draw(st.booleans()):
+        width = draw(st.floats(0.1, 3.0))
+        r = draw(st.floats(-1.0, 1.0))
+        place = draw(st.sampled_from(("inside", "left edge", "right edge", "left", "right")))
+        lo = {"inside": r - width * draw(st.floats(0.05, 0.95)), "left edge": r,
+              "right edge": r - width, "left": r + draw(st.floats(0.01, 1.0)),
+              "right": r - width - draw(st.floats(0.01, 1.0))}[place]
+        g = IndicatorBox(lo, lo + width)
+        side = -1 if place in ("right edge", "right") else 1
+        even = place == "inside"
+    else:
+        g = PowerIndicator(draw(st.sampled_from((0.0, 0.25, 0.45))), draw(st.floats(0.1, 2.0)))
+        place = draw(st.sampled_from(("zero at 0", "inside", "left", "right edge", "right")))
+        r = {"zero at 0": 0.0, "inside": g.eps * draw(st.floats(0.05, 0.95)),
+             "left": -draw(st.floats(0.01, 1.0)), "right edge": g.eps,
+             "right": g.eps + draw(st.floats(0.01, 1.0))}[place]
+        side = -1 if place in ("right edge", "right") else 1
+        even = place == "inside"
+    orders = draw(st.sets(st.sampled_from((2, 4, 6) if even else (1, 2, 3, 4, 5, 6)),
+                          min_size=1, max_size=3))
+    coeffs = {(j,): side**j * draw(st.floats(0.1, 10.0)) for j in sorted(orders)}
+    lo, hi = (g.lo[0], g.hi[0]) if isinstance(g, IndicatorBox) else (0.0, g.eps)
+    return Polynomial(coeffs, root=r, domain=(min(lo, r), max(hi, r))), g, q, dt
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_sided_drifts())
+def test_generic_1d_route_matches_adaptive_quad(case):
+    symbol, g, q, dt = case
+    r = float(symbol.root[0])
+    # the reference takes the offset d = x - r, so no rounding of x enters it
+    offset = lambda d: sum(a * d**j for (j,), a in symbol.coeffs.items())
+    phi = lambda d: 1.0 / ((q + offset(d)) * (1.0 + 0.5 * dt * (q + offset(d))))
+    quad = lambda fn, a, b, **kw: integrate.quad(fn, a, b, epsabs=0.0, epsrel=1e-10,
+                                                 limit=400, **kw)[0]
+
+    def pieces(lo, hi, centers):
+        # breakpoints at the centers and at decades of the width away from them
+        cuts = {c + s * (hi - lo) * 10.0**-k
+                for c in centers for k in range(17) for s in (-1, 0, 1)}
+        edges = sorted({lo, hi} | {x for x in cuts if lo < x < hi})
+        return list(zip(edges[:-1], edges[1:]))
+
+    if isinstance(g, IndicatorBox):
+        want = sum(quad(phi, d0, d1) for d0, d1 in pieces(g.lo[0] - r, g.hi[0] - r, [0.0]))
+    else:
+        # x**(-2 gamma) is quad's algebraic weight on the first piece, which is
+        # narrower than the layer at 0
+        (x0, x1), *rest = pieces(0.0, g.eps, [0.0, r])
+        want = quad(lambda x: phi(x - r), x0, x1, weight="alg", wvar=(-2.0 * g.gamma, 0.0))
+        want += sum(quad(lambda x: x ** (-2.0 * g.gamma) * phi(x - r), x0, x1) for x0, x1 in rest)
+    got = variance_quadrature(VarianceQuery(symbol, g, -q, 1.0), dt=dt)
+    assert math.isclose(got, 0.5 * want, rel_tol=1e-7)
 
 
 def test_general_polynomial_2d_brute_force():
