@@ -8,12 +8,13 @@ p < 0, the stationary variance observed through a window g is
 The integrand develops a boundary layer of width ``root_scale(-p)``
 around the zero set of f as p approaches 0 from below, which is exactly
 the regime of interest.  The integrators here resolve that layer by an
-explicit change of variables for the power-law families (so the
-transformed integrand is O(1) uniformly in p) and by geometrically
-graded panels anchored at the zeros for everything else.  A generic
-one-dimensional symbol (``sh1d``, a 1-D polynomial, a ``Piecewise``
-side, a custom symbol) takes the graded Gauss-Legendre levels of the
-tensor route on one axis, evaluated vectorized (``_ladder_quad_1d``);
+explicit change of variables on the sides that start at the root of a
+power law (so the transformed integrand is O(1) uniformly in p) and by
+geometrically graded panels anchored at the zeros for everything else.
+Every other one-dimensional query (``sh1d``, a 1-D polynomial, a
+``Piecewise`` side, a custom symbol, a power-law box off the root, every
+power window) takes the graded Gauss-Legendre levels of the tensor
+route on one axis, evaluated vectorized (``_ladder_quad_1d``);
 a power window x**(-gamma) is taken in u = x**(1 - 2 gamma) near 0,
 where the weight becomes du / (1 - 2 gamma).  On boxes in
 two and three dimensions, a sum of one-axis powers c_k (x_k - r_k)**a_k
@@ -28,6 +29,7 @@ first-axis nodes at a time and contracts each slab with the weights.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable
@@ -243,22 +245,26 @@ def _checked(value, err, tol, what):
     return value
 
 
-def _side_integral(alpha, length, q, phi, gamma, epsrel):
-    """integral_0^length x**(-2 gamma) phi(q + x**alpha) dx.
+def _side_integral(alpha, length, q, phi, epsrel):
+    """integral_0^length phi(q + x**alpha) dx, the side that starts at the root.
 
     Uses y = x * q**(-1/alpha), under which the resolvent part becomes
     q * (1 + y**alpha) and loses its p dependence, so the accuracy is
-    uniform down to arbitrarily small q.  The tail beyond y = 2 is
-    integrated in log coordinates.
+    uniform until q**(-1/alpha) overflows (QuadratureError).  The tail
+    beyond y = 2 is integrated in log coordinates.
     """
     if length <= 0:
         return 0.0, 0.0
-    y_max = length * q ** (-1.0 / alpha)
-    scale = q ** ((1.0 - 2.0 * gamma) / alpha)
+    try:
+        y_max = length * q ** (-1.0 / alpha)
+    except OverflowError:
+        y_max = math.inf
+    if not math.isfinite(y_max):
+        raise QuadratureError(f"side integral of |x|**{alpha} overflows at q = {q!r}")
+    scale = q ** (1.0 / alpha)
 
     def head(y):
-        w = y ** (-2.0 * gamma) if gamma > 0 else 1.0
-        return w * phi(q * (1.0 + y**alpha))
+        return phi(q * (1.0 + y**alpha))
 
     y_split = min(y_max, 2.0)
     val, err = _quad(head, 0.0, y_split, epsrel)
@@ -271,7 +277,7 @@ def _side_integral(alpha, length, q, phi, gamma, epsrel):
             t = q * (1.0 + grow)
             if not math.isfinite(t):
                 return 0.0
-            return math.exp((1.0 - 2.0 * gamma) * u) * phi(t)
+            return math.exp(u) * phi(t)
 
         v2, e2 = _quad(tail, math.log(y_split), math.log(y_max), epsrel)
         val += v2
@@ -279,29 +285,22 @@ def _side_integral(alpha, length, q, phi, gamma, epsrel):
     return scale * val, scale * err
 
 
-def _offset_integral(alpha, d1, d2, q, phi, epsrel):
-    """integral over [d1, d2] of phi(q + x**alpha) dx for 0 <= d1 < d2."""
-    layer = q ** (1.0 / alpha)
-    if (d1 > 0 and d1 >= layer) or d2 - d1 < 0.1 * layer:
-        # no boundary layer inside the interval, integrate directly; once
-        # d1 is past the layer, the difference of the two side integrals
-        # below would cancel to no accuracy as q -> 0
-        return _quad(lambda x: phi(q + x**alpha), d1, d2, epsrel)
-    v2, e2 = _side_integral(alpha, d2, q, phi, 0.0, epsrel)
-    v1, e1 = _side_integral(alpha, d1, q, phi, 0.0, epsrel)
-    return v2 - v1, e2 + e1
+def _root_sides(alpha, left, right, q, phi, tol, what):
+    """integral over [-left, right] of phi(q + |x|**alpha) dx, one side integral each way."""
+    v1, e1 = _side_integral(alpha, left, q, phi, tol)
+    v2, e2 = _side_integral(alpha, right, q, phi, tol)
+    return _checked(v1 + v2, e1 + e2, tol, what)
 
 
 def _ladder_edges(a, b, anchors, floor, ratio):
     """Panel edges on [a, b], geometrically graded toward each anchor."""
     edges = {a, b}
-    span = b - a
-    floor = max(floor, span * 1e-15)
     for z in anchors:
         if a < z < b:
             edges.add(z)
         dmax = max(abs(b - z), abs(a - z))
-        d = floor
+        # no panel under 4 ulps of z; a floor that underflowed to 0 still climbs
+        d = max(floor, 4.0 * math.ulp(z), sys.float_info.min)
         while d < dmax:
             for cand in (z - d, z + d):
                 if a < cand < b:
@@ -355,7 +354,9 @@ def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol, power=1.0):
     """
 
     def level(ratio, n_gl):
-        x, w, lag = _axis_rule(a, b, anchors, floor, ratio**power, n_gl)
+        # at power below about 5e-16 ratio**power rounds to 1: the ladder would not climb
+        grade = max(ratio**power, math.nextafter(1.0, 2.0))
+        x, w, lag = _axis_rule(a, b, anchors, floor, grade, n_gl)
         # a node sits up to an ulp off its exact place; where the layer spans few
         # ulps of x (a simple zero away from 0 at small q) that moves the sum past
         # rel_tol, so each value slides to the exact place along the next double
@@ -394,22 +395,6 @@ def _resolvent(symbol, x, q, phi):
     return phi(t)
 
 
-def _power_law_box(alpha, root, a, b, q, phi, tol, what):
-    """integral over [a, b] of phi(q + |x - root|**alpha) dx."""
-    total = 0.0
-    err = 0.0
-    # left and right pieces measured as distances from the root
-    if a < root:
-        v, e = _offset_integral(alpha, max(root - b, 0.0), root - a, q, phi, tol)
-        total += v
-        err += e
-    if b > root:
-        v, e = _offset_integral(alpha, max(a - root, 0.0), b - root, q, phi, tol)
-        total += v
-        err += e
-    return _checked(total, err, tol, what)
-
-
 def _kernel_variance(symbol, g, q, dt):
     """Exact integral of the resolvent of the piecewise-linear multiplier interpolant.
 
@@ -442,11 +427,6 @@ def _kernel_variance(symbol, g, q, dt):
 
 def _variance_1d(symbol, g, q, rel_tol, phi):
     if isinstance(g, PowerIndicator):
-        root = float(symbol.root[0])
-        if isinstance(symbol, ToolAlpha) and abs(root) < 1e-300:
-            alpha = symbol.alpha
-            val, err = _side_integral(alpha, g.eps, q, phi, g.gamma, rel_tol)
-            return _checked(val, err, rel_tol, "power-window quadrature")
         # u = x**beta turns x**(-2 gamma) dx into du / beta, which Gauss-Legendre
         # resolves at 0, and ratio**beta grading toward u = 0 is ratio grading in
         # x; it runs a hundred times past the layer, because u**(1/beta) has a
@@ -457,21 +437,28 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
         beta = 1.0 - 2.0 * g.gamma
         zeros = symbol.zeros_in(-g.eps, 2 * g.eps)
         split = min([z / 2.0 for z in zeros if z > 0.0] + [g.eps])
-        floor = symbol.root_scale(q) / 4.0
+        # x = u**(1/beta) underflows below the smallest normal double, so the
+        # panels stop there and f reads f(0) below it; where f moves by more
+        # than q there (a layer at 0 among the subnormals) that may add up to
+        # tiny**beta / (beta q)
+        tiny = sys.float_info.min
+        floor = max(symbol.root_scale(q), tiny) / 4.0
         head = lambda u: _resolvent(symbol, u ** (1.0 / beta), q, phi)
         head_floor = (floor / 100.0) ** beta
         total = _ladder_quad_1d(head, 0.0, split**beta, [0.0], head_floor, rel_tol, beta) / beta
         if split < g.eps:
             tail = lambda x: x ** (-2.0 * g.gamma) * _resolvent(symbol, x, q, phi)
             total += _ladder_quad_1d(tail, split, g.eps, zeros, floor, rel_tol)
+        if tiny**beta / (beta * q) > rel_tol * total and abs(symbol(tiny) - symbol(0.0)) > q:
+            raise QuadratureError(f"the layer at x = 0 underflows at q = {q!r}")
         return total
 
     if not isinstance(g, IndicatorBox):
         raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
     a, b = float(g.lo[0]), float(g.hi[0])
+    root = float(symbol.root[0])
 
     if isinstance(symbol, Piecewise):
-        root = float(symbol.root[0])
         total = 0.0
         if a < root:
             left_box = IndicatorBox(a, min(b, root))
@@ -481,9 +468,9 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
             total += _variance_1d(symbol.right, right_box, q, rel_tol, phi)
         return total
 
-    if isinstance(symbol, ToolAlpha):
-        root = float(symbol.root[0])
-        return _power_law_box(symbol.alpha, root, a, b, q, phi, rel_tol, "power-law quadrature")
+    if isinstance(symbol, ToolAlpha) and a <= root <= b:
+        return _root_sides(symbol.alpha, root - a, b - root, q, phi, rel_tol,
+                           "power-law quadrature")
 
     # generic one-dimensional route: graded panels anchored at the zeros
     margin = b - a
@@ -742,13 +729,15 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
         # polar coordinates and u = r**2 turn the disc integral into the
         # one-dimensional power law |u - root|**alpha on [0, R**2]: the
         # radial drift has alpha = beta/2 and its root at 0, the planar
-        # ring multiplier alpha = 2 and its root at 1
+        # ring multiplier alpha = 2 and its root at 1 (off a disc with R < 1)
+        r2 = g.radius**2
         if isinstance(symbol, Radial2D):
-            alpha, root = symbol.exponent / 2.0, 0.0
+            value = _root_sides(symbol.exponent / 2.0, 0.0, r2, q, phi, tol, "polar quadrature")
+        elif r2 >= 1.0:
+            value = _root_sides(2.0, 1.0, r2 - 1.0, q, phi, tol, "polar quadrature")
         else:
-            alpha, root = 2.0, 1.0
-        value = 0.5 * angle * _power_law_box(
-            alpha, root, 0.0, g.radius**2, q, phi, tol, "polar quadrature")
+            value = _variance_1d(ToolAlpha(2.0, 1.0), IndicatorBox(0.0, r2), q, tol, phi)
+        value *= 0.5 * angle
     elif (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
           and not isinstance(symbol, SwiftHohenberg2D)):
         # the tensor panels grade toward the root, not toward a ring
@@ -762,7 +751,10 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
         raise ValueError(
             f"unsupported combination of symbol {symbol!r} and window {g!r}"
         )
-    return 0.5 * query.sigma**2 * value
+    value = 0.5 * query.sigma**2 * value
+    if not 0.0 < value < math.inf:
+        raise QuadratureError(f"the variance at p = {query.p!r} is {value!r}, not a positive double")
+    return value
 
 
 def _gamma_mixture(idx):

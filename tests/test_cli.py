@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -474,6 +475,28 @@ def test_spectral_ring_multiplier_on_a_quarter_disc_is_a_quarter_of_the_disc(tmp
     np.testing.assert_allclose(values["qdisc:1.5"], values["disc:1.5"] / 4.0, rtol=1e-14)
 
 
+def test_sweep_off_the_root_writes_the_closed_form(tmp_path):
+    # box:1e-9,1 misses the root of -x**2; the exact variance is
+    # (atan(sqrt(q) / 1e-9) - atan(sqrt(q))) / (2 sqrt(q)), about 5e8 here
+    assert main(["sweep", "--symbol", "tool:2", "--g", "box:1e-9,1", "--p-decades=-24:-20",
+                 "--out", str(tmp_path)]) == 0
+    sweep = SweepResult.from_csv((tmp_path / "sweep.csv").read_text())
+    for p, value in zip(sweep.ps, sweep.values):
+        s = math.sqrt(-p)
+        want = 0.5 * (math.atan(s / 1e-9) - math.atan(s)) / s
+        assert value > 0 and math.isclose(value, want, rel_tol=1e-10), p
+
+
+def test_overflowing_side_integral_exits_4(tmp_path, capsys):
+    # q**(-1/alpha) overflows at alpha = 0.5 and q = 1e-300
+    for symbol, window in (("tool:0.5", "box:0,1"), ("radial:1.5", "qdisc:1")):
+        assert main(["sweep", "--symbol", symbol, "--g", window, "--p-decades=-300:-299",
+                     "--points", "2", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_validation_errors_exit_3(tmp_path, capsys):
     assert main(["sweep", "--symbol", "tool:2", "--g", "box:0,1",
                  "--p-decades", "-2:-8", "--out", str(tmp_path)]) == 3
@@ -537,3 +560,50 @@ def test_malformed_symbol_file_exit_3(tmp_path, capsys, content):
 def test_missing_input_file_exit_3(tmp_path):
     assert main(["fit", "--csv", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path)]) == 3
+
+
+_REAL = st.floats(0.3, 6.0)
+
+
+@st.composite
+def _power_law_sweeps(draw):
+    """``sweep`` argument lists over the power-law, polar and generic 1-D routes."""
+    kind = draw(st.sampled_from(("tool", "pw", "power2m", "mono", "radial", "sh2d")))
+    if kind in ("radial", "sh2d"):
+        symbol = f"radial:{draw(_REAL)!r}" if kind == "radial" else "sh2d"
+        shape = draw(st.sampled_from(("qdisc", "disc"))) if kind == "radial" else "disc"
+        window = f"{shape}:{draw(st.floats(0.1, 2.0))!r}"
+    else:
+        symbol = {"tool": lambda: f"tool:{draw(_REAL)!r}",
+                  "pw": lambda: f"pw:{draw(_REAL)!r},{draw(_REAL)!r}",
+                  "power2m": lambda: f"power2m:{draw(st.integers(1, 3))}",
+                  "mono": lambda: f"mono:{draw(st.integers(1, 6))}"}[kind]()
+        # every 1-D symbol here has its root at 0
+        width = draw(st.floats(0.01, 2.0))
+        gap = 10.0 ** draw(st.floats(-12.0, math.log10(0.5)))
+        lo = draw(st.sampled_from((-width * draw(st.floats(0.05, 0.95)), 0.0, -width,
+                                   gap, -gap - width, None)))
+        if lo is None:
+            window = f"power:{draw(st.floats(0.0, 0.5, exclude_max=True))!r},{width!r}"
+        else:
+            window = f"box:{lo!r},{lo + width!r}"
+    lo_dec = draw(st.integers(-300, -2))
+    hi_dec = draw(st.integers(lo_dec + 1, -1))
+    dt = draw(st.sampled_from(("0", "0.01")))
+    return ["sweep", "--symbol", symbol, "--g", window, f"--p-decades={lo_dec}:{hi_dec}",
+            "--points", "4", "--dt", dt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_power_law_sweeps())
+def test_power_law_sweeps_exit_cleanly_with_positive_values(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", out])
+        values = []
+        if code == 0:
+            with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
+                values = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+    assert code in (0, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert all(math.isfinite(v) and v > 0 for v in values), (argv, values)

@@ -101,10 +101,51 @@ def test_sigma_scaling_is_exact():
 def test_power_window_arctan_oracle():
     # gamma = 1/4 window on the linear tool: substituting x = t^2 gives
     # integral of x^(-1/2)/(x+q) over [0,1] = 2 arctan(1/sqrt(q))/sqrt(q)
-    q = 1e-4
-    got = _value(ToolAlpha(1.0), PowerIndicator(0.25, 1.0), -q)
-    want = 2.0 / math.sqrt(q) * math.atan(1.0 / math.sqrt(q))
-    assert math.isclose(got, want, rel_tol=1e-8)
+    for q in (1e-4, 1e-40, 1e-300):
+        got = _value(ToolAlpha(1.0), PowerIndicator(0.25, 1.0), -q)
+        want = 2.0 / math.sqrt(q) * math.atan(1.0 / math.sqrt(q))
+        assert math.isclose(got, want, rel_tol=1e-8), q
+
+
+def test_polynomial_zero_at_the_box_edge_is_the_tool_family_at_tiny_q():
+    # the graded panels reach a layer at 0 however narrow it is
+    for q in (1e-40, 1e-300):
+        got = _value(Polynomial({(2,): 1.0}), IndicatorBox(0.0, 1.0), -q)
+        want = _value(ToolAlpha(2.0), IndicatorBox(0.0, 1.0), -q)
+        assert math.isclose(got, want, rel_tol=1e-12), q
+
+
+def test_power_window_at_the_edge_of_square_integrability():
+    # gamma one double below 1/2: beta = 1 - 2 gamma = 1.1e-16, so ratio**beta
+    # rounds to 1 and the graded ladder in u = x**beta once never ended; the
+    # value is 1/(beta q) less about log(1/q)/(2 q)
+    gamma = math.nextafter(0.5, 0.0)
+    beta = 1.0 - 2.0 * gamma
+    for q in (1e-6, 1e-12):
+        for symbol in (ToolAlpha(2.0), Polynomial({(2,): 1.0})):
+            got = _value(symbol, PowerIndicator(gamma, 1.0), -q)
+            assert math.isclose(got, 1.0 / (beta * q), rel_tol=1e-12), (symbol, q)
+
+
+def test_unreachable_layers_raise_quadrature_error():
+    # q**(-1/alpha) overflows, so the side from the root cannot be scaled
+    for symbol, g, p in ((ToolAlpha(0.5), IndicatorBox(0.0, 1.0), -1e-155),
+                         (ToolAlpha(0.5), IndicatorBox(-1.0, 1.0), -1e-300),
+                         (ToolAlpha(1.0), IndicatorBox(0.0, 1.0), -5e-324),
+                         (Radial2D(1.5), QuarterDisc(1.0), -1e-300)):
+        with pytest.raises(QuadratureError, match="overflows"):
+            _value(symbol, g, p)
+    # the variance itself, about 1 / ((1 - 2 gamma) q) = 4.5e315, and an
+    # intermediate of the side integral at alpha = 0.5 and q = 8.7e-155
+    for symbol, g, p in ((Polynomial({(2,): 1.0}), PowerIndicator(math.nextafter(0.5, 0.0)),
+                          -1e-300),
+                         (ToolAlpha(0.5), IndicatorBox(0.0, 1.09), -8.7e-155)):
+        with pytest.raises(QuadratureError, match="not a positive double"):
+            _value(symbol, g, p)
+    # the layer at 0 lies among the subnormals, where x underflows and f reads 0
+    for gamma in (0.1, 0.2):
+        with pytest.raises(QuadratureError, match="underflows"):
+            _value(ToolAlpha(0.5), PowerIndicator(gamma, 1.0), -1e-300)
 
 
 def test_power_window_brute_force():
@@ -267,6 +308,22 @@ def test_window_off_the_root_matches_brute_force(alpha):
             want = 0.5 * integrate.quad(lambda x: 1.0 / (abs(x) ** alpha + q), a, b,
                                         epsabs=0.0, epsrel=1e-13, limit=500)[0]
             assert math.isclose(got, want, rel_tol=1e-10), (a, b, q)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_window_off_the_root_closed_form(alpha):
+    # [d1, 1] misses the root of -|x|**alpha by d1; over q <= (d1/10)**2 at
+    # alpha = 2, quad's extrapolation across the decades from d1 to 1 once
+    # returned about -1 with an error estimate that passed
+    for d1 in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11):
+        for q in (1e-6, 1e-10, 1e-14, 1e-18, 1e-24, 1e-30):
+            if alpha == 1.0:
+                want = math.log((1.0 + q) / (d1 + q))
+            else:
+                s = math.sqrt(q)
+                want = (math.atan(s / d1) - math.atan(s)) / s
+            got = _value(ToolAlpha(alpha), IndicatorBox(d1, 1.0), -q)
+            assert math.isclose(got, want, rel_tol=1e-10), (d1, q)
 
 
 # --------------------------------------------------------------------------
