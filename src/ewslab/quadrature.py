@@ -21,9 +21,13 @@ two and three dimensions, a sum of one-axis powers c_k (x_k - r_k)**a_k
 with c_k > 0, each term nonnegative on the box, reduces exactly to one
 integral in t of exp(-q t) times a product of per-axis incomplete gamma
 functions (``_separable_reduction``).  Every other box query takes the
-tensorized route with per-axis grading: a level evaluates the symbol on
-the product grid of its axis rules (``Symbol.on_grid``) one slab of
-first-axis nodes at a time and contracts each slab with the weights.
+tensorized route: each axis is one graded rule (``_axis_rule``) toward
+the root coordinate, its smallest panel the layer width of the axis's
+lowest power for a ``Polynomial`` and ``root_scale / 64`` otherwise, and
+a level evaluates the symbol on the product grid of its axis rules
+(``Symbol.on_grid``) one slab of first-axis nodes at a time and
+contracts each slab with the weights.  Radial and ring discs reduce
+to the 1-D power law |u - root|**alpha on [0, R**2], u = r**2.
 """
 
 from __future__ import annotations
@@ -486,39 +490,26 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
 # tensorized quadrature on boxes (2-D and 3-D)
 
 
-def _axis_floors(symbol, q, dim):
+def _axis_floors(symbol, q):
+    """Smallest panel of each axis: the layer width of the axis's lowest power, or root_scale."""
     if isinstance(symbol, Polynomial):
         amax = max(abs(a) for a in symbol.coeffs.values() if a)
         floors = []
-        for d in range(dim):
+        for d in range(symbol.dim):
             degs = [j[d] for j, a in symbol.coeffs.items() if a and j[d] > 0]
             floors.append((q / amax) ** (1.0 / min(degs)) / 64.0 if degs else math.inf)
         return floors
-    if isinstance(symbol, Radial2D):
-        return [q ** (1.0 / symbol.exponent) / 64.0] * dim
-    return [max(symbol.root_scale(q), q) / 64.0] * dim
-
-
-def _axis_intervals(lo, hi, r):
-    """Split [lo, hi] at the root coordinate; tag each piece with its anchor."""
-    if lo < r < hi:
-        return [(lo, r, r), (r, hi, r)]
-    return [(lo, hi, r)]
+    return [symbol.root_scale(q) / 64.0] * symbol.dim
 
 
 def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
-    """One graded product Gauss-Legendre level, evaluated ``on_grid`` in first-axis slabs."""
-    dim = symbol.dim
-    per_axis = []
-    for d in range(dim):
-        pieces = _axis_intervals(lo[d], hi[d], float(symbol.root[d]))
-        nodes = []
-        weights = []
-        for c0, c1, anchor in pieces:
-            n, w, _ = _axis_rule(c0, c1, [anchor], floors[d], ratio, n_gl)
-            nodes.append(n)
-            weights.append(w)
-        per_axis.append((np.concatenate(nodes), np.concatenate(weights)))
+    """One graded product Gauss-Legendre level, evaluated ``on_grid`` in first-axis slabs.
+
+    Each axis is one rule graded toward the root coordinate; a root inside
+    the axis is an edge, with panels graded out to both ends.
+    """
+    per_axis = [_axis_rule(lo[d], hi[d], [float(symbol.root[d])], floors[d], ratio, n_gl)[:2]
+                for d in range(symbol.dim)]
     counts = [len(n) for n, _ in per_axis]
     n_evals = int(np.prod(counts))
     if n_evals > budget:
@@ -541,7 +532,7 @@ def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
 def _variance_tensor(symbol, g, q, rel_tol, phi):
     lo = np.asarray(g.lo, dtype=float)
     hi = np.asarray(g.hi, dtype=float)
-    floors = _axis_floors(symbol, q, symbol.dim)
+    floors = _axis_floors(symbol, q)
     floors = [f if math.isfinite(f) else float(np.max(hi - lo)) for f in floors]
     levels = [(4.0, 10), (4.0, 14), (2.0, 14)] if symbol.dim == 3 else [
         (4.0, 12),
@@ -718,30 +709,28 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     symbol = query.symbol
     g = query.test_function
     phi = _phi_factory(dt)
+    tol = rel_tol if rel_tol is not None else REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND
     if isinstance(symbol, ConvolutionKernel) and isinstance(g, IndicatorBox):
         value = _kernel_variance(symbol, g, q, dt)
     elif symbol.dim == 1:
-        tol = rel_tol if rel_tol is not None else REL_TOL_1D
         value = _variance_1d(symbol, g, q, tol, phi)
     elif isinstance(g, (QuarterDisc, Disc)) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
-        tol = rel_tol if rel_tol is not None else REL_TOL_ND
         angle = math.pi / 2.0 if isinstance(g, QuarterDisc) else 2.0 * math.pi
         # polar coordinates and u = r**2 turn the disc integral into the
         # one-dimensional power law |u - root|**alpha on [0, R**2]: the
         # radial drift has alpha = beta/2 and its root at 0, the planar
-        # ring multiplier alpha = 2 and its root at 1 (off a disc with R < 1)
+        # ring multiplier alpha = 2 and its root at 1; a disc that ends
+        # before the root (R < 1) is a box off the root
+        alpha, root = (symbol.exponent / 2.0, 0.0) if isinstance(symbol, Radial2D) else (2.0, 1.0)
         r2 = g.radius**2
-        if isinstance(symbol, Radial2D):
-            value = _root_sides(symbol.exponent / 2.0, 0.0, r2, q, phi, tol, "polar quadrature")
-        elif r2 >= 1.0:
-            value = _root_sides(2.0, 1.0, r2 - 1.0, q, phi, tol, "polar quadrature")
+        if r2 >= root:
+            value = _root_sides(alpha, root, r2 - root, q, phi, tol, "polar quadrature")
         else:
-            value = _variance_1d(ToolAlpha(2.0, 1.0), IndicatorBox(0.0, r2), q, tol, phi)
+            value = _variance_1d(ToolAlpha(alpha, root), IndicatorBox(0.0, r2), q, tol, phi)
         value *= 0.5 * angle
     elif (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
           and not isinstance(symbol, SwiftHohenberg2D)):
         # the tensor panels grade toward the root, not toward a ring
-        tol = rel_tol if rel_tol is not None else REL_TOL_ND
         axes = _separable_axes(symbol, g)
         if axes is None:
             value = _variance_tensor(symbol, g, q, tol, phi)

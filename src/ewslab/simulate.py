@@ -197,12 +197,14 @@ def predict_discrete_variance(config: SimConfig) -> float:
     """Exact stationary variance of the discretized window observable.
 
     Each mesh point is the chain u' = a (u + sigma dW) with
-    a = 1/(1 - lam dt), so a mode with intensity c has stationary
-    variance sigma**2 c dt a**2/(1 - a**2) = sigma**2 c/(2|lam| +
-    lam**2 dt).  Identity noise sums this over the window with squared
-    projection weights; a rank-M model routes the mode covariance
-    through the same per-point factors, one block of support rows at a
-    time so memory stays bounded for large windows.
+    a = 1/(1 - lam dt), so two points whose noise has covariance c have
+    stationary covariance sigma**2 c dt a_i a_j/(1 - a_i a_j) =
+    sigma**2 c/(|lam_i| + |lam_j| + lam_i lam_j dt), taken in the second
+    form, whose terms do not cancel as lam dt -> 0.  Identity noise sums
+    the diagonal, sigma**2 c/(2|lam| + lam**2 dt), over the window with
+    squared projection weights; a rank-M model routes the mode
+    covariance through the same pair factors, one block of support rows
+    at a time so memory stays bounded for large windows.
     """
     drift = _drift_vector(config)
     idx, w = projection_weights(config.g, config.mesh, config.unweighted)
@@ -210,7 +212,6 @@ def predict_discrete_variance(config: SimConfig) -> float:
     model = config.noise
     if model is None or model.is_identity:
         return float(config.sigma**2 * np.sum(w**2 / (2.0 * np.abs(lam) + lam**2 * config.dt)))
-    a = 1.0 / (1.0 - lam * config.dt)
     basis = model.basis[idx, :]
     scaled = basis * model.eigenvalues
     rows = max(1, _BLOCK_BYTES // (8 * idx.size))
@@ -218,10 +219,9 @@ def predict_discrete_variance(config: SimConfig) -> float:
     for lo in range(0, idx.size, rows):
         part = slice(lo, lo + rows)
         cov = scaled[part] @ basis.T
-        pair = np.outer(a[part], a)
-        stationary = config.sigma**2 * config.dt * cov * pair / (1.0 - pair)
+        stationary = cov / (np.outer(lam[part], lam) * config.dt - lam[part, None] - lam)
         total += w[part] @ stationary @ w
-    return float(total)
+    return float(config.sigma**2 * total)
 
 
 def _lumped_chains(values, idx, w, model: NoiseModel):

@@ -248,6 +248,14 @@ def test_fit_rejects_nonnegative_p(tmp_path):
     assert main(["fit", "--csv", str(bad), "--out", str(tmp_path)]) == 3
 
 
+def test_simulate_with_a_quarter_disc_window(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--symbol", "radial:2", "--g", "qdisc:0.5", "--n", "15",
+                 "--nt", "200", "--p", "-5", "--out", str(out)]) == 0
+    sweep = SweepResult.from_csv((out / "simulate.csv").read_text())
+    assert 0.0 < sweep.values[0] < math.inf
+
+
 def test_simulate_writes_single_row(tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(["simulate", "--symbol", "zero", "--g", "box:-1,1",

@@ -556,41 +556,38 @@ def test_tensor_route_values_are_frozen():
         assert variance_quadrature(VarianceQuery(symbol, g, p), dt=dt) == want
 
 
-def _custom_quadratic():
-    return CustomSymbol(lambda x: -(x[..., 0] ** 2 + x[..., 1] ** 2 + 0.5 * x[..., 0] * x[..., 1]),
-                        dim=2)
-
-
 # (symbol, window, {(p, dt): value}): boxes that take the tensor levels with
 # each kind of axis floor, and ring discs inside and on the unit circle
 _FROZEN_2D = {
     "radial-2-box": (
-        lambda: Radial2D(2.0), IndicatorBox((-0.5, -0.3), (0.7, 0.9)),
+        Radial2D(2.0), IndicatorBox((-0.5, -0.3), (0.7, 0.9)),
         {(-1e-2, 0.0): 5.62059690510545, (-1e-2, 0.01): 5.617003187746411,
          (-1e-4, 0.0): 12.794245460328419, (-1e-4, 0.01): 12.790651565381726,
          (-1e-6, 0.0): 20.02740906812144, (-1e-6, 0.01): 20.023815171398788}),
     "radial-0.5-box": (
-        lambda: Radial2D(0.5), IndicatorBox((-1.0, -1.0), (1.0, 1.0)),
+        Radial2D(0.5), IndicatorBox((-1.0, -1.0), (1.0, 1.0)),
         {(-1e-2, 0.0): 2.4653531020949213, (-1e-2, 0.01): 2.4553961982048467,
          (-1e-4, 0.0): 2.4996201856371694, (-1e-4, 0.01): 2.489662790979829,
          (-1e-6, 0.0): 2.4999691431707958, (-1e-6, 0.01): 2.4900117436055362}),
     "zero-box-corner": (
-        lambda: Zero(2), IndicatorBox((0.0, 0.0), (1.0, 2.0)),
+        Zero(2), IndicatorBox((0.0, 0.0), (1.0, 2.0)),
         {(-1e-2, 0.0): 99.99999999999999, (-1e-2, 0.01): 99.9950002499875,
          (-1e-4, 0.0): 10000.000000000002, (-1e-4, 0.01): 9999.995000002498,
          (-1e-6, 0.0): 1000000.0000000001, (-1e-6, 0.01): 999999.9950000003}),
     "custom-box-edge": (
-        _custom_quadratic, IndicatorBox((0.0, -1.0), (1.0, 1.0)),
+        CustomSymbol(lambda x: -(x[..., 0] ** 2 + x[..., 1] ** 2 + 0.5 * x[..., 0] * x[..., 1]),
+                     dim=2),
+        IndicatorBox((0.0, -1.0), (1.0, 1.0)),
         {(-1e-2, 0.0): 3.8851903016127856, (-1e-2, 0.01): 3.880207135850134,
          (-1e-4, 0.0): 7.6138089365773824, (-1e-4, 0.01): 7.608825524965135,
          (-1e-6, 0.0): 11.349249918618725, (-1e-6, 0.01): 11.344266504547857}),
     "ring-disc-0.5": (
-        SwiftHohenberg2D, Disc(0.5),
+        SwiftHohenberg2D(), Disc(0.5),
         {(-1e-2, 0.0): 0.5165230681293632, (-1e-2, 0.01): 0.5145672079470974,
          (-1e-4, 0.0): 0.523527033269091, (-1e-4, 0.01): 0.5215710766434265,
          (-1e-6, 0.0): 0.5235980580750604, (-1e-6, 0.01): 0.5216421004849141}),
     "ring-disc-1": (
-        SwiftHohenberg2D, Disc(1.0),
+        SwiftHohenberg2D(), Disc(1.0),
         {(-1e-2, 0.0): 23.108419470426252, (-1e-2, 0.01): 23.100578931007878,
          (-1e-4, 0.0): 245.16936605717524, (-1e-4, 0.01): 245.16152513029442,
          (-1e-6, 0.0): 2465.830304469131, (-1e-6, 0.01): 2465.8224635383763}),
@@ -599,8 +596,7 @@ _FROZEN_2D = {
 
 @pytest.mark.parametrize("case", sorted(_FROZEN_2D))
 def test_tensor_floors_and_ring_discs_are_frozen(case):
-    make, g, frozen = _FROZEN_2D[case]
-    symbol = make()
+    symbol, g, frozen = _FROZEN_2D[case]
     for (p, dt), want in frozen.items():
         assert variance_quadrature(VarianceQuery(symbol, g, p), dt=dt) == want, (p, dt)
 

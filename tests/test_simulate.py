@@ -30,7 +30,7 @@ from ewslab.simulate import (
     run_sweep,
     step,
 )
-from ewslab.quadrature import IndicatorBox
+from ewslab.quadrature import Disc, IndicatorBox, QuarterDisc
 from ewslab.symbols import CustomSymbol, Radial2D, ToolAlpha, Zero
 
 AR1_SINGLE_MODE = 1.0 / 2.1  # lambda=-1, sigma=1, dt=0.1
@@ -219,6 +219,43 @@ def test_predicted_variance_row_blocks_match_dense_formula():
     pair = np.outer(a, a)
     want = float(w @ (0.7 ** 2 * 0.02 * cov * pair / (1.0 - pair)) @ w)
     assert math.isclose(predict_discrete_variance(config), want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("p", [-1e-6, -1e-8])
+def test_structured_prediction_does_not_cancel_as_lam_dt_goes_to_0(p):
+    # the acceptance drift and window with rank-8 noise; the reference is
+    # dt a_i a_j / (1 - a_i a_j) summed in 50 digits, where a_i a_j is within
+    # |lam_i + lam_j| dt of 1 and 1 - a_i a_j cancels in doubles
+    mpmath = pytest.importorskip("mpmath")
+    mesh, g = Mesh(1.0, 21, 1), IndicatorBox(-0.5, 0.5)
+    idx, w = projection_weights(g, mesh)
+    noise = build_noise_model(mesh.size, idx, m=8, seed=3)
+    config = SimConfig(ToolAlpha(2.0), g, p, mesh, dt=0.01, nt=100, noise=noise)
+    with mpmath.workdps(50):
+        mp = lambda values: [mpmath.mpf(float(v)) for v in values]
+        lam = mp(_drift_vector(config)[idx])
+        basis = [mp(row) for row in noise.basis[idx]]
+        ev = mp(noise.eigenvalues)
+        dt = mpmath.mpf(0.01)
+        a = [1 / (1 - v * dt) for v in lam]
+        want = mpmath.fsum(
+            wi * wj * mpmath.fsum(bi * e * bj for bi, e, bj in zip(rowi, ev, rowj))
+            * dt * ai * aj / (1 - ai * aj)
+            for wi, rowi, ai in zip(mp(w), basis, a) for wj, rowj, aj in zip(mp(w), basis, a))
+        want = float(want)
+    assert math.isclose(predict_discrete_variance(config), want, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("window", [QuarterDisc(0.5), Disc(0.5)])
+def test_disc_windows_select_the_mesh_points_inside_them(window):
+    mesh = Mesh(1.0, 15, 2)
+    pts = mesh.grid()
+    inside = np.hypot(pts[:, 0], pts[:, 1]) <= 0.5
+    if isinstance(window, QuarterDisc):
+        inside &= (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0)
+    idx, w = projection_weights(window, mesh)
+    np.testing.assert_array_equal(idx, np.nonzero(inside)[0])
+    np.testing.assert_array_equal(w, np.full(idx.size, mesh.h ** 2))
 
 
 def _acceptance_config(p=-0.1, sigma=1.0):
