@@ -233,6 +233,28 @@ def test_fit_recovers_synthetic_power_law(tmp_path, capsys):
     assert abs(summary["k"]) < 1e-6
 
 
+def test_fit_window_and_figure(tmp_path, capsys):
+    # a pure power law in the top decades and a log law below: the window
+    # picks the decades that are fitted
+    qs = np.logspace(-8, -2, 25)
+    values = [float(q) ** -0.5 if q > 1e-5 else -math.log(float(q)) for q in qs]
+    rows = ["p,value,stderr,source"] + [f"{-float(q)!r},{v!r},0.0,quadrature"
+                                        for q, v in zip(qs, values)]
+    csv = tmp_path / "series.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    assert main(["fit", "--csv", str(csv), "--window", "-4:-2", "--svg",
+                 "--out", str(tmp_path)]) == 0
+    assert "classified: s=-0.5" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "sweep_fit.json").read_text())
+    assert abs(summary["s"] + 0.5) < 1e-6 and summary["points"] == 25
+    svg = (tmp_path / "sweep_fit.svg").read_text()
+    assert svg.startswith("<svg") and "fitted slope -0.50" in svg
+    manifest = json.loads((tmp_path / "sweep_fit_manifest.json").read_text())
+    assert manifest["outputs"] == ["sweep_fit.json", "sweep_fit.svg"]
+    # fewer than 8 points inside the window
+    assert main(["fit", "--csv", str(csv), "--window", "-3:-2", "--out", str(tmp_path)]) == 3
+
+
 def test_fit_rejects_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("p,value,stderr,source\n-0.1,1.0,0.0,quadrature\n-0.01,x,0.0,quadrature\n")
@@ -279,6 +301,17 @@ def test_spectral_sweep_and_law(tmp_path, capsys):
     assert "predicted law: s=-0.5" in capsys.readouterr().out
     sweep = SweepResult.from_csv((out / "spectral.csv").read_text())
     assert sweep.source == "spectral"
+
+
+def test_spectral_kernel_on_its_zero_has_no_predicted_law(tmp_path, capsys):
+    # the discrete Laplacian kernel: multiplier (2 cos(k) - 2) <= 0, zero at k = 0
+    kernel = tmp_path / "K.txt"
+    np.savetxt(kernel, [-2.0, 1.0] + [0.0] * 12 + [1.0])
+    assert main(["spectral", "--symbol", f"conv:{kernel}:1", "--g", "box:-1,1",
+                 "--p-decades=-6:-2", "--points", "4", "--out", str(tmp_path)]) == 0
+    assert "predicted law: unavailable (sampled kernels" in capsys.readouterr().out
+    values = SweepResult.from_csv((tmp_path / "spectral.csv").read_text()).values
+    assert all(v > 0 for v in values)
 
 
 def test_compare_overlay_annotates_fitted_slope(tmp_path, capsys):
@@ -493,6 +526,17 @@ def test_sweep_off_the_root_writes_the_closed_form(tmp_path):
         s = math.sqrt(-p)
         want = 0.5 * (math.atan(s / 1e-9) - math.atan(s)) / s
         assert value > 0 and math.isclose(value, want, rel_tol=1e-10), p
+
+
+def test_sweep_of_a_piecewise_symbol_on_a_power_window(tmp_path):
+    # only the right side, -x**2, meets the window (0, 1]
+    assert main(["sweep", "--symbol", "pw:1,2", "--g", "power:0.25,1", "--p-decades=-9:-3",
+                 "--points", "4", "--out", str(tmp_path), "--prefix", "pw"]) == 0
+    assert main(["sweep", "--symbol", "tool:2", "--g", "power:0.25,1", "--p-decades=-9:-3",
+                 "--points", "4", "--out", str(tmp_path), "--prefix", "tool"]) == 0
+    got = SweepResult.from_csv((tmp_path / "pw.csv").read_text()).values
+    want = SweepResult.from_csv((tmp_path / "tool.csv").read_text()).values
+    np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
 def test_overflowing_side_integral_exits_4(tmp_path, capsys):

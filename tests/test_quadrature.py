@@ -182,6 +182,28 @@ def test_radial_full_disc_is_four_quarters():
     assert math.isclose(full, 4.0 * quarter, rel_tol=1e-12)
 
 
+def test_quarter_disc_is_the_disc_on_the_closed_positive_quadrant():
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([rng.uniform(-2.0, 2.0, (400, 2)),
+                          [[0.0, 0.0], [0.0, 1.5], [1.5, 0.0], [-0.0, 1.0], [1.5, -1e-300],
+                           [1.5 * math.cos(0.3), 1.5 * math.sin(0.3)], [0.0, 1.6]]])
+    quadrant = (pts[:, 0] >= 0) & (pts[:, 1] >= 0)
+    got = QuarterDisc(1.5)(pts)
+    np.testing.assert_array_equal(got, Disc(1.5)(pts) * quadrant)
+    assert got.dtype == float and set(got.tolist()) == {0.0, 1.0}
+    assert QuarterDisc(1.5)(np.zeros((3, 4, 2))).shape == (3, 4)
+    assert repr(QuarterDisc(1.5)) == "QuarterDisc(radius=1.5)"
+    assert repr(Disc(1.5)) == "Disc(radius=1.5)"
+
+
+@pytest.mark.parametrize("symbol", [Radial2D(2.0), Radial2D(0.7), SwiftHohenberg2D()])
+def test_full_disc_is_four_quarter_discs_exactly(symbol):
+    for radius in (0.5, 1.0, 3.0):
+        for p in (-1e-2, -1e-9):
+            quarter = _value(symbol, QuarterDisc(radius), p)
+            assert _value(symbol, Disc(radius), p) == 4.0 * quarter, (radius, p)
+
+
 def test_radial_general_exponent_brute_force():
     q = 1e-3
     got = _value(Radial2D(3.0), QuarterDisc(1.0), -q)

@@ -228,6 +228,31 @@ def test_real_part_passthrough_and_zero_collapse():
     assert isinstance(g, Zero)
 
 
+def test_real_part_symbol_keeps_an_explicit_domain():
+    f = real_part_symbol(lambda x: -x ** 2 + 0.5j * x, dim=1, root=0.5, domain=(0.5, 2.0))
+    assert isinstance(f, CustomSymbol) and f.sign_ok is False
+    assert [v.tolist() for v in f.domain] == [[0.5], [2.0]]
+    assert f.root.tolist() == [0.5]
+    np.testing.assert_array_equal(f(np.array([1.0, 2.0])), [-1.0, -4.0])
+    # the zero collapse keeps the domain too
+    z = real_part_symbol(lambda x: 1j * x[..., 0], dim=2, domain=((0.0, 0.0), (2.0, 3.0)))
+    assert isinstance(z, Zero) and z.dim == 2
+    assert [v.tolist() for v in z.domain] == [[0.0, 0.0], [2.0, 3.0]]
+    with pytest.raises(ValueError, match="positive extent"):
+        real_part_symbol(lambda x: -x ** 2, domain=(1.0, 1.0))
+
+
+def test_real_part_symbol_of_a_scalar_only_callable():
+    # complex() refuses arrays, so every point is evaluated on its own
+    f = real_part_symbol(lambda x: complex(-x * x, x), dim=1)
+    assert isinstance(f, CustomSymbol) and f.sign_ok
+    assert [v.tolist() for v in f.domain] == [[-1.0], [1.0]]
+    np.testing.assert_array_equal(f(np.array([0.5, -2.0])), [-0.25, -4.0])
+    assert float(f(3.0)) == -9.0
+    z = real_part_symbol(lambda x: complex(0.0, x), dim=1)
+    assert isinstance(z, Zero)
+
+
 def test_custom_symbol_shape_check():
     f = CustomSymbol(lambda x: -np.abs(x), dim=1)
     np.testing.assert_allclose(f(np.array([1.0, -2.0])), [-1.0, -2.0])
