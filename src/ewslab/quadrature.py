@@ -53,6 +53,7 @@ from .symbols import (
     ToolAlpha,
     as_finite,
     as_multi_index,
+    as_positive,
 )
 
 REL_TOL_1D = 1e-8
@@ -100,9 +101,7 @@ class IndicatorBox(TestFunction):
     @classmethod
     def cube(cls, eps: float, dim: int = 1) -> "IndicatorBox":
         """The box [0, eps]**dim."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        return cls(np.zeros(dim), np.full(dim, float(eps)))
+        return cls(np.zeros(dim), np.full(dim, as_positive(eps, "eps")))
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -128,13 +127,10 @@ class PowerIndicator(TestFunction):
 
     def __init__(self, gamma: float, eps: float = 1.0):
         gamma = as_finite(gamma, "gamma")
-        eps = as_finite(eps, "eps")
         if not 0.0 <= gamma < 0.5:
             raise ValueError("gamma must lie in [0, 1/2) for a square-integrable window")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         self.gamma = gamma
-        self.eps = eps
+        self.eps = as_positive(eps, "eps")
         self.dim = 1
 
     def __call__(self, x):
@@ -148,40 +144,15 @@ class PowerIndicator(TestFunction):
         return f"PowerIndicator(gamma={self.gamma}, eps={self.eps})"
 
 
-class QuarterDisc(TestFunction):
-    """g = 1 on the quarter disc of given radius in the positive quadrant."""
-
-    kind = "quarter_disc"
-    fields = ("radius",)
-
-    def __init__(self, radius: float):
-        radius = as_finite(radius, "radius")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = radius
-        self.dim = 2
-
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        r2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
-        inside = (arr[..., 0] >= 0) & (arr[..., 1] >= 0) & (r2 <= self.radius**2)
-        return inside.astype(float)
-
-    def __repr__(self):
-        return f"QuarterDisc(radius={self.radius})"
-
-
 class Disc(TestFunction):
     """g = 1 on the full disc of given radius centered at the origin."""
 
     kind = "disc"
     fields = ("radius",)
+    angle = 2.0 * math.pi  # of the sector the window covers
 
     def __init__(self, radius: float):
-        radius = as_finite(radius, "radius")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = radius
+        self.radius = as_positive(radius, "radius")
         self.dim = 2
 
     def __call__(self, x):
@@ -190,7 +161,19 @@ class Disc(TestFunction):
         return (r2 <= self.radius**2).astype(float)
 
     def __repr__(self):
-        return f"Disc(radius={self.radius})"
+        return f"{type(self).__name__}(radius={self.radius})"
+
+
+class QuarterDisc(Disc):
+    """g = 1 on the quarter disc of given radius in the closed positive quadrant."""
+
+    kind = "quarter_disc"
+    fields = ("radius",)
+    angle = math.pi / 2.0
+
+    def __call__(self, x):
+        arr = np.asarray(x, dtype=float)
+        return super().__call__(arr) * ((arr[..., 0] >= 0) & (arr[..., 1] >= 0))
 
 
 class VarianceQuery:
@@ -200,11 +183,9 @@ class VarianceQuery:
         if not isinstance(symbol, Symbol):
             raise TypeError("symbol must be a Symbol instance")
         p = as_finite(p, "p")
-        sigma = as_finite(sigma, "sigma")
+        sigma = as_positive(sigma, "sigma")
         if p >= 0:
             raise ValueError("p must be negative, the equation is only stable for p < 0")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
         if symbol.dim != test_function.dim:
             raise ValueError(
                 f"symbol dimension {symbol.dim} does not match window dimension {test_function.dim}"
@@ -238,6 +219,12 @@ def _quad(fn, a, b, epsrel, points=None):
     )
     value, abserr = out[0], out[1]
     return value, abserr
+
+
+def _check_rel_tol(rel_tol):
+    """ValueError unless ``rel_tol`` is a number in (0, 1); NaN and infinity fail too."""
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
 
 
 def _checked(value, err, tol, what):
@@ -377,8 +364,6 @@ def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol, power=1.0):
 
 
 def _phi_factory(dt: float) -> Callable:
-    if as_finite(dt, "dt") < 0:
-        raise ValueError("dt must be nonnegative")
     if dt == 0.0:
         return lambda t: 1.0 / t
     half = 0.5 * dt
@@ -407,7 +392,11 @@ def _kernel_variance(symbol, g, q, dt):
     treatment of near-zero multiplier values is needed.  The implicit
     scheme's 1/(t + dt t**2/2) is 1/t - 1/(t + 2/dt), two such integrals.
     Accuracy is limited by the kernel's sample resolution, not by this step.
+    The window must be a box: the interpolant has a kink at every node,
+    which a weighted window's graded rule would not put a panel edge on.
     """
+    if not isinstance(g, IndicatorBox):
+        raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
     a, b = float(g.lo[0]), float(g.hi[0])
     grid = symbol.freq_grid
     if a < grid[0] or b > grid[-1]:
@@ -429,7 +418,10 @@ def _kernel_variance(symbol, g, q, dt):
     return value - integral(tvals + 2.0 / dt) if dt > 0 else value
 
 
-def _variance_1d(symbol, g, q, rel_tol, phi):
+def _variance_1d(symbol, g, q, rel_tol, dt):
+    if isinstance(symbol, ConvolutionKernel):
+        return _kernel_variance(symbol, g, q, dt)
+    phi = _phi_factory(dt)
     if isinstance(g, PowerIndicator):
         # u = x**beta turns x**(-2 gamma) dx into du / beta, which Gauss-Legendre
         # resolves at 0, and ratio**beta grading toward u = 0 is ratio grading in
@@ -466,10 +458,10 @@ def _variance_1d(symbol, g, q, rel_tol, phi):
         total = 0.0
         if a < root:
             left_box = IndicatorBox(a, min(b, root))
-            total += _variance_1d(symbol.left, left_box, q, rel_tol, phi)
+            total += _variance_1d(symbol.left, left_box, q, rel_tol, dt)
         if b > root:
             right_box = IndicatorBox(max(a, root), b)
-            total += _variance_1d(symbol.right, right_box, q, rel_tol, phi)
+            total += _variance_1d(symbol.right, right_box, q, rel_tol, dt)
         return total
 
     if isinstance(symbol, ToolAlpha) and a <= root <= b:
@@ -701,21 +693,21 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     against discretized simulations.
 
     This is the one router for physical and frequency symbols alike;
-    sampled kernels on a box take the exact integral of their interpolant.
+    sampled kernels, alone or as a ``Piecewise`` side, take the exact
+    integral of their interpolant, on box windows only.
     """
-    if rel_tol is not None and not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
+    if rel_tol is not None:
+        _check_rel_tol(rel_tol)
     q = -query.p
     symbol = query.symbol
     g = query.test_function
+    if as_finite(dt, "dt") < 0:
+        raise ValueError("dt must be nonnegative")
     phi = _phi_factory(dt)
     tol = rel_tol if rel_tol is not None else REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND
-    if isinstance(symbol, ConvolutionKernel) and isinstance(g, IndicatorBox):
-        value = _kernel_variance(symbol, g, q, dt)
-    elif symbol.dim == 1:
-        value = _variance_1d(symbol, g, q, tol, phi)
-    elif isinstance(g, (QuarterDisc, Disc)) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
-        angle = math.pi / 2.0 if isinstance(g, QuarterDisc) else 2.0 * math.pi
+    if symbol.dim == 1:
+        value = _variance_1d(symbol, g, q, tol, dt)
+    elif isinstance(g, Disc) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
         # polar coordinates and u = r**2 turn the disc integral into the
         # one-dimensional power law |u - root|**alpha on [0, R**2]: the
         # radial drift has alpha = beta/2 and its root at 0, the planar
@@ -726,8 +718,8 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
         if r2 >= root:
             value = _root_sides(alpha, root, r2 - root, q, phi, tol, "polar quadrature")
         else:
-            value = _variance_1d(ToolAlpha(alpha, root), IndicatorBox(0.0, r2), q, tol, phi)
-        value *= 0.5 * angle
+            value = _variance_1d(ToolAlpha(alpha, root), IndicatorBox(0.0, r2), q, tol, dt)
+        value *= 0.5 * g.angle
     elif (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
           and not isinstance(symbol, SwiftHohenberg2D)):
         # the tensor panels grade toward the root, not toward a ring
@@ -780,12 +772,9 @@ def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-
     above rel_tol, as for clustered exponents, QuadratureError is raised.
     """
     idx = as_multi_index(j)
-    q = float(q)
-    eps = float(eps)
-    if q <= 0:
-        raise ValueError("q must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    q = as_positive(q, "q")
+    eps = as_positive(eps, "eps")
+    _check_rel_tol(rel_tol)
     # zero components only scale the value, which is done in logs
     reduced = tuple(c for c in idx if c > 0)
     try:
@@ -843,9 +832,8 @@ def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:
     m = int(m)
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    q = float(q)
-    if q <= 0:
-        raise ValueError("q must be positive")
+    q = as_positive(q, "q")
+    _check_rel_tol(rel_tol)
     upper = 1.0 / q
     epsrel = min(rel_tol * 1e-2, 1e-10)
 

@@ -25,7 +25,6 @@ from .quadrature import (
     Disc,
     IndicatorBox,
     PowerIndicator,
-    QuarterDisc,
     TestFunction,
     VarianceQuery,
     variance_quadrature,
@@ -40,6 +39,7 @@ from .symbols import (
     as_coefficient_map,
     as_finite,
     as_multi_index,
+    as_positive,
     minimal_support,
 )
 
@@ -82,10 +82,8 @@ def law_1d(alpha: float, gamma: float = 0.0) -> ScalingLaw:
     stays bounded, at 1 it diverges logarithmically, above 1 it runs
     like a power with exponent -1 + (1 - 2*gamma)/alpha.
     """
-    alpha = as_finite(alpha, "alpha")
+    alpha = as_positive(alpha, "alpha")
     gamma = as_finite(gamma, "gamma")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     if not 0.0 <= gamma < 0.5:
         raise ValueError("gamma must lie in [0, 1/2)")
     balance = 2.0 * gamma + alpha
@@ -210,7 +208,7 @@ def covers_zero_set(symbol: Symbol, ghat: TestFunction) -> bool:
     if symbol.dim == 1 and isinstance(ghat, (IndicatorBox, PowerIndicator)):
         lo, hi = (0.0, ghat.eps) if isinstance(ghat, PowerIndicator) else (ghat.lo[0], ghat.hi[0])
         return len(symbol.zeros_in(float(lo), float(hi))) > 0
-    if isinstance(symbol, SwiftHohenberg2D) and isinstance(ghat, (Disc, QuarterDisc)):
+    if isinstance(symbol, SwiftHohenberg2D) and isinstance(ghat, Disc):
         return ghat.radius >= 1.0
     raise ValueError(f"no zero-set rule for a {symbol.kind} symbol with a {ghat.kind} window")
 

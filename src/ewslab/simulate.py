@@ -41,7 +41,7 @@ import numpy as np
 # perfbench/test_harness.py checks that the tracer wraps it here.
 from .noise import NoiseModel, noise_increment  # noqa: F401
 from .quadrature import TestFunction
-from .symbols import Symbol, as_finite
+from .symbols import Symbol, as_finite, as_positive
 
 # Working-set budget of the simulation and prediction kernels: the
 # number of steps (or prediction rows) per block is derived from it so
@@ -65,8 +65,7 @@ class Mesh:
     dim: int = 1
 
     def __post_init__(self):
-        if as_finite(self.half_width, "half_width") <= 0:
-            raise ValueError("half_width must be positive")
+        as_positive(self.half_width, "half_width")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.dim not in (1, 2):
@@ -143,14 +142,10 @@ class SimConfig:
     unweighted: bool = False
 
     def __post_init__(self):
-        for name in ("p", "dt", "sigma"):
-            as_finite(getattr(self, name), name)
-        if self.p >= 0:
+        if as_finite(self.p, "p") >= 0:
             raise ValueError("p must be negative")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        as_positive(self.dt, "dt")
+        as_positive(self.sigma, "sigma")
         if self.nt < 10:
             raise ValueError("nt must be at least 10")
         if self.replicas < 1:

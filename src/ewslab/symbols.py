@@ -58,6 +58,14 @@ def as_finite(value, name: str):
     return arr if arr.ndim else float(arr)
 
 
+def as_positive(value, name: str) -> float:
+    """``value`` as a finite float above 0; anything else raises ValueError."""
+    value = as_finite(value, name)
+    if not (isinstance(value, float) and value > 0):
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
 def as_coefficient_map(coeffs: Mapping) -> dict[MultiIndex, float]:
     """``coeffs`` as {multi-index: finite float}; every reader of coefficient maps uses it.
 
@@ -85,7 +93,10 @@ def _as_point(value, dim: int) -> np.ndarray:
     return arr
 
 
-def _as_box(lo, hi, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _as_box(domain, lo, hi, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``domain``, or the default corners ``lo, hi`` when it is None, as a box of points."""
+    if domain is not None:
+        lo, hi = domain
     lo = _as_point(lo, dim)
     hi = _as_point(hi, dim)
     if np.any(hi <= lo):
@@ -250,15 +261,10 @@ class ToolAlpha(Symbol):
     fields = ("alpha", "root", "domain")
 
     def __init__(self, alpha: float, root: float = 0.0, domain=None):
-        alpha = as_finite(alpha, "alpha")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.alpha = alpha
+        self.alpha = as_positive(alpha, "alpha")
         self.dim = 1
         self.root = _as_point(root, 1)
-        if domain is None:
-            domain = (self.root[0] - 1.0, self.root[0] + 1.0)
-        self.domain = _as_box(domain[0], domain[1], 1)
+        self.domain = _as_box(domain, self.root - 1.0, self.root + 1.0, 1)
         self.sign_ok = True
 
     def __call__(self, x):
@@ -295,11 +301,7 @@ class Polynomial(Symbol):
             raise ValueError("constant terms are not allowed, f must vanish at the root")
         self.coeffs = dict(sorted(terms.items()))
         self.root = _as_point(root if root is not None else np.zeros(self.dim), self.dim)
-        if domain is None:
-            lo, hi = self.root, self.root + 1.0
-        else:
-            lo, hi = domain
-        self.domain = _as_box(lo, hi, self.dim)
+        self.domain = _as_box(domain, self.root, self.root + 1.0, self.dim)
         self.sign_ok = _check_sign(self, strict=True)
 
     def __call__(self, x):
@@ -392,17 +394,10 @@ class Radial2D(Symbol):
     fields = ("exponent", "domain")
 
     def __init__(self, exponent: float = 2.0, domain=None):
-        exponent = as_finite(exponent, "exponent")
-        if exponent <= 0:
-            raise ValueError("exponent must be positive")
-        self.exponent = exponent
+        self.exponent = as_positive(exponent, "exponent")
         self.dim = 2
         self.root = np.zeros(2)
-        if domain is None:
-            lo, hi = (-np.ones(2), np.ones(2))
-        else:
-            lo, hi = domain
-        self.domain = _as_box(lo, hi, 2)
+        self.domain = _as_box(domain, -np.ones(2), np.ones(2), 2)
         self.sign_ok = True
 
     def __call__(self, x):
@@ -433,11 +428,7 @@ class Zero(Symbol):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         self.root = np.zeros(self.dim)
-        if domain is None:
-            lo, hi = (np.zeros(self.dim), np.ones(self.dim))
-        else:
-            lo, hi = domain
-        self.domain = _as_box(lo, hi, self.dim)
+        self.domain = _as_box(domain, np.zeros(self.dim), np.ones(self.dim), self.dim)
         self.sign_ok = False
 
     def __call__(self, x):
@@ -485,7 +476,7 @@ class SwiftHohenberg1D(Symbol):
     def __init__(self):
         self.dim = 1
         self.root = np.zeros(1)
-        self.domain = _as_box(-3.0, 3.0, 1)
+        self.domain = _as_box(None, -3.0, 3.0, 1)
         self.sign_ok = True
 
     def __call__(self, x):
@@ -511,16 +502,13 @@ class SwiftHohenberg2D(Symbol):
     def __init__(self):
         self.dim = 2
         self.root = np.zeros(2)
-        self.domain = _as_box((-3.0, -3.0), (3.0, 3.0), 2)
+        self.domain = _as_box(None, (-3.0, -3.0), (3.0, 3.0), 2)
         self.sign_ok = True
 
     def __call__(self, x):
         arr = self._coerce(x)
         r2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
         return -((1.0 - r2) ** 2)
-
-    def root_scale(self, q: float) -> float:
-        return math.sqrt(float(q)) / 2.0
 
     def __repr__(self):
         return "SwiftHohenberg2D()"
@@ -546,9 +534,7 @@ class ConvolutionKernel(Symbol):
         samples = np.atleast_1d(as_finite(samples, "kernel samples"))
         if samples.ndim != 1 or samples.size < 4:
             raise ValueError("kernel samples must be a vector with at least 4 entries")
-        spacing = as_finite(spacing, "spacing")
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
+        spacing = as_positive(spacing, "spacing")
         self.samples = samples
         self.spacing = spacing
         transform = np.fft.fft(samples) * spacing
@@ -558,15 +544,12 @@ class ConvolutionKernel(Symbol):
         self.multiplier = transform.real[order]
         self.dim = 1
         self.root = np.zeros(1)
-        self.domain = _as_box(self.freq_grid[0], self.freq_grid[-1], 1)
+        self.domain = _as_box(None, self.freq_grid[0], self.freq_grid[-1], 1)
         self.sign_ok = bool(np.max(self.multiplier) <= _ZERO_TOL)
 
     def __call__(self, x):
         arr = self._coerce(x)
         return np.interp(arr, self.freq_grid, self.multiplier)
-
-    def root_scale(self, q: float) -> float:
-        return float(self.freq_grid[1] - self.freq_grid[0])
 
     def zeros_in(self, lo: float, hi: float) -> tuple[float, ...]:
         scale = _ZERO_TOL * max(1.0, float(np.max(np.abs(self.multiplier))))
@@ -617,11 +600,7 @@ class CustomSymbol(Symbol):
         self.fn = fn
         self.dim = int(dim)
         self.root = _as_point(root if root is not None else np.zeros(self.dim), self.dim)
-        if domain is None:
-            lo, hi = self.root - 1.0, self.root + 1.0
-        else:
-            lo, hi = domain
-        self.domain = _as_box(lo, hi, self.dim)
+        self.domain = _as_box(domain, self.root - 1.0, self.root + 1.0, self.dim)
         self.sign_ok = _check_sign(self, strict=False)
 
     def __call__(self, x):
@@ -649,25 +628,10 @@ def real_part_symbol(fn: Callable, dim: int = 1, root=None, domain=None) -> Symb
     ``sign_ok=False``; other sign violations are likewise flagged rather
     than raised.
     """
-    dim = int(dim)
-    root_pt = _as_point(root if root is not None else np.zeros(dim), dim)
-    if domain is None:
-        box = (root_pt - 1.0, root_pt + 1.0)
-    else:
-        box = _as_box(domain[0], domain[1], dim)
-
-    def real_fn(x):
-        try:
-            vals = np.asarray(fn(x))
-        except (TypeError, ValueError):
-            vals = np.vectorize(lambda v: complex(fn(v)))(x)
-        return np.real(vals).astype(float)
-
-    pts = _lattice(box, dim)
-    sampled = real_fn(pts)
-    if np.max(np.abs(sampled)) <= _ZERO_TOL:
-        return Zero(dim, domain=box)
-    return CustomSymbol(real_fn, dim=dim, root=root_pt, domain=box)
+    symbol = CustomSymbol(lambda x: np.real(fn(x)), dim, root, domain)
+    if np.max(np.abs(symbol(_lattice(symbol.domain, symbol.dim)))) <= _ZERO_TOL:
+        return Zero(symbol.dim, domain=symbol.domain)
+    return symbol
 
 
 def minimal_support(coeffs: Mapping) -> frozenset[MultiIndex]:

@@ -304,10 +304,9 @@ def test_spectral_sweep_and_law(tmp_path, capsys):
 
 
 def test_spectral_kernel_on_its_zero_has_no_predicted_law(tmp_path, capsys):
-    # the discrete Laplacian kernel: multiplier (2 cos(k) - 2) <= 0, zero at k = 0
-    kernel = tmp_path / "K.txt"
-    np.savetxt(kernel, [-2.0, 1.0] + [0.0] * 12 + [1.0])
-    assert main(["spectral", "--symbol", f"conv:{kernel}:1", "--g", "box:-1,1",
+    # the discrete Laplacian kernel: multiplier 2 cos(k) - 2 <= 0, zero at k = 0
+    kernel = _kernel_files(str(tmp_path))["laplace"]
+    assert main(["spectral", "--symbol", f"conv:{kernel}", "--g", "box:-1,1",
                  "--p-decades=-6:-2", "--points", "4", "--out", str(tmp_path)]) == 0
     assert "predicted law: unavailable (sampled kernels" in capsys.readouterr().out
     values = SweepResult.from_csv((tmp_path / "spectral.csv").read_text()).values
@@ -579,6 +578,12 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     assert main(["sweep", "--symbol", "sh2d", "--g", "box:0,1.5,0,1.5", "--p-decades=-6:-3",
                  "--points", "4", "--out", str(tmp_path)]) == 3
     assert "unsupported combination" in capsys.readouterr().err
+    # a sampled kernel takes box windows only: its interpolant has a kink at every node
+    kernel = _kernel_files(str(tmp_path))["laplace"]
+    for command in ("sweep", "spectral"):
+        assert main([command, "--symbol", f"conv:{kernel}", "--g", "power:0.2,0.3",
+                     "--p-decades=-6:-2", "--points", "4", "--out", str(tmp_path)]) == 3
+        assert "unsupported combination" in capsys.readouterr().err
     assert main(["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5",
                  "--n", "9", "--nt", "200", "--half-width", "nan", "--out", str(tmp_path)]) == 3
     # drifts that turn positive inside the window: the 1-D and the tensor routes
@@ -655,6 +660,56 @@ def test_power_law_sweeps_exit_cleanly_with_positive_values(argv):
         values = []
         if code == 0:
             with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
+                values = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+    assert code in (0, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert all(math.isfinite(v) and v > 0 for v in values), (argv, values)
+
+
+def _kernel_files(out):
+    """Sample files of two kernels: multiplier -(k**2 - 1)**2, and 2 cos(k) - 2."""
+    n, dx = 64, 0.25
+    k = 2 * math.pi * np.fft.fftfreq(n, d=dx)
+    ring = os.path.join(out, "ring.txt")
+    np.savetxt(ring, np.real(np.fft.ifft(-(k ** 2 - 1.0) ** 2)) / dx, fmt="%.17g")
+    laplace = os.path.join(out, "laplace.txt")
+    np.savetxt(laplace, [-2.0, 1.0] + [0.0] * 12 + [1.0])
+    return {"ring": f"{ring}:{dx!r}", "laplace": f"{laplace}:1"}
+
+
+@st.composite
+def _spectral_windows(draw, shape):
+    """A window spec of the given kind, and a p decade range reaching down to 1e-300."""
+    if shape == "box":
+        lo = draw(st.floats(-3.5, 3.0))
+        window = f"box:{lo!r},{lo + draw(st.floats(0.01, 4.0))!r}"
+    elif shape == "power":
+        gamma = draw(st.floats(0.0, 0.5, exclude_max=True))
+        window = f"power:{gamma!r},{draw(st.floats(0.01, 3.0))!r}"
+    else:
+        window = f"{shape}:{draw(st.floats(0.1, 3.0))!r}"
+    lo_dec = draw(st.integers(-300, -2))
+    return window, f"{lo_dec}:{draw(st.integers(lo_dec + 1, -1))}"
+
+
+@pytest.mark.parametrize("shape", ["box", "power", "disc", "qdisc"])
+@pytest.mark.parametrize("symbol", ["power2m:1", "power2m:3", "sh1d", "sh2d",
+                                    "conv:ring", "conv:laplace"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_spectral_sweeps_exit_cleanly_with_positive_values(symbol, shape, data):
+    window, decades = data.draw(_spectral_windows(shape))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        if symbol.startswith("conv:"):
+            symbol = f"conv:{_kernel_files(out)[symbol[5:]]}"
+        argv = ["spectral", "--symbol", symbol, "--g", window, f"--p-decades={decades}",
+                "--points", "4", "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        values = []
+        if code == 0:
+            with open(os.path.join(out, "spectral.csv"), encoding="utf-8") as fh:
                 values = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
     assert code in (0, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

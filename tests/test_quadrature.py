@@ -795,3 +795,40 @@ def test_appendix_integral_validation():
         appendix_c_integral(-1, 0.5)
     with pytest.raises(ValueError):
         appendix_c_integral(0, 0.0)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 2.0])
+def test_every_entry_point_takes_one_rel_tol_rule(rel_tol):
+    # a NaN tolerance used to switch off the error-estimate gate
+    calls = (lambda: monomial_integral((1, 2), 1.0, 1e-3, rel_tol=rel_tol),
+             lambda: appendix_c_integral(1, 1e-3, rel_tol=rel_tol),
+             lambda: _value(ToolAlpha(2.0), IndicatorBox(0.0, 1.0), -1e-3, rel_tol=rel_tol))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"rel_tol must be a finite number in \(0, 1\)"):
+            call()
+
+
+@pytest.mark.parametrize("window", [PowerIndicator(0.2, 1.0), PowerIndicator(0.0, 1.0),
+                                    PowerIndicator(0.45, 3.0), PowerIndicator(0.2, 0.3)])
+def test_kernels_take_box_windows_only(window):
+    # the interpolant has a kink at every frequency node (spacing 0.39 here),
+    # where a power window's graded rule puts no panel edge; [0, 0.3] ends
+    # before the first node, and is refused all the same
+    n, dx = 64, 0.25
+    k = 2 * math.pi * np.fft.fftfreq(n, d=dx)
+    ker = ConvolutionKernel(np.real(np.fft.ifft(-(k ** 2 - 1.0) ** 2)) / dx, dx)
+    for p in (-1.0, -0.1, -1e-3):
+        with pytest.raises(ValueError, match="unsupported combination"):
+            _value(ker, window, p)
+
+
+@pytest.mark.parametrize("dt", [0.0, 0.01])
+def test_a_kernel_side_of_a_piecewise_symbol_takes_the_exact_route(dt):
+    # the discrete Laplacian kernel, multiplier 2 cos(k) - 2, left of 0
+    ker = ConvolutionKernel([-2.0, 1.0] + [0.0] * 13 + [1.0], 1.0)
+    glued = Piecewise(ker, ToolAlpha(2.0))
+    for p in (-1e-2, -1e-6, -1e-10):
+        got = _value(glued, IndicatorBox(-1.0, 1.0), p, dt=dt)
+        want = (_value(ker, IndicatorBox(-1.0, 0.0), p, dt=dt)
+                + _value(ToolAlpha(2.0), IndicatorBox(0.0, 1.0), p, dt=dt))
+        assert math.isclose(got, want, rel_tol=1e-14), p

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewslab.noise import NoiseModel, build_noise_model, noise_increment
 from ewslab.simulate import (
@@ -461,6 +463,25 @@ def test_run_sweep_equals_run_per_p(dim, rank, replicas, burns):
     actual = [_schedule(c, _symbol_values(c), idx)[0] for c in configs]
     assert [b // chunk for b in actual] == [0, 1, 2] and all(b % chunk for b in actual)
     assert run_sweep(configs) == [run(c) for c in configs]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.floats(-3.0, -0.2), min_size=1, max_size=4), st.sampled_from((1, 2)),
+       st.sampled_from((None, 3)), st.integers(1, 2), st.integers(0, 2**16),
+       st.sampled_from((None, 40)))
+def test_run_sweep_equals_run_on_random_p_grids(ps, dim, rank, replicas, seed, burn_in):
+    if dim == 1:
+        mesh, symbol, g = Mesh(1.0, 31, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
+    else:
+        mesh, symbol, g = Mesh(1.0, 9, 2), Radial2D(2.0), QuarterDisc(0.8)
+    idx, _ = projection_weights(g, mesh)
+    noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=seed)
+    configs = [SimConfig(symbol, g, p, mesh, dt=0.05, nt=600, burn_in=burn_in,
+                         replicas=replicas, seed=seed, noise=noise, batches=4) for p in ps]
+    for got, config in zip(run_sweep(configs), configs, strict=True):
+        want = run(config)
+        for field in dataclasses.fields(VarianceEstimate):
+            assert getattr(got, field.name) == getattr(want, field.name), (field.name, config.p)
 
 
 def test_run_sweep_of_nothing_is_empty():

@@ -20,10 +20,21 @@ from ewslab.symbols import (
     ToolAlpha,
     Zero,
     as_multi_index,
+    as_positive,
     minimal_support,
     real_part_symbol,
 )
-from ewslab.scaling import predicts_convergence
+from ewslab.quadrature import (
+    Disc,
+    IndicatorBox,
+    PowerIndicator,
+    QuarterDisc,
+    VarianceQuery,
+    appendix_c_integral,
+    monomial_integral,
+)
+from ewslab.scaling import law_1d, predicts_convergence
+from ewslab.simulate import Mesh, SimConfig
 
 
 def test_as_multi_index_accepts_bare_int_and_tuples():
@@ -33,6 +44,46 @@ def test_as_multi_index_accepts_bare_int_and_tuples():
         as_multi_index((1, -2))
     with pytest.raises(ValueError):
         as_multi_index((1.5,))
+
+
+def test_as_positive_is_a_finite_float_above_0():
+    assert as_positive(2, "x") == 2.0 and type(as_positive(2, "x")) is float
+    assert as_positive(np.float32(0.5), "x") == 0.5
+    assert as_positive(5e-324, "x") == 5e-324
+    for bad in (0.0, -0.0, -1.0, [1.0, 2.0]):
+        with pytest.raises(ValueError, match="x must be positive"):
+            as_positive(bad, "x")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            as_positive(bad, "x")
+
+
+def _positive_parameters():
+    mesh, g = Mesh(1.0, 9), IndicatorBox(-0.5, 0.5)
+    return {
+        "alpha": [ToolAlpha, law_1d],
+        "exponent": [Radial2D],
+        "spacing": [lambda v: ConvolutionKernel(np.zeros(8), v)],
+        "eps": [IndicatorBox.cube, lambda v: PowerIndicator(0.25, v),
+                lambda v: monomial_integral((1, 2), v, 1e-3)],
+        "radius": [Disc, QuarterDisc],
+        "sigma": [lambda v: VarianceQuery(ToolAlpha(2.0), g, -1.0, v),
+                  lambda v: SimConfig(ToolAlpha(2.0), g, -0.5, mesh, 0.01, 100, sigma=v)],
+        "half_width": [lambda v: Mesh(v, 9)],
+        "dt": [lambda v: SimConfig(ToolAlpha(2.0), g, -0.5, mesh, v, 100)],
+        "q": [lambda v: monomial_integral((1, 2), 1.0, v), lambda v: appendix_c_integral(1, v)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_positive_parameters()))
+def test_every_positive_parameter_is_checked_by_as_positive(name):
+    for build in _positive_parameters()[name]:
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                build(bad)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                build(bad)
 
 
 def test_tool_alpha_evaluates_minus_abs_power():
