@@ -22,12 +22,24 @@ through the weight-summed basis rows.  The projection is the sum of
 the chains, exact in distribution.  Time advances in blocks of steps,
 all replicas together as one (replicas, chains) array.
 
+Every replica starts in the chains' exact stationary law, so no step is
+spent forgetting the start.  The chains are AR(1) with chain noise
+covariance C (per unit time), and their stationary covariance is
+
+    S_ij = sigma**2 C_ij / (|lam_i| + |lam_j| + lam_i lam_j dt),
+
+the pair factor ``predict_discrete_variance`` sums; the start is
+N(0, S) through a factor F with F F^T = S.  The burn-in therefore runs
+no steps: it only shortens the recorded series to nt - burn_in steps.
+
 ``run_sweep`` takes a grid of p in one pass.  The chains do not depend
-on p, and every p draws the same normals (common random numbers), so
-each replica's normals are drawn and mapped through the chain noise
-map once per block and one step loop advances a (p, replicas, chains)
-state.  Each p keeps its own burn-in and batch count and gets the
-estimate ``run`` gives it alone; ``run`` is the sweep of one config.
+on p, and every p draws the same normals (common random numbers): each
+replica's start normals are drawn once and mapped through every p's own
+factor, and its step normals are drawn and mapped through the chain
+noise map once per block, so one step loop advances a (p, replicas,
+chains) state.  Each p keeps its own recorded length and batch count
+and gets the estimate ``run`` gives it alone; ``run`` is the sweep of
+one config.
 """
 
 from __future__ import annotations
@@ -234,6 +246,23 @@ def _lumped_chains(values, idx, w, model: NoiseModel):
     return lam, (rows * np.sqrt(model.eigenvalues)).T
 
 
+def _stationary_factor(lam, mix, sigma: float, dt: float) -> np.ndarray:
+    """A factor F of the chains' stationary covariance S, F F^T = S.
+
+    ``lam`` holds chain drifts, shape (..., chains), and ``mix`` is the
+    chain noise map of ``_lumped_chains``.  Identity noise makes S
+    diagonal and F its root, returned as the (..., chains) diagonal;
+    rank-M noise forms S from C = mix^T mix with the pair factor of the
+    module docstring and takes F = V sqrt(e) from its eigendecomposition,
+    eigenvalues clipped at 0, shape (..., chains, chains).
+    """
+    if mix.ndim == 1:
+        return sigma * mix / np.sqrt(2.0 * np.abs(lam) + lam**2 * dt)
+    pair = lam[..., :, None] * lam[..., None, :] * dt - lam[..., :, None] - lam[..., None, :]
+    eig, vectors = np.linalg.eigh(sigma**2 * (mix.T @ mix) / pair)
+    return vectors * np.sqrt(np.clip(eig, 0.0, None))[..., None, :]
+
+
 def _steps_per_block(replicas: int, chains: int, draws: int) -> int:
     # one step holds a row of draws and a state row per replica
     return max(1, _BLOCK_BYTES // (8 * (replicas * chains + draws)))
@@ -259,9 +288,11 @@ def _schedule(config: SimConfig, values, support) -> tuple[int, int]:
     """Burn-in and batch count of one config.
 
     Both follow the slowest window mode, the support drift lam_max
-    nearest 0.  The automatic burn-in runs until that mode has forgotten
-    its start, exp(2 * lam_max * t) < 1e-4; the batch count is capped so
-    each batch spans several of its correlation times 1/|lam_max|.
+    nearest 0.  The automatic burn-in is the time that mode takes to
+    forget a start, exp(2 * lam_max * t) < 1e-4; the stationary start
+    steps none of it, so it only shortens the recorded series.  The
+    batch count is capped so each batch spans several of its correlation
+    times 1/|lam_max|.
     """
     lam_max = float(np.max(_drift_vector(config, values)[support]))
     relax_steps = int(math.ceil(math.log(1e4) / (2.0 * abs(lam_max)) / config.dt))
@@ -307,15 +338,18 @@ def run_sweep(configs) -> list[VarianceEstimate]:
 
     The configs may differ only in ``p`` and ``burn_in``: symbol, window
     and noise model must be the same objects, every other field equal.
-    Replicas evolve independently from u = 0 with per-replica random
-    streams split off the configured seed, so equal seeds give identical
-    estimates, and every p sees the same draws.  One chain per distinct
-    symbol value on the window support (see the module docstring) steps
-    at drift value + p; all p and replicas advance together, a block of
-    steps at a time, with the arithmetic of ``step``.  After its burn-in
-    each p records the projection, the sum of its chains, every step;
-    each replica reports the sample variance of its series and a
-    batch-means standard error.  Estimate i equals ``run(configs[i])``.
+    Replicas evolve independently with per-replica random streams split
+    off the configured seed, so equal seeds give identical estimates,
+    and every p sees the same draws.  One chain per distinct symbol value
+    on the window support (see the module docstring) steps at drift
+    value + p, starting from a draw of its exact stationary law: each
+    replica first draws one normal per chain, mapped through every p's
+    ``_stationary_factor``.  All p and replicas then advance together, a
+    block of steps at a time, with the arithmetic of ``step``, and each p
+    records the projection, the sum of its chains, on each of its first
+    nt - burn_in steps; each replica reports the sample variance of its
+    series and a batch-means standard error.  Estimate i equals
+    ``run(configs[i])``.
     """
     configs = list(configs)
     if not configs:
@@ -325,22 +359,29 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     values = _symbol_values(base)
     idx, w = projection_weights(base.g, base.mesh, base.unweighted)
     burns, batches = zip(*(_schedule(config, values, idx) for config in configs))
+    kept = [base.nt - burn for burn in burns]
+    steps = max(kept)
     model = base.noise if base.noise is not None else NoiseModel.identity(base.mesh.size)
     chain_values, mix = _lumped_chains(values, idx, w, model)
     # the chain drifts are chain_values + p, bit for bit the support drifts
     lam = chain_values + np.array([config.p for config in configs])[:, None]
-    denom = (1.0 - lam * base.dt)[:, None, :]
+    factor = _stationary_factor(lam, mix, base.sigma, base.dt)
 
-    nt, r = base.nt, base.replicas
+    r, chains = base.replicas, lam.shape[1]
+    denom = np.ascontiguousarray(
+        np.broadcast_to((1.0 - lam * base.dt)[:, None, :], (len(configs), r, chains)))
     rngs = [np.random.Generator(np.random.Philox(
         np.random.SeedSequence(base.seed, spawn_key=(rep,)))) for rep in range(r)]
+    u = np.empty(denom.shape)
+    for rep in range(r):
+        z = rngs[rep].standard_normal(chains)
+        u[:, rep] = z * factor if mix.ndim == 1 else factor @ z
     sqrt_dt = np.sqrt(base.dt)
-    chunk = _steps_per_block(len(configs) * r, lam.shape[1], mix.shape[0])
-    block = np.empty((chunk, len(configs), r, lam.shape[1]))
-    u = np.zeros(block.shape[1:])
-    series = [np.empty((r, nt - burn)) for burn in burns]
-    for start in range(0, nt, chunk):
-        k = min(chunk, nt - start)
+    chunk = _steps_per_block(len(configs) * r, chains, mix.shape[0])
+    block = np.empty((chunk,) + u.shape)
+    series = [np.empty((r, n)) for n in kept]
+    for start in range(0, steps, chunk):
+        k = min(chunk, steps - start)
         # every p steps on the same draws: fill the first p slab, copy it
         drawn = block[:k, 0]
         for rep in range(r):
@@ -358,13 +399,10 @@ def run_sweep(configs) -> list[VarianceEstimate]:
             row /= denom
             prev = row
         u[...] = prev
-        first = max(min(burns) - start, 0)
-        if first < k:
-            sums = block[first:k].sum(axis=-1)
-            for j, burn in enumerate(burns):
-                lo = max(burn - start, 0)
-                if lo < k:
-                    series[j][:, start + lo - burn:start + k - burn] = sums[lo - first:, j].T
+        sums = block[:k].sum(axis=-1)
+        for j, n in enumerate(kept):
+            if start < n:
+                series[j][:, start:start + k] = sums[:n - start, j].T
     return [_estimate(s, n_batches) for s, n_batches in zip(series, batches)]
 
 

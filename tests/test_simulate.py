@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ewslab.noise import NoiseModel, build_noise_model, noise_increment
@@ -23,6 +23,7 @@ from ewslab.simulate import (
     _drift_vector,
     _lumped_chains,
     _schedule,
+    _stationary_factor,
     _steps_per_block,
     _symbol_values,
     predict_discrete_variance,
@@ -314,36 +315,50 @@ def test_lumped_rank_m_chains_carry_the_discrete_variance(dim, rank):
 def _reference_run(config):
     """The step-by-step simulation: one draw and one step() per time step.
 
-    Rank-M noise steps every mesh point with one noise_increment.  Identity
-    noise steps the lumped chains: the weighted sum of the support points
-    with one drift value, driven by one normal per chain (drawn in
-    np.unique order) scaled by the root of the chain's summed squared weights.
+    Each replica first draws one normal per chain (one chain per drift
+    value on the support, in np.unique order) and maps them through the
+    stationary start factor, then steps nt - burn_in steps and records
+    every one.  Rank-M noise steps every mesh point with one
+    noise_increment; each chain's start is spread over its group of
+    support points as start / sum(w), so w @ u[idx] starts at the sum of
+    the chain starts and, the group sharing one drift, follows the chains
+    by linearity.  Identity noise steps the lumped chains: the weighted
+    sum of the support points with one drift value, driven by one normal
+    per chain scaled by the root of the chain's summed squared weights.
     """
     drift = np.asarray(config.symbol(config.mesh.grid()), dtype=float) + config.p
     idx, w = projection_weights(config.g, config.mesh, config.unweighted)
     model = config.noise if config.noise is not None else NoiseModel.identity(config.mesh.size)
     lam, group = np.unique(drift[idx], return_inverse=True)
-    scale = np.sqrt(np.bincount(group, w ** 2))
+    if model.is_identity:
+        mix = np.sqrt(np.bincount(group, w ** 2))
+    else:
+        # the rank-M factor takes run's own chain noise map: S is near
+        # singular (eigenvalues down to 1e-11 of the largest at rank 12),
+        # so a last-bit change of mix moves the eigenvectors, and F z, by
+        # about 2e-12, more than the 1e-12 these tests allow
+        mix = _lumped_chains(drift, idx, w, model)[1]
+    factor = _stationary_factor(lam, mix, config.sigma, config.dt)
     n_kept = config.nt - config.burn_in
     _, n_batches = _schedule(config, _symbol_values(config), idx)
     means, variances, errs = [], [], []
     for replica in range(config.replicas):
         seq = np.random.SeedSequence(config.seed, spawn_key=(replica,))
         rng = np.random.Generator(np.random.Philox(seq))
+        z = rng.standard_normal(lam.size)
         series = np.empty(n_kept)
         if model.is_identity:
-            chains = np.zeros(lam.size)
-            for i in range(config.nt):
-                increment = np.sqrt(config.dt) * (scale * rng.standard_normal(lam.size))
+            chains = z * factor
+            for i in range(n_kept):
+                increment = np.sqrt(config.dt) * (mix * rng.standard_normal(lam.size))
                 chains = step(chains, lam, config.dt, increment, config.sigma)
-                if i >= config.burn_in:
-                    series[i - config.burn_in] = chains.sum()
+                series[i] = chains.sum()
         else:
             u = np.zeros(config.mesh.size)
-            for i in range(config.nt):
+            u[idx] = (factor @ z / np.bincount(group, w))[group]
+            for i in range(n_kept):
                 u = step(u, drift, config.dt, noise_increment(model, config.dt, rng), config.sigma)
-                if i >= config.burn_in:
-                    series[i - config.burn_in] = w @ u[idx]
+                series[i] = w @ u[idx]
         means.append(np.mean(series))
         variances.append(float(np.var(series, ddof=1)))
         usable = (n_kept // n_batches) * n_batches
@@ -358,8 +373,8 @@ def _reference_run(config):
 
 
 @pytest.mark.parametrize("dim, rank, replicas, unweighted, timing", [
-    (1, None, 1, False, "below"),   # one short block, recorded from step 0
-    (1, None, 3, False, "ragged"),  # burn-in ends mid-block, last block partial
+    (1, None, 1, False, "below"),   # one short block
+    (1, None, 3, False, "ragged"),  # a full block, then a partial one
     (1, 12, 3, False, "ragged"),
     (1, 12, 1, True, "below"),
     (2, None, 3, True, "ragged"),
@@ -397,6 +412,48 @@ def test_run_identity_noise_states_match_reference_exactly():
     config = SimConfig(ToolAlpha(2.0), g, -0.3, mesh, dt=0.05, nt=2 * chunk + 37, sigma=0.8,
                        burn_in=chunk + 11, replicas=3, seed=11, batches=4)
     assert run(config) == _reference_run(config)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(-8.0, 0.0), st.sampled_from((1, 2)), st.sampled_from((None, 3, 12)))
+@example(-8.0, 1, 12)
+@example(-8.0, 2, None)
+def test_start_factor_is_the_exact_stationary_law(log10_minus_p, dim, rank):
+    # p = -10**log10_minus_p, from -1 to -1e-8; the factor of the chains run steps
+    if dim == 1:
+        config = _acceptance_config(-10.0 ** log10_minus_p, sigma=0.7)
+    else:
+        config = SimConfig(Radial2D(2.0), QuarterDisc(0.8), -10.0 ** log10_minus_p,
+                           Mesh(1.0, 15, 2), dt=0.05, nt=1000, sigma=0.7)
+    if rank is not None:
+        idx, _ = projection_weights(config.g, config.mesh)
+        config = dataclasses.replace(
+            config, noise=build_noise_model(config.mesh.size, idx, m=rank, seed=5))
+    lam, mix = _chains_of(config)
+    cov = np.diag(mix ** 2) if mix.ndim == 1 else mix.T @ mix
+    stationary = 0.7 ** 2 * cov / (np.abs(lam)[:, None] + np.abs(lam) + np.outer(lam, lam) * config.dt)
+    factor = _stationary_factor(lam, mix, config.sigma, config.dt)
+    if factor.ndim == 1:
+        factor = np.diag(factor)
+    scale = np.max(np.abs(stationary))
+    assert np.max(np.abs(factor @ factor.T - stationary)) <= 1e-12 * scale
+    assert math.isclose(stationary.sum(), predict_discrete_variance(config), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("rank", [None, 12])
+@pytest.mark.parametrize("burn_in", [1, 537])
+def test_burn_in_only_shortens_the_recorded_series(rank, burn_in):
+    # the start is stationary, so burn_in steps nothing: it only sets nt - burn_in
+    config = dataclasses.replace(_acceptance_config(-0.3, sigma=0.8), nt=1600,
+                                 burn_in=burn_in, replicas=3, seed=11, batches=4)
+    if rank is not None:
+        idx, _ = projection_weights(config.g, config.mesh)
+        config = dataclasses.replace(
+            config, noise=build_noise_model(config.mesh.size, idx, m=rank, seed=3))
+    got = run(config)
+    want = run(dataclasses.replace(config, nt=config.nt - burn_in, burn_in=0))
+    for field in dataclasses.fields(VarianceEstimate):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
 def test_run_matches_single_mode_oracle():
@@ -449,7 +506,8 @@ def _sweep_case(dim, rank, replicas):
 def test_run_sweep_equals_run_per_p(dim, rank, replicas, burns):
     mesh, symbol, g, noise, chunk = _sweep_case(dim, rank, replicas)
     dt, nt = 0.05, 3 * chunk + 37
-    # burn-ins that end mid-block, each in its own block
+    # burn-ins that end mid-block, each in its own block, and so do the
+    # recorded lengths nt - burn
     targets = (chunk // 2, chunk + chunk // 3, 2 * chunk + chunk // 5)
     # the slowest support drift is p (the symbol vanishes on the support),
     # so this p gives an automatic burn-in of about the target

@@ -19,6 +19,7 @@ from ewslab.symbols import (
     Symbol,
     ToolAlpha,
     Zero,
+    as_finite,
     as_multi_index,
     as_positive,
     minimal_support,
@@ -56,6 +57,32 @@ def test_as_positive_is_a_finite_float_above_0():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="x must be finite"):
             as_positive(bad, "x")
+
+
+def _as_finite_by_array(value, name):
+    # the array route every value took before scalars got their own
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr if arr.ndim else float(arr)
+
+
+@pytest.mark.parametrize("value", [
+    2, -3, True, 0.25, -0.0, 5e-324, np.float64(1.5), np.float32(0.1), np.float16(-2.0),
+    np.int64(7), np.array(4.0), [1.0, 2], (3,), math.nan, math.inf, -math.inf,
+    np.float32(math.inf), np.float64(math.nan), [1.0, math.nan], 10 ** 400])
+def test_as_finite_scalars_take_the_array_route_result(value):
+    try:
+        want = _as_finite_by_array(value, "x")
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as got:
+            as_finite(value, "x")
+        assert str(got.value) == str(exc)
+        return
+    got = as_finite(value, "x")
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want)
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
 def _positive_parameters():
