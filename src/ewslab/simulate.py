@@ -22,24 +22,29 @@ through the weight-summed basis rows.  The projection is the sum of
 the chains, exact in distribution.  Time advances in blocks of steps,
 all replicas together as one (replicas, chains) array.
 
-Every replica starts in the chains' exact stationary law, so no step is
-spent forgetting the start.  The chains are AR(1) with chain noise
-covariance C (per unit time), and their stationary covariance is
+A replica starts in the chains' exact stationary law wherever that is
+cheaper than forgetting a start, so no step is spent on it.  The chains
+are AR(1) with chain noise covariance C (per unit time), and their
+stationary covariance is
 
     S_ij = sigma**2 C_ij / (|lam_i| + |lam_j| + lam_i lam_j dt),
 
 the pair factor ``predict_discrete_variance`` sums; the start is
-N(0, S) through a factor F with F F^T = S.  The burn-in therefore runs
-no steps: it only shortens the recorded series to nt - burn_in steps.
+N(0, S) through a factor F with F F^T = S, and the burn-in then runs no
+steps: it only shortens the recorded series to nt - burn_in steps.  For
+identity noise F is a diagonal.  For rank-M noise it is a dense chains x
+chains eigendecomposition, so a config whose factor would outgrow the
+block budget, or cost more than stepping the slowest mode's relaxation,
+starts at u = 0 instead and steps its burn-in (``_starts_stationary``).
 
 ``run_sweep`` takes a grid of p in one pass.  The chains do not depend
 on p, and every p draws the same normals (common random numbers): each
-replica's start normals are drawn once and mapped through every p's own
-factor, and its step normals are drawn and mapped through the chain
-noise map once per block, so one step loop advances a (p, replicas,
-chains) state.  Each p keeps its own recorded length and batch count
-and gets the estimate ``run`` gives it alone; ``run`` is the sweep of
-one config.
+replica's start normals are drawn once and mapped through the factor of
+every p that starts stationary, and its step normals are drawn and
+mapped through the chain noise map once per block, so one step loop
+advances a (p, replicas, chains) state.  Each p keeps its own start,
+recorded steps and batch count and gets the estimate ``run`` gives it
+alone; ``run`` is the sweep of one config.
 """
 
 from __future__ import annotations
@@ -249,18 +254,42 @@ def _lumped_chains(values, idx, w, model: NoiseModel):
 def _stationary_factor(lam, mix, sigma: float, dt: float) -> np.ndarray:
     """A factor F of the chains' stationary covariance S, F F^T = S.
 
-    ``lam`` holds chain drifts, shape (..., chains), and ``mix`` is the
-    chain noise map of ``_lumped_chains``.  Identity noise makes S
-    diagonal and F its root, returned as the (..., chains) diagonal;
-    rank-M noise forms S from C = mix^T mix with the pair factor of the
-    module docstring and takes F = V sqrt(e) from its eigendecomposition,
-    eigenvalues clipped at 0, shape (..., chains, chains).
+    ``lam`` holds the chain drifts and ``mix`` is the chain noise map of
+    ``_lumped_chains``.  Identity noise makes S diagonal and F its root,
+    returned as the diagonal; rank-M noise forms S from C = mix^T mix
+    with the pair factor of the module docstring and takes F = V sqrt(e)
+    from its eigendecomposition, eigenvalues clipped at 0.
     """
     if mix.ndim == 1:
         return sigma * mix / np.sqrt(2.0 * np.abs(lam) + lam**2 * dt)
-    pair = lam[..., :, None] * lam[..., None, :] * dt - lam[..., :, None] - lam[..., None, :]
+    pair = np.outer(lam, lam) * dt - lam[:, None] - lam
     eig, vectors = np.linalg.eigh(sigma**2 * (mix.T @ mix) / pair)
-    return vectors * np.sqrt(np.clip(eig, 0.0, None))[..., None, :]
+    return vectors * np.sqrt(np.clip(eig, 0.0, None))
+
+
+def _relax_steps(lam_max: float, dt: float) -> int:
+    # steps until the slowest mode forgets a start: exp(2 lam_max t) < 1e-4
+    return int(math.ceil(math.log(1e4) / (2.0 * abs(lam_max)) / dt))
+
+
+def _starts_stationary(mix, replicas: int, relax: int) -> bool:
+    """Whether a config draws its start from the stationary law.
+
+    Otherwise it starts at u = 0 and steps its burn-in.  Identity noise
+    always starts stationary: its factor is a diagonal.  A rank-M factor
+    holds dense chains x chains arrays and its eigendecomposition costs
+    about 2 chains**3 flops, so it is taken only when one such array
+    fits the block budget and the eigendecomposition costs less than
+    stepping the ``relax`` steps the slowest mode needs to forget a
+    start, about replicas * chains * (M + 1) flops a step (the product
+    of the draws with the noise map, and the update).  On a 2-core Xeon
+    the two sides of that rule measured within a factor of 3 of each
+    other from 51 to 501 chains.
+    """
+    if mix.ndim == 1:
+        return True
+    rank, chains = mix.shape
+    return 8 * chains**2 <= _BLOCK_BYTES and 2 * chains**2 <= relax * replicas * (rank + 1)
 
 
 def _steps_per_block(replicas: int, chains: int, draws: int) -> int:
@@ -289,13 +318,13 @@ def _schedule(config: SimConfig, values, support) -> tuple[int, int]:
 
     Both follow the slowest window mode, the support drift lam_max
     nearest 0.  The automatic burn-in is the time that mode takes to
-    forget a start, exp(2 * lam_max * t) < 1e-4; the stationary start
-    steps none of it, so it only shortens the recorded series.  The
-    batch count is capped so each batch spans several of its correlation
-    times 1/|lam_max|.
+    forget a start, ``_relax_steps``; a stationary start steps none of
+    it, so it only shortens the recorded series.  The batch count is
+    capped so each batch spans several of its correlation times
+    1/|lam_max|.
     """
     lam_max = float(np.max(_drift_vector(config, values)[support]))
-    relax_steps = int(math.ceil(math.log(1e4) / (2.0 * abs(lam_max)) / config.dt))
+    relax_steps = _relax_steps(lam_max, config.dt)
     burn = config.burn_in if config.burn_in is not None else min(relax_steps, config.nt - 1)
     n_kept = config.nt - burn
     if n_kept < 10:
@@ -342,14 +371,14 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     off the configured seed, so equal seeds give identical estimates,
     and every p sees the same draws.  One chain per distinct symbol value
     on the window support (see the module docstring) steps at drift
-    value + p, starting from a draw of its exact stationary law: each
-    replica first draws one normal per chain, mapped through every p's
-    ``_stationary_factor``.  All p and replicas then advance together, a
-    block of steps at a time, with the arithmetic of ``step``, and each p
-    records the projection, the sum of its chains, on each of its first
-    nt - burn_in steps; each replica reports the sample variance of its
-    series and a batch-means standard error.  Estimate i equals
-    ``run(configs[i])``.
+    value + p.  Each replica first draws one normal per chain; a p that
+    ``_starts_stationary`` maps them through its ``_stationary_factor``
+    and records its first nt - burn_in steps, any other p starts at
+    u = 0 and records the steps after its burn-in.  All p and replicas
+    advance together, a block of steps at a time, with the arithmetic of
+    ``step``, each p recording the projection, the sum of its chains;
+    each replica reports the sample variance of its series and a
+    batch-means standard error.  Estimate i equals ``run(configs[i])``.
     """
     configs = list(configs)
     if not configs:
@@ -359,23 +388,33 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     values = _symbol_values(base)
     idx, w = projection_weights(base.g, base.mesh, base.unweighted)
     burns, batches = zip(*(_schedule(config, values, idx) for config in configs))
-    kept = [base.nt - burn for burn in burns]
-    steps = max(kept)
     model = base.noise if base.noise is not None else NoiseModel.identity(base.mesh.size)
     chain_values, mix = _lumped_chains(values, idx, w, model)
     # the chain drifts are chain_values + p, bit for bit the support drifts
     lam = chain_values + np.array([config.p for config in configs])[:, None]
-    factor = _stationary_factor(lam, mix, base.sigma, base.dt)
 
     r, chains = base.replicas, lam.shape[1]
     denom = np.ascontiguousarray(
         np.broadcast_to((1.0 - lam * base.dt)[:, None, :], (len(configs), r, chains)))
     rngs = [np.random.Generator(np.random.Philox(
         np.random.SeedSequence(base.seed, spawn_key=(rep,)))) for rep in range(r)]
-    u = np.empty(denom.shape)
-    for rep in range(r):
-        z = rngs[rep].standard_normal(chains)
-        u[:, rep] = z * factor if mix.ndim == 1 else factor @ z
+    # drawn even where no config uses them, so the step normals are the
+    # same for either start and every p shares them
+    z = [rng.standard_normal(chains) for rng in rngs]
+    u = np.zeros(denom.shape)
+    # config j records steps first[j] to first[j] + kept[j]: from the
+    # start if it starts stationary, after its burn-in if it steps it
+    first = []
+    for j, burn in enumerate(burns):
+        if _starts_stationary(mix, r, _relax_steps(np.max(lam[j]), base.dt)):
+            factor = _stationary_factor(lam[j], mix, base.sigma, base.dt)
+            for rep in range(r):
+                u[j, rep] = z[rep] * factor if mix.ndim == 1 else factor @ z[rep]
+            first.append(0)
+        else:
+            first.append(burn)
+    kept = [base.nt - burn for burn in burns]
+    steps = max(lo + n for lo, n in zip(first, kept))
     sqrt_dt = np.sqrt(base.dt)
     chunk = _steps_per_block(len(configs) * r, chains, mix.shape[0])
     block = np.empty((chunk,) + u.shape)
@@ -400,9 +439,10 @@ def run_sweep(configs) -> list[VarianceEstimate]:
             prev = row
         u[...] = prev
         sums = block[:k].sum(axis=-1)
-        for j, n in enumerate(kept):
-            if start < n:
-                series[j][:, start:start + k] = sums[:n - start, j].T
+        for j, (lo, n) in enumerate(zip(first, kept)):
+            a, b = max(lo - start, 0), min(lo + n - start, k)
+            if a < b:
+                series[j][:, start + a - lo:start + b - lo] = sums[a:b, j].T
     return [_estimate(s, n_batches) for s, n_batches in zip(series, batches)]
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ewslab import simulate
 from ewslab.noise import NoiseModel, build_noise_model, noise_increment
 from ewslab.simulate import (
     _BLOCK_BYTES,
@@ -22,7 +23,9 @@ from ewslab.simulate import (
     VarianceEstimate,
     _drift_vector,
     _lumped_chains,
+    _relax_steps,
     _schedule,
+    _starts_stationary,
     _stationary_factor,
     _steps_per_block,
     _symbol_values,
@@ -316,9 +319,11 @@ def _reference_run(config):
     """The step-by-step simulation: one draw and one step() per time step.
 
     Each replica first draws one normal per chain (one chain per drift
-    value on the support, in np.unique order) and maps them through the
-    stationary start factor, then steps nt - burn_in steps and records
-    every one.  Rank-M noise steps every mesh point with one
+    value on the support, in np.unique order).  A config that starts
+    stationary maps them through the start factor, then steps
+    nt - burn_in steps and records every one; any other config ignores
+    them, starts at 0, steps nt steps and records those after the
+    burn-in.  Rank-M noise steps every mesh point with one
     noise_increment; each chain's start is spread over its group of
     support points as start / sum(w), so w @ u[idx] starts at the sum of
     the chain starts and, the group sharing one drift, follows the chains
@@ -338,27 +343,34 @@ def _reference_run(config):
         # so a last-bit change of mix moves the eigenvectors, and F z, by
         # about 2e-12, more than the 1e-12 these tests allow
         mix = _lumped_chains(drift, idx, w, model)[1]
-    factor = _stationary_factor(lam, mix, config.sigma, config.dt)
-    n_kept = config.nt - config.burn_in
-    _, n_batches = _schedule(config, _symbol_values(config), idx)
+    burn, n_batches = _schedule(config, _symbol_values(config), idx)
+    stationary = _starts_stationary(mix, config.replicas, _relax_steps(lam.max(), config.dt))
+    factor = _stationary_factor(lam, mix, config.sigma, config.dt) if stationary else None
+    n_kept = config.nt - burn
+    skip = 0 if stationary else burn
     means, variances, errs = [], [], []
     for replica in range(config.replicas):
         seq = np.random.SeedSequence(config.seed, spawn_key=(replica,))
         rng = np.random.Generator(np.random.Philox(seq))
         z = rng.standard_normal(lam.size)
-        series = np.empty(n_kept)
+        if not stationary:
+            start = np.zeros(lam.size)
+        else:
+            start = z * factor if model.is_identity else factor @ z
+        series = np.empty(skip + n_kept)
         if model.is_identity:
-            chains = z * factor
-            for i in range(n_kept):
+            chains = start
+            for i in range(skip + n_kept):
                 increment = np.sqrt(config.dt) * (mix * rng.standard_normal(lam.size))
                 chains = step(chains, lam, config.dt, increment, config.sigma)
                 series[i] = chains.sum()
         else:
             u = np.zeros(config.mesh.size)
-            u[idx] = (factor @ z / np.bincount(group, w))[group]
-            for i in range(n_kept):
+            u[idx] = (start / np.bincount(group, w))[group]
+            for i in range(skip + n_kept):
                 u = step(u, drift, config.dt, noise_increment(model, config.dt, rng), config.sigma)
                 series[i] = w @ u[idx]
+        series = series[skip:]
         means.append(np.mean(series))
         variances.append(float(np.var(series, ddof=1)))
         usable = (n_kept // n_batches) * n_batches
@@ -382,11 +394,27 @@ def _reference_run(config):
     (2, 9, 1, False, "ragged"),
 ])
 def test_run_matches_step_by_step_reference(dim, rank, replicas, unweighted, timing):
+    _check_against_reference(dim, rank, replicas, unweighted, timing, p=-0.3)
+
+
+@pytest.mark.parametrize("dim, rank, replicas, timing", [
+    (1, 12, 3, "ragged"),
+    (1, 12, 1, "below"),
+    (2, 9, 1, "ragged"),
+])
+def test_run_steps_the_burn_in_where_the_factor_costs_more(dim, rank, replicas, timing):
+    # at p = -3 the slowest mode forgets a start in 31 steps, fewer than
+    # the rank-M factor costs, so these configs start at 0 and step it
+    config = _check_against_reference(dim, rank, replicas, False, timing, p=-3.0)
+    lam, mix = _chains_of(config)
+    assert not _starts_stationary(mix, replicas, _relax_steps(lam.max(), config.dt))
+
+
+def _check_against_reference(dim, rank, replicas, unweighted, timing, p):
     if dim == 1:
         mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
     else:
         mesh, symbol, g = Mesh(1.0, 15, 2), Radial2D(2.0), IndicatorBox([-0.4, -0.6], [0.6, 0.4])
-    p = -0.3
     idx, _ = projection_weights(g, mesh)
     noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
     chains = np.unique(symbol(mesh.grid())[idx] + p).size
@@ -400,6 +428,48 @@ def test_run_matches_step_by_step_reference(dim, rank, replicas, unweighted, tim
     for name in ("mean", "variance", "stderr"):
         assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12), name
     np.testing.assert_allclose(got.replica_variances, want.replica_variances, rtol=1e-12, atol=0)
+    return config
+
+
+def test_many_rank_m_chains_start_at_zero_in_bounded_memory(monkeypatch):
+    # tool:2 on [0, 1] gives one chain per support point: 2,000 chains,
+    # whose dense factor would take 32 MB an array, past the block budget,
+    # though at p = -1e-4 it costs less than the relaxation's 4.6e6 steps
+    mesh, g = Mesh(1.0, 3999, 1), IndicatorBox(0.0, 1.0)
+    idx, _ = projection_weights(g, mesh)
+    config = SimConfig(ToolAlpha(2.0), g, -1e-4, mesh, dt=0.01, nt=60, sigma=0.8, burn_in=25,
+                       replicas=2, seed=11, batches=4,
+                       noise=build_noise_model(mesh.size, idx, m=8, seed=3))
+    lam, mix = _chains_of(config)
+    relax = _relax_steps(lam.max(), config.dt)
+    assert lam.size == 2000 and 8 * lam.size ** 2 > _BLOCK_BYTES
+    assert 2 * lam.size ** 2 <= relax * config.replicas * 9
+    assert not _starts_stationary(mix, config.replicas, relax)
+
+    def refuse(*args):
+        raise AssertionError("no dense stationary factor at 2,000 chains")
+
+    monkeypatch.setattr(simulate, "_stationary_factor", refuse)
+    got, want = run(config), _reference_run(config)
+    for name in ("mean", "variance", "stderr"):
+        assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12), name
+
+
+def test_run_sweep_mixes_stationary_and_stepped_starts():
+    # p = -0.3 starts stationary; p = -6 forgets a start in 77 steps, fewer
+    # than the factor costs, and steps its burn-in, in the same sweep
+    config = dataclasses.replace(_acceptance_config(-0.3, sigma=0.8), nt=1600, burn_in=None,
+                                 replicas=3, seed=11, batches=4)
+    idx, _ = projection_weights(config.g, config.mesh)
+    config = dataclasses.replace(
+        config, noise=build_noise_model(config.mesh.size, idx, m=12, seed=3))
+    configs = [config, dataclasses.replace(config, p=-6.0)]
+    starts = []
+    for c in configs:
+        lam, mix = _chains_of(c)
+        starts.append(_starts_stationary(mix, c.replicas, _relax_steps(lam.max(), c.dt)))
+    assert starts == [True, False]
+    assert run_sweep(configs) == [run(c) for c in configs]
 
 
 def test_run_identity_noise_states_match_reference_exactly():
@@ -425,13 +495,24 @@ def test_start_factor_is_the_exact_stationary_law(log10_minus_p, dim, rank):
     else:
         config = SimConfig(Radial2D(2.0), QuarterDisc(0.8), -10.0 ** log10_minus_p,
                            Mesh(1.0, 15, 2), dt=0.05, nt=1000, sigma=0.7)
+    idx, w = projection_weights(config.g, config.mesh)
     if rank is not None:
-        idx, _ = projection_weights(config.g, config.mesh)
         config = dataclasses.replace(
             config, noise=build_noise_model(config.mesh.size, idx, m=rank, seed=5))
-    lam, mix = _chains_of(config)
-    cov = np.diag(mix ** 2) if mix.ndim == 1 else mix.T @ mix
+    # S from the point noise covariance summed over each chain's support
+    # points, C_ab = sum over i in a, j in b of w_i w_j Q_ij, apart from
+    # the chain noise map that run steps and factors
+    drift = _drift_vector(config)
+    lam, group = np.unique(drift[idx], return_inverse=True)
+    if config.noise is None:
+        point_cov = np.diag(w ** 2)
+    else:
+        rows = w[:, None] * config.noise.basis[idx]
+        point_cov = (rows * config.noise.eigenvalues) @ rows.T
+    member = (group == np.arange(lam.size)[:, None]).astype(float)
+    cov = member @ point_cov @ member.T
     stationary = 0.7 ** 2 * cov / (np.abs(lam)[:, None] + np.abs(lam) + np.outer(lam, lam) * config.dt)
+    _, mix = _chains_of(config)
     factor = _stationary_factor(lam, mix, config.sigma, config.dt)
     if factor.ndim == 1:
         factor = np.diag(factor)
@@ -450,6 +531,8 @@ def test_burn_in_only_shortens_the_recorded_series(rank, burn_in):
         idx, _ = projection_weights(config.g, config.mesh)
         config = dataclasses.replace(
             config, noise=build_noise_model(config.mesh.size, idx, m=rank, seed=3))
+    lam, mix = _chains_of(config)
+    assert _starts_stationary(mix, config.replicas, _relax_steps(lam.max(), config.dt))
     got = run(config)
     want = run(dataclasses.replace(config, nt=config.nt - burn_in, burn_in=0))
     for field in dataclasses.fields(VarianceEstimate):
