@@ -236,13 +236,14 @@ def _checked(value, err, tol, what):
     return value
 
 
-def _side_integral(alpha, length, q, phi, epsrel):
+def _side_integral(alpha, length, q, dt, epsrel):
     """integral_0^length phi(q + x**alpha) dx, the side that starts at the root.
 
     Uses y = x * q**(-1/alpha), under which the resolvent part becomes
     q * (1 + y**alpha) and loses its p dependence, so the accuracy is
-    uniform until q**(-1/alpha) overflows (QuadratureError).  The tail
-    beyond y = 2 is integrated in log coordinates.
+    uniform in q.  The tail beyond y = 2 is integrated in log coordinates.
+    Where q**(-1/alpha) or the scaled value overflows, the side is taken
+    by ``_side_integral_in_logs``.
     """
     if length <= 0:
         return 0.0, 0.0
@@ -251,8 +252,9 @@ def _side_integral(alpha, length, q, phi, epsrel):
     except OverflowError:
         y_max = math.inf
     if not math.isfinite(y_max):
-        raise QuadratureError(f"side integral of |x|**{alpha} overflows at q = {q!r}")
+        return _side_integral_in_logs(alpha, length, q, dt, epsrel)
     scale = q ** (1.0 / alpha)
+    phi = _phi_factory(dt)
 
     def head(y):
         return phi(q * (1.0 + y**alpha))
@@ -273,13 +275,48 @@ def _side_integral(alpha, length, q, phi, epsrel):
         v2, e2 = _quad(tail, math.log(y_split), math.log(y_max), epsrel)
         val += v2
         err += e2
+    if not (math.isfinite(scale * val) and math.isfinite(scale * err)):
+        return _side_integral_in_logs(alpha, length, q, dt, epsrel)
     return scale * val, scale * err
 
 
-def _root_sides(alpha, left, right, q, phi, tol, what):
+def _side_integral_in_logs(alpha, length, q, dt, epsrel):
+    """``_side_integral`` with the integrand taken in logs, for where its y form overflows.
+
+    The head y in [0, 2] carries the factor q**(1/alpha) in its exponent,
+    and the tail is integrated in v = log x up to log(length), so no
+    intermediate leaves the doubles unless the value itself does
+    (QuadratureError).
+    """
+    log_q = math.log(q)
+    half = 0.5 * dt
+
+    def log_phi(log_t):
+        # log phi(t), phi(t) = 1 / (t + dt t**2 / 2)
+        return -log_t - math.log1p(half * math.exp(log_t))
+
+    def head(y):
+        return math.exp(log_q / alpha + log_phi(log_q + math.log1p(y**alpha)))
+
+    def tail(v):
+        # log(q + x**alpha) with x = exp(v)
+        hi, lo = (alpha * v, log_q) if alpha * v > log_q else (log_q, alpha * v)
+        return math.exp(v + log_phi(hi + math.log1p(math.exp(lo - hi))))
+
+    # log y_max, which as a number may overflow
+    log_split = min(math.log(length) - log_q / alpha, math.log(2.0))
+    try:
+        val, err = _quad(head, 0.0, math.exp(log_split), epsrel)
+        v2, e2 = _quad(tail, log_split + log_q / alpha, math.log(length), epsrel)
+    except OverflowError:
+        raise QuadratureError(f"side integral of |x|**{alpha} overflows at q = {q!r}") from None
+    return val + v2, err + e2
+
+
+def _root_sides(alpha, left, right, q, dt, tol, what):
     """integral over [-left, right] of phi(q + |x|**alpha) dx, one side integral each way."""
-    v1, e1 = _side_integral(alpha, left, q, phi, tol)
-    v2, e2 = _side_integral(alpha, right, q, phi, tol)
+    v1, e1 = _side_integral(alpha, left, q, dt, tol)
+    v2, e2 = _side_integral(alpha, right, q, dt, tol)
     return _checked(v1 + v2, e1 + e2, tol, what)
 
 
@@ -465,7 +502,7 @@ def _variance_1d(symbol, g, q, rel_tol, dt):
         return total
 
     if isinstance(symbol, ToolAlpha) and a <= root <= b:
-        return _root_sides(symbol.alpha, root - a, b - root, q, phi, rel_tol,
+        return _root_sides(symbol.alpha, root - a, b - root, q, dt, rel_tol,
                            "power-law quadrature")
 
     # generic one-dimensional route: graded panels anchored at the zeros
@@ -716,7 +753,7 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
         alpha, root = (symbol.exponent / 2.0, 0.0) if isinstance(symbol, Radial2D) else (2.0, 1.0)
         r2 = g.radius**2
         if r2 >= root:
-            value = _root_sides(alpha, root, r2 - root, q, phi, tol, "polar quadrature")
+            value = _root_sides(alpha, root, r2 - root, q, dt, tol, "polar quadrature")
         else:
             value = _variance_1d(ToolAlpha(alpha, root), IndicatorBox(0.0, r2), q, tol, dt)
         value *= 0.5 * g.angle
@@ -738,13 +775,26 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     return value
 
 
-def _gamma_mixture(idx):
-    """Partial fractions of prod_k (1 + idx_k z)**-1 as arrays (c, a, m).
+# the successive corner levels, as the widest panel up to s = log(1/q)
+# and the points per panel of each level on those panels; panels 2 wide
+# already resolve the poles of the resolvent at log(1/q) +- i pi to the last bits
+_CORNER_LEVELS = ((2.0, (12, 16)), (1.0, (24,)))
+# share of the corner value the tail beyond the last panel may hold
+_CORNER_TAIL = 1e-20
 
-    The product is the Laplace transform of S = sum_k idx_k E_k, E_k
-    i.i.d. Exp(1), so S has the density sum c * Gamma(shape m, scale a).
-    An exponent a repeated r times gives m = 1..r; with u = 1 + a z, c is
-    the exact u**(r - m) coefficient of the other factors (1 - b/a + u b/a)**-s.
+
+@lru_cache(maxsize=256)
+def _gamma_mixture(idx):
+    """The density of S = sum_k idx_k E_k, E_k i.i.d. Exp(1), once per index.
+
+    Its Laplace transform prod_k (1 + idx_k z)**-1 splits into partial
+    fractions sum c (1 + a z)**-m, so the density is sum c * Gamma(shape
+    m, scale a).  An exponent a repeated r times gives m = 1..r; with
+    u = 1 + a z, c is the exact u**(r - m) coefficient of the other
+    factors (1 - b/a + u b/a)**-s.  Returns arrays (w, a, k) with the
+    density sum w s**k exp(-s/a), k = m - 1; the terms of ``_corner_end``;
+    and n eps sum |c|, the bound on the relative rounding loss of the
+    signed sum.
     """
     terms = []
     for a in sorted(set(idx)):
@@ -755,8 +805,54 @@ def _gamma_mixture(idx):
             factor = [Fraction(a, a - b) ** s * Fraction(b, b - a) ** n * math.comb(s + n - 1, n)
                       for n in range(r)]
             series = [sum(series[i] * factor[n - i] for i in range(n + 1)) for n in range(r)]
-        terms += [(float(series[r - m]), float(a), m) for m in range(1, r + 1)]
-    return tuple(map(np.array, zip(*terms)))
+        terms += [(float(series[r - m]), float(a), m - 1) for m in range(1, r + 1)]
+    c, a, k = map(np.array, zip(*terms))
+    k_factorial = np.array([math.factorial(n) for n in k], dtype=float)
+    w = c / (a ** (k + 1) * k_factorial)
+    # every caller shares the cached arrays
+    for arr in (w, a, k):
+        arr.flags.writeable = False
+    # the R of _corner_end less its q-dependent part, per term
+    tail = tuple((a_i, k_i, math.log(4.0 * len(c) * abs(c_i) / f) - math.log(_CORNER_TAIL))
+                 for c_i, a_i, k_i, f in zip(c.tolist(), a.tolist(), k.tolist(), k_factorial)
+                 if c_i)
+    loss = len(c) * np.finfo(float).eps * float(np.sum(np.abs(c)))
+    return w, a, k, tail, loss
+
+
+def _corner_end(tail, split):
+    """A point T past ``split`` = max(log(1/q), 0) beyond which the corner
+    integral, in units where eps = 1, holds at most _CORNER_TAIL of its value.
+
+    Beyond T the integrand is at most sum |w| s**k exp(-s/a) / q, whose
+    integral is sum |c| Gamma(k + 1, T/a) / (k! q), and Gamma(k + 1, x)
+    <= 2 x**k exp(-x) once x >= 2 k.  The value is at least
+    P(S > split) / (2 q) >= exp(-split / max a) / (2 q), since S >= a_max E
+    and the resolvent exceeds 1/(2 q) past split.  So x = T/a with
+    x - k log x >= R = log(4 n |c| / k!) + split / max a + log(1/_CORNER_TAIL)
+    is enough for each of the n terms ``tail`` = (a, k, R less split / max a)
+    of ``_gamma_mixture``; by the tangent of log at x0 = max(R, 2 k, 1),
+    x = (R + k (log x0 - 1)) / (1 - k / x0) meets it.
+    """
+    shift = split / max(a for a, _, _ in tail)
+    end = split
+    for a, k, r in tail:
+        r += shift
+        x0 = max(r, 2.0 * k, 1.0)
+        end = max(end, a * max(x0, (r + k * (math.log(x0) - 1.0)) / (1.0 - k / x0)))
+    return end
+
+
+def _corner_edges(split, end, width, unit):
+    """Panel edges on [0, end]: equal panels at most ``width`` wide up to
+    ``split``, then widths doubling from ``width`` up to 4 ``unit``."""
+    head = np.linspace(0.0, split, math.ceil(split / width) + 1)
+    tail, edge, step = [], split, width
+    while edge < end:
+        edge += step
+        tail.append(edge)
+        step = min(2.0 * step, 4.0 * unit)
+    return np.concatenate([head, tail])
 
 
 def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-9) -> float:
@@ -765,11 +861,13 @@ def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-
     Zero components reduce out as powers of eps, and x -> eps x leaves
     eps**(N - |j|) I_j(q / eps**|j|).  With x uniform on the unit cube,
     S = -log x**j is a sum of independent exponentials and I_j(q) =
-    E[1 / (exp(-S) + q)], one integral against the density of S
-    (``_gamma_mixture``) split at s = log(1/q).  S dominates each Gamma
-    term's variable, so no term integrates to more than I_j and rounding
-    in their signed sum loses at most about n * eps_machine * sum |c|;
-    above rel_tol, as for clustered exponents, QuadratureError is raised.
+    E[1 / (exp(-S) + q)], one integral in s against the density of S
+    (``_gamma_mixture``), taken on the graded Gauss-Legendre levels of
+    ``_corner_reduction`` and accepted by ``_settled``.  S dominates each
+    Gamma term's variable, so no term integrates to more than I_j and
+    rounding in their signed sum loses at most about n * eps_machine *
+    sum |c|; above rel_tol, as for clustered exponents, QuadratureError
+    is raised.
     """
     idx = as_multi_index(j)
     q = as_positive(q, "q")
@@ -790,28 +888,44 @@ def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-
 
 
 def _corner_reduction(reduced, n, eps, q, rel_tol):
-    """``monomial_integral`` over [0, eps]**n of an index without zero components."""
-    c, a, m = _gamma_mixture(reduced)
-    loss = len(c) * np.finfo(float).eps * float(np.sum(np.abs(c)))
+    """``monomial_integral`` over [0, eps]**n of an index without zero components.
+
+    Each level is one composite Gauss-Legendre rule in s = -log x**j,
+    evaluated once on its node array: equal panels up to s = log(1/q),
+    where the resolvent's poles at log(1/q) +- i pi bound the panel
+    width, then panels doubling in width up to 4 max a, the scale of the
+    slowest Gamma term, out to ``_corner_end``.  A level that is not a
+    finite double raises OverflowError.
+    """
+    w, a, k, tail, loss = _gamma_mixture(reduced)
     if loss > rel_tol:
         raise QuadratureError(f"signed terms of {reduced} cancel: rounding may lose {loss:.1e}")
-    weight = c / (a**m * np.array([math.factorial(k - 1) for k in m]))
-    terms = list(zip(weight.tolist(), a.tolist(), (m - 1).tolist()))
     # logs of q / eps**|j| and eps**(n - |j|), which as numbers may overflow
     log_q = math.log(q) - sum(reduced) * math.log(eps)
     log_scale = (n - sum(reduced)) * math.log(eps)
-
-    def integrand(s):
-        # eps**(n - |j|) times the density of S times 1 / (exp(-s) + q), in
-        # scalar math (numpy's per-call cost dominates at 1-6 terms)
-        hi, lo = (-s, log_q) if -s > log_q else (log_q, -s)
-        log_resolvent = hi + math.log1p(math.exp(lo - hi))
-        return sum(w * s**k * math.exp(log_scale - s / ak - log_resolvent) for w, ak, k in terms)
-
     split = max(-log_q, 0.0)
-    v1, e1 = _quad(integrand, 0.0, split, 1e-2 * rel_tol)
-    v2, e2 = _quad(integrand, split, math.inf, 1e-2 * rel_tol)
-    return _checked(v1 + v2, e1 + e2, rel_tol, "monomial reduction")
+    end = _corner_end(tail, split)
+
+    def level(edges, n_gl):
+        half = 0.5 * np.diff(edges)
+        gx, gw = _gl_nodes(n_gl)
+        s = (half[:, None] * gx + (edges[:-1] + half)[:, None]).ravel()
+        weights = (half[:, None] * gw).ravel()
+        # eps**(n - |j|) times the density of S times 1 / (exp(-s) + q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = s ** k[:, None] * np.exp(log_scale - s / a[:, None] - np.logaddexp(-s, log_q))
+            total = float((w @ terms) @ weights)
+        if not math.isfinite(total):
+            raise OverflowError
+        return total
+
+    def levels():
+        for width, points in _CORNER_LEVELS:
+            edges = _corner_edges(split, end, width, a.max())
+            for n_gl in points:
+                yield level(edges, n_gl)
+
+    return _settled(levels(), rel_tol, "monomial reduction")
 
 
 def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:

@@ -50,6 +50,7 @@ alone; ``run`` is the sweep of one config.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,7 +375,9 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     value + p.  Each replica first draws one normal per chain; a p that
     ``_starts_stationary`` maps them through its ``_stationary_factor``
     and records its first nt - burn_in steps, any other p starts at
-    u = 0 and records the steps after its burn-in.  All p and replicas
+    u = 0 and records the steps after its burn-in, with a RuntimeWarning
+    when an explicit ``burn_in`` is shorter than the ``_relax_steps`` its
+    slowest mode needs to forget that start.  All p and replicas
     advance together, a block of steps at a time, with the arithmetic of
     ``step``, each p recording the projection, the sum of its chains;
     each replica reports the sample variance of its series and a
@@ -406,12 +409,18 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     # start if it starts stationary, after its burn-in if it steps it
     first = []
     for j, burn in enumerate(burns):
-        if _starts_stationary(mix, r, _relax_steps(np.max(lam[j]), base.dt)):
+        relax = _relax_steps(np.max(lam[j]), base.dt)
+        if _starts_stationary(mix, r, relax):
             factor = _stationary_factor(lam[j], mix, base.sigma, base.dt)
             for rep in range(r):
                 u[j, rep] = z[rep] * factor if mix.ndim == 1 else factor @ z[rep]
             first.append(0)
         else:
+            if burn < relax:
+                warnings.warn(
+                    f"p = {configs[j].p!r} starts at u = 0 with burn_in = {burn}, below the "
+                    f"{relax} steps its slowest window mode needs to forget that start; "
+                    f"the estimate keeps the start's transient", RuntimeWarning, stacklevel=2)
             first.append(burn)
     kept = [base.nt - burn for burn in burns]
     steps = max(lo + n for lo, n in zip(first, kept))

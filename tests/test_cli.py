@@ -538,13 +538,26 @@ def test_sweep_of_a_piecewise_symbol_on_a_power_window(tmp_path):
     np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
-def test_overflowing_side_integral_exits_4(tmp_path, capsys):
-    # q**(-1/alpha) overflows at alpha = 0.5 and q = 1e-300
-    for symbol, window in (("tool:0.5", "box:0,1"), ("radial:1.5", "qdisc:1")):
+def test_side_integrals_past_the_overflow_of_the_layer_scale(tmp_path):
+    # q**(-1/alpha) overflows at alpha = 0.5 and 0.75 and q = 1e-300; the
+    # values are (1 - q log1p(1/q)) and (pi/2) (1 - O(q**(1/3)))
+    for symbol, window, want in (("tool:0.5", "box:0,1", 1.0), ("radial:1.5", "qdisc:1",
+                                                                  math.pi / 2)):
         assert main(["sweep", "--symbol", symbol, "--g", window, "--p-decades=-300:-299",
-                     "--points", "2", "--out", str(tmp_path)]) == 4
-        err = capsys.readouterr().err
-        assert "overflows" in err and "Traceback" not in err
+                     "--points", "2", "--out", str(tmp_path)]) == 0
+        sweep = SweepResult.from_csv((tmp_path / "sweep.csv").read_text())
+        assert sweep.ps.tolist() == [-1e-299, -1e-300]
+        for value in sweep.values:
+            assert math.isclose(value, want, rel_tol=1e-12), (symbol, value)
+
+
+def test_overflowing_side_integral_exits_4(tmp_path, capsys):
+    # the variance, about q**(1/alpha - 1) = 10**316 at alpha = 100, is past
+    # the largest double
+    assert main(["sweep", "--symbol", "tool:100", "--g", "box:0,1", "--p-decades=-320:-319",
+                 "--points", "2", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "overflows" in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -128,19 +128,13 @@ def test_power_window_at_the_edge_of_square_integrability():
 
 
 def test_unreachable_layers_raise_quadrature_error():
-    # q**(-1/alpha) overflows, so the side from the root cannot be scaled
-    for symbol, g, p in ((ToolAlpha(0.5), IndicatorBox(0.0, 1.0), -1e-155),
-                         (ToolAlpha(0.5), IndicatorBox(-1.0, 1.0), -1e-300),
-                         (ToolAlpha(1.0), IndicatorBox(0.0, 1.0), -5e-324),
-                         (Radial2D(1.5), QuarterDisc(1.0), -1e-300)):
-        with pytest.raises(QuadratureError, match="overflows"):
-            _value(symbol, g, p)
-    # the variance itself, about 1 / ((1 - 2 gamma) q) = 4.5e315, and an
-    # intermediate of the side integral at alpha = 0.5 and q = 8.7e-155
-    for symbol, g, p in ((Polynomial({(2,): 1.0}), PowerIndicator(math.nextafter(0.5, 0.0)),
-                          -1e-300),
-                         (ToolAlpha(0.5), IndicatorBox(0.0, 1.09), -8.7e-155)):
-        with pytest.raises(QuadratureError, match="not a positive double"):
+    # the variance itself, about 1 / ((1 - 2 gamma) q) = 4.5e315 and
+    # q**(1/alpha - 1) = 10**316.8 at alpha = 100
+    for symbol, g, p, match in (
+            (Polynomial({(2,): 1.0}), PowerIndicator(math.nextafter(0.5, 0.0)), -1e-300,
+             "not a positive double"),
+            (ToolAlpha(100.0), IndicatorBox(0.0, 1.0), -1e-320, "side integral .* overflows")):
+        with pytest.raises(QuadratureError, match=match):
             _value(symbol, g, p)
     # the layer at 0 lies among the subnormals, where x underflows and f reads 0
     for gamma in (0.1, 0.2):
@@ -348,6 +342,42 @@ def test_window_off_the_root_closed_form(alpha):
             assert math.isclose(got, want, rel_tol=1e-10), (d1, q)
 
 
+@pytest.mark.parametrize("symbol, g, p, want", [
+    # integral_0^L dx / (q + x**0.5) = 2 (sqrt(L) - q log1p(sqrt(L) / q)), x = v**2
+    (ToolAlpha(0.5), IndicatorBox(0.0, 1.0), -1e-155, 2.0 * (1.0 - 1e-155 * math.log1p(1e155))),
+    (ToolAlpha(0.5), IndicatorBox(0.0, 1.0), -1e-300, 2.0 * (1.0 - 1e-300 * math.log1p(1e300))),
+    (ToolAlpha(0.5), IndicatorBox(-1.0, 1.0), -1e-300, 4.0 * (1.0 - 1e-300 * math.log1p(1e300))),
+    (ToolAlpha(0.5), IndicatorBox(0.0, 1.09), -8.7e-155,
+     2.0 * (math.sqrt(1.09) - 8.7e-155 * math.log1p(math.sqrt(1.09) / 8.7e-155))),
+    # log((1 + q) / q), where 1/q overflows
+    (ToolAlpha(1.0), IndicatorBox(0.0, 1.0), -5e-324, math.log1p(5e-324) - math.log(5e-324)),
+    # (pi/4) integral_0^1 du / (q + u**0.75) = pi (1 - q integral_0^1 dv / (q + v**3)),
+    # u = v**4, and the q term is below q**(1/3) = 1e-100
+    (Radial2D(1.5), QuarterDisc(1.0), -1e-300, math.pi),
+])
+def test_side_integrals_reach_the_smallest_q(symbol, g, p, want):
+    # q**(-1/alpha) or the scaled side value overflows here, so the side
+    # integral is taken in logs
+    assert math.isclose(_value(symbol, g, p), want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, q, dt", [(0.5, 1e-300, 0.01), (0.7, 1e-310, 0.01),
+                                          (1.0, 5e-324, 0.1)])
+def test_side_integrals_in_logs_match_mpmath_with_the_scheme_correction(alpha, q, dt):
+    # 1/(t (1 + h t)) = 1/t - h/(1 + h t) with h = dt/2, and integral_0^1
+    # dx / (c + d x**alpha) = 2F1(1, 1/alpha; 1 + 1/alpha; -d/c) / c
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        big_q, a, h = mpmath.mpf(q), mpmath.mpf(alpha), mpmath.mpf(dt) / 2
+
+        def side(c, d):
+            return mpmath.hyp2f1(1, 1 / a, 1 + 1 / a, -d / c) / c
+
+        want = side(big_q, 1) - h * side(1 + h * big_q, h)
+    got = _value(ToolAlpha(alpha), IndicatorBox(0.0, 1.0), -q, dt=dt)
+    assert math.isclose(got, float(want), rel_tol=1e-12)
+
+
 # --------------------------------------------------------------------------
 # corner integrals over the unit cube
 
@@ -459,6 +489,62 @@ def test_monomial_overflow_raises_quadrature_error():
         monomial_integral((0, 0, 1), 1e200, 1e-4)
     with pytest.raises(QuadratureError, match="overflows"):
         monomial_integral((0, 0), 1e200, 1e-4)
+
+
+# q = 10**U(-300, -1); each family's reference is mpmath on a formula the
+# corner reduction does not use
+_LOG10_Q = st.floats(-300.0, -1.0)
+
+
+def _agrees_or_cancels(j, q, want):
+    try:
+        got = monomial_integral(j, 1.0, q)
+    except QuadratureError as err:
+        assert "cancel" in str(err), (j, q)
+        return
+    assert math.isclose(got, float(want), rel_tol=1e-10), (j, q, got, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 12), _LOG10_Q)
+def test_one_axis_corner_integral_matches_mpmath(order, log10_q):
+    # integral_0^1 dx / (x**j + q) = 2F1(1, 1/j; 1 + 1/j; -1/q) / q
+    mpmath = pytest.importorskip("mpmath")
+    q = 10.0 ** log10_q
+    with mpmath.workdps(20):
+        inv_j = 1 / mpmath.mpf(order)
+        want = mpmath.hyp2f1(1, inv_j, 1 + inv_j, -1 / mpmath.mpf(q)) / q
+    _agrees_or_cancels((order,), q, want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 6), _LOG10_Q)
+def test_unit_order_corner_integral_matches_the_polylog(n, log10_q):
+    mpmath = pytest.importorskip("mpmath")
+    q = 10.0 ** log10_q
+    with mpmath.workdps(20):
+        want = -mpmath.polylog(n, -1 / mpmath.mpf(q))
+    _agrees_or_cancels((1,) * n, q, want)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.tuples(st.integers(1, 8), st.integers(2, 8)).map(sorted).map(tuple), _LOG10_Q)
+def test_two_axis_corner_integral_matches_an_mpmath_quadrature(j, log10_q):
+    # the inner axis integrates to 2F1(1, 1/b; 1 + 1/b; -x**a/q) / q; with
+    # x**a = q e**w the outer one is q**(1/a - 1)/a integral e**(w/a)
+    # 2F1(-e**w) dw over w < log(1/q), which is analytic but at w = +-i pi:
+    # panels double away from w = 0, and e**(w/a) < e**-40 below -40 a
+    mpmath = pytest.importorskip("mpmath")
+    (a, b), q = j, 10.0 ** log10_q
+    with mpmath.workdps(15):
+        big_l, inv_b = -mpmath.log(q), 1 / mpmath.mpf(b)
+        below = [-mpmath.mpf(2) ** k for k in range(int(math.log2(40 * a)) + 2)]
+        above = [mpmath.mpf(2) ** k for k in range(10) if 2 ** k < big_l]
+        edges = below[::-1] + [0] + above + [big_l]
+        outer = mpmath.quad(lambda w: mpmath.exp(w / a) * mpmath.hyp2f1(
+            1, inv_b, 1 + inv_b, -mpmath.exp(w)), edges, method="gauss-legendre")
+        want = outer * mpmath.mpf(q) ** (1 / mpmath.mpf(a) - 1) / a
+    _agrees_or_cancels(j, q, want)
 
 
 UNIT_CUBE = IndicatorBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))

@@ -6,8 +6,10 @@ an AR(1) chain with multiplier a = 1/(1 - lambda dt), whose fixed-point
 variance solves V = a^2 (V + sigma^2 dt), giving
 sigma^2 dt a^2 / (1 - a^2) = sigma^2 / (2|lambda| + lambda^2 dt).
 """
+import contextlib
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +412,18 @@ def test_run_steps_the_burn_in_where_the_factor_costs_more(dim, rank, replicas, 
     assert not _starts_stationary(mix, replicas, _relax_steps(lam.max(), config.dt))
 
 
+@contextlib.contextmanager
+def _warns_of_a_short_burn_in(short):
+    """Expect run_sweep's short burn-in RuntimeWarning if ``short``, else no warning at all."""
+    if short:
+        with pytest.warns(RuntimeWarning, match="burn_in = .* below the .* steps"):
+            yield
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+
 def _check_against_reference(dim, rank, replicas, unweighted, timing, p):
     if dim == 1:
         mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
@@ -423,7 +437,12 @@ def _check_against_reference(dim, rank, replicas, unweighted, timing, p):
     config = SimConfig(symbol, g, p, mesh, dt=0.05, nt=nt, sigma=0.8, burn_in=burn_in,
                        replicas=replicas, seed=11, noise=noise, batches=4,
                        unweighted=unweighted)
-    got, want = run(config), _reference_run(config)
+    lam, mix = _chains_of(config)
+    relax = _relax_steps(lam.max(), config.dt)
+    short = not _starts_stationary(mix, replicas, relax) and burn_in < relax
+    with _warns_of_a_short_burn_in(short):
+        got = run(config)
+    want = _reference_run(config)
     assert got.effective_samples == want.effective_samples
     for name in ("mean", "variance", "stderr"):
         assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12), name
@@ -450,7 +469,11 @@ def test_many_rank_m_chains_start_at_zero_in_bounded_memory(monkeypatch):
         raise AssertionError("no dense stationary factor at 2,000 chains")
 
     monkeypatch.setattr(simulate, "_stationary_factor", refuse)
-    got, want = run(config), _reference_run(config)
+    # the start's transient stays in the estimate: p, the burn-in and the
+    # steps it would need are named
+    with pytest.warns(RuntimeWarning, match=rf"p = -0.0001 .* burn_in = 25, below the {relax} "):
+        got = run(config)
+    want = _reference_run(config)
     for name in ("mean", "variance", "stderr"):
         assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12), name
 
@@ -470,6 +493,10 @@ def test_run_sweep_mixes_stationary_and_stepped_starts():
         starts.append(_starts_stationary(mix, c.replicas, _relax_steps(lam.max(), c.dt)))
     assert starts == [True, False]
     assert run_sweep(configs) == [run(c) for c in configs]
+    # an explicit burn-in under the 77 steps warns for the stepped start only
+    with pytest.warns(RuntimeWarning) as record:
+        run_sweep([dataclasses.replace(c, burn_in=5) for c in configs])
+    assert [str(w.message).split(" starts")[0] for w in record] == ["p = -6.0"]
 
 
 def test_run_identity_noise_states_match_reference_exactly():
