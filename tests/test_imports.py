@@ -2,9 +2,13 @@
 
 No import goes unused (a line marked ``# noqa: F401`` keeps one on
 purpose), and no module reaches into another ewslab module for a
-``_``-prefixed name: what modules share is public.
+``_``-prefixed name: what modules share is public.  A process that runs
+every quadrature route and a simulation never loads ``scipy.integrate``.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,43 @@ def test_the_exemption_marker_covers_one_pinned_import():
     marked = [(path.name, line.strip()) for path in MODULES
               for line in path.read_text().splitlines() if "# noqa: F401" in line]
     assert marked == [("simulate.py", "from .noise import NoiseModel, noise_increment  # noqa: F401")]
+
+
+# one query through every quadrature route and one tiny simulation, in a
+# fresh interpreter, so no import of the test process can hide a load
+_EVERY_ROUTE = """
+import sys
+import numpy as np
+import ewslab.cli
+import ewslab as ew
+
+box = ew.IndicatorBox
+separable = ew.Polynomial({(2, 0): 1.0, (0, 4): 1.0})
+k = 2 * np.pi * np.fft.fftfreq(128, d=0.25)
+kernel = ew.ConvolutionKernel(np.real(np.fft.ifft(-(k ** 2 - 1.0) ** 2)) / 0.25, 0.25)
+queries = [
+    (ew.ToolAlpha(2.0), box(-0.5, 1.0), 0.0),  # the two sides of a root
+    (ew.ToolAlpha(2.0), box(0.5, 1.0), 0.0),  # a box off the root
+    (ew.Radial2D(2.0), ew.QuarterDisc(1.0), 0.0),  # a polar disc
+    (separable, box((0.0, 0.0), (1.0, 1.0)), 0.0),  # a separable sum
+    (separable, box((0.0, 0.0), (1.0, 1.0)), 0.01),
+    (ew.Polynomial({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.5}), box((0.0, 0.0), (1.0, 1.0)), 0.0),
+    (ew.SwiftHohenberg1D(), box(0.0, 2.0), 0.0),  # the 1-D ladder
+    (ew.ToolAlpha(2.0), ew.PowerIndicator(0.25, 1.0), 0.0),  # a power window
+    (kernel, box(-3.0, 3.0), 0.0),
+]
+for symbol, g, dt in queries:
+    assert ew.variance_quadrature(ew.VarianceQuery(symbol, g, -1e-4), dt=dt) > 0.0
+assert ew.monomial_integral((1, 2), 1.0, 1e-4) > 0.0
+assert ew.appendix_c_integral(1, 1e-4) > 0.0
+ew.run(ew.SimConfig(ew.ToolAlpha(2.0), box(-0.5, 0.5), -0.5, ew.Mesh(1.0, 9, 1), 0.01, 2000))
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_no_route_loads_scipy_integrate():
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _EVERY_ROUTE], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
