@@ -9,19 +9,18 @@ The integrand develops a boundary layer of width ``root_scale(-p)``
 around the zero set of f as p approaches 0 from below, which is exactly
 the regime of interest.  Every route is a sequence of composite
 Gauss-Legendre levels, each evaluated on one node array and accepted by
-``_settled`` once two successive levels agree.  A power law
-|x - root|**alpha on a box (``ToolAlpha``, a radial or ring disc after
-u = r**2) is taken in the offset y = |x - root|, as [0, root - a] and
-[0, b - root] when the box holds the root and as the one piece
-[gap, far] when it does not, and each piece in v = log y with the
-integrand in logs (``_power_law``): the layer sits at v = log(q) / alpha
-and the panels grade away from it (``_log_levels``).  Every other
-one-dimensional query (``sh1d``, a 1-D polynomial, a ``Piecewise``
-side, a custom symbol, every power window) takes the graded levels of
-the tensor route on one axis, evaluated vectorized (``_ladder_quad_1d``);
-a power window x**(-gamma) is taken in u = x**(1 - 2 gamma) near 0,
-where the weight becomes du / (1 - 2 gamma).  On boxes in two and three
-dimensions, a sum of one-axis powers c_k (x_k - r_k)**a_k with c_k > 0,
+``_settled`` once two successive levels agree.  Every one-dimensional
+query but a sampled kernel takes one rule (``_offset_rule``): the window
+is cut at the zeros of f, at the midpoints between them and, for a power
+window x**(-gamma), at its singular point 0; each piece is taken in the
+offset y = |x - c| from its center c, f as ``Symbol.offset_value``, which
+is exact in y for the closed kinds, and in v = log y with the integrand
+in logs, so the weight is the term -2 gamma v; the panels grade away
+from the layer log root_scale(q) (``_log_levels``), and all pieces are
+one node array.  A power law |x - root|**alpha (``ToolAlpha``, a radial
+or ring disc after u = r**2) takes it with t = q + e**(alpha v) in logs
+(``_power_law``), which reaches every positive q.  On boxes in two and
+three dimensions, a sum of one-axis powers c_k (x_k - r_k)**a_k with c_k > 0,
 each term nonnegative on the box, reduces exactly to one integral in
 s = log t of exp(-q t) times a product of per-axis incomplete gamma
 functions (``_separable_reduction``), on the levels of ``_log_levels``.
@@ -37,10 +36,10 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -68,6 +67,8 @@ _SLAB_POINTS = 1 << 15
 # logs of 45, above which P(1/a, z) rounds to 1, and of 750, above which exp(-z) underflows
 _LOG_45 = math.log(45.0)
 _LOG_750 = math.log(750.0)
+_LOG_MAX = math.log(sys.float_info.max)
+_TINY = sys.float_info.min
 
 
 class QuadratureError(RuntimeError):
@@ -230,36 +231,23 @@ def _ladder_edges(a, b, anchors, floor, ratio):
             edges.add(z)
         dmax = max(abs(b - z), abs(a - z))
         # no panel under 4 ulps of z; a floor that underflowed to 0 still climbs
-        d = max(floor, 4.0 * math.ulp(z), sys.float_info.min)
+        d = max(floor, 4.0 * math.ulp(z), _TINY)
         while d < dmax:
-            for cand in (z - d, z + d):
-                if a < cand < b:
-                    edges.add(cand)
+            if a < z - d < b:
+                edges.add(z - d)
+            if a < z + d < b:
+                edges.add(z + d)
             d *= ratio
     return sorted(edges)
 
 
-def _two_sum(a, b):
-    """a + b and the exact error of that rounded sum (Knuth's error-free sum)."""
-    s = a + b
-    back = s - a
-    return s, (a - (s - back)) + (b - back)
-
-
 def _axis_rule(c0, c1, anchors, floor, ratio, n_gl):
-    """Graded panel Gauss-Legendre rule on [c0, c1], refined toward each anchor.
-
-    Returns the nodes, the weights and each node's lag: its exact place
-    (lo + hi) / 2 + half * gx less the stored double, from error-free sums.
-    """
+    """Nodes and weights of a graded panel Gauss-Legendre rule on [c0, c1] toward each anchor."""
     edges = np.array(_ladder_edges(c0, c1, anchors, floor, ratio))
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
+    half = 0.5 * (edges[1:] - edges[:-1])
     gx, gw = _gl_nodes(n_gl)
-    span, span_lag = _two_sum(lo, hi)
-    nodes, node_lag = _two_sum(half[:, None] * gx, 0.5 * span[:, None])
-    lag = node_lag + 0.5 * span_lag[:, None]
-    return nodes.ravel(), (half[:, None] * gw).ravel(), lag.ravel()
+    return ((half[:, None] * gx + (0.5 * (edges[:-1] + edges[1:]))[:, None]).ravel(),
+            (half[:, None] * gw).ravel())
 
 
 def _settled(levels, rel_tol, what):
@@ -272,51 +260,25 @@ def _settled(levels, rel_tol, what):
     raise QuadratureError(f"{what} did not converge; last two values {prev:.9e}")
 
 
-# (ratio, points per panel) of the successive 1-D levels; the tensor's
-# schedule, which starts at ratio 4, misses power windows whose zero sits at 0
-_LEVELS_1D = ((2.0, 12), (2.0, 20), (1.5, 24), (1.25, 32))
-
-
 def _gl_blocks(levels):
-    """Per grading ratio of ``levels``, in order: the ratio, the nodes of its levels'
-    Gauss-Legendre rules side by side, as fractions of a panel, and a matrix whose
-    column k holds level k's weights per unit panel width on its rows."""
+    """Per key (a grading ratio or a panel width) of the (key, points) ``levels``: the key,
+    the nodes of its levels' rules side by side, as fractions of a panel, and a matrix
+    whose column k holds level k's weights per unit panel width on its rows."""
     blocks = []
-    for ratio, group in groupby(levels, key=lambda level: level[0]):
+    for key, group in groupby(levels, key=lambda level: level[0]):
         rules = [_gl_nodes(n_gl) for _, n_gl in group]
         gw = np.zeros((sum(x.size for x, _ in rules), len(rules)))
         start = 0
         for k, (x, w) in enumerate(rules):
             gw[start:start + x.size, k] = 0.5 * w
             start += x.size
-        blocks.append((ratio, 0.5 * (1.0 + np.concatenate([x for x, _ in rules])), gw))
+        blocks.append((key, 0.5 * (1.0 + np.concatenate([x for x, _ in rules])), gw))
     return tuple(blocks)
 
 
 # the levels of _log_levels: its first two share their panels, so the first,
-# there only to be compared with the second, can be coarser than the ladder's
+# there only to be compared with the second, has few points
 _LOG_LEVELS = _gl_blocks(((2.0, 8), (2.0, 16), (1.5, 24), (1.25, 32)))
-
-
-def _ladder_quad_1d(fn, a, b, anchors, floor, rel_tol, power=1.0):
-    """Graded Gauss-Legendre levels of the vectorized fn over [a, b] until two agree.
-
-    Each level grades its panels by its ratio raised to ``power``.
-    """
-
-    def level(ratio, n_gl):
-        # at power below about 5e-16 ratio**power rounds to 1: the ladder would not climb
-        grade = max(ratio**power, math.nextafter(1.0, 2.0))
-        x, w, lag = _axis_rule(a, b, anchors, floor, grade, n_gl)
-        # a node sits up to an ulp off its exact place; where the layer spans few
-        # ulps of x (a simple zero away from 0 at small q) that moves the sum past
-        # rel_tol, so each value slides to the exact place along the next double
-        step = np.nextafter(x, np.where(lag < 0, -np.inf, np.inf)) - x
-        fx = fn(x)
-        return float(w @ (fx + (fn(x + step) - fx) * (lag / step)))
-
-    return _settled((level(ratio, n_gl) for ratio, n_gl in _LEVELS_1D), rel_tol,
-                    "one-dimensional quadrature")
 
 
 def _log_levels(log_fn, spans, first, rel_tol, what):
@@ -330,24 +292,31 @@ def _log_levels(log_fn, spans, first, rel_tol, what):
     n-point rule misses (n!)**4 (r d)**(2n) / ((2n + 1) ((2n)!)**3) of its
     part: at ratio 2 that is at most 5.8e-10 of the integral at 8 points
     and 1.9e-19 at 16.  The levels of one ratio share their panels and
-    one evaluation of log_fn, over all spans.  A level that is not a
-    finite double raises OverflowError.
+    one evaluation of log_fn, over all spans: log_fn(v, rows) takes the
+    nodes v, one row per panel, and a function that gives the index of
+    each row's span.  A level that is not a finite double raises
+    OverflowError.
     """
 
     def levels():
         for ratio, frac, gw in _LOG_LEVELS:
-            edges, joins = [], []
-            for lo, hi, anchors in spans:
+            edges, joins, last = [], [], None
+            for span in spans:
                 if edges:
                     joins.append(len(edges) - 1)
-                edges += _ladder_edges(lo, hi, {min(max(z, lo), hi) for z in anchors}, first,
-                                       ratio)
+                if span != last:
+                    lo, hi, anchors = last = span
+                    ladder = _ladder_edges(lo, hi, [min(max(z, lo), hi) for z in anchors], first,
+                                           ratio)
+                edges += ladder
             edges = np.array(edges)
             width = edges[1:] - edges[:-1]
+            rows = lambda: 0
             if joins:
                 # one edge array over all spans: the panel from one to the next has width 0
                 width[joins] = 0.0
-            values = np.exp(log_fn(edges[:-1, None] + width[:, None] * frac))
+                rows = lambda: np.searchsorted(joins, np.arange(width.size))[:, None]
+            values = np.exp(log_fn(edges[:-1, None] + width[:, None] * frac, rows))
             for total in (width @ (values @ gw)).tolist():
                 if not math.isfinite(total):
                     raise OverflowError
@@ -361,63 +330,97 @@ def _log_levels(log_fn, spans, first, rel_tol, what):
 # 1-D variance dispatch
 
 
-def _phi_factory(dt: float) -> Callable:
-    if dt == 0.0:
-        return lambda t: 1.0 / t
-    half = 0.5 * dt
-    return lambda t: 1.0 / (t + half * t * t)
+def _offset_pieces(a, b, centers):
+    """[a, b] cut at every center inside it and at the midpoints between
+    the sorted ``centers``, each piece in the offset from its nearest
+    center c: a piece (c, s, lo, hi) is x = c + s y for y in [lo, hi],
+    whose lo is exact in doubles where it is small (Sterbenz)."""
+    if len(centers) == 1:
+        (c,) = centers
+        if a < c < b:
+            return [(c, -1.0, 0.0, c - a), (c, 1.0, 0.0, b - c)]
+        return [(c, 1.0, a - c, b - c) if c <= a else (c, -1.0, c - b, c - a)]
+    mids = [0.5 * (z0 + z1) for z0, z1 in zip(centers, centers[1:])]
+    cuts = [a, *sorted(x for x in centers + mids if a < x < b), b]
+    return [_offset_pieces(x0, x1, [centers[bisect_right(mids, x0)]])[0]
+            for x0, x1 in zip(cuts, cuts[1:])]
 
 
-def _offset_pieces(a, b, root):
-    """The box [a, b] in the offset y = |x - root|: [0, root - a] and
-    [0, b - root] where it holds the root, else the one piece [gap, far],
-    whose gap is exact in doubles where it is small (Sterbenz)."""
-    if a >= root:
-        return [(a - root, b - root)]
-    if b <= root:
-        return [(root - b, root - a)]
-    return [(0.0, root - a), (0.0, b - root)]
+def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
+    """Sum over ``pieces`` of integral |x|**(-2 gamma) phi(t) dy, each in v = log y.
 
-
-def _power_law(alpha, pieces, q, dt, rel_tol, what):
-    """Sum over ``pieces`` [y_lo, y_hi] of integral phi(q + y**alpha) dy, in v = log y.
-
-    The integrand e**v phi(q + e**(alpha v)) is taken in logs, so every
-    positive q is reached unless the value itself overflows
-    (QuadratureError).  Its poles sit at v0 +- i pi / alpha, v0 =
-    log(q) / alpha, and for dt > 0 also at v1 +- i pi / alpha, v1 =
-    log(2/dt + q) / alpha; the panels grade away from both, the first
-    4 / alpha wide.  The integrand grows like e**v below v0, e**((1 -
-    alpha) v) beyond it and e**((1 - 2 alpha) v) beyond v1, so they also
-    grade away from the upper end of a piece where it grows toward it.
-    A piece from y = 0 starts 40 below min(v0, log y_hi), where it has
-    lost e**-40 of its value.  Both sides of a root are one node array.
+    A piece (c, s, lo, hi) of ``_offset_pieces`` is x = c + s y, y in
+    [lo, hi], from a zero c of f or from c = 0, where the weight is
+    singular; log_t(v, rows) is log t = log(q - f(x)) on the nodes v,
+    one row per panel, of the pieces rows().  The integrand e**v
+    |x|**(-2 gamma) phi(t) is taken in logs on one node array
+    (``_log_levels``), graded away from each of ``layers``.  Where
+    f = -|y|**order about c, the poles sit pi / order off the axis, so
+    the first panels are 4 / order wide, and the integrand grows like
+    e**(beta v), beta = 1 - 2 gamma at c = 0 and 1 elsewhere, below the
+    first layer, losing ``order`` of that rate past each: the panels also
+    grade away from an upper end it grows toward.
+    Without an ``order`` the first panels are 1 wide, which resolves a
+    polynomial of degree up to 6 with positive coefficients (its poles
+    lie pi / 6 or more off the axis), and every upper end is an anchor:
+    the integrand may grow toward the next zero, and a polynomial's poles
+    may sit anywhere between its layer and its end.  A piece from y = 0
+    starts ``depth`` below min(layer, log hi), where -f has fallen to
+    about e**-40 q; one from c = 0 with gamma > 0 adds the rest in closed
+    form, e**(beta v) phi(t) / beta at its start, nearly all the value at
+    gamma one double below 1/2.  A non-finite value raises OverflowError.
     """
-    if len(pieces) == 2 and pieces[0] == pieces[1]:
+    depth = 40.0 / min(order, 1.0) if order and gamma else 40.0
+    beta = 1.0 - 2.0 * gamma
+    spans = []
+    for c, _, lo, hi in pieces:
+        v_hi = math.log(hi)
+        v_lo = math.log(lo) if lo > 0.0 else min(layers[0], v_hi) - depth
+        grows = not order or (beta if c == 0.0 else 1.0) > order * bisect_right(layers, v_hi)
+        spans.append((v_lo, v_hi, (*layers, v_hi) if grows else layers))
+    # log |x|, from v itself where c = 0 so that no x underflows
+    log_x = lambda v, rows: v
+    if gamma and any(p[0] for p in pieces):
+        centers_signs = np.array([p[:2] for p in pieces]).T
+
+        def log_x(v, rows):
+            c, s = centers_signs[:, rows()]
+            return np.where(c == 0.0, v, np.log(np.abs(c + s * np.exp(v))))
+    half = 0.5 * dt
+
+    def log_fn(v, rows):
+        log_t_v = log_t(v, rows)
+        out = v - log_t_v
+        if gamma:
+            out -= 2.0 * gamma * log_x(v, rows)
+        return out - np.log1p(half * np.exp(log_t_v)) if dt > 0 else out
+
+    total = _log_levels(log_fn, spans, 4.0 / order if order else 1.0, rel_tol, what)
+    for i, (c, _, lo, _) in enumerate(pieces) if gamma else ():
+        if lo == 0.0 and c == 0.0:
+            log_head = float(log_fn(spans[i][0], lambda: i))
+            total += (math.exp(log_head) if log_head < _LOG_MAX else math.inf) / beta
+    return total
+
+
+def _power_law(alpha, pieces, q, dt, rel_tol, what, gamma=0.0):
+    """Sum over ``pieces`` of integral |y|**(-2 gamma) phi(q + |y|**alpha) dy, by ``_offset_rule``.
+
+    t = q + e**(alpha v) is taken in logs, so every positive q is reached
+    unless the value itself overflows (QuadratureError).  The layers sit
+    at v0 = log(q) / alpha and, for dt > 0, at v1 = log(2/dt + q) / alpha.
+    """
+    if len(pieces) == 2 and pieces[0][2:] == pieces[1][2:]:
         # a box centred on the root holds the same side twice
-        return 2.0 * _power_law(alpha, pieces[:1], q, dt, rel_tol, what)
+        return 2.0 * _power_law(alpha, pieces[:1], q, dt, rel_tol, what, gamma)
     log_q = math.log(q)
-    v0 = log_q / alpha
     # log(2/dt + q), as a number 2/dt may overflow
     log_rate = math.log(2.0) - math.log(dt) if dt > 0 else math.inf
     v1 = (max(log_rate, log_q) + math.log1p(math.exp(-abs(log_rate - log_q)))) / alpha
-    half = 0.5 * dt
-
-    def log_fn(v):
-        # log(q + y**alpha), then log(y phi) with phi(t) = 1 / (t (1 + half t))
-        log_t = np.logaddexp(log_q, alpha * v)
-        out = v - log_t
-        return out - np.log1p(half * np.exp(log_t)) if dt > 0 else out
-
-    layers = [v0, v1] if dt > 0 else [v0]
-    spans = []
-    for lo, hi in pieces:
-        v_hi = math.log(hi)
-        v_lo = math.log(lo) if lo > 0.0 else min(v0, v_hi) - 40.0
-        rate = 1.0 if v_hi < v0 else 1.0 - alpha if v_hi < v1 else 1.0 - 2.0 * alpha
-        spans.append((v_lo, v_hi, layers + [v_hi] if rate > 0.0 else layers))
+    layers = (log_q / alpha, v1) if dt > 0 else (log_q / alpha,)
+    log_t = lambda v, _: np.logaddexp(log_q, alpha * v)
     try:
-        return _log_levels(log_fn, spans, 4.0 / alpha, rel_tol, what)
+        return _offset_rule(log_t, pieces, layers, alpha, dt, gamma, rel_tol, what)
     except OverflowError:
         raise QuadratureError(f"side integral of |x|**{alpha} overflows at q = {q!r}") from None
 
@@ -429,15 +432,8 @@ def _stable(t):
     return t
 
 
-def _resolvent(symbol, x, q, phi):
-    """phi(q - f) on the node array x, after one stability check on its minimum."""
-    t = q - symbol(x)
-    _stable(t.min())
-    return phi(t)
-
-
-def _kernel_variance(symbol, g, q, dt):
-    """Exact integral of the resolvent of the piecewise-linear multiplier interpolant.
+def _kernel_variance(symbol, g, a, b, q, dt):
+    """Exact integral over [a, b] of the resolvent of the piecewise-linear multiplier interpolant.
 
     On each grid segment the resolvent of a linear function integrates
     to a logarithm, which stays finite as long as q > 0, so no special
@@ -449,7 +445,6 @@ def _kernel_variance(symbol, g, q, dt):
     """
     if not isinstance(g, IndicatorBox):
         raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
-    a, b = float(g.lo[0]), float(g.hi[0])
     grid = symbol.freq_grid
     if a < grid[0] or b > grid[-1]:
         raise ValueError("window exceeds the kernel's resolved frequency range")
@@ -470,64 +465,49 @@ def _kernel_variance(symbol, g, q, dt):
     return value - integral(tvals + 2.0 / dt) if dt > 0 else value
 
 
-def _variance_1d(symbol, g, q, rel_tol, dt):
-    if isinstance(symbol, ConvolutionKernel):
-        return _kernel_variance(symbol, g, q, dt)
-    phi = _phi_factory(dt)
-    if isinstance(g, PowerIndicator):
-        # u = x**beta turns x**(-2 gamma) dx into du / beta, which Gauss-Legendre
-        # resolves at 0, and ratio**beta grading toward u = 0 is ratio grading in
-        # x; it runs a hundred times past the layer, because u**(1/beta) has a
-        # branch point at 0 that a first panel as wide as the layer misses by
-        # up to 6e-9.  From half the first zero z > 0 on, x itself is graded:
-        # the weight is smooth there, and u**(1/beta) would round x near z by
-        # more than the layer
-        beta = 1.0 - 2.0 * g.gamma
-        zeros = symbol.zeros_in(-g.eps, 2 * g.eps)
-        split = min([z / 2.0 for z in zeros if z > 0.0] + [g.eps])
-        # x = u**(1/beta) underflows below the smallest normal double, so the
-        # panels stop there and f reads f(0) below it; where f moves by more
-        # than q there (a layer at 0 among the subnormals) that may add up to
-        # tiny**beta / (beta q)
-        tiny = sys.float_info.min
-        floor = max(symbol.root_scale(q), tiny) / 4.0
-        head = lambda u: _resolvent(symbol, u ** (1.0 / beta), q, phi)
-        head_floor = (floor / 100.0) ** beta
-        total = _ladder_quad_1d(head, 0.0, split**beta, [0.0], head_floor, rel_tol, beta) / beta
-        if split < g.eps:
-            tail = lambda x: x ** (-2.0 * g.gamma) * _resolvent(symbol, x, q, phi)
-            total += _ladder_quad_1d(tail, split, g.eps, zeros, floor, rel_tol)
-        if tiny**beta / (beta * q) > rel_tol * total and abs(symbol(tiny) - symbol(0.0)) > q:
-            raise QuadratureError(f"the layer at x = 0 underflows at q = {q!r}")
-        return total
+def _variance_1d(symbol, g, a, b, q, rel_tol, dt):
+    """integral over [a, b] of g**2 phi(q - f), for g a box or the power window x**(-gamma).
 
-    if not isinstance(g, IndicatorBox):
-        raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
-    a, b = float(g.lo[0]), float(g.hi[0])
+    A ``Piecewise`` symbol splits at its root, each side on its own route;
+    a ``ToolAlpha`` takes ``_power_law`` unless a power window's 0 is not
+    its root; every other symbol but a sampled kernel takes
+    ``_offset_rule`` from the zeros of f near [a, b] (its root without
+    any) and, for gamma > 0, from 0, with layers at log root_scale(q)
+    and, for dt > 0, log root_scale(2/dt + q).
+    """
     root = float(symbol.root[0])
-
     if isinstance(symbol, Piecewise):
         total = 0.0
         if a < root:
-            left_box = IndicatorBox(a, min(b, root))
-            total += _variance_1d(symbol.left, left_box, q, rel_tol, dt)
+            total += _variance_1d(symbol.left, g, a, min(b, root), q, rel_tol, dt)
         if b > root:
-            right_box = IndicatorBox(max(a, root), b)
-            total += _variance_1d(symbol.right, right_box, q, rel_tol, dt)
+            total += _variance_1d(symbol.right, g, max(a, root), b, q, rel_tol, dt)
         return total
+    if isinstance(symbol, ConvolutionKernel):
+        return _kernel_variance(symbol, g, a, b, q, dt)
+    gamma = g.gamma if isinstance(g, PowerIndicator) else 0.0
+    if isinstance(symbol, ToolAlpha) and (root == 0.0 or not gamma):
+        return _power_law(symbol.alpha, _offset_pieces(a, b, [root]), q, dt, rel_tol,
+                          "power-law quadrature", gamma)
 
-    if isinstance(symbol, ToolAlpha):
-        return _power_law(symbol.alpha, _offset_pieces(a, b, root), q, dt, rel_tol,
-                          "power-law quadrature")
-
-    # generic one-dimensional route: graded panels anchored at the zeros
     margin = b - a
-    anchors = list(symbol.zeros_in(a - margin, b + margin))
-    floor = symbol.root_scale(q)
-    if not math.isfinite(floor):
-        floor = margin
-    fn = lambda x: _resolvent(symbol, x, q, phi)
-    return _ladder_quad_1d(fn, a, b, anchors, floor / 4.0, rel_tol)
+    zeros = {*symbol.zeros_in(a - margin, b + margin)} or {root}
+    pieces = _offset_pieces(a, b, sorted(zeros | {0.0} if gamma else zeros))
+    centers_signs = np.array([p[:2] for p in pieces]).T
+    scale = lambda t: math.log(max(symbol.root_scale(t), _TINY))
+    layers = (scale(q), scale(2.0 / dt + q)) if dt > 0 else (scale(q),)
+
+    def log_t(v, rows):
+        c, s = centers_signs[:, rows()]
+        t = q - symbol.offset_value(c, s * np.exp(v))
+        _stable(t.min())
+        return np.log(t)
+
+    try:
+        return _offset_rule(log_t, pieces, layers, None, dt, gamma, rel_tol,
+                            "one-dimensional quadrature")
+    except OverflowError:
+        raise QuadratureError(f"one-dimensional quadrature overflows at q = {q!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +532,7 @@ def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
     Each axis is one rule graded toward the root coordinate; a root inside
     the axis is an edge, with panels graded out to both ends.
     """
-    per_axis = [_axis_rule(lo[d], hi[d], [float(symbol.root[d])], floors[d], ratio, n_gl)[:2]
+    per_axis = [_axis_rule(lo[d], hi[d], [float(symbol.root[d])], floors[d], ratio, n_gl)
                 for d in range(symbol.dim)]
     counts = [len(n) for n, _ in per_axis]
     n_evals = int(np.prod(counts))
@@ -573,7 +553,9 @@ def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
     return total, n_evals
 
 
-def _variance_tensor(symbol, g, q, rel_tol, phi):
+def _variance_tensor(symbol, g, q, rel_tol, dt):
+    # the implicit scheme's resolvent is 1 / (t + dt t**2 / 2)
+    phi = (lambda t: 1.0 / t) if dt == 0.0 else (lambda t: 1.0 / (t + 0.5 * dt * t * t))
     lo = np.asarray(g.lo, dtype=float)
     hi = np.asarray(g.hi, dtype=float)
     floors = _axis_floors(symbol, q)
@@ -707,7 +689,7 @@ def _separable_reduction(axes, lo, hi, root, q, dt, rel_tol):
     if dt > 0:
         anchors.append(-log_rate)
 
-    def log_fn(s):
+    def log_fn(s, _):
         log_w = np.full_like(s, log_near)
         busy = s < settle
         log_w[busy] = sum(np.log(weight(s[busy])) for weight in weights)
@@ -747,10 +729,14 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     g = query.test_function
     if as_finite(dt, "dt") < 0:
         raise ValueError("dt must be nonnegative")
-    phi = _phi_factory(dt)
     tol = rel_tol if rel_tol is not None else REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND
     if symbol.dim == 1:
-        value = _variance_1d(symbol, g, q, tol, dt)
+        if isinstance(g, PowerIndicator):
+            value = _variance_1d(symbol, g, 0.0, g.eps, q, tol, dt)
+        elif isinstance(g, IndicatorBox):
+            value = _variance_1d(symbol, g, float(g.lo[0]), float(g.hi[0]), q, tol, dt)
+        else:
+            raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
     elif isinstance(g, Disc) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
         # polar coordinates and u = r**2 turn the disc integral into the
         # one-dimensional power law |u - root|**alpha on [0, R**2]: the
@@ -758,14 +744,14 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
         # ring multiplier alpha = 2 and its root at 1; a disc that ends
         # before the root (R < 1) is a box off the root
         alpha, root = (symbol.exponent / 2.0, 0.0) if isinstance(symbol, Radial2D) else (2.0, 1.0)
-        pieces = _offset_pieces(0.0, g.radius**2, root)
+        pieces = _offset_pieces(0.0, g.radius**2, [root])
         value = 0.5 * g.angle * _power_law(alpha, pieces, q, dt, tol, "polar quadrature")
     elif (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
           and not isinstance(symbol, SwiftHohenberg2D)):
         # the tensor panels grade toward the root, not toward a ring
         axes = _separable_axes(symbol, g)
         if axes is None:
-            value = _variance_tensor(symbol, g, q, tol, phi)
+            value = _variance_tensor(symbol, g, q, tol, dt)
         else:
             value = _separable_reduction(axes, g.lo, g.hi, symbol.root, q, dt, tol)
     else:
@@ -778,10 +764,10 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     return value
 
 
-# the successive corner levels, as the widest panel up to s = log(1/q)
-# and the points per panel of each level on those panels; panels 2 wide
-# already resolve the poles of the resolvent at log(1/q) +- i pi to the last bits
-_CORNER_LEVELS = ((2.0, (12, 16)), (1.0, (24,)))
+# the successive corner levels, as (the widest panel up to s = log(1/q), the
+# points per panel), in blocks keyed by that width; panels 2 wide already
+# resolve the poles of the resolvent at log(1/q) +- i pi to the last bits
+_CORNER_LEVELS = _gl_blocks(((2.0, 12), (2.0, 16), (1.0, 24)))
 # share of the corner value the tail beyond the last panel may hold
 _CORNER_TAIL = 1e-20
 
@@ -894,7 +880,8 @@ def _corner_reduction(reduced, n, eps, q, rel_tol):
     """``monomial_integral`` over [0, eps]**n of an index without zero components.
 
     Each level is one composite Gauss-Legendre rule in s = -log x**j,
-    evaluated once on its node array: equal panels up to s = log(1/q),
+    and the levels of one block of ``_CORNER_LEVELS`` share one node
+    array and one evaluation: equal panels up to s = log(1/q),
     where the resolvent's poles at log(1/q) +- i pi bound the panel
     width, then panels doubling in width up to 4 max a, the scale of the
     slowest Gamma term, out to ``_corner_end``.  A level that is not a
@@ -909,24 +896,19 @@ def _corner_reduction(reduced, n, eps, q, rel_tol):
     split = max(-log_q, 0.0)
     end = _corner_end(tail, split)
 
-    def level(edges, n_gl):
-        half = 0.5 * np.diff(edges)
-        gx, gw = _gl_nodes(n_gl)
-        s = (half[:, None] * gx + (edges[:-1] + half)[:, None]).ravel()
-        weights = (half[:, None] * gw).ravel()
-        # eps**(n - |j|) times the density of S times 1 / (exp(-s) + q)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = s ** k[:, None] * np.exp(log_scale - s / a[:, None] - np.logaddexp(-s, log_q))
-            total = float((w @ terms) @ weights)
-        if not math.isfinite(total):
-            raise OverflowError
-        return total
-
     def levels():
-        for width, points in _CORNER_LEVELS:
+        for width, frac, gw in _CORNER_LEVELS:
             edges = _corner_edges(split, end, width, a.max())
-            for n_gl in points:
-                yield level(edges, n_gl)
+            panels = edges[1:] - edges[:-1]
+            s = (edges[:-1, None] + panels[:, None] * frac).ravel()
+            # eps**(n - |j|) times the density of S times 1 / (exp(-s) + q)
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = s ** k[:, None] * np.exp(log_scale - s / a[:, None] - np.logaddexp(-s, log_q))
+                totals = panels @ ((w @ terms).reshape(panels.size, -1) @ gw)
+            for total in totals.tolist():
+                if not math.isfinite(total):
+                    raise OverflowError
+                yield total
 
     return _settled(levels(), rel_tol, "monomial reduction")
 
@@ -958,10 +940,10 @@ def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:
     big_l = -math.log(q)
     start = max(0.0, -big_l)
     what = "log-power integral"
-    head = _log_levels(lambda u: special.xlogy(m, u) - 2.0 * u - 2.0 * np.log1p(np.exp(-u)),
+    head = _log_levels(lambda u, _: special.xlogy(m, u) - 2.0 * u - 2.0 * np.log1p(np.exp(-u)),
                        [(start, start + 64.0, [0.0, start])], 2.0, rel_tol, what)
     value = (-1) ** m * head
     if big_l > 0.0:
-        value += _log_levels(lambda u: special.xlogy(m, u) - 2.0 * np.log1p(np.exp(-u)),
+        value += _log_levels(lambda u, _: special.xlogy(m, u) - 2.0 * np.log1p(np.exp(-u)),
                              [(0.0, big_l, [0.0, big_l])], 2.0, rel_tol, what)
     return value

@@ -211,6 +211,11 @@ class Symbol(Registered):
         r = float(self.root[0])
         return (r,) if lo <= r <= hi else ()
 
+    def offset_value(self, z, y):
+        """f(z + y) in one dimension, z and y broadcast; the closed kinds form no z + y,
+        so that at a zero z the value is exact in y however small y is."""
+        return self(np.asarray(z) + y)
+
 
 def _lattice(domain, dim):
     lo, hi = domain
@@ -277,6 +282,9 @@ class ToolAlpha(Symbol):
         arr = self._coerce(x)
         return -np.abs(arr - self.root[0]) ** self.alpha
 
+    def offset_value(self, z, y):
+        return -np.abs((z - self.root[0]) + y) ** self.alpha
+
     def root_scale(self, q: float) -> float:
         return float(q) ** (1.0 / self.alpha)
 
@@ -337,6 +345,11 @@ class Polynomial(Symbol):
                     term = term * s**e
             total = total + term
         return -total
+
+    def offset_value(self, z, y):
+        # at the root z - root is 0 and this is the exact shift -sum_j a_j y**j
+        shifted = (z - self.root[0]) + y
+        return self._terms([shifted], shifted.shape)
 
     def root_scale(self, q: float) -> float:
         degrees = [sum(j) for j, a in self.coeffs.items() if a]
@@ -489,6 +502,10 @@ class SwiftHohenberg1D(Symbol):
         arr = self._coerce(x)
         return -((1.0 - arr**2) ** 2)
 
+    def offset_value(self, z, y):
+        # 1 - (z + y)**2 = (1 - z) (1 + z) - y (2 z + y), whose first term is 0 at z = +-1
+        return -(((1.0 - z) * (1.0 + z) - y * (2.0 * z + y)) ** 2)
+
     def root_scale(self, q: float) -> float:
         return math.sqrt(float(q)) / 2.0
 
@@ -597,7 +614,8 @@ class CustomSymbol(Symbol):
 
     Used by :func:`real_part_symbol`; carries no serialized form.  The
     stability check is sampled and recorded in ``sign_ok`` instead of
-    raising, so degenerate inputs stay inspectable.
+    raising, so degenerate inputs stay inspectable.  ``offset_value`` forms
+    z + y: the quadrature resolves no layer narrower than the ulps of z.
     """
 
     kind = "custom"

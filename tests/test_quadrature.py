@@ -7,6 +7,7 @@ next to the formulas that produced them.
 """
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from ewslab.symbols import (
     Polynomial,
     PowerWavenumber,
     Radial2D,
+    SwiftHohenberg1D,
     SwiftHohenberg2D,
     ToolAlpha,
     Zero,
@@ -136,10 +138,16 @@ def test_unreachable_layers_raise_quadrature_error():
             (ToolAlpha(100.0), IndicatorBox(0.0, 1.0), -1e-320, "side integral .* overflows")):
         with pytest.raises(QuadratureError, match=match):
             _value(symbol, g, p)
-    # the layer at 0 lies among the subnormals, where x underflows and f reads 0
+    # the layer at 0 lies among the subnormals, which v = log x reaches: with
+    # beta = 1 - 2 gamma, integral_0^1 x**(beta - 1) / (q + x**alpha) dx =
+    # 2F1(1, beta/alpha; 1 + beta/alpha; -1/q) / (beta q)
+    mpmath = pytest.importorskip("mpmath")
     for gamma in (0.1, 0.2):
-        with pytest.raises(QuadratureError, match="underflows"):
-            _value(ToolAlpha(0.5), PowerIndicator(gamma, 1.0), -1e-300)
+        with mpmath.workdps(50):
+            beta, q = 1 - 2 * mpmath.mpf(gamma), mpmath.mpf(1e-300)
+            want = mpmath.hyp2f1(1, 2 * beta, 1 + 2 * beta, -1 / q) / (beta * q)
+        got = _value(ToolAlpha(0.5), PowerIndicator(gamma, 1.0), -1e-300)
+        assert math.isclose(got, float(want), rel_tol=1e-10), (gamma, got, want)
 
 
 def test_power_window_brute_force():
@@ -465,6 +473,87 @@ def test_power_law_routes_match_mpmath(kind, data, log10_q, dt):
     assert math.isclose(got, float(want), rel_tol=1e-10), (symbol, g, q, dt, got, want)
 
 
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(-2.5, 0.99), b=st.floats(1.01, 3.0), log10_q=_LOG10_Q,
+       dt=st.sampled_from((0.0, 0.01)))
+def test_sh1d_box_holding_k_1_matches_mpmath(a, b, log10_q, dt):
+    # the layer sqrt(q)/2 at k = 1 spans a few ulps of 1 from q = 1e-30 down;
+    # (1 - x**2)**2 + Q = (c**2 - x**2)(conj(c)**2 - x**2), c = sqrt(1 - i sqrt(Q)),
+    # so integral_a^b dx / (Q + (1 - x**2)**2) = Im((atanh(b/c) - atanh(a/c)) / c) / sqrt(Q),
+    # and phi(t) = 1/t - 1/(t + 2/dt)
+    mpmath = pytest.importorskip("mpmath")
+    q = 10.0 ** log10_q
+    with mpmath.workdps(50):
+        def part(big_q):
+            c = mpmath.sqrt(1 - 1j * mpmath.sqrt(big_q))
+            return mpmath.im((mpmath.atanh(b / c) - mpmath.atanh(a / c)) / c) / mpmath.sqrt(big_q)
+
+        want = part(mpmath.mpf(q)) - (part(mpmath.mpf(q) + 2 / mpmath.mpf(dt)) if dt else 0)
+    got = variance_quadrature(VarianceQuery(SwiftHohenberg1D(), IndicatorBox(a, b), -q), dt=dt)
+    assert math.isclose(got, float(want / 2), rel_tol=1e-10), (a, b, q, dt, got, want)
+
+
+@pytest.mark.parametrize("kind", ["tool", "mono"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), gamma=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       eps=st.floats(0.1, 2.0), log10_q=_LOG10_Q, dt=st.sampled_from((0.0, 0.01)))
+def test_power_windows_on_a_zero_at_0_match_mpmath(kind, data, gamma, eps, log10_q, dt):
+    # with beta = 1 - 2 gamma, integral_0^eps x**(beta - 1) dx / (c + d x**alpha) is
+    # eps**beta 2F1(1, beta/alpha; 1 + beta/alpha; -d eps**alpha / c) / (beta c),
+    # and phi(t) = 1/t - h/(1 + h t), h = dt/2
+    mpmath = pytest.importorskip("mpmath")
+    if kind == "tool":
+        alpha = data.draw(st.floats(0.3, 8.0))
+        symbol = ToolAlpha(alpha)
+    else:
+        alpha = data.draw(st.integers(1, 6))
+        symbol = Polynomial({(alpha,): 1.0})
+    q = 10.0 ** log10_q
+    with mpmath.workdps(50):
+        a, h, e = mpmath.mpf(alpha), mpmath.mpf(dt) / 2, mpmath.mpf(eps)
+        beta = 1 - 2 * mpmath.mpf(gamma)
+
+        def part(c, d):
+            return e ** beta * mpmath.hyp2f1(1, beta / a, 1 + beta / a, -d * e ** a / c) / (beta * c)
+
+        want = (part(mpmath.mpf(q), 1) - h * part(1 + h * mpmath.mpf(q), h)) / 2
+    try:
+        got = variance_quadrature(VarianceQuery(symbol, PowerIndicator(gamma, eps), -q), dt=dt)
+    except QuadratureError as err:
+        # only a variance past the largest double is refused, and the message says so
+        assert want > sys.float_info.max and "not a positive double" in str(err), (err, want)
+        return
+    assert math.isclose(got, float(want), rel_tol=1e-10), (symbol, gamma, eps, q, dt, got, want)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(0.3, 0.45), (0.2, 0.49)])
+def test_power_window_on_a_fractional_order_below_its_layer(alpha, gamma):
+    # with beta = 1 - 2 gamma small, most of integral_0^1 x**(beta - 1) / (q + x**alpha) dx
+    # lies below the layer; the part under the first panel is taken in closed form,
+    # so the first panel starts where x**alpha has fallen to e**-40 q
+    mpmath = pytest.importorskip("mpmath")
+    for q in (1e-6, 1e-300):
+        with mpmath.workdps(30):
+            a, beta = mpmath.mpf(alpha), 1 - 2 * mpmath.mpf(gamma)
+            want = mpmath.hyp2f1(1, beta / a, 1 + beta / a, -1 / mpmath.mpf(q)) / (beta * q)
+        got = _value(ToolAlpha(alpha), PowerIndicator(gamma, 1.0), -q)
+        assert math.isclose(got, float(want), rel_tol=1e-12), (q, got, want)
+
+
+@pytest.mark.parametrize("coeffs, length, q", [({1: 0.1, 6: 10.0}, 3.0, 1e-12),
+                                               ({1: 0.1, 5: 10.0}, 3.0, 1e-9)])
+def test_polynomial_poles_between_its_layer_and_its_end(coeffs, length, q):
+    # 1 / (q + a y + b y**k) has poles pi/(k-1) off the axis of log y where the two
+    # terms cross, at y = (a/b)**(1/(k-1)), inside the box, far above the layer
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = mpmath.quad(lambda y: 1 / (q + sum(a * y**j for j, a in coeffs.items())),
+                           [0] + [length * mpmath.mpf(10) ** -k for k in range(16, -1, -1)])
+    symbol = Polynomial({(j,): a for j, a in coeffs.items()}, domain=(0.0, length))
+    got = _value(symbol, IndicatorBox(0.0, length), -q)
+    assert math.isclose(got, float(want), rel_tol=1e-12), (got, want)
+
+
 # --------------------------------------------------------------------------
 # corner integrals over the unit cube
 
@@ -732,7 +821,7 @@ def test_axis_rule_with_one_anchor_is_the_per_panel_construction():
             half = 0.5 * (hi - lo)
             nodes.append(half * gx + 0.5 * (lo + hi))
             weights.append(half * gw)
-        got_nodes, got_weights, _ = _axis_rule(c0, c1, [anchor], floor, ratio, n_gl)
+        got_nodes, got_weights = _axis_rule(c0, c1, [anchor], floor, ratio, n_gl)
         assert np.array_equal(got_nodes, np.concatenate(nodes))
         assert np.array_equal(got_weights, np.concatenate(weights))
 
