@@ -4,8 +4,12 @@ The driving noise is either identity-covariance (an independent
 Gaussian increment per mesh point) or a rank-M model built from M
 orthonormal directions supported on the observation window, with
 per-direction intensities drawn uniformly from [0.5, 2].  The basis is
-Haar distributed: the orthogonal factor of a Gaussian matrix with the
-sign convention that makes the triangular factor's diagonal positive.
+Haar distributed: the thin QR of a support x M Gaussian matrix, with the
+sign convention that makes the triangular factor's diagonal positive,
+has the law of the first M columns of a Haar matrix (Mezzadri, "How to
+generate random matrices from the classical compact groups", Notices
+AMS 54, 2007), so it takes support x M memory.  Every draw goes through
+``as_generator``, the one place that names a bit generator (``SFC64``).
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ _ORTHO_TOL = 1e-10
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Build a counter-based generator from a seed, or pass one through."""
+    """Build an ``SFC64`` generator from an int or a ``SeedSequence``, or
+    pass a ``Generator`` through unchanged."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 def sample_eigenvalues(m: int, seed=0) -> np.ndarray:
@@ -33,22 +38,25 @@ def sample_eigenvalues(m: int, seed=0) -> np.ndarray:
     return rng.uniform(0.5, 2.0, size=m)
 
 
-def sample_haar_basis(m: int, seed=0) -> np.ndarray:
-    """Draw an m x m orthogonal matrix from the Haar distribution.
+def _haar_columns(n: int, m: int, rng) -> np.ndarray:
+    """The first m columns of an n x n Haar orthogonal matrix.
 
-    QR of a standard Gaussian matrix, with column signs fixed so the
-    triangular factor has a positive diagonal; without that correction
-    the factorization's sign ambiguity breaks uniformity.
+    Thin QR of an n x m standard Gaussian matrix, with column signs
+    fixed so the triangular factor has a positive diagonal; without that
+    correction the factorization's sign ambiguity breaks uniformity.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    rng = as_generator(seed)
-    z = rng.standard_normal((m, m))
-    basis, tri = np.linalg.qr(z)
+    basis, tri = np.linalg.qr(rng.standard_normal((n, m)))
     signs = np.sign(np.diag(tri))
     signs[signs == 0] = 1.0
     return basis * signs
+
+
+def sample_haar_basis(m: int, seed=0) -> np.ndarray:
+    """Draw an m x m orthogonal matrix from the Haar distribution."""
+    m = int(m)
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    return _haar_columns(m, m, as_generator(seed))
 
 
 @dataclass(frozen=True)
@@ -109,10 +117,10 @@ class NoiseModel:
 def build_noise_model(size: int, support_indices, m: int | None = None, seed=0) -> NoiseModel:
     """Rank-M noise supported on the given mesh indices.
 
-    Draws intensities and a Haar basis of dimension equal to the
-    support size, keeps the first m columns, and embeds them into the
-    full mesh by zero extension: modes act only where the observation
-    window is active.
+    Draws intensities and the first m columns of a Haar basis of
+    dimension equal to the support size, and embeds them into the full
+    mesh by zero extension: modes act only where the observation window
+    is active.
     """
     support = np.asarray(support_indices, dtype=int)
     if support.ndim != 1 or support.size == 0:
@@ -129,9 +137,8 @@ def build_noise_model(size: int, support_indices, m: int | None = None, seed=0) 
         raise ValueError(f"m must lie in [1, {n_support}]")
     rng = as_generator(seed)
     eig = sample_eigenvalues(m, rng)
-    columns = sample_haar_basis(n_support, rng)[:, :m]
     basis = np.zeros((size, m))
-    basis[support, :] = columns
+    basis[support, :] = _haar_columns(n_support, m, rng)
     return NoiseModel(size=int(size), eigenvalues=eig, basis=basis)
 
 

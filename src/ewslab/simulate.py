@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import as_generator
 # noise_increment is unused here but stays importable from this module:
 # perfbench/test_harness.py checks that the tracer wraps it here.
 from .noise import NoiseModel, noise_increment  # noqa: F401
@@ -399,8 +400,8 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     r, chains = base.replicas, lam.shape[1]
     denom = np.ascontiguousarray(
         np.broadcast_to((1.0 - lam * base.dt)[:, None, :], (len(configs), r, chains)))
-    rngs = [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(base.seed, spawn_key=(rep,)))) for rep in range(r)]
+    rngs = [as_generator(np.random.SeedSequence(base.seed, spawn_key=(rep,)))
+            for rep in range(r)]
     # drawn even where no config uses them, so the step normals are the
     # same for either start and every p shares them
     z = [rng.standard_normal(chains) for rng in rngs]

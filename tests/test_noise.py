@@ -1,4 +1,6 @@
 """Noise model sampling, validation, and increment statistics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,31 @@ def test_haar_basis_sign_convention_is_deterministic():
     a = sample_haar_basis(8, seed=9)
     b = sample_haar_basis(8, seed=9)
     np.testing.assert_array_equal(a, b)
+
+
+def test_rank_m_columns_follow_the_haar_law():
+    # a Haar column is uniform on the sphere: at n = 5 a coordinate has
+    # mean 0, E x^2 = 1/5 and E x^4 = 3/35.  Without the sign fix LAPACK's
+    # QR leaves Q[0, 0] always negative.
+    n, m, count = 5, 2, 4000
+    first = np.array([build_noise_model(n, np.arange(n), m=m, seed=s).basis[0, 0]
+                      for s in range(count)])
+    assert abs(first.mean()) <= 5 * np.sqrt(1 / 5 / count)
+    assert abs(np.mean(first ** 2) - 1 / 5) <= 5 * np.sqrt((3 / 35 - 1 / 25) / count)
+
+
+def test_rank_m_basis_of_a_large_support_costs_support_times_m_memory():
+    size, m = 40001, 8
+    support = np.arange(0, size, 2)
+    tracemalloc.start()
+    try:
+        model = build_noise_model(size, support, m=m, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert support.size == 20001 and peak < 64e6
+    columns = model.basis[support]
+    assert np.max(np.abs(columns.T @ columns - np.eye(m))) <= GRAM_TOL
 
 
 def test_identity_model_properties():

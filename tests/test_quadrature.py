@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -962,6 +962,10 @@ def _one_sided_drifts(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_one_sided_drifts())
+# a simple zero at the right end of a power window: the exact value at dt = 0
+# is log1p(1.75 / q) / 2, and a reference taken in x is 1.8e-7 off it
+@example((Polynomial({(1,): -1.0}, root=1.75, domain=(0.0, 1.75)), PowerIndicator(0.0, 1.75),
+          1e-12, 0.0))
 def test_generic_1d_route_matches_adaptive_quad(case):
     symbol, g, q, dt = case
     r = float(symbol.root[0])
@@ -982,10 +986,17 @@ def test_generic_1d_route_matches_adaptive_quad(case):
         want = sum(quad(phi, d0, d1) for d0, d1 in pieces(g.lo[0] - r, g.hi[0] - r, [0.0]))
     else:
         # x**(-2 gamma) is quad's algebraic weight on the first piece, which is
-        # narrower than the layer at 0
+        # narrower than the layer at 0.  A piece nearer r than 0 is taken in d
+        # with the weight (r + d)**(-2 gamma), so no rounding of x enters phi
+        # near the zero; one nearer 0 stays in x, where r + d would round x
+        w = -2.0 * g.gamma
         (x0, x1), *rest = pieces(0.0, g.eps, [0.0, r])
-        want = quad(lambda x: phi(x - r), x0, x1, weight="alg", wvar=(-2.0 * g.gamma, 0.0))
-        want += sum(quad(lambda x: x ** (-2.0 * g.gamma) * phi(x - r), x0, x1) for x0, x1 in rest)
+        want = quad(lambda x: phi(x - r), x0, x1, weight="alg", wvar=(w, 0.0))
+        for x0, x1 in rest:
+            if abs(x0 + x1 - 2.0 * r) < abs(x0 + x1):
+                want += quad(lambda d: (r + d) ** w * phi(d), x0 - r, x1 - r)
+            else:
+                want += quad(lambda x: x ** w * phi(x - r), x0, x1)
     got = variance_quadrature(VarianceQuery(symbol, g, -q, 1.0), dt=dt)
     assert math.isclose(got, 0.5 * want, rel_tol=1e-7)
 

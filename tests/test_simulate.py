@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ewslab import simulate
-from ewslab.noise import NoiseModel, build_noise_model, noise_increment
+from ewslab.noise import NoiseModel, as_generator, build_noise_model, noise_increment
 from ewslab.simulate import (
     _BLOCK_BYTES,
     Mesh,
@@ -353,7 +353,7 @@ def _reference_run(config):
     means, variances, errs = [], [], []
     for replica in range(config.replicas):
         seq = np.random.SeedSequence(config.seed, spawn_key=(replica,))
-        rng = np.random.Generator(np.random.Philox(seq))
+        rng = as_generator(seq)
         z = rng.standard_normal(lam.size)
         if not stationary:
             start = np.zeros(lam.size)
@@ -509,6 +509,23 @@ def test_run_identity_noise_states_match_reference_exactly():
     config = SimConfig(ToolAlpha(2.0), g, -0.3, mesh, dt=0.05, nt=2 * chunk + 37, sigma=0.8,
                        burn_in=chunk + 11, replicas=3, seed=11, batches=4)
     assert run(config) == _reference_run(config)
+
+
+def test_every_stream_comes_from_the_one_sfc64_constructor():
+    for seed in (11, np.random.SeedSequence(11)):
+        rng = as_generator(seed)
+        assert isinstance(rng, np.random.Generator)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+    assert as_generator(rng) is rng
+    # _reference_run draws replica rep from as_generator(SeedSequence(seed, spawn_key=(rep,)))
+    mesh = Mesh(1.0, 199, 1)
+    config = SimConfig(ToolAlpha(2.0), IndicatorBox(-0.5, 0.5), -0.3, mesh, dt=0.05, nt=300,
+                       sigma=0.8, burn_in=40, replicas=2, seed=11, batches=4)
+    got, want = run(config), _reference_run(config)
+    assert run_sweep([config])[0] == got
+    assert got.effective_samples == want.effective_samples
+    for name in ("mean", "variance", "stderr"):
+        assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-12), name
 
 
 @settings(max_examples=8, deadline=None)
