@@ -30,6 +30,16 @@ panel the layer width of the axis's lowest power for a ``Polynomial``
 and ``root_scale / 64`` otherwise, and a level evaluates the symbol on
 the product grid of its axis rules (``Symbol.on_grid``) one slab of
 first-axis nodes at a time and contracts each slab with the weights.
+
+A sweep (``variance_values``) takes every p of its grid through the
+route at once, and ``variance_quadrature`` is the sweep of one p.  A
+level is one node array over the panels of every p still open, each
+p's totals come from its own panels with the arithmetic it has alone,
+and each p is accepted on its own and then leaves the later levels, so
+every value of a sweep has the bits of its p alone.  Only the tensor
+route evaluates one p at a time, its levels already large.  Where any p
+fails, the grid is taken again one p at a time, so that the first
+failing p in grid order raises its own error.
 """
 
 from __future__ import annotations
@@ -223,22 +233,53 @@ def _check_rel_tol(rel_tol):
         raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
 
 
+def _ladders(ends, z, owner, floor, ratio):
+    """Panel edges on every span [a, b] of ``ends``, geometrically graded toward its anchors.
+
+    ``z`` holds the anchors of all spans and ``owner`` the span of each.
+    The edges of a span are a, b, each anchor z inside it and each z - d
+    and z + d inside it, where d starts at max(floor, 4 ulps of z) and
+    takes the steps d *= ratio while below the farther end from z: one
+    running product (``np.multiply.accumulate``, the same bits as the
+    loop) serves every anchor with the same first step.  Returns the
+    sorted edges of every span, span after span, and how many each has.
+    """
+    a, b = ends[owner].T
+    dmax = np.maximum(np.abs(b - z), np.abs(a - z))
+    # no panel under 4 ulps of z; a floor that underflowed to 0 still climbs
+    first = np.maximum(np.maximum(floor, 4.0 * np.spacing(np.abs(z))), _TINY)
+    points, owners = [z], [owner]
+    for d0 in set(first.tolist()):
+        mine = first == d0
+        top = float(dmax[mine].max())
+        # d0 ratio**k for k up to 2 past log(top / d0) / log(ratio), which passes top
+        steps = np.full(3 + max(0, int((math.log(top) - math.log(d0)) / math.log(ratio))), ratio)
+        steps[0] = d0
+        np.multiply.accumulate(steps, out=steps)
+        # the steps below each anchor's farther end, anchor after anchor
+        n = steps.searchsorted(dmax[mine])
+        d = steps[np.arange(n.sum()) - (n.cumsum() - n).repeat(n)]
+        z_d, owner_d = z[mine].repeat(n), owner[mine].repeat(n)
+        points += [z_d - d, z_d + d]
+        owners += [owner_d, owner_d]
+    x, span = np.concatenate(points), np.concatenate(owners)
+    inside = (ends[:, 0][span] < x) & (x < ends[:, 1][span])
+    x = np.concatenate([ends.ravel(), x[inside]])
+    span = np.concatenate([np.arange(len(ends)).repeat(2), span[inside]])
+    # by value, then stably by span: a radix sort where span numbers fit 16 bits
+    order = x.argsort()
+    narrow = span[order].astype(np.int16 if len(ends) < 1 << 15 else int)
+    order = order[narrow.argsort(kind="stable")]
+    x, span = x[order], span[order]
+    fresh = np.ones(x.size, dtype=bool)
+    fresh[1:] = (x[1:] != x[:-1]) | (span[1:] != span[:-1])
+    return x[fresh], np.bincount(span[fresh], minlength=len(ends))
+
+
 def _ladder_edges(a, b, anchors, floor, ratio):
-    """Panel edges on [a, b], geometrically graded toward each anchor."""
-    edges = {a, b}
-    for z in anchors:
-        if a < z < b:
-            edges.add(z)
-        dmax = max(abs(b - z), abs(a - z))
-        # no panel under 4 ulps of z; a floor that underflowed to 0 still climbs
-        d = max(floor, 4.0 * math.ulp(z), _TINY)
-        while d < dmax:
-            if a < z - d < b:
-                edges.add(z - d)
-            if a < z + d < b:
-                edges.add(z + d)
-            d *= ratio
-    return sorted(edges)
+    """Panel edges on [a, b], geometrically graded toward each anchor (``_ladders``)."""
+    return _ladders(np.array([(a, b)], dtype=float), np.array(anchors, dtype=float),
+                    np.zeros(len(anchors), dtype=int), floor, ratio)[0]
 
 
 def _axis_rule(c0, c1, anchors, floor, ratio, n_gl):
@@ -250,14 +291,27 @@ def _axis_rule(c0, c1, anchors, floor, ratio, n_gl):
             (half[:, None] * gw).ravel())
 
 
-def _settled(levels, rel_tol, what):
-    """The first level value within ``rel_tol`` of the one before it; else QuadratureError."""
-    prev = None
-    for total in levels:
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
-            return total
-        prev = total
-    raise QuadratureError(f"{what} did not converge; last two values {prev:.9e}")
+def _settled(levels, n, rel_tol, what):
+    """Per p of ``n``, the first level value within ``rel_tol`` of the one before it.
+
+    ``levels(todo)`` yields each level's totals, indexed by p, for the p
+    in the list ``todo``, from which each p is removed as it settles, so
+    that later levels leave it out.  A p still open when the levels run
+    out raises QuadratureError.
+    """
+    value = [None] * n
+    prev = [None] * n
+    todo = list(range(n))
+    for totals in levels(todo):
+        for i in todo:
+            total = totals[i]
+            if prev[i] is not None and abs(total - prev[i]) <= rel_tol * max(abs(total), 1e-300):
+                value[i] = total
+            prev[i] = total
+        todo[:] = [i for i in todo if value[i] is None]
+        if not todo:
+            return value
+    raise QuadratureError(f"{what} did not converge; last two values {prev[todo[0]]:.9e}")
 
 
 def _gl_blocks(levels):
@@ -281,49 +335,76 @@ def _gl_blocks(levels):
 _LOG_LEVELS = _gl_blocks(((2.0, 8), (2.0, 16), (1.5, 24), (1.25, 32)))
 
 
-def _log_levels(log_fn, spans, first, rel_tol, what):
-    """Integral of exp(log_fn) over every span, on the _LOG_LEVELS levels, until two agree.
+def _panels(spans, todo, first, ratio):
+    """One level's panels over the spans of every p in ``todo``.
 
-    On a span ``(lo, hi, anchors)`` the panels grade by the level's ratio
-    away from each anchor, from panels ``first`` wide; an anchor outside
-    the span stands at its nearer end.  Where the integrand behaves like
-    e**(r s) between two anchors, the panel at distance d from the
-    larger end holds about e**(-r d) of it, and on a panel d wide the
-    n-point rule misses (n!)**4 (r d)**(2n) / ((2n + 1) ((2n)!)**3) of its
-    part: at ratio 2 that is at most 5.8e-10 of the integral at 8 points
-    and 1.9e-19 at 16.  The levels of one ratio share their panels and
-    one evaluation of log_fn, over all spans: log_fn(v, rows) takes the
-    nodes v, one row per panel, and a function that gives the index of
-    each row's span.  A level that is not a finite double raises
+    ``spans`` is ``(lo, hi, anchors)``: the ends of span j of p i at
+    [i, j] and its anchors along the last axis of ``anchors`` (an anchor
+    may repeat).  Returns the lower edges and widths of the panels, the
+    columns ``rows`` of each panel's p and span index, and the (start,
+    stop) rows of each p.  The spans of one p are one edge array whose
+    panel from one span's end to the next span's start has width 0; no
+    panel joins two p.
+    """
+    lo, hi, anchors = (x[todo] for x in spans)
+    m, n_spans, n_anchors = anchors.shape
+    # an anchor outside its span stands at the nearer end
+    z = np.minimum(np.maximum(anchors, lo[..., None]), hi[..., None]).ravel()
+    edges, counts = _ladders(np.stack([lo, hi], axis=-1).reshape(-1, 2), z,
+                             np.arange(m * n_spans).repeat(n_anchors), first, ratio)
+    seg_stop = counts.cumsum()
+    width = edges[1:] - edges[:-1]
+    # the panels from the last edge of a span to the next edge: width 0 within a p, none between p
+    width[seg_stop[:-1] - 1] = 0.0
+    p_stop = seg_stop[n_spans - 1::n_spans]
+    keep = np.ones(width.size, dtype=bool)
+    keep[p_stop[:-1] - 1] = False
+    seg = np.arange(m * n_spans).repeat(counts)[:-1][keep]
+    stops = (p_stop - np.arange(1, m + 1)).tolist()
+    rows = (np.asarray(todo)[seg // n_spans][:, None], (seg % n_spans)[:, None])
+    return edges[:-1][keep], width[keep], rows, list(zip([0] + stops[:-1], stops))
+
+
+def _one_span(lo, hi, anchors):
+    """The spans of ``_panels`` for one p with the one span [lo, hi]."""
+    return np.array([[lo]]), np.array([[hi]]), np.array([[anchors]], dtype=float)
+
+
+def _log_levels(log_fn, spans, first, rel_tol, what):
+    """Per p, integral of exp(log_fn) over each of its spans, on the _LOG_LEVELS levels,
+    until two agree.
+
+    ``spans`` holds the spans of every p (``_panels``).  On a span the
+    panels grade by the level's ratio away from each anchor, from panels
+    ``first`` wide; an anchor outside the span stands at its nearer end.
+    Where the integrand behaves like e**(r s) between two anchors, the
+    panel at distance d from the larger end holds about e**(-r d) of
+    it, and on a panel d wide the n-point rule misses
+    (n!)**4 (r d)**(2n) / ((2n + 1) ((2n)!)**3) of its part: at ratio 2
+    that is at most 5.8e-10 of the integral at 8 points and 1.9e-19 at
+    16.  The levels of one ratio share their panels and one evaluation of
+    log_fn, over the spans of every p still open (``_panels``):
+    log_fn(v, rows) takes the nodes v, one row per panel, and ``rows``,
+    the columns of each row's p and span index.  Each p's totals come
+    from its own rows, as they would alone: one matrix product over the
+    rows of every p would round differently.  Each p is accepted by
+    ``_settled``.  A level that is not a finite double raises
     OverflowError.
     """
 
-    def levels():
+    def levels(todo):
         for ratio, frac, gw in _LOG_LEVELS:
-            edges, joins, last = [], [], None
-            for span in spans:
-                if edges:
-                    joins.append(len(edges) - 1)
-                if span != last:
-                    lo, hi, anchors = last = span
-                    ladder = _ladder_edges(lo, hi, [min(max(z, lo), hi) for z in anchors], first,
-                                           ratio)
-                edges += ladder
-            edges = np.array(edges)
-            width = edges[1:] - edges[:-1]
-            rows = lambda: 0
-            if joins:
-                # one edge array over all spans: the panel from one to the next has width 0
-                width[joins] = 0.0
-                rows = lambda: np.searchsorted(joins, np.arange(width.size))[:, None]
-            values = np.exp(log_fn(edges[:-1, None] + width[:, None] * frac, rows))
-            for total in (width @ (values @ gw)).tolist():
-                if not math.isfinite(total):
+            lo, width, rows, bounds = _panels(spans, todo, first, ratio)
+            values = np.exp(log_fn(lo[:, None] + width[:, None] * frac, rows))
+            block = {i: (width[start:stop] @ (values[start:stop] @ gw)).tolist()
+                     for i, (start, stop) in zip(todo, bounds)}
+            for k in range(gw.shape[1]):
+                totals = {i: block[i][k] for i in todo}
+                if not all(map(math.isfinite, totals.values())):
                     raise OverflowError
-                yield total
+                yield totals
 
-    with np.errstate(all="ignore"):
-        return _settled(levels(), rel_tol, what)
+    return np.array(_settled(levels, len(spans[0]), rel_tol, what))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +428,15 @@ def _offset_pieces(a, b, centers):
 
 
 def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
-    """Sum over ``pieces`` of integral |x|**(-2 gamma) phi(t) dy, each in v = log y.
+    """Per p, the sum over ``pieces`` of integral |x|**(-2 gamma) phi(t) dy, each in v = log y.
 
     A piece (c, s, lo, hi) of ``_offset_pieces`` is x = c + s y, y in
     [lo, hi], from a zero c of f or from c = 0, where the weight is
     singular; log_t(v, rows) is log t = log(q - f(x)) on the nodes v,
-    one row per panel, of the pieces rows().  The integrand e**v
+    one row per panel, of the p and pieces ``rows``.  The integrand e**v
     |x|**(-2 gamma) phi(t) is taken in logs on one node array
-    (``_log_levels``), graded away from each of ``layers``.  Where
+    (``_log_levels``), graded away from each layer of its p, ``layers[i]``
+    those of p i in increasing order.  Where
     f = -|y|**order about c, the poles sit pi / order off the axis, so
     the first panels are 4 / order wide, and the integrand grows like
     e**(beta v), beta = 1 - 2 gamma at c = 0 and 1 elsewhere, below the
@@ -368,23 +450,30 @@ def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
     starts ``depth`` below min(layer, log hi), where -f has fallen to
     about e**-40 q; one from c = 0 with gamma > 0 adds the rest in closed
     form, e**(beta v) phi(t) / beta at its start, nearly all the value at
-    gamma one double below 1/2.  A non-finite value raises OverflowError.
+    gamma one double below 1/2, from the one node of each p.  A
+    non-finite value raises OverflowError.
     """
     depth = 40.0 / min(order, 1.0) if order and gamma else 40.0
     beta = 1.0 - 2.0 * gamma
-    spans = []
-    for c, _, lo, hi in pieces:
-        v_hi = math.log(hi)
-        v_lo = math.log(lo) if lo > 0.0 else min(layers[0], v_hi) - depth
-        grows = not order or (beta if c == 0.0 else 1.0) > order * bisect_right(layers, v_hi)
-        spans.append((v_lo, v_hi, (*layers, v_hi) if grows else layers))
+    # the spans of p i at [i, j], piece j
+    v_hi = np.array([math.log(hi) for _, _, _, hi in pieces])
+    v_lo = np.array([math.log(lo) if lo > 0.0 else math.nan for _, _, lo, _ in pieces])
+    v_lo = np.where(np.isnan(v_lo), np.minimum(layers[:, :1], v_hi) - depth, v_lo)
+    rate = np.array([beta if c == 0.0 else 1.0 for c, _, _, _ in pieces])
+    below = (layers[:, None, :] <= v_hi[:, None]).sum(axis=-1)
+    grows = rate > order * below if order else np.ones(below.shape, dtype=bool)
+    # where it does not grow, the upper end repeats the last layer, which adds no edge
+    end = np.where(grows, v_hi, layers[:, -1:])
+    anchors = np.concatenate([layers[:, None, :].repeat(len(pieces), axis=1), end[..., None]],
+                             axis=-1)
+    spans = (v_lo, np.tile(v_hi, (len(v_lo), 1)), anchors)
     # log |x|, from v itself where c = 0 so that no x underflows
     log_x = lambda v, rows: v
     if gamma and any(p[0] for p in pieces):
         centers_signs = np.array([p[:2] for p in pieces]).T
 
         def log_x(v, rows):
-            c, s = centers_signs[:, rows()]
+            c, s = centers_signs[:, rows[1]]
             return np.where(c == 0.0, v, np.log(np.abs(c + s * np.exp(v))))
     half = 0.5 * dt
 
@@ -396,15 +485,17 @@ def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
         return out - np.log1p(half * np.exp(log_t_v)) if dt > 0 else out
 
     total = _log_levels(log_fn, spans, 4.0 / order if order else 1.0, rel_tol, what)
-    for i, (c, _, lo, _) in enumerate(pieces) if gamma else ():
+    for j, (c, _, lo, _) in enumerate(pieces) if gamma else ():
         if lo == 0.0 and c == 0.0:
-            log_head = float(log_fn(spans[i][0], lambda: i))
-            total += (math.exp(log_head) if log_head < _LOG_MAX else math.inf) / beta
+            for i, start in enumerate(v_lo[:, j].tolist()):
+                log_head = float(log_fn(start, (i, j)))
+                total[i] += (math.exp(log_head) if log_head < _LOG_MAX else math.inf) / beta
     return total
 
 
 def _power_law(alpha, pieces, q, dt, rel_tol, what, gamma=0.0):
-    """Sum over ``pieces`` of integral |y|**(-2 gamma) phi(q + |y|**alpha) dy, by ``_offset_rule``.
+    """Per q, the sum over ``pieces`` of integral |y|**(-2 gamma) phi(q + |y|**alpha) dy,
+    by ``_offset_rule``.
 
     t = q + e**(alpha v) is taken in logs, so every positive q is reached
     unless the value itself overflows (QuadratureError).  The layers sit
@@ -413,16 +504,23 @@ def _power_law(alpha, pieces, q, dt, rel_tol, what, gamma=0.0):
     if len(pieces) == 2 and pieces[0][2:] == pieces[1][2:]:
         # a box centred on the root holds the same side twice
         return 2.0 * _power_law(alpha, pieces[:1], q, dt, rel_tol, what, gamma)
-    log_q = math.log(q)
     # log(2/dt + q), as a number 2/dt may overflow
     log_rate = math.log(2.0) - math.log(dt) if dt > 0 else math.inf
-    v1 = (max(log_rate, log_q) + math.log1p(math.exp(-abs(log_rate - log_q)))) / alpha
-    layers = (log_q / alpha, v1) if dt > 0 else (log_q / alpha,)
-    log_t = lambda v, _: np.logaddexp(log_q, alpha * v)
+    log_q = [math.log(x) for x in q.tolist()]
+    layers = [(lq / alpha, (max(log_rate, lq) + math.log1p(math.exp(-abs(log_rate - lq)))) / alpha)
+              if dt > 0 else (lq / alpha,) for lq in log_q]
+    layers, log_q = np.array(layers), np.array(log_q)
+    log_t = lambda v, rows: np.logaddexp(log_q[rows[0]], alpha * v)
     try:
         return _offset_rule(log_t, pieces, layers, alpha, dt, gamma, rel_tol, what)
     except OverflowError:
-        raise QuadratureError(f"side integral of |x|**{alpha} overflows at q = {q!r}") from None
+        raise QuadratureError(f"side integral of |x|**{alpha} overflows at q = {_qs(q)}") from None
+
+
+def _qs(q):
+    """The q of a batch, for an error message: one q as its repr, several as a list
+    (a batch that fails is taken again one p at a time, so a caller sees one q)."""
+    return repr(float(q[0])) if q.size == 1 else repr(q.tolist())
 
 
 def _stable(t):
@@ -433,7 +531,8 @@ def _stable(t):
 
 
 def _kernel_variance(symbol, g, a, b, q, dt):
-    """Exact integral over [a, b] of the resolvent of the piecewise-linear multiplier interpolant.
+    """Per q, the exact integral over [a, b] of the resolvent of the piecewise-linear
+    multiplier interpolant.
 
     On each grid segment the resolvent of a linear function integrates
     to a logarithm, which stays finite as long as q > 0, so no special
@@ -442,6 +541,7 @@ def _kernel_variance(symbol, g, a, b, q, dt):
     Accuracy is limited by the kernel's sample resolution, not by this step.
     The window must be a box: the interpolant has a kink at every node,
     which a weighted window's graded rule would not put a panel edge on.
+    Only t = q - f depends on q: each q is one row of the segment sums.
     """
     if not isinstance(g, IndicatorBox):
         raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
@@ -449,24 +549,24 @@ def _kernel_variance(symbol, g, a, b, q, dt):
     if a < grid[0] or b > grid[-1]:
         raise ValueError("window exceeds the kernel's resolved frequency range")
     ks = np.unique(np.concatenate([grid[(grid > a) & (grid < b)], [a, b]]))
-    tvals = q - np.interp(ks, grid, symbol.multiplier)
+    tvals = q[:, None] - np.interp(ks, grid, symbol.multiplier)
     if np.any(tvals <= 0):
         raise ValueError("kernel multiplier is positive inside the window, no stable regime")
     dk = np.diff(ks)
 
     def integral(t):
-        t1, t2 = t[:-1], t[1:]
+        t1, t2 = t[:, :-1], t[:, 1:]
         close = np.abs(t2 - t1) <= 1e-12 * np.maximum(t1, t2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seg = np.where(close, dk * 2.0 / (t1 + t2), dk * np.log(t2 / t1) / (t2 - t1))
-        return float(np.sum(seg))
+        seg = np.where(close, dk * 2.0 / (t1 + t2), dk * np.log(t2 / t1) / (t2 - t1))
+        return seg.sum(axis=1)
 
     value = integral(tvals)
     return value - integral(tvals + 2.0 / dt) if dt > 0 else value
 
 
 def _variance_1d(symbol, g, a, b, q, rel_tol, dt):
-    """integral over [a, b] of g**2 phi(q - f), for g a box or the power window x**(-gamma).
+    """Per q, integral over [a, b] of g**2 phi(q - f), for g a box or the power window
+    x**(-gamma).
 
     A ``Piecewise`` symbol splits at its root, each side on its own route;
     a ``ToolAlpha`` takes ``_power_law`` unless a power window's 0 is not
@@ -495,11 +595,12 @@ def _variance_1d(symbol, g, a, b, q, rel_tol, dt):
     pieces = _offset_pieces(a, b, sorted(zeros | {0.0} if gamma else zeros))
     centers_signs = np.array([p[:2] for p in pieces]).T
     scale = lambda t: math.log(max(symbol.root_scale(t), _TINY))
-    layers = (scale(q), scale(2.0 / dt + q)) if dt > 0 else (scale(q),)
+    layers = np.array([(scale(x), scale(2.0 / dt + x)) if dt > 0 else (scale(x),)
+                       for x in q.tolist()])
 
     def log_t(v, rows):
-        c, s = centers_signs[:, rows()]
-        t = q - symbol.offset_value(c, s * np.exp(v))
+        c, s = centers_signs[:, rows[1]]
+        t = q[rows[0]] - symbol.offset_value(c, s * np.exp(v))
         _stable(t.min())
         return np.log(t)
 
@@ -507,7 +608,7 @@ def _variance_1d(symbol, g, a, b, q, rel_tol, dt):
         return _offset_rule(log_t, pieces, layers, None, dt, gamma, rel_tol,
                             "one-dimensional quadrature")
     except OverflowError:
-        raise QuadratureError(f"one-dimensional quadrature overflows at q = {q!r}") from None
+        raise QuadratureError(f"one-dimensional quadrature overflows at q = {_qs(q)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -554,26 +655,31 @@ def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
 
 
 def _variance_tensor(symbol, g, q, rel_tol, dt):
+    """Per q, the tensorized box integral; each q has its own levels and evaluation budget."""
     # the implicit scheme's resolvent is 1 / (t + dt t**2 / 2)
     phi = (lambda t: 1.0 / t) if dt == 0.0 else (lambda t: 1.0 / (t + 0.5 * dt * t * t))
     lo = np.asarray(g.lo, dtype=float)
     hi = np.asarray(g.hi, dtype=float)
-    floors = _axis_floors(symbol, q)
-    floors = [f if math.isfinite(f) else float(np.max(hi - lo)) for f in floors]
-    levels = [(4.0, 10), (4.0, 14), (2.0, 14)] if symbol.dim == 3 else [
+    qs = q.tolist()
+    floors = [[f if math.isfinite(f) else float(np.max(hi - lo)) for f in _axis_floors(symbol, x)]
+              for x in qs]
+    plan = [(4.0, 10), (4.0, 14), (2.0, 14)] if symbol.dim == 3 else [
         (4.0, 12),
         (4.0, 20),
         (2.0, 16),
         (2.0, 24),
     ]
 
-    def totals(budget=EVAL_CAP):
-        for ratio, n_gl in levels:
-            total, used = _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget)
-            budget -= used
-            yield total
+    def levels(todo):
+        totals, budget = [None] * len(qs), [EVAL_CAP] * len(qs)
+        for ratio, n_gl in plan:
+            for i in todo:
+                totals[i], used = _tensor_level(symbol, lo, hi, qs[i], phi, floors[i], ratio,
+                                                n_gl, budget[i])
+                budget[i] -= used
+            yield totals
 
-    return _settled(totals(), rel_tol, "tensor quadrature")
+    return np.array(_settled(levels, len(qs), rel_tol, "tensor quadrature"))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +757,8 @@ def _axis_weight(c, a, lo, hi, r):
 
 
 def _separable_reduction(axes, lo, hi, root, q, dt, rel_tol):
-    """integral over the box [lo, hi] of phi(q + sum_k c_k |x_k - r_k|**a_k), exactly in 1-D.
+    """Per q, integral over the box [lo, hi] of phi(q + sum_k c_k |x_k - r_k|**a_k), exactly
+    in 1-D.
 
     With 1/lam = integral_0^inf exp(-lam t) dt the box integral factorizes
     into integral_0^inf exp(-q t) prod_k F_k(t) dt, F_k from
@@ -662,15 +769,15 @@ def _separable_reduction(axes, lo, hi, root, q, dt, rel_tol):
     away from log(1/q), log(dt/2) and each log t where an axis weight
     turns.  It starts 40 below the first of these, where the integrand
     is the box volume times e**s, and ends where exp(-q t) underflows.
-    Past ``settle`` no gamma function is evaluated.
+    Past ``settle`` no gamma function is evaluated.  Only exp(-q t)
+    depends on q.
     """
     log_const = 0.0  # log prod_k Gamma(1 + 1/a_k) c_k**(-1/a_k), times the free lengths
     decay = 0.0  # sum_k 1/a_k, the power of 1/t in prod_k F_k
     weights = []
     near = 1  # prod_k w_k beyond log t = settle
     settle = -math.inf
-    log_q = math.log(q)
-    anchors = [-log_q]
+    turns = []
     for term, c0, c1, r in zip(axes, lo, hi, root):
         if term is None:
             log_const += math.log(c1 - c0)
@@ -678,35 +785,58 @@ def _separable_reduction(axes, lo, hi, root, q, dt, rel_tol):
         c, a = term
         log_const += math.lgamma(1.0 + 1.0 / a) - math.log(c) / a
         decay += 1.0 / a
-        w, n, s_k, turns = _axis_weight(c, a, float(c0), float(c1), float(r))
+        w, n, s_k, axis_turns = _axis_weight(c, a, float(c0), float(c1), float(r))
         weights.append(w)
         near *= n
         settle = max(settle, s_k)
-        anchors += turns
+        turns += axis_turns
     log_near = math.log(near) if near else -math.inf
     # log(2/dt); dt = 0 weighs every t by 1
     log_rate = math.log(2.0) - math.log(dt) if dt > 0 else math.inf
-    if dt > 0:
-        anchors.append(-log_rate)
+    log_q = [math.log(x) for x in q.tolist()]
+    anchors = np.array([[-lq, *turns, -log_rate] if dt > 0 else [-lq, *turns] for lq in log_q])
+    log_q = np.array(log_q)
+    spans = ((anchors.min(axis=1) - 40.0)[:, None], (_LOG_750 - log_q)[:, None], anchors[:, None])
 
-    def log_fn(s, _):
+    def log_fn(s, rows):
         log_w = np.full_like(s, log_near)
         busy = s < settle
         log_w[busy] = sum(np.log(weight(s[busy])) for weight in weights)
-        out = s * (1.0 - decay) + log_const + log_w - np.exp(s + log_q)
+        out = s * (1.0 - decay) + log_const + log_w - np.exp(s + log_q[rows[0]])
         if dt > 0:
             out += np.log(-np.expm1(-np.exp(s + log_rate)))
         return out
 
-    span = (min(anchors) - 40.0, _LOG_750 - log_q)
     try:
-        return _log_levels(log_fn, [(*span, anchors)], 2.0, rel_tol, "separable reduction")
+        return _log_levels(log_fn, spans, 2.0, rel_tol, "separable reduction")
     except OverflowError:
-        raise QuadratureError(f"separable reduction overflows at q = {q!r}") from None
+        raise QuadratureError(f"separable reduction overflows at q = {_qs(q)}") from None
 
 
 # ---------------------------------------------------------------------------
 # public entry points
+
+
+def variance_values(symbol: Symbol, g: TestFunction, ps, sigma: float = 1.0,
+                    rel_tol: float | None = None, dt: float = 0.0) -> np.ndarray:
+    """``variance_quadrature`` at every p of the grid ``ps``, all p through their route at once.
+
+    Every value is the one ``variance_quadrature`` gives for its p alone:
+    each p's level totals come from its own panels and each p is accepted
+    on its own, so a settled p leaves the later levels.  Where any p
+    fails, the p are taken one at a time, so that the first failing p in
+    grid order raises its own error.
+    """
+    try:
+        query = VarianceQuery(symbol, g, ps[0], sigma)
+        q = -np.asarray(ps, dtype=float)
+        # the check of VarianceQuery on the other p: where one fails, the loop raises its error
+        if q.ndim == 1 and np.all(q > 0.0) and np.all(np.isfinite(q)):
+            return _variance(query, q, rel_tol, dt)
+    except Exception:
+        pass  # whatever failed, and for whichever p, the loop below raises that p's own error
+    return np.array([variance_quadrature(VarianceQuery(symbol, g, p, sigma), rel_tol, dt)
+                     for p in ps])
 
 
 def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: float = 0.0) -> float:
@@ -718,49 +848,61 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     (2|f+p| + (f+p)**2 dt), which is the right reference when comparing
     against discretized simulations.
 
-    This is the one router for physical and frequency symbols alike;
-    sampled kernels, alone or as a ``Piecewise`` side, take the exact
-    integral of their interpolant, on box windows only.
+    Physical and frequency symbols alike take the one router, here on one
+    p (``variance_values`` is it on a grid); sampled kernels, alone or as
+    a ``Piecewise`` side, take the exact integral of their interpolant, on
+    box windows only.
+    """
+    return float(_variance(query, np.array([-query.p]), rel_tol, dt)[0])
+
+
+def _variance(query, q, rel_tol, dt):
+    """The router: the variance of ``query`` at every q = -p of the array ``q``.
+
+    The route is chosen once, and floating-point warnings are off while
+    it runs.
     """
     if rel_tol is not None:
         _check_rel_tol(rel_tol)
-    q = -query.p
     symbol = query.symbol
     g = query.test_function
     if as_finite(dt, "dt") < 0:
         raise ValueError("dt must be nonnegative")
     tol = rel_tol if rel_tol is not None else REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND
-    if symbol.dim == 1:
-        if isinstance(g, PowerIndicator):
-            value = _variance_1d(symbol, g, 0.0, g.eps, q, tol, dt)
-        elif isinstance(g, IndicatorBox):
-            value = _variance_1d(symbol, g, float(g.lo[0]), float(g.hi[0]), q, tol, dt)
+    with np.errstate(all="ignore"):
+        if symbol.dim == 1:
+            if isinstance(g, PowerIndicator):
+                value = _variance_1d(symbol, g, 0.0, g.eps, q, tol, dt)
+            elif isinstance(g, IndicatorBox):
+                value = _variance_1d(symbol, g, float(g.lo[0]), float(g.hi[0]), q, tol, dt)
+            else:
+                raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
+        elif isinstance(g, Disc) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
+            # polar coordinates and u = r**2 turn the disc integral into the
+            # one-dimensional power law |u - root|**alpha on [0, R**2]: the
+            # radial drift has alpha = beta/2 and its root at 0, the planar
+            # ring multiplier alpha = 2 and its root at 1; a disc that ends
+            # before the root (R < 1) is a box off the root
+            alpha, root = ((symbol.exponent / 2.0, 0.0) if isinstance(symbol, Radial2D)
+                           else (2.0, 1.0))
+            pieces = _offset_pieces(0.0, g.radius**2, [root])
+            value = 0.5 * g.angle * _power_law(alpha, pieces, q, dt, tol, "polar quadrature")
+        elif (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
+              and not isinstance(symbol, SwiftHohenberg2D)):
+            # the tensor panels grade toward the root, not toward a ring
+            axes = _separable_axes(symbol, g)
+            if axes is None:
+                value = _variance_tensor(symbol, g, q, tol, dt)
+            else:
+                value = _separable_reduction(axes, g.lo, g.hi, symbol.root, q, dt, tol)
         else:
-            raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
-    elif isinstance(g, Disc) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
-        # polar coordinates and u = r**2 turn the disc integral into the
-        # one-dimensional power law |u - root|**alpha on [0, R**2]: the
-        # radial drift has alpha = beta/2 and its root at 0, the planar
-        # ring multiplier alpha = 2 and its root at 1; a disc that ends
-        # before the root (R < 1) is a box off the root
-        alpha, root = (symbol.exponent / 2.0, 0.0) if isinstance(symbol, Radial2D) else (2.0, 1.0)
-        pieces = _offset_pieces(0.0, g.radius**2, [root])
-        value = 0.5 * g.angle * _power_law(alpha, pieces, q, dt, tol, "polar quadrature")
-    elif (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
-          and not isinstance(symbol, SwiftHohenberg2D)):
-        # the tensor panels grade toward the root, not toward a ring
-        axes = _separable_axes(symbol, g)
-        if axes is None:
-            value = _variance_tensor(symbol, g, q, tol, dt)
-        else:
-            value = _separable_reduction(axes, g.lo, g.hi, symbol.root, q, dt, tol)
-    else:
-        raise ValueError(
-            f"unsupported combination of symbol {symbol!r} and window {g!r}"
-        )
-    value = 0.5 * query.sigma**2 * value
-    if not 0.0 < value < math.inf:
-        raise QuadratureError(f"the variance at p = {query.p!r} is {value!r}, not a positive double")
+            raise ValueError(
+                f"unsupported combination of symbol {symbol!r} and window {g!r}"
+            )
+        value = 0.5 * query.sigma**2 * value
+    for x, v in zip(q.tolist(), value.tolist()):
+        if not 0.0 < v < math.inf:
+            raise QuadratureError(f"the variance at p = {-x!r} is {v!r}, not a positive double")
     return value
 
 
@@ -896,21 +1038,20 @@ def _corner_reduction(reduced, n, eps, q, rel_tol):
     split = max(-log_q, 0.0)
     end = _corner_end(tail, split)
 
-    def levels():
+    def levels(_):
         for width, frac, gw in _CORNER_LEVELS:
             edges = _corner_edges(split, end, width, a.max())
             panels = edges[1:] - edges[:-1]
             s = (edges[:-1, None] + panels[:, None] * frac).ravel()
             # eps**(n - |j|) times the density of S times 1 / (exp(-s) + q)
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = s ** k[:, None] * np.exp(log_scale - s / a[:, None] - np.logaddexp(-s, log_q))
-                totals = panels @ ((w @ terms).reshape(panels.size, -1) @ gw)
-            for total in totals.tolist():
+            terms = s ** k[:, None] * np.exp(log_scale - s / a[:, None] - np.logaddexp(-s, log_q))
+            for total in (panels @ ((w @ terms).reshape(panels.size, -1) @ gw)).tolist():
                 if not math.isfinite(total):
                     raise OverflowError
-                yield total
+                yield (total,)
 
-    return _settled(levels(), rel_tol, "monomial reduction")
+    with np.errstate(all="ignore"):
+        return _settled(levels, 1, rel_tol, "monomial reduction")[0]
 
 
 def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:
@@ -940,10 +1081,12 @@ def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:
     big_l = -math.log(q)
     start = max(0.0, -big_l)
     what = "log-power integral"
-    head = _log_levels(lambda u, _: special.xlogy(m, u) - 2.0 * u - 2.0 * np.log1p(np.exp(-u)),
-                       [(start, start + 64.0, [0.0, start])], 2.0, rel_tol, what)
-    value = (-1) ** m * head
-    if big_l > 0.0:
-        value += _log_levels(lambda u, _: special.xlogy(m, u) - 2.0 * np.log1p(np.exp(-u)),
-                             [(0.0, big_l, [0.0, big_l])], 2.0, rel_tol, what)
+    with np.errstate(all="ignore"):
+        head = _log_levels(lambda u, _: special.xlogy(m, u) - 2.0 * u - 2.0 * np.log1p(np.exp(-u)),
+                           _one_span(start, start + 64.0, [0.0, start]), 2.0, rel_tol, what)
+        value = (-1) ** m * float(head[0])
+        if big_l > 0.0:
+            tail = _log_levels(lambda u, _: special.xlogy(m, u) - 2.0 * np.log1p(np.exp(-u)),
+                               _one_span(0.0, big_l, [0.0, big_l]), 2.0, rel_tol, what)
+            value += float(tail[0])
     return value

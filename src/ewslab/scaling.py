@@ -26,8 +26,7 @@ from .quadrature import (
     IndicatorBox,
     PowerIndicator,
     TestFunction,
-    VarianceQuery,
-    variance_quadrature,
+    variance_values,
 )
 from .symbols import (
     FREQUENCY_KINDS,
@@ -344,17 +343,24 @@ def quadrature_sweep(
     rel_tol: float | None = None,
     dt: float = 0.0,
 ) -> SweepResult:
-    """Evaluate the variance quadrature on a grid of p values."""
+    """Evaluate the variance quadrature on a grid of p values.
+
+    All p go through their route at once (``variance_values``); with
+    ``threads`` > 1 each thread takes one contiguous chunk of the grid.
+    The values are those of ``variance_quadrature`` at each p alone, for
+    any number of threads.
+    """
     ps = np.asarray(ps, dtype=float)
 
-    def one(p):
-        return variance_quadrature(VarianceQuery(symbol, g, p, sigma), rel_tol=rel_tol, dt=dt)
+    def chunk_values(chunk):
+        return variance_values(symbol, g, chunk, sigma, rel_tol, dt)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            values = list(pool.map(one, ps))
+            chunks = pool.map(chunk_values, np.array_split(ps, int(threads)))
+            values = np.concatenate(list(chunks))
     else:
-        values = [one(p) for p in ps]
+        values = chunk_values(ps)
     return SweepResult(ps, values, source="quadrature")
 
 

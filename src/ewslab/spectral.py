@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import TestFunction, VarianceQuery, variance_quadrature
+from .quadrature import TestFunction, VarianceQuery, variance_quadrature, variance_values
 from .scaling import ScalingLaw, SweepResult, predicted_law
 from .symbols import FREQUENCY_KINDS, Symbol
 
@@ -33,9 +33,13 @@ def variance_spectral(query: VarianceQuery, rel_tol: float | None = None) -> flo
     drift, so this is :func:`variance_quadrature` at the spectral
     default tolerance.  The query's symbol must be a frequency kind.
     """
-    if not isinstance(query.symbol, FREQUENCY_KINDS):
-        raise TypeError("symbol must be one of the frequency multiplier kinds")
+    _check_frequency_kind(query.symbol)
     return variance_quadrature(query, rel_tol=rel_tol if rel_tol is not None else REL_TOL_SPECTRAL)
+
+
+def _check_frequency_kind(symbol):
+    if not isinstance(symbol, FREQUENCY_KINDS):
+        raise TypeError("symbol must be one of the frequency multiplier kinds")
 
 
 def predicted_spectral_law(symbol: Symbol, ghat: TestFunction | None = None) -> ScalingLaw:
@@ -52,9 +56,12 @@ def spectral_sweep(
     sigma: float = 1.0,
     rel_tol: float | None = None,
 ) -> SweepResult:
-    """Evaluate the spectral variance on a grid of p values."""
+    """Evaluate the spectral variance on a grid of p values, all p at once
+    (``variance_values``); each value is ``variance_spectral`` at its p."""
     ps = np.asarray(ps, dtype=float)
-    values = [
-        variance_spectral(VarianceQuery(symbol, ghat, p, sigma), rel_tol=rel_tol) for p in ps
-    ]
+    if len(ps):
+        # the first p's own error comes before the kind's, as in variance_spectral
+        _check_frequency_kind(VarianceQuery(symbol, ghat, ps[0], sigma).symbol)
+    values = variance_values(symbol, ghat, ps, sigma,
+                             rel_tol if rel_tol is not None else REL_TOL_SPECTRAL)
     return SweepResult(ps, values, source="spectral")

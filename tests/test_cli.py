@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,15 @@ def test_console_entry_point_reports_version():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "ewslab" in out.stdout
+
+
+def test_package_runs_as_a_module_from_a_source_checkout():
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "ewslab", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "usage: ewslab" in out.stdout
 
 
 def test_laws_lookup(capsys):

@@ -26,6 +26,7 @@ from ewslab.quadrature import (
     VarianceQuery,
     _axis_rule,
     _ladder_edges,
+    _ladders,
     appendix_c_integral,
     monomial_integral,
     variance_quadrature,
@@ -809,6 +810,43 @@ def test_separable_sum_matches_tensor_route(case, log_q, dt):
 
 # --------------------------------------------------------------------------
 # the graded Gauss-Legendre panel rule shared by the 1-D and tensor routes
+
+def _loop_ladder(a, b, anchors, floor, ratio):
+    """The panel edges by the loop d *= ratio, one anchor at a time."""
+    edges = {a, b}
+    for z in anchors:
+        if a < z < b:
+            edges.add(z)
+        dmax = max(abs(b - z), abs(a - z))
+        d = max(floor, 4.0 * math.ulp(z), sys.float_info.min)
+        while d < dmax:
+            for x in (z - d, z + d):
+                if a < x < b:
+                    edges.add(x)
+            d *= ratio
+    return sorted(edges)
+
+
+_SPANS = st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 100.0),
+                   st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=3)).map(
+    lambda t: (t[0], t[0] + t[1], t[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SPANS, min_size=1, max_size=4),
+       st.sampled_from((0.0, 1e-300, 1e-6, 0.5, 1.0, 4.0)), st.sampled_from((1.25, 1.5, 2.0, 4.0)))
+def test_ladders_of_many_spans_at_once_are_the_loop(spans, floor, ratio):
+    # one running product per first step serves every anchor of every span
+    expected = [_loop_ladder(a, b, anchors, floor, ratio) for a, b, anchors in spans]
+    for (a, b, anchors), want in zip(spans, expected):
+        assert _ladder_edges(a, b, anchors, floor, ratio).tolist() == want
+    ends = np.array([span[:2] for span in spans])
+    owner = np.repeat(np.arange(len(spans)), [len(span[2]) for span in spans])
+    edges, counts = _ladders(ends, np.array([z for span in spans for z in span[2]]), owner, floor,
+                             ratio)
+    assert counts.tolist() == [len(want) for want in expected]
+    assert edges.tolist() == [x for want in expected for x in want]
+
 
 def test_axis_rule_with_one_anchor_is_the_per_panel_construction():
     for c0, c1, anchor, floor, ratio, n_gl in ((-1.0, 1.0, 0.0, 1e-4, 4.0, 12),

@@ -1,12 +1,22 @@
 """Law catalog, sweep containers, and log-log fitting."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewslab.quadrature import IndicatorBox, VarianceQuery, variance_quadrature
+from ewslab import quadrature
+from ewslab.quadrature import (
+    Disc,
+    IndicatorBox,
+    PowerIndicator,
+    QuadratureError,
+    QuarterDisc,
+    VarianceQuery,
+    variance_quadrature,
+)
 from ewslab.scaling import (
     FitResult,
     LawUnavailableError,
@@ -25,7 +35,19 @@ from ewslab.scaling import (
     predicts_convergence,
     quadrature_sweep,
 )
-from ewslab.symbols import Polynomial, ToolAlpha, minimal_support
+from ewslab.spectral import spectral_sweep, variance_spectral
+from ewslab.symbols import (
+    FREQUENCY_KINDS,
+    ConvolutionKernel,
+    Piecewise,
+    Polynomial,
+    PowerWavenumber,
+    Radial2D,
+    SwiftHohenberg1D,
+    SwiftHohenberg2D,
+    ToolAlpha,
+    minimal_support,
+)
 
 
 def test_scaling_law_validation():
@@ -240,6 +262,105 @@ def test_quadrature_sweep_matches_pointwise_calls():
         assert math.isclose(value, direct, rel_tol=1e-12)
     assert sweep.source == "quadrature"
     assert all(a < b for a, b in zip(sweep.values, sweep.values[1:]))
+
+
+def _kernel():
+    k = 2 * np.pi * np.fft.fftfreq(128, d=0.25)
+    return ConvolutionKernel(np.real(np.fft.ifft(-(k ** 2 - 1.0) ** 2)) / 0.25, 0.25)
+
+
+_ONE_DIM = {
+    "tool": lambda draw: ToolAlpha(draw(st.sampled_from((0.5, 1.0, 2.0, 5.0)))),
+    "mono": lambda draw: Polynomial({(draw(st.integers(1, 4)),): 1.0}),
+    "pw": lambda draw: Piecewise(ToolAlpha(1.0), ToolAlpha(draw(st.sampled_from((2.0, 3.0))))),
+    "sh1d": lambda draw: SwiftHohenberg1D(),
+    "power2m": lambda draw: PowerWavenumber(draw(st.integers(1, 2))),
+    "kernel": lambda draw: _kernel(),
+}
+_BOXES = {2: [IndicatorBox((0.0, 0.0), (1.0, 1.0)), IndicatorBox((-0.5, 0.2), (1.0, 0.9))],
+          3: [IndicatorBox((0.0,) * 3, (1.0,) * 3)]}
+_SEPARABLE = [Polynomial({(2, 0): 1.0, (0, 4): 1.0}), Polynomial({(1, 0): 2.0, (0, 2): 1.0}),
+              Polynomial({(1, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 3): 1.0})]
+
+
+def _sweep_case(kind, draw):
+    """A symbol of ``kind`` and a window its route takes, with a grid, sigma and dt."""
+    lowest = -9.0
+    if kind in _ONE_DIM:
+        symbol = _ONE_DIM[kind](draw)
+        if kind == "kernel" or draw(st.booleans()):
+            lo = draw(st.floats(-2.0, 0.5))
+            g = IndicatorBox(lo, lo + draw(st.floats(0.1, 2.5)))
+        else:
+            g = PowerIndicator(draw(st.floats(0.0, 0.45)), draw(st.floats(0.2, 2.0)))
+    elif kind in ("radial", "sh2d"):
+        symbol = Radial2D(draw(st.sampled_from((1.0, 2.0, 3.0)))) if kind == "radial" \
+            else SwiftHohenberg2D()
+        radius = draw(st.floats(0.3, 1.6))
+        g = Disc(radius) if draw(st.booleans()) else QuarterDisc(radius)
+    elif kind == "separable":
+        symbol = draw(st.sampled_from(_SEPARABLE))
+        g = draw(st.sampled_from(_BOXES[symbol.dim]))
+    else:
+        # not separable: the tensor levels, one p at a time inside the sweep
+        symbol = Polynomial({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.5})
+        g = draw(st.sampled_from(_BOXES[2]))
+        lowest = -4.0
+    decades = draw(st.lists(st.floats(lowest, -0.5), min_size=1, max_size=5, unique=True))
+    ps = -np.sort(10.0 ** np.array(decades))[::-1]
+    return symbol, g, ps, draw(st.floats(0.2, 3.0)), draw(st.sampled_from((0.0, 0.01)))
+
+
+def _outcome(evaluate):
+    """The values, or the type and message of the error that ``evaluate`` raises."""
+    try:
+        return evaluate()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", [*_ONE_DIM, "radial", "sh2d", "separable", "tensor"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_sweeps_give_the_bits_of_the_pointwise_calls(kind, data):
+    # all p of a sweep go through their route at once; each value must be
+    # the one its p gives alone, for any split of the grid over threads
+    symbol, g, ps, sigma, dt = _sweep_case(kind, data.draw)
+    pointwise = _outcome(lambda: [variance_quadrature(VarianceQuery(symbol, g, p, sigma), dt=dt)
+                                  for p in ps])
+    for threads in (1, 2):
+        with mock.patch.object(quadrature, "variance_quadrature",
+                               wraps=variance_quadrature) as alone:
+            swept = _outcome(lambda: quadrature_sweep(symbol, g, ps, sigma=sigma, threads=threads,
+                                                      dt=dt).values.tolist())
+        assert swept == pointwise
+        # a grid whose every p succeeds never falls back to one p at a time
+        assert isinstance(pointwise, tuple) or not alone.called
+    if dt == 0.0 and isinstance(symbol, FREQUENCY_KINDS):
+        assert _outcome(lambda: spectral_sweep(symbol, g, ps, sigma=sigma).values.tolist()) == \
+            _outcome(lambda: [variance_spectral(VarianceQuery(symbol, g, p, sigma)) for p in ps])
+
+
+@pytest.mark.parametrize("ps, error, message", [
+    # the side integral overflows at p = -1e-320; at p = -1e-300 the value
+    # does not, but 0.5 sigma**2 times it does; 0.5 is not a stable p
+    ([-1e-2, -1e-320, -1e-300], QuadratureError,
+     "side integral of |x|**100.0 overflows at q = 1e-320"),
+    ([-1e-2, -1e-300, -1e-320], QuadratureError,
+     "the variance at p = -1e-300 is inf, not a positive double"),
+    ([-1e-2, 0.5, -1e-320], ValueError,
+     "p must be negative, the equation is only stable for p < 0"),
+    ([-1e-320, -1e-2, 0.5], QuadratureError, "side integral of |x|**100.0 overflows at q = 1e-320"),
+])
+def test_a_sweep_raises_the_error_of_its_first_failing_p(ps, error, message):
+    symbol, g = ToolAlpha(100.0), IndicatorBox(0.0, 1.0)
+    assert _outcome(lambda: [variance_quadrature(VarianceQuery(symbol, g, p, 1e10)) for p in ps]) \
+        == (error, message)
+    for threads in (1, 2, 3):
+        assert _outcome(lambda: quadrature_sweep(symbol, g, ps, sigma=1e10, threads=threads)) \
+            == (error, message)
+    assert _outcome(lambda: spectral_sweep(PowerWavenumber(50), g, ps, sigma=1e10)) == (
+        error, message)
 
 
 # --------------------------------------------------------------------------
