@@ -517,19 +517,32 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-_DASH_VALUE_FLAGS = ("--p-decades", "--window", "--sim-decades")
+def _is_dash_value(tok: str) -> bool:
+    """Whether ``tok`` starts with a dash and reads as a number or a decade pair LO:HI."""
+    if not tok.startswith("-"):
+        return False
+    lo, colon, hi = tok.partition(":")
+    try:
+        if colon:
+            int(lo), int(hi)
+        else:
+            float(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
-    # Values like -8:-2 start with a dash and confuse the option tokenizer;
-    # fold them into --flag=value form.
+    # Values like -1e-3 or -8:-2 start with a dash, and argparse reads only
+    # -digits[.digits] as a number; fold each into --flag=value form.
     merged = []
     skip = False
     for i, tok in enumerate(argv):
         if skip:
             skip = False
             continue
-        if tok in _DASH_VALUE_FLAGS and i + 1 < len(argv):
+        if (tok.startswith("--") and len(tok) > 2 and "=" not in tok
+                and i + 1 < len(argv) and _is_dash_value(argv[i + 1])):
             merged.append(f"{tok}={argv[i + 1]}")
             skip = True
         else:

@@ -315,23 +315,24 @@ def _settled(levels, n, rel_tol, what):
 
 
 def _gl_blocks(levels):
-    """Per key (a grading ratio or a panel width) of the (key, points) ``levels``: the key,
-    the nodes of its levels' rules side by side, as fractions of a panel, and a matrix
+    """Per grading ratio of the (ratio, points) ``levels``: the ratio, the nodes
+    of its levels' rules side by side, as fractions of a panel, and a matrix
     whose column k holds level k's weights per unit panel width on its rows."""
     blocks = []
-    for key, group in groupby(levels, key=lambda level: level[0]):
+    for ratio, group in groupby(levels, key=lambda level: level[0]):
         rules = [_gl_nodes(n_gl) for _, n_gl in group]
         gw = np.zeros((sum(x.size for x, _ in rules), len(rules)))
         start = 0
         for k, (x, w) in enumerate(rules):
             gw[start:start + x.size, k] = 0.5 * w
             start += x.size
-        blocks.append((key, 0.5 * (1.0 + np.concatenate([x for x, _ in rules])), gw))
+        blocks.append((ratio, 0.5 * (1.0 + np.concatenate([x for x, _ in rules])), gw))
     return tuple(blocks)
 
 
-# the levels of _log_levels: its first two share their panels, so the first,
-# there only to be compared with the second, has few points
+# the levels of _log_levels and of the corner reduction: the first two share
+# their panels, so the first, there only to be compared with the second, has
+# few points
 _LOG_LEVELS = _gl_blocks(((2.0, 8), (2.0, 16), (1.5, 24), (1.25, 32)))
 
 
@@ -906,11 +907,9 @@ def _variance(query, q, rel_tol, dt):
     return value
 
 
-# the successive corner levels, as (the widest panel up to s = log(1/q), the
-# points per panel), in blocks keyed by that width; panels 2 wide already
-# resolve the poles of the resolvent at log(1/q) +- i pi to the last bits
-_CORNER_LEVELS = _gl_blocks(((2.0, 12), (2.0, 16), (1.0, 24)))
-# share of the corner value the tail beyond the last panel may hold
+# share of the corner value the tail beyond the last panel may hold; the
+# resolvent's poles at log(1/q) +- i pi are the only ones near the axis, so
+# the panels of the corner ladder widen geometrically away from log(1/q)
 _CORNER_TAIL = 1e-20
 
 
@@ -953,7 +952,8 @@ def _gamma_mixture(idx):
 
 def _corner_end(tail, split):
     """A point T past ``split`` = max(log(1/q), 0) beyond which the corner
-    integral, in units where eps = 1, holds at most _CORNER_TAIL of its value.
+    integral, in units where eps = 1, holds at most _CORNER_TAIL of its value:
+    the last edge of the corner ladder (``_corner_edges``).
 
     Beyond T the integrand is at most sum |w| s**k exp(-s/a) / q, whose
     integral is sum |c| Gamma(k + 1, T/a) / (k! q), and Gamma(k + 1, x)
@@ -974,16 +974,15 @@ def _corner_end(tail, split):
     return end
 
 
-def _corner_edges(split, end, width, unit):
-    """Panel edges on [0, end]: equal panels at most ``width`` wide up to
-    ``split``, then widths doubling from ``width`` up to 4 ``unit``."""
-    head = np.linspace(0.0, split, math.ceil(split / width) + 1)
-    tail, edge, step = [], split, width
-    while edge < end:
-        edge += step
-        tail.append(edge)
-        step = min(2.0 * step, 4.0 * unit)
-    return np.concatenate([head, tail])
+def _corner_edges(split, end, ratio):
+    """Panel edges on [0, end]: ``split`` and each split -+ 2 ratio**i inside
+    (0, end), so the panels are 2 wide at ``split`` and widen by ``ratio``
+    away from it on both sides."""
+    n = 2 + max(0, math.ceil(math.log(max(split, end - split) / 2.0, ratio)))
+    d = [2.0 * ratio**i for i in range(n)]
+    inner = [split - x for x in d[::-1]] + [split] + [split + x for x in d]
+    # a few dozen edges: a list costs half what numpy does
+    return np.array([0.0, *(x for x in inner if 0.0 < x < end), end])
 
 
 def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-9) -> float:
@@ -993,8 +992,9 @@ def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-
     eps**(N - |j|) I_j(q / eps**|j|).  With x uniform on the unit cube,
     S = -log x**j is a sum of independent exponentials and I_j(q) =
     E[1 / (exp(-S) + q)], one integral in s against the density of S
-    (``_gamma_mixture``), taken on the graded Gauss-Legendre levels of
-    ``_corner_reduction`` and accepted by ``_settled``.  S dominates each
+    (``_gamma_mixture``), taken on the Gauss-Legendre levels of
+    ``_corner_reduction``, whose panels widen geometrically away from
+    s = log(1/q), and accepted by ``_settled``.  S dominates each
     Gamma term's variable, so no term integrates to more than I_j and
     rounding in their signed sum loses at most about n * eps_machine *
     sum |c|; above rel_tol, as for clustered exponents, QuadratureError
@@ -1021,13 +1021,13 @@ def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-
 def _corner_reduction(reduced, n, eps, q, rel_tol):
     """``monomial_integral`` over [0, eps]**n of an index without zero components.
 
-    Each level is one composite Gauss-Legendre rule in s = -log x**j,
-    and the levels of one block of ``_CORNER_LEVELS`` share one node
-    array and one evaluation: equal panels up to s = log(1/q),
-    where the resolvent's poles at log(1/q) +- i pi bound the panel
-    width, then panels doubling in width up to 4 max a, the scale of the
-    slowest Gamma term, out to ``_corner_end``.  A level that is not a
-    finite double raises OverflowError.
+    Each level is one composite Gauss-Legendre rule in s = -log x**j on
+    [0, ``_corner_end``], and the levels of one ratio of ``_LOG_LEVELS``
+    share one node array and one evaluation (``_corner_edges``): the
+    panels are 2 wide at s = log(1/q), where the resolvent's poles at
+    log(1/q) +- i pi sit, and widen by the ratio away from it, as the
+    distance to those poles, which sets the Gauss-Legendre error, grows.
+    A level that is not a finite double raises OverflowError.
     """
     w, a, k, tail, loss = _gamma_mixture(reduced)
     if loss > rel_tol:
@@ -1037,14 +1037,18 @@ def _corner_reduction(reduced, n, eps, q, rel_tol):
     log_scale = (n - sum(reduced)) * math.log(eps)
     split = max(-log_q, 0.0)
     end = _corner_end(tail, split)
+    repeated = k.any()
 
     def levels(_):
-        for width, frac, gw in _CORNER_LEVELS:
-            edges = _corner_edges(split, end, width, a.max())
+        for ratio, frac, gw in _LOG_LEVELS:
+            edges = _corner_edges(split, end, ratio)
             panels = edges[1:] - edges[:-1]
             s = (edges[:-1, None] + panels[:, None] * frac).ravel()
             # eps**(n - |j|) times the density of S times 1 / (exp(-s) + q)
-            terms = s ** k[:, None] * np.exp(log_scale - s / a[:, None] - np.logaddexp(-s, log_q))
+            terms = np.exp(log_scale - s / a[:, None] - np.logaddexp(-s, log_q))
+            # s**k is 1 but where an exponent repeats
+            if repeated:
+                terms *= s ** k[:, None]
             for total in (panels @ ((w @ terms).reshape(panels.size, -1) @ gw)).tolist():
                 if not math.isfinite(total):
                     raise OverflowError

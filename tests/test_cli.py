@@ -624,6 +624,18 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_negative_values_in_exponent_form_are_values(tmp_path, capsys):
+    # argparse reads only -digits[.digits] as a number, so -1e-3 would be an option
+    argv = ["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--n", "9", "--nt", "400",
+            "--burn-in", "0", "--replicas", "2", "--batches", "4"]
+    for p, out in (("-1e-3", tmp_path / "a"), ("-0.001", tmp_path / "b")):
+        assert main([*argv, "--p", p, "--out", str(out)]) == 0
+    assert (tmp_path / "a" / "simulate.csv").read_bytes() == \
+        (tmp_path / "b" / "simulate.csv").read_bytes()
+    assert main([*argv, "--p", "-0.5", "--sigma", "-1e-3", "--out", str(tmp_path)]) == 3
+    assert "sigma must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content", [
     [{"kind": "polynomial"}],
     {"kind": "polynomial", "coeffs": [{"index": [1, 1]}]},
@@ -686,6 +698,46 @@ def test_power_law_sweeps_exit_cleanly_with_positive_values(argv):
                 values = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
     assert code in (0, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert all(math.isfinite(v) and v > 0 for v in values), (argv, values)
+
+
+@st.composite
+def _simulations(draw):
+    """``simulate`` argument lists: ``tool:alpha`` on a random box, p as ``--p X`` or ``--p=X``."""
+    # boxes within the default mesh [-1, 1], most of them holding mesh points
+    lo = draw(st.floats(-1.0, 0.5))
+    p = repr(-10.0 ** draw(st.floats(-6.0, 1.0)))
+    argv = ["simulate", "--symbol", f"tool:{draw(_REAL)!r}",
+            "--g", f"box:{lo!r},{lo + draw(st.floats(0.05, 2.0))!r}",
+            *draw(st.sampled_from((["--p", p], [f"--p={p}"]))),
+            "--n", str(draw(st.integers(1, 40))), "--nt", str(draw(st.integers(1, 3000))),
+            "--dt", repr(10.0 ** draw(st.floats(-3.0, 0.0))),
+            "--replicas", str(draw(st.integers(1, 4))), "--batches", str(draw(st.integers(1, 40)))]
+    burn_in = draw(st.none() | st.integers(0, 3000))
+    rank = draw(st.none() | st.integers(1, 8))
+    if burn_in is not None:
+        argv += ["--burn-in", str(burn_in)]
+    if rank is not None:
+        argv += ["--noise-rank", str(rank)]
+    if draw(st.booleans()):
+        argv.append("--unweighted")
+    return argv
+
+
+@settings(max_examples=30, deadline=None)
+@given(_simulations())
+def test_simulations_exit_cleanly_with_positive_values(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", out])
+        values = []
+        if code == 0:
+            with open(os.path.join(out, "simulate.csv"), encoding="utf-8") as fh:
+                values = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+    assert code in (0, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert code != 0 or values, argv
     assert all(math.isfinite(v) and v > 0 for v in values), (argv, values)
 
 

@@ -25,6 +25,9 @@ from ewslab.quadrature import (
     TestFunction,
     VarianceQuery,
     _axis_rule,
+    _corner_edges,
+    _corner_end,
+    _gamma_mixture,
     _ladder_edges,
     _ladders,
     appendix_c_integral,
@@ -680,8 +683,12 @@ def _agrees_or_cancels(j, q, want):
     assert math.isclose(got, float(want), rel_tol=1e-10), (j, q, got, want)
 
 
+# q >= 1 too, where log(1/q) <= 0 and the corner ladder has no lower side
+_LOG10_Q_CORNER = st.floats(-300.0, 2.0)
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 12), _LOG10_Q)
+@given(st.integers(1, 12), _LOG10_Q_CORNER)
 def test_one_axis_corner_integral_matches_mpmath(order, log10_q):
     # integral_0^1 dx / (x**j + q) = 2F1(1, 1/j; 1 + 1/j; -1/q) / q
     mpmath = pytest.importorskip("mpmath")
@@ -693,7 +700,7 @@ def test_one_axis_corner_integral_matches_mpmath(order, log10_q):
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.integers(2, 6), _LOG10_Q)
+@given(st.integers(2, 6), _LOG10_Q_CORNER)
 def test_unit_order_corner_integral_matches_the_polylog(n, log10_q):
     mpmath = pytest.importorskip("mpmath")
     q = 10.0 ** log10_q
@@ -720,6 +727,26 @@ def test_two_axis_corner_integral_matches_an_mpmath_quadrature(j, log10_q):
             1, inv_b, 1 + inv_b, -mpmath.exp(w)), edges, method="gauss-legendre")
         want = outer * mpmath.mpf(q) ** (1 / mpmath.mpf(a) - 1) / a
     _agrees_or_cancels(j, q, want)
+
+
+@pytest.mark.parametrize("j", [(1,), (3, 3), (1, 2, 3), (9, 10, 11, 12)])
+@pytest.mark.parametrize("q", [5e-324, 1e-300, 1e-8, 0.5, 1.0, 1e4])
+def test_corner_panels_widen_geometrically_away_from_the_pole_line(j, q):
+    split = max(-math.log(q), 0.0)
+    end = _corner_end(_gamma_mixture(j)[3], split)
+    for ratio in (2.0, 1.5, 1.25):
+        edges = _corner_edges(split, end, ratio)
+        assert edges[0] == 0.0 and edges[-1] == end
+        assert np.all(np.diff(edges) > 0.0)
+        assert split in edges
+        # each inner edge is split -+ 2 ratio**i
+        for x in edges[1:-1]:
+            if x != split:
+                i = math.log(abs(x - split) / 2.0, ratio)
+                assert i > -1e-9 and abs(i - round(i)) < 1e-9, (ratio, x)
+        # equal panels 2 wide up to split would take 373 at q = 5e-324
+        top = max(0, math.ceil(math.log(max(split, end - split) / 2.0, ratio)))
+        assert edges.size - 1 <= 3 + 2 * top, (ratio, edges.size)
 
 
 UNIT_CUBE = IndicatorBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
