@@ -563,7 +563,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args._started = started
         return args.func(args)
-    except (QuadratureError, LawUnavailableError) as exc:
+    except (QuadratureError, LawUnavailableError, ArithmeticError) as exc:
+        # ArithmeticError covers the simulation's FloatingPointError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

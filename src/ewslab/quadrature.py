@@ -67,6 +67,7 @@ from .symbols import (
     as_finite,
     as_multi_index,
     as_positive,
+    square,
 )
 
 REL_TOL_1D = 1e-8
@@ -900,7 +901,7 @@ def _variance(query, q, rel_tol, dt):
             raise ValueError(
                 f"unsupported combination of symbol {symbol!r} and window {g!r}"
             )
-        value = 0.5 * query.sigma**2 * value
+        value = 0.5 * square(query.sigma) * value
     for x, v in zip(q.tolist(), value.tolist()):
         if not 0.0 < v < math.inf:
             raise QuadratureError(f"the variance at p = {-x!r} is {v!r}, not a positive double")

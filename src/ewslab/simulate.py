@@ -40,11 +40,15 @@ starts at u = 0 instead and steps its burn-in (``_starts_stationary``).
 ``run_sweep`` takes a grid of p in one pass.  The chains do not depend
 on p, and every p draws the same normals (common random numbers): each
 replica's start normals are drawn once and mapped through the factor of
-every p that starts stationary, and its step normals are drawn and
-mapped through the chain noise map once per block, so one step loop
-advances a (p, replicas, chains) state.  Each p keeps its own start,
-recorded steps and batch count and gets the estimate ``run`` gives it
-alone; ``run`` is the sweep of one config.
+every p that starts stationary, and a block's step increments are
+staged once for every p.  Each replica's normals are drawn into one
+reused (steps, M) array and mapped through the chain noise map into a
+contiguous (steps, replicas, chains) row, which is scaled by sqrt(dt)
+and sigma in place and copied into every p's slab of the block in one
+broadcast (a single p maps its draws into its slab).  One step loop
+then advances the whole (p, replicas, chains) state as flat rows.  Each
+p keeps its own start, recorded steps and batch count and gets the
+estimate ``run`` gives it alone; ``run`` is the sweep of one config.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .noise import as_generator
 # perfbench/test_harness.py checks that the tracer wraps it here.
 from .noise import NoiseModel, noise_increment  # noqa: F401
 from .quadrature import TestFunction
-from .symbols import Symbol, as_finite, as_positive
+from .symbols import Symbol, as_finite, as_positive, square
 
 # Working-set budget of the simulation and prediction kernels: the
 # number of steps (or prediction rows) per block is derived from it so
@@ -218,24 +222,35 @@ def predict_discrete_variance(config: SimConfig) -> float:
     the diagonal, sigma**2 c/(2|lam| + lam**2 dt), over the window with
     squared projection weights; a rank-M model routes the mode
     covariance through the same pair factors, one block of support rows
-    at a time so memory stays bounded for large windows.
+    at a time so memory stays bounded for large windows.  A value that
+    is not a positive double, as a huge ``sigma`` gives, raises
+    FloatingPointError.
     """
     drift = _drift_vector(config)
     idx, w = projection_weights(config.g, config.mesh, config.unweighted)
     lam = drift[idx]
     model = config.noise
     if model is None or model.is_identity:
-        return float(config.sigma**2 * np.sum(w**2 / (2.0 * np.abs(lam) + lam**2 * config.dt)))
-    basis = model.basis[idx, :]
-    scaled = basis * model.eigenvalues
-    rows = max(1, _BLOCK_BYTES // (8 * idx.size))
-    total = 0.0
-    for lo in range(0, idx.size, rows):
-        part = slice(lo, lo + rows)
-        cov = scaled[part] @ basis.T
-        stationary = cov / (np.outer(lam[part], lam) * config.dt - lam[part, None] - lam)
-        total += w[part] @ stationary @ w
-    return float(config.sigma**2 * total)
+        total = np.sum(w**2 / (2.0 * np.abs(lam) + lam**2 * config.dt))
+    else:
+        basis = model.basis[idx, :]
+        scaled = basis * model.eigenvalues
+        rows = max(1, _BLOCK_BYTES // (8 * idx.size))
+        total = 0.0
+        for lo in range(0, idx.size, rows):
+            part = slice(lo, lo + rows)
+            cov = scaled[part] @ basis.T
+            stationary = cov / (np.outer(lam[part], lam) * config.dt - lam[part, None] - lam)
+            total += w[part] @ stationary @ w
+    with np.errstate(over="ignore"):
+        value = float(square(config.sigma) * total)
+    _check_positive(value, "the predicted discrete variance")
+    return value
+
+
+def _check_positive(value: float, what: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise FloatingPointError(f"{what} is {value!r}, not a positive double")
 
 
 def _lumped_chains(values, idx, w, model: NoiseModel):
@@ -260,12 +275,17 @@ def _stationary_factor(lam, mix, sigma: float, dt: float) -> np.ndarray:
     ``_lumped_chains``.  Identity noise makes S diagonal and F its root,
     returned as the diagonal; rank-M noise forms S from C = mix^T mix
     with the pair factor of the module docstring and takes F = V sqrt(e)
-    from its eigendecomposition, eigenvalues clipped at 0.
+    from its eigendecomposition, eigenvalues clipped at 0; an S that
+    overflows raises FloatingPointError.
     """
     if mix.ndim == 1:
         return sigma * mix / np.sqrt(2.0 * np.abs(lam) + lam**2 * dt)
     pair = np.outer(lam, lam) * dt - lam[:, None] - lam
-    eig, vectors = np.linalg.eigh(sigma**2 * (mix.T @ mix) / pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = square(sigma) * (mix.T @ mix) / pair
+    if not np.all(np.isfinite(cov)):
+        raise FloatingPointError(f"the chains' stationary covariance overflows at sigma = {sigma!r}")
+    eig, vectors = np.linalg.eigh(cov)
     return vectors * np.sqrt(np.clip(eig, 0.0, None))
 
 
@@ -294,9 +314,13 @@ def _starts_stationary(mix, replicas: int, relax: int) -> bool:
     return 8 * chains**2 <= _BLOCK_BYTES and 2 * chains**2 <= relax * replicas * (rank + 1)
 
 
-def _steps_per_block(replicas: int, chains: int, draws: int) -> int:
-    # one step holds a row of draws and a state row per replica
-    return max(1, _BLOCK_BYTES // (8 * (replicas * chains + draws)))
+def _steps_per_block(points: int, replicas: int, chains: int, draws: int) -> int:
+    # one step of a block holds a row of one replica's draws, a state row
+    # per p and replica, and the increments mapped to the chains: one
+    # replica's temporary row with a single p, the staged row of every
+    # replica with several; blocks of these arrays stay near 1 MB
+    extra = chains if points == 1 else replicas * chains
+    return max(1, _BLOCK_BYTES // (8 * (points * replicas * chains + extra + draws)))
 
 
 # fields run_sweep needs shared: the same objects, or equal values
@@ -338,27 +362,35 @@ def _schedule(config: SimConfig, values, support) -> tuple[int, int]:
     return burn, int(min(config.batches, max(2, by_correlation)))
 
 
-def _estimate(series: np.ndarray, n_batches: int) -> VarianceEstimate:
-    """Sample variance and batch-means error of (replicas, steps) series."""
+def _estimate(series: np.ndarray, n_batches: int, p: float) -> VarianceEstimate:
+    """Sample variance and batch-means error of (replicas, steps) series.
+
+    A variance or error that is not a positive double, as series of a
+    huge ``sigma`` give when their squares overflow, raises
+    FloatingPointError.
+    """
     r, n_kept = series.shape
     replica_vars = []
     replica_errs = []
     replica_means = []
-    for values in series:
-        replica_means.append(float(np.mean(values)))
-        replica_vars.append(float(np.var(values, ddof=1)))
-        usable = (n_kept // n_batches) * n_batches
-        blocks = values[:usable].reshape(n_batches, -1)
-        block_vars = np.var(blocks, axis=1, ddof=1)
-        replica_errs.append(float(np.std(block_vars, ddof=1) / math.sqrt(n_batches)))
-
-    variance = float(np.mean(replica_vars))
-    se_within = math.sqrt(sum(e**2 for e in replica_errs)) / r
-    se_between = float(np.std(replica_vars, ddof=1) / math.sqrt(r)) if r > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in series:
+            replica_means.append(float(np.mean(values)))
+            replica_vars.append(float(np.var(values, ddof=1)))
+            usable = (n_kept // n_batches) * n_batches
+            blocks = values[:usable].reshape(n_batches, -1)
+            block_vars = np.var(blocks, axis=1, ddof=1)
+            replica_errs.append(float(np.std(block_vars, ddof=1) / math.sqrt(n_batches)))
+        variance = float(np.mean(replica_vars))
+        se_within = math.sqrt(sum(square(e) for e in replica_errs)) / r
+        se_between = float(np.std(replica_vars, ddof=1) / math.sqrt(r)) if r > 1 else 0.0
+    stderr = max(se_within, se_between)
+    _check_positive(variance, f"the simulated variance at p = {p!r}")
+    _check_positive(stderr, f"the standard error of the simulated variance at p = {p!r}")
     return VarianceEstimate(
         mean=float(np.mean(replica_means)),
         variance=variance,
-        stderr=max(se_within, se_between),
+        stderr=stderr,
         effective_samples=r * n_batches,
         replica_variances=tuple(replica_vars),
     )
@@ -397,9 +429,9 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     # the chain drifts are chain_values + p, bit for bit the support drifts
     lam = chain_values + np.array([config.p for config in configs])[:, None]
 
-    r, chains = base.replicas, lam.shape[1]
+    points, r, chains = len(configs), base.replicas, lam.shape[1]
     denom = np.ascontiguousarray(
-        np.broadcast_to((1.0 - lam * base.dt)[:, None, :], (len(configs), r, chains)))
+        np.broadcast_to((1.0 - lam * base.dt)[:, None, :], (points, r, chains)))
     rngs = [as_generator(np.random.SeedSequence(base.seed, spawn_key=(rep,)))
             for rep in range(r)]
     # drawn even where no config uses them, so the step normals are the
@@ -426,34 +458,51 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     kept = [base.nt - burn for burn in burns]
     steps = max(lo + n for lo, n in zip(first, kept))
     sqrt_dt = np.sqrt(base.dt)
-    chunk = _steps_per_block(len(configs) * r, chains, mix.shape[0])
+    chunk = _steps_per_block(points, r, chains, mix.shape[0])
     block = np.empty((chunk,) + u.shape)
+    # every p steps on the same increments.  A single p maps each
+    # replica's fresh draws into its slab through a temporary (mapped in
+    # place, the arrays freed after a run stayed resident at the top of
+    # the heap in about half of the mc-white benchmark runs, 1.2 MB more
+    # peak RSS).  Several p draw into one reused array, stage the
+    # increments once in a contiguous row and copy that to every slab.
+    staged = block[:, 0] if points == 1 else np.empty((chunk, r, chains))
+    xi = None if points == 1 else np.empty((chunk, mix.shape[0]))
+    to_chains = np.multiply if mix.ndim == 1 else np.matmul
+    # the step loop runs on flat rows of the whole (p, replica, chain) state
+    rows, flat_u, flat_denom = block.reshape(chunk, -1), u.reshape(-1), denom.reshape(-1)
     series = [np.empty((r, n)) for n in kept]
     for start in range(0, steps, chunk):
         k = min(chunk, steps - start)
-        # every p steps on the same draws: fill the first p slab, copy it
-        drawn = block[:k, 0]
+        drawn = staged[:k]
         for rep in range(r):
-            xi = rngs[rep].standard_normal((k, mix.shape[0]))
-            drawn[:, rep] = xi * mix if mix.ndim == 1 else xi @ mix
+            if points == 1:
+                drawn[:, rep] = to_chains(rngs[rep].standard_normal((k, mix.shape[0])), mix)
+            else:
+                rngs[rep].standard_normal(out=xi[:k])
+                to_chains(xi[:k], mix, out=drawn[:, rep])
         # sqrt(dt), then sigma, then the division, in the order of
         # noise_increment and step: every chain state matches the
-        # one-step update of that chain bit for bit
+        # one-step update of that chain bit for bit (multiplying by a
+        # sigma of 1.0 changes no bit, so it is skipped)
         drawn *= sqrt_dt
-        drawn *= base.sigma
-        block[:k, 1:] = drawn[:, None]
-        prev = u
-        for row in block[:k]:
+        if base.sigma != 1.0:
+            drawn *= base.sigma
+        if points > 1:
+            block[:k] = drawn[:, None]
+        prev = flat_u
+        for row in rows[:k]:
             row += prev
-            row /= denom
+            row /= flat_denom
             prev = row
-        u[...] = prev
+        flat_u[...] = prev
         sums = block[:k].sum(axis=-1)
         for j, (lo, n) in enumerate(zip(first, kept)):
             a, b = max(lo - start, 0), min(lo + n - start, k)
             if a < b:
                 series[j][:, start + a - lo:start + b - lo] = sums[a:b, j].T
-    return [_estimate(s, n_batches) for s, n_batches in zip(series, batches)]
+    return [_estimate(s, n_batches, float(config.p))
+            for s, n_batches, config in zip(series, batches, configs)]
 
 
 def run(config: SimConfig) -> VarianceEstimate:

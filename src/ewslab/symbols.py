@@ -72,6 +72,16 @@ def as_positive(value, name: str) -> float:
     return value
 
 
+def square(x: float) -> float:
+    """``x**2``, or inf where it overflows: Python's float power raises
+    OverflowError there, and callers report the inf as a value that is
+    not a positive double."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def as_coefficient_map(coeffs: Mapping) -> dict[MultiIndex, float]:
     """``coeffs`` as {multi-index: finite float}; every reader of coefficient maps uses it.
 

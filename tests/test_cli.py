@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +572,32 @@ def test_overflowing_side_integral_exits_4(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+_SIMULATE = ["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p=-0.5", "--nt", "3000"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-3:-1",
+     "--sigma", "1e200"],
+    ["spectral", "--symbol", "power2m:1", "--g", "box:-0.5,0.5", "--p-decades=-3:-1",
+     "--sigma", "1e200"],
+    ["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-3:-1", "--n", "39",
+     "--sim-decades=-1:0", "--nt", "6000", "--sigma", "1e200"],
+    # the quadrature is finite here; the simulated error, about sigma**4, is not
+    ["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-3:-1", "--n", "39",
+     "--sim-decades=-1:0", "--nt", "6000", "--sigma", "1e80", "--noise-rank", "4"],
+    [*_SIMULATE, "--sigma", "1e200"],
+    [*_SIMULATE, "--sigma", "1e154"],
+    [*_SIMULATE, "--sigma", "1e150"],
+    [*_SIMULATE, "--sigma", "1e150", "--noise-rank", "4"],
+])
+def test_a_huge_sigma_exits_4_and_writes_nothing(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert "is inf, not a positive double" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_validation_errors_exit_3(tmp_path, capsys):
     assert main(["sweep", "--symbol", "tool:2", "--g", "box:0,1",
                  "--p-decades", "-2:-8", "--out", str(tmp_path)]) == 3
@@ -655,6 +682,10 @@ def test_missing_input_file_exit_3(tmp_path):
 
 
 _REAL = st.floats(0.3, 6.0)
+# log-uniform over [1e-3, 1e200]: the variance, about sigma**2, overflows
+# from sigma near 1e154 on (and a simulation's error, about sigma**4,
+# from near 1e77)
+_SIGMA = st.floats(-3.0, 200.0).map(lambda e: repr(10.0 ** e))
 
 
 @st.composite
@@ -683,7 +714,30 @@ def _power_law_sweeps(draw):
     hi_dec = draw(st.integers(lo_dec + 1, -1))
     dt = draw(st.sampled_from(("0", "0.01")))
     return ["sweep", "--symbol", symbol, "--g", window, f"--p-decades={lo_dec}:{hi_dec}",
-            "--points", "4", "--dt", dt]
+            "--points", "4", "--dt", dt, "--sigma", draw(_SIGMA)]
+
+
+def _csv_rows(path, simulated):
+    """The value and stderr columns of a sweep CSV, checked finite and
+    positive; a quadrature CSV writes a stderr of 0."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    values, stderrs = [float(r[1]) for r in rows], [float(r[2]) for r in rows]
+    assert all(math.isfinite(v) and v > 0 for v in values), (path, values)
+    assert all(math.isfinite(e) and (e > 0 if simulated else e == 0) for e in stderrs), \
+        (path, stderrs)
+    return values
+
+
+@contextlib.contextmanager
+def _short_burn_in_warnings_only():
+    """Let a simulation warn of a short burn-in, and of nothing else."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        yield
+    for w in record:
+        assert w.category is RuntimeWarning and re.search(
+            r"burn_in = \d+, below the \d+ steps", str(w.message)), w
 
 
 @settings(max_examples=60, deadline=None)
@@ -692,13 +746,10 @@ def test_power_law_sweeps_exit_cleanly_with_positive_values(argv):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         code = main([*argv, "--out", out])
-        values = []
         if code == 0:
-            with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
-                values = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+            _csv_rows(os.path.join(out, "sweep.csv"), simulated=False)
     assert code in (0, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    assert all(math.isfinite(v) and v > 0 for v in values), (argv, values)
 
 
 @st.composite
@@ -712,7 +763,8 @@ def _simulations(draw):
             *draw(st.sampled_from((["--p", p], [f"--p={p}"]))),
             "--n", str(draw(st.integers(1, 40))), "--nt", str(draw(st.integers(1, 3000))),
             "--dt", repr(10.0 ** draw(st.floats(-3.0, 0.0))),
-            "--replicas", str(draw(st.integers(1, 4))), "--batches", str(draw(st.integers(1, 40)))]
+            "--replicas", str(draw(st.integers(1, 4))), "--batches", str(draw(st.integers(1, 40))),
+            "--sigma", draw(_SIGMA)]
     burn_in = draw(st.none() | st.integers(0, 3000))
     rank = draw(st.none() | st.integers(1, 8))
     if burn_in is not None:
@@ -729,16 +781,54 @@ def _simulations(draw):
 def test_simulations_exit_cleanly_with_positive_values(argv):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), _short_burn_in_warnings_only():
             code = main([*argv, "--out", out])
-        values = []
         if code == 0:
-            with open(os.path.join(out, "simulate.csv"), encoding="utf-8") as fh:
-                values = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+            assert len(_csv_rows(os.path.join(out, "simulate.csv"), simulated=True)) == 1, argv
     assert code in (0, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    assert code != 0 or values, argv
-    assert all(math.isfinite(v) and v > 0 for v in values), (argv, values)
+
+
+@st.composite
+def _comparisons(draw):
+    """``compare`` argument lists: ``tool:alpha`` on a random box, 1-4 simulated p."""
+    lo = draw(st.floats(-1.0, 0.5))
+    hi_dec = draw(st.integers(-3, -1))
+    width = draw(st.integers(1, 6))
+    sim_dec = draw(st.integers(-2, 0))
+    nt = draw(st.integers(10, 3000))
+    argv = ["compare", "--symbol", f"tool:{draw(_REAL)!r}",
+            "--g", f"box:{lo!r},{lo + draw(st.floats(0.05, 2.0))!r}",
+            # the default fit window leaves out the top decade and needs 8 points
+            f"--p-decades={hi_dec - width}:{hi_dec}", "--points", str(8 * width + 2),
+            f"--sim-decades={sim_dec - 1}:{sim_dec}", "--sim-points", str(draw(st.integers(1, 4))),
+            "--n", str(draw(st.integers(1, 40))), "--nt", str(nt),
+            "--dt", repr(10.0 ** draw(st.floats(-2.0, 0.0))),
+            "--replicas", str(draw(st.integers(1, 3))), "--batches", str(draw(st.integers(2, 40))),
+            "--sigma", draw(_SIGMA)]
+    burn_in = draw(st.none() | st.integers(0, nt - 1))
+    rank = draw(st.none() | st.integers(1, 8))
+    if burn_in is not None:
+        argv += ["--burn-in", str(burn_in)]
+    if rank is not None:
+        argv += ["--noise-rank", str(rank)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_comparisons())
+def test_comparisons_exit_cleanly_with_positive_values(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), _short_burn_in_warnings_only():
+            code = main([*argv, "--out", out])
+        if code == 0:
+            _csv_rows(os.path.join(out, "compare_quadrature.csv"), simulated=False)
+            sim_points = int(argv[argv.index("--sim-points") + 1])
+            rows = _csv_rows(os.path.join(out, "compare_simulation.csv"), simulated=True)
+            assert len(rows) == sim_points, argv
+    assert code in (0, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def _kernel_files(out):
@@ -779,13 +869,10 @@ def test_spectral_sweeps_exit_cleanly_with_positive_values(symbol, shape, data):
         if symbol.startswith("conv:"):
             symbol = f"conv:{_kernel_files(out)[symbol[5:]]}"
         argv = ["spectral", "--symbol", symbol, "--g", window, f"--p-decades={decades}",
-                "--points", "4", "--out", out]
+                "--points", "4", "--sigma", data.draw(_SIGMA), "--out", out]
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
-        values = []
         if code == 0:
-            with open(os.path.join(out, "spectral.csv"), encoding="utf-8") as fh:
-                values = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+            _csv_rows(os.path.join(out, "spectral.csv"), simulated=False)
     assert code in (0, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    assert all(math.isfinite(v) and v > 0 for v in values), (argv, values)

@@ -9,6 +9,7 @@ sigma^2 dt a^2 / (1 - a^2) = sigma^2 / (2|lambda| + lambda^2 dt).
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -432,7 +433,7 @@ def _check_against_reference(dim, rank, replicas, unweighted, timing, p):
     idx, _ = projection_weights(g, mesh)
     noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
     chains = np.unique(symbol(mesh.grid())[idx] + p).size
-    chunk = _steps_per_block(replicas, chains, chains if rank is None else rank)
+    chunk = _steps_per_block(1, replicas, chains, chains if rank is None else rank)
     nt, burn_in = (chunk // 2, 0) if timing == "below" else (2 * chunk + 37, chunk + 11)
     config = SimConfig(symbol, g, p, mesh, dt=0.05, nt=nt, sigma=0.8, burn_in=burn_in,
                        replicas=replicas, seed=11, noise=noise, batches=4,
@@ -499,14 +500,16 @@ def test_run_sweep_mixes_stationary_and_stepped_starts():
     assert [str(w.message).split(" starts")[0] for w in record] == ["p = -6.0"]
 
 
-def test_run_identity_noise_states_match_reference_exactly():
+@pytest.mark.parametrize("sigma", [0.8, 1.0])
+def test_run_identity_noise_states_match_reference_exactly(sigma):
     # with one support point the projection is the one chain, so equal
-    # estimates need every recorded state to match the one-step update
+    # estimates need every recorded state to match the one-step update;
+    # run skips the multiply by a sigma of 1.0, step does not
     mesh = Mesh(1.0, 199, 1)
     g = IndicatorBox(-0.004, 0.004)
     assert projection_weights(g, mesh)[0].size == 1
-    chunk = _steps_per_block(3, 1, 1)
-    config = SimConfig(ToolAlpha(2.0), g, -0.3, mesh, dt=0.05, nt=2 * chunk + 37, sigma=0.8,
+    chunk = _steps_per_block(1, 3, 1, 1)
+    config = SimConfig(ToolAlpha(2.0), g, -0.3, mesh, dt=0.05, nt=2 * chunk + 37, sigma=sigma,
                        burn_in=chunk + 11, replicas=3, seed=11, batches=4)
     assert run(config) == _reference_run(config)
 
@@ -623,7 +626,7 @@ def _sweep_case(dim, rank, replicas):
     idx, _ = projection_weights(g, mesh)
     noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
     chains = np.unique(symbol(mesh.grid())[idx]).size
-    chunk = _steps_per_block(3 * replicas, chains, chains if rank is None else rank)
+    chunk = _steps_per_block(3, replicas, chains, chains if rank is None else rank)
     return mesh, symbol, g, noise, chunk
 
 
@@ -648,6 +651,78 @@ def test_run_sweep_equals_run_per_p(dim, rank, replicas, burns):
     actual = [_schedule(c, _symbol_values(c), idx)[0] for c in configs]
     assert [b // chunk for b in actual] == [0, 1, 2] and all(b % chunk for b in actual)
     assert run_sweep(configs) == [run(c) for c in configs]
+
+
+@pytest.mark.parametrize("dim, rank", [(1, None), (1, 12), (2, None), (2, 9)])
+def test_staged_sweep_at_unit_sigma_equals_run_per_p(dim, rank):
+    # several p stage each block's increments once and copy them to every
+    # p; a sigma of 1.0 skips the multiply in the sweep and in run alike
+    mesh, symbol, g, noise, chunk = _sweep_case(dim, rank, 2)
+    configs = [SimConfig(symbol, g, p, mesh, dt=0.05, nt=2 * chunk + 37, sigma=1.0,
+                         burn_in=chunk + 11, replicas=2, seed=11, noise=noise, batches=4)
+               for p in (-0.3, -0.7, -1.9)]
+    assert run_sweep(configs) == [run(c) for c in configs]
+
+
+@pytest.mark.parametrize("points, rank, replicas", [
+    (1, None, 1), (1, None, 4), (1, 32, 2), (3, None, 2), (3, 32, 2), (6, 32, 4)])
+def test_a_block_stays_within_the_block_budget(points, rank, replicas):
+    # _steps_per_block sizes the arrays of a block (the states of every p,
+    # one replica's draws, and their map to the chains: a temporary for
+    # one p, the staged increments of every replica for several) to
+    # _BLOCK_BYTES; what else a sweep holds at its peak does not
+    # grow with the block: the recorded series, one block's chain sums,
+    # numpy's ufunc buffers (np.getbufsize() elements for each of at most
+    # three operands), and a few arrays of one state row
+    mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
+    idx, _ = projection_weights(g, mesh)
+    noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
+    chunk = _steps_per_block(points, replicas, 51, 51 if rank is None else rank)
+    nt, burn_in = 2 * chunk + 37, chunk + 11
+    configs = [SimConfig(symbol, g, -0.3 - 0.1 * j, mesh, dt=0.05, nt=nt,
+                         burn_in=burn_in, replicas=replicas, seed=1, noise=noise, batches=4)
+               for j in range(points)]
+    run_sweep(configs)
+    tracemalloc.start()
+    try:
+        run_sweep(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    series = 8 * points * replicas * (nt - burn_in)
+    sums = 8 * chunk * points * replicas
+    buffers = 3 * 8 * np.getbufsize()
+    state_rows = 8 * 8 * points * replicas * 51
+    assert _BLOCK_BYTES / 2 < peak - series - sums - buffers - state_rows <= _BLOCK_BYTES
+
+
+@pytest.mark.parametrize("sigma, rank, message", [
+    (1e200, None, "the predicted discrete variance is inf"),
+    (1e154, None, "the simulated variance at p = -0.5 is inf"),
+    (1e150, None, "the standard error of the simulated variance at p = -0.5 is inf"),
+    (1e150, 4, "the standard error of the simulated variance at p = -0.5 is inf"),
+])
+def test_a_huge_sigma_raises_instead_of_returning_inf(sigma, rank, message):
+    config = dataclasses.replace(_acceptance_config(-0.5, sigma=sigma), nt=3000)
+    if rank is not None:
+        idx, _ = projection_weights(config.g, config.mesh)
+        config = dataclasses.replace(
+            config, noise=build_noise_model(config.mesh.size, idx, m=rank, seed=3))
+    # the prediction, about sigma**2, overflows only with sigma**2; the
+    # estimate squares the states, and its error squares the variances
+    with pytest.raises(FloatingPointError, match=message):
+        predict_discrete_variance(config)
+        run(config)
+
+
+def test_an_overflowing_stationary_covariance_raises():
+    config = _acceptance_config(-0.5)
+    idx, w = projection_weights(config.g, config.mesh)
+    lam, mix = _lumped_chains(_drift_vector(config), idx, w,
+                              build_noise_model(config.mesh.size, idx, m=4, seed=3))
+    assert np.all(np.isfinite(_stationary_factor(lam, mix, 1e150, config.dt)))
+    with pytest.raises(FloatingPointError, match="stationary covariance overflows"):
+        _stationary_factor(lam, mix, 1e160, config.dt)
 
 
 @settings(max_examples=12, deadline=None)
