@@ -40,6 +40,11 @@ every value of a sweep has the bits of its p alone.  Only the tensor
 route evaluates one p at a time, its levels already large.  Where any p
 fails, the grid is taken again one p at a time, so that the first
 failing p in grid order raises its own error.
+
+With dt > 0 the router alone takes the implicit Euler chain's resolvent
+1/(t + dt t**2/2) = 1/t - 1/(t + 2/dt), as V(q) - V(q + 2/dt) from one pass
+of the route of dt = 0, each term to a tolerance tightened by their
+cancellation, or QuadratureError past a floor (``_scheme_corrected``).
 """
 
 from __future__ import annotations
@@ -67,12 +72,14 @@ from .symbols import (
     as_finite,
     as_multi_index,
     as_positive,
-    square,
+    power,
 )
 
 REL_TOL_1D = 1e-8
 REL_TOL_ND = 1e-6
 EVAL_CAP = 2**24
+# the smallest inner tolerance of the scheme correction: R up to 4096 at rel_tol 1e-8
+_CANCEL_FLOOR = 1e-12
 # grid points per slab of a tensor level: each temporary stays near 256 kB
 _SLAB_POINTS = 1 << 15
 # logs of 45, above which P(1/a, z) rounds to 1, and of 750, above which exp(-z) underflows
@@ -229,8 +236,8 @@ def _gl_nodes(n: int):
 
 
 def _check_rel_tol(rel_tol):
-    """ValueError unless ``rel_tol`` is a number in (0, 1); NaN and infinity fail too."""
-    if not 0.0 < rel_tol < 1.0:
+    """ValueError unless ``rel_tol`` is None or a number in (0, 1); NaN and infinity fail."""
+    if rel_tol is not None and not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
 
 
@@ -429,20 +436,20 @@ def _offset_pieces(a, b, centers):
             for x0, x1 in zip(cuts, cuts[1:])]
 
 
-def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
-    """Per p, the sum over ``pieces`` of integral |x|**(-2 gamma) phi(t) dy, each in v = log y.
+def _offset_rule(log_t, pieces, layers, order, gamma, rel_tol, what):
+    """Per p, the sum over ``pieces`` of integral |x|**(-2 gamma) / t dy, each in v = log y.
 
     A piece (c, s, lo, hi) of ``_offset_pieces`` is x = c + s y, y in
     [lo, hi], from a zero c of f or from c = 0, where the weight is
     singular; log_t(v, rows) is log t = log(q - f(x)) on the nodes v,
     one row per panel, of the p and pieces ``rows``.  The integrand e**v
-    |x|**(-2 gamma) phi(t) is taken in logs on one node array
-    (``_log_levels``), graded away from each layer of its p, ``layers[i]``
-    those of p i in increasing order.  Where
+    |x|**(-2 gamma) / t is taken in logs on one node array
+    (``_log_levels``), graded away from the layer of its p, ``layers[i]``
+    that of p i.  Where
     f = -|y|**order about c, the poles sit pi / order off the axis, so
     the first panels are 4 / order wide, and the integrand grows like
     e**(beta v), beta = 1 - 2 gamma at c = 0 and 1 elsewhere, below the
-    first layer, losing ``order`` of that rate past each: the panels also
+    layer, losing ``order`` of that rate past it: the panels also
     grade away from an upper end it grows toward.
     Without an ``order`` the first panels are 1 wide, which resolves a
     polynomial of degree up to 6 with positive coefficients (its poles
@@ -451,7 +458,7 @@ def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
     may sit anywhere between its layer and its end.  A piece from y = 0
     starts ``depth`` below min(layer, log hi), where -f has fallen to
     about e**-40 q; one from c = 0 with gamma > 0 adds the rest in closed
-    form, e**(beta v) phi(t) / beta at its start, nearly all the value at
+    form, e**(beta v) / (t beta) at its start, nearly all the value at
     gamma one double below 1/2, from the one node of each p.  A
     non-finite value raises OverflowError.
     """
@@ -460,14 +467,12 @@ def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
     # the spans of p i at [i, j], piece j
     v_hi = np.array([math.log(hi) for _, _, _, hi in pieces])
     v_lo = np.array([math.log(lo) if lo > 0.0 else math.nan for _, _, lo, _ in pieces])
-    v_lo = np.where(np.isnan(v_lo), np.minimum(layers[:, :1], v_hi) - depth, v_lo)
+    v_lo = np.where(np.isnan(v_lo), np.minimum(layers[:, None], v_hi) - depth, v_lo)
     rate = np.array([beta if c == 0.0 else 1.0 for c, _, _, _ in pieces])
-    below = (layers[:, None, :] <= v_hi[:, None]).sum(axis=-1)
-    grows = rate > order * below if order else np.ones(below.shape, dtype=bool)
-    # where it does not grow, the upper end repeats the last layer, which adds no edge
-    end = np.where(grows, v_hi, layers[:, -1:])
-    anchors = np.concatenate([layers[:, None, :].repeat(len(pieces), axis=1), end[..., None]],
-                             axis=-1)
+    grows = rate > order * (layers[:, None] <= v_hi) if order else np.ones(v_lo.shape, dtype=bool)
+    # where it does not grow, the upper end repeats the layer, which adds no edge
+    end = np.where(grows, v_hi, layers[:, None])
+    anchors = np.stack([np.broadcast_to(layers[:, None], end.shape), end], axis=-1)
     spans = (v_lo, np.tile(v_hi, (len(v_lo), 1)), anchors)
     # log |x|, from v itself where c = 0 so that no x underflows
     log_x = lambda v, rows: v
@@ -477,14 +482,10 @@ def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
         def log_x(v, rows):
             c, s = centers_signs[:, rows[1]]
             return np.where(c == 0.0, v, np.log(np.abs(c + s * np.exp(v))))
-    half = 0.5 * dt
 
     def log_fn(v, rows):
-        log_t_v = log_t(v, rows)
-        out = v - log_t_v
-        if gamma:
-            out -= 2.0 * gamma * log_x(v, rows)
-        return out - np.log1p(half * np.exp(log_t_v)) if dt > 0 else out
+        out = v - log_t(v, rows)
+        return out - 2.0 * gamma * log_x(v, rows) if gamma else out
 
     total = _log_levels(log_fn, spans, 4.0 / order if order else 1.0, rel_tol, what)
     for j, (c, _, lo, _) in enumerate(pieces) if gamma else ():
@@ -495,34 +496,23 @@ def _offset_rule(log_t, pieces, layers, order, dt, gamma, rel_tol, what):
     return total
 
 
-def _power_law(alpha, pieces, q, dt, rel_tol, what, gamma=0.0):
-    """Per q, the sum over ``pieces`` of integral |y|**(-2 gamma) phi(q + |y|**alpha) dy,
+def _power_law(alpha, pieces, q, rel_tol, what, gamma=0.0):
+    """Per q, the sum over ``pieces`` of integral |y|**(-2 gamma) / (q + |y|**alpha) dy,
     by ``_offset_rule``.
 
     t = q + e**(alpha v) is taken in logs, so every positive q is reached
-    unless the value itself overflows (QuadratureError).  The layers sit
-    at v0 = log(q) / alpha and, for dt > 0, at v1 = log(2/dt + q) / alpha.
+    unless the value itself overflows (QuadratureError).  The layer sits
+    at v0 = log(q) / alpha.
     """
     if len(pieces) == 2 and pieces[0][2:] == pieces[1][2:]:
         # a box centred on the root holds the same side twice
-        return 2.0 * _power_law(alpha, pieces[:1], q, dt, rel_tol, what, gamma)
-    # log(2/dt + q), as a number 2/dt may overflow
-    log_rate = math.log(2.0) - math.log(dt) if dt > 0 else math.inf
-    log_q = [math.log(x) for x in q.tolist()]
-    layers = [(lq / alpha, (max(log_rate, lq) + math.log1p(math.exp(-abs(log_rate - lq)))) / alpha)
-              if dt > 0 else (lq / alpha,) for lq in log_q]
-    layers, log_q = np.array(layers), np.array(log_q)
+        return 2.0 * _power_law(alpha, pieces[:1], q, rel_tol, what, gamma)
+    log_q = np.array([math.log(x) for x in q.tolist()])
     log_t = lambda v, rows: np.logaddexp(log_q[rows[0]], alpha * v)
     try:
-        return _offset_rule(log_t, pieces, layers, alpha, dt, gamma, rel_tol, what)
+        return _offset_rule(log_t, pieces, log_q / alpha, alpha, gamma, rel_tol, what)
     except OverflowError:
-        raise QuadratureError(f"side integral of |x|**{alpha} overflows at q = {_qs(q)}") from None
-
-
-def _qs(q):
-    """The q of a batch, for an error message: one q as its repr, several as a list
-    (a batch that fails is taken again one p at a time, so a caller sees one q)."""
-    return repr(float(q[0])) if q.size == 1 else repr(q.tolist())
+        raise QuadratureError(f"side integral of |x|**{alpha} overflows at q = {q.item(0)}") from None
 
 
 def _stable(t):
@@ -532,18 +522,17 @@ def _stable(t):
     return t
 
 
-def _kernel_variance(symbol, g, a, b, q, dt):
+def _kernel_variance(symbol, g, a, b, q):
     """Per q, the exact integral over [a, b] of the resolvent of the piecewise-linear
     multiplier interpolant.
 
     On each grid segment the resolvent of a linear function integrates
     to a logarithm, which stays finite as long as q > 0, so no special
-    treatment of near-zero multiplier values is needed.  The implicit
-    scheme's 1/(t + dt t**2/2) is 1/t - 1/(t + 2/dt), two such integrals.
-    Accuracy is limited by the kernel's sample resolution, not by this step.
-    The window must be a box: the interpolant has a kink at every node,
-    which a weighted window's graded rule would not put a panel edge on.
-    Only t = q - f depends on q: each q is one row of the segment sums.
+    treatment of near-zero multiplier values is needed.  Accuracy is
+    limited by the kernel's sample resolution, not by this step.  The
+    window must be a box: the interpolant has a kink at every node, which
+    a weighted window's graded rule would not put a panel edge on.  Only
+    t = q - f depends on q: each q is one row of the segment sums.
     """
     if not isinstance(g, IndicatorBox):
         raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
@@ -555,50 +544,42 @@ def _kernel_variance(symbol, g, a, b, q, dt):
     if np.any(tvals <= 0):
         raise ValueError("kernel multiplier is positive inside the window, no stable regime")
     dk = np.diff(ks)
-
-    def integral(t):
-        t1, t2 = t[:, :-1], t[:, 1:]
-        close = np.abs(t2 - t1) <= 1e-12 * np.maximum(t1, t2)
-        seg = np.where(close, dk * 2.0 / (t1 + t2), dk * np.log(t2 / t1) / (t2 - t1))
-        return seg.sum(axis=1)
-
-    value = integral(tvals)
-    return value - integral(tvals + 2.0 / dt) if dt > 0 else value
+    t1, t2 = tvals[:, :-1], tvals[:, 1:]
+    close = np.abs(t2 - t1) <= 1e-12 * np.maximum(t1, t2)
+    seg = np.where(close, dk * 2.0 / (t1 + t2), dk * np.log(t2 / t1) / (t2 - t1))
+    return seg.sum(axis=1)
 
 
-def _variance_1d(symbol, g, a, b, q, rel_tol, dt):
-    """Per q, integral over [a, b] of g**2 phi(q - f), for g a box or the power window
+def _variance_1d(symbol, g, a, b, q, rel_tol):
+    """Per q, integral over [a, b] of g**2 / (q - f), for g a box or the power window
     x**(-gamma).
 
     A ``Piecewise`` symbol splits at its root, each side on its own route;
     a ``ToolAlpha`` takes ``_power_law`` unless a power window's 0 is not
     its root; every other symbol but a sampled kernel takes
     ``_offset_rule`` from the zeros of f near [a, b] (its root without
-    any) and, for gamma > 0, from 0, with layers at log root_scale(q)
-    and, for dt > 0, log root_scale(2/dt + q).
+    any) and, for gamma > 0, from 0, with its layer at log root_scale(q).
     """
     root = float(symbol.root[0])
     if isinstance(symbol, Piecewise):
         total = 0.0
         if a < root:
-            total += _variance_1d(symbol.left, g, a, min(b, root), q, rel_tol, dt)
+            total += _variance_1d(symbol.left, g, a, min(b, root), q, rel_tol)
         if b > root:
-            total += _variance_1d(symbol.right, g, max(a, root), b, q, rel_tol, dt)
+            total += _variance_1d(symbol.right, g, max(a, root), b, q, rel_tol)
         return total
     if isinstance(symbol, ConvolutionKernel):
-        return _kernel_variance(symbol, g, a, b, q, dt)
+        return _kernel_variance(symbol, g, a, b, q)
     gamma = g.gamma if isinstance(g, PowerIndicator) else 0.0
     if isinstance(symbol, ToolAlpha) and (root == 0.0 or not gamma):
-        return _power_law(symbol.alpha, _offset_pieces(a, b, [root]), q, dt, rel_tol,
+        return _power_law(symbol.alpha, _offset_pieces(a, b, [root]), q, rel_tol,
                           "power-law quadrature", gamma)
 
     margin = b - a
     zeros = {*symbol.zeros_in(a - margin, b + margin)} or {root}
     pieces = _offset_pieces(a, b, sorted(zeros | {0.0} if gamma else zeros))
     centers_signs = np.array([p[:2] for p in pieces]).T
-    scale = lambda t: math.log(max(symbol.root_scale(t), _TINY))
-    layers = np.array([(scale(x), scale(2.0 / dt + x)) if dt > 0 else (scale(x),)
-                       for x in q.tolist()])
+    layers = np.array([math.log(max(symbol.root_scale(x), _TINY)) for x in q.tolist()])
 
     def log_t(v, rows):
         c, s = centers_signs[:, rows[1]]
@@ -607,10 +588,10 @@ def _variance_1d(symbol, g, a, b, q, rel_tol, dt):
         return np.log(t)
 
     try:
-        return _offset_rule(log_t, pieces, layers, None, dt, gamma, rel_tol,
+        return _offset_rule(log_t, pieces, layers, None, gamma, rel_tol,
                             "one-dimensional quadrature")
     except OverflowError:
-        raise QuadratureError(f"one-dimensional quadrature overflows at q = {_qs(q)}") from None
+        raise QuadratureError(f"one-dimensional quadrature overflows at q = {q.item(0)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +610,7 @@ def _axis_floors(symbol, q):
     return [symbol.root_scale(q) / 64.0] * symbol.dim
 
 
-def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
+def _tensor_level(symbol, lo, hi, q, floors, ratio, n_gl, budget):
     """One graded product Gauss-Legendre level, evaluated ``on_grid`` in first-axis slabs.
 
     Each axis is one rule graded toward the root coordinate; a root inside
@@ -652,32 +633,24 @@ def _tensor_level(symbol, lo, hi, q, phi, floors, ratio, n_gl, budget):
         sl = slice(start, start + step)
         t = q - symbol.on_grid([x0[sl], *rest_nodes])
         _stable(t.min())
-        total += float(w0[sl] @ (phi(t).reshape(-1, inner.size) @ inner))
+        total += float(w0[sl] @ ((1.0 / t).reshape(-1, inner.size) @ inner))
     return total, n_evals
 
 
-def _variance_tensor(symbol, g, q, rel_tol, dt):
+def _variance_tensor(symbol, g, q, rel_tol):
     """Per q, the tensorized box integral; each q has its own levels and evaluation budget."""
-    # the implicit scheme's resolvent is 1 / (t + dt t**2 / 2)
-    phi = (lambda t: 1.0 / t) if dt == 0.0 else (lambda t: 1.0 / (t + 0.5 * dt * t * t))
-    lo = np.asarray(g.lo, dtype=float)
-    hi = np.asarray(g.hi, dtype=float)
-    qs = q.tolist()
+    lo, hi, qs = np.asarray(g.lo, dtype=float), np.asarray(g.hi, dtype=float), q.tolist()
     floors = [[f if math.isfinite(f) else float(np.max(hi - lo)) for f in _axis_floors(symbol, x)]
               for x in qs]
-    plan = [(4.0, 10), (4.0, 14), (2.0, 14)] if symbol.dim == 3 else [
-        (4.0, 12),
-        (4.0, 20),
-        (2.0, 16),
-        (2.0, 24),
-    ]
+    plan = ([(4.0, 10), (4.0, 14), (2.0, 14)] if symbol.dim == 3
+            else [(4.0, 12), (4.0, 20), (2.0, 16), (2.0, 24)])
 
     def levels(todo):
         totals, budget = [None] * len(qs), [EVAL_CAP] * len(qs)
         for ratio, n_gl in plan:
             for i in todo:
-                totals[i], used = _tensor_level(symbol, lo, hi, qs[i], phi, floors[i], ratio,
-                                                n_gl, budget[i])
+                totals[i], used = _tensor_level(symbol, lo, hi, qs[i], floors[i], ratio, n_gl,
+                                                budget[i])
                 budget[i] -= used
             yield totals
 
@@ -758,21 +731,19 @@ def _axis_weight(c, a, lo, hi, r):
     return w, len(near), settle, [-lz for lz in near] + [-lz for pair in far for lz in pair]
 
 
-def _separable_reduction(axes, lo, hi, root, q, dt, rel_tol):
-    """Per q, integral over the box [lo, hi] of phi(q + sum_k c_k |x_k - r_k|**a_k), exactly
+def _separable_reduction(axes, lo, hi, root, q, rel_tol):
+    """Per q, integral over the box [lo, hi] of 1 / (q + sum_k c_k |x_k - r_k|**a_k), exactly
     in 1-D.
 
     With 1/lam = integral_0^inf exp(-lam t) dt the box integral factorizes
     into integral_0^inf exp(-q t) prod_k F_k(t) dt, F_k from
     ``_axis_weight`` and an axis without a term giving its length.  The
-    scheme's 1/(lam + dt lam**2/2) = 1/lam - 1/(lam + 2/dt) weighs t by
-    1 - exp(-2 t/dt).  The integral runs in s = log t on the levels of
-    ``_log_levels``, in logs so that every positive q is reached, graded
-    away from log(1/q), log(dt/2) and each log t where an axis weight
-    turns.  It starts 40 below the first of these, where the integrand
-    is the box volume times e**s, and ends where exp(-q t) underflows.
-    Past ``settle`` no gamma function is evaluated.  Only exp(-q t)
-    depends on q.
+    integral runs in s = log t on the levels of ``_log_levels``, in logs
+    so that every positive q is reached, graded away from log(1/q) and
+    each log t where an axis weight turns.  It starts 40 below the first
+    of these, where the integrand is the box volume times e**s, and ends
+    where exp(-q t) underflows.  Past ``settle`` no gamma function is
+    evaluated.  Only exp(-q t) depends on q.
     """
     log_const = 0.0  # log prod_k Gamma(1 + 1/a_k) c_k**(-1/a_k), times the free lengths
     decay = 0.0  # sum_k 1/a_k, the power of 1/t in prod_k F_k
@@ -793,10 +764,8 @@ def _separable_reduction(axes, lo, hi, root, q, dt, rel_tol):
         settle = max(settle, s_k)
         turns += axis_turns
     log_near = math.log(near) if near else -math.inf
-    # log(2/dt); dt = 0 weighs every t by 1
-    log_rate = math.log(2.0) - math.log(dt) if dt > 0 else math.inf
     log_q = [math.log(x) for x in q.tolist()]
-    anchors = np.array([[-lq, *turns, -log_rate] if dt > 0 else [-lq, *turns] for lq in log_q])
+    anchors = np.array([[-lq, *turns] for lq in log_q])
     log_q = np.array(log_q)
     spans = ((anchors.min(axis=1) - 40.0)[:, None], (_LOG_750 - log_q)[:, None], anchors[:, None])
 
@@ -804,15 +773,12 @@ def _separable_reduction(axes, lo, hi, root, q, dt, rel_tol):
         log_w = np.full_like(s, log_near)
         busy = s < settle
         log_w[busy] = sum(np.log(weight(s[busy])) for weight in weights)
-        out = s * (1.0 - decay) + log_const + log_w - np.exp(s + log_q[rows[0]])
-        if dt > 0:
-            out += np.log(-np.expm1(-np.exp(s + log_rate)))
-        return out
+        return s * (1.0 - decay) + log_const + log_w - np.exp(s + log_q[rows[0]])
 
     try:
         return _log_levels(log_fn, spans, 2.0, rel_tol, "separable reduction")
     except OverflowError:
-        raise QuadratureError(f"separable reduction overflows at q = {_qs(q)}") from None
+        raise QuadratureError(f"separable reduction overflows at q = {q.item(0)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +814,7 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     With ``dt > 0`` the integrand is replaced by the stationary variance
     of the implicit Euler chain with that step, sigma**2 * g**2 /
     (2|f+p| + (f+p)**2 dt), which is the right reference when comparing
-    against discretized simulations.
+    against discretized simulations (``_scheme_corrected``).
 
     Physical and frequency symbols alike take the one router, here on one
     p (``variance_values`` is it on a grid); sampled kernels, alone or as
@@ -859,52 +825,84 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
 
 
 def _variance(query, q, rel_tol, dt):
-    """The router: the variance of ``query`` at every q = -p of the array ``q``.
-
-    The route is chosen once, and floating-point warnings are off while
-    it runs.
-    """
-    if rel_tol is not None:
-        _check_rel_tol(rel_tol)
-    symbol = query.symbol
-    g = query.test_function
+    """The router, and the one place that knows ``dt``: the variance of ``query`` at
+    every q = -p of the array ``q``, with floating-point warnings off."""
+    _check_rel_tol(rel_tol)
     if as_finite(dt, "dt") < 0:
         raise ValueError("dt must be nonnegative")
+    symbol, g = query.symbol, query.test_function
     tol = rel_tol if rel_tol is not None else REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND
+    # 2/dt overflows for dt below about 1.1e-308, where the correction is 0
+    shift = 2.0 / dt if dt > 0 else math.inf
     with np.errstate(all="ignore"):
-        if symbol.dim == 1:
-            if isinstance(g, PowerIndicator):
-                value = _variance_1d(symbol, g, 0.0, g.eps, q, tol, dt)
-            elif isinstance(g, IndicatorBox):
-                value = _variance_1d(symbol, g, float(g.lo[0]), float(g.hi[0]), q, tol, dt)
-            else:
-                raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
-        elif isinstance(g, Disc) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
-            # polar coordinates and u = r**2 turn the disc integral into the
-            # one-dimensional power law |u - root|**alpha on [0, R**2]: the
-            # radial drift has alpha = beta/2 and its root at 0, the planar
-            # ring multiplier alpha = 2 and its root at 1; a disc that ends
-            # before the root (R < 1) is a box off the root
-            alpha, root = ((symbol.exponent / 2.0, 0.0) if isinstance(symbol, Radial2D)
-                           else (2.0, 1.0))
-            pieces = _offset_pieces(0.0, g.radius**2, [root])
-            value = 0.5 * g.angle * _power_law(alpha, pieces, q, dt, tol, "polar quadrature")
-        elif (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
-              and not isinstance(symbol, SwiftHohenberg2D)):
-            # the tensor panels grade toward the root, not toward a ring
-            axes = _separable_axes(symbol, g)
-            if axes is None:
-                value = _variance_tensor(symbol, g, q, tol, dt)
-            else:
-                value = _separable_reduction(axes, g.lo, g.hi, symbol.root, q, dt, tol)
-        else:
-            raise ValueError(
-                f"unsupported combination of symbol {symbol!r} and window {g!r}"
-            )
-        value = 0.5 * square(query.sigma) * value
+        value = (_scheme_corrected(symbol, g, q, shift, tol) if shift < math.inf
+                 else _route(symbol, g, q, tol))
+        value = 0.5 * power(query.sigma, 2) * value
     for x, v in zip(q.tolist(), value.tolist()):
         if not 0.0 < v < math.inf:
             raise QuadratureError(f"the variance at p = {-x!r} is {v!r}, not a positive double")
+    return value
+
+
+def _route(symbol, g, q, tol):
+    """Per q of the array ``q``, integral g**2 / (q - f) dx by the route of (symbol, g)."""
+    if symbol.dim == 1:
+        if isinstance(g, PowerIndicator):
+            return _variance_1d(symbol, g, 0.0, g.eps, q, tol)
+        if isinstance(g, IndicatorBox):
+            return _variance_1d(symbol, g, float(g.lo[0]), float(g.hi[0]), q, tol)
+        raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
+    if isinstance(g, Disc) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
+        # polar coordinates and u = r**2 turn the disc integral into the one-dimensional
+        # power law |u - root|**alpha on [0, R**2]: the radial drift has alpha = beta/2 and
+        # its root at 0, the planar ring multiplier alpha = 2 and its root at 1; a disc that
+        # ends before the root (R < 1) is a box off the root
+        alpha, root = ((symbol.exponent / 2.0, 0.0) if isinstance(symbol, Radial2D)
+                       else (2.0, 1.0))
+        pieces = _offset_pieces(0.0, g.radius**2, [root])
+        return 0.5 * g.angle * _power_law(alpha, pieces, q, tol, "polar quadrature")
+    if (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
+            and not isinstance(symbol, SwiftHohenberg2D)):
+        # the tensor panels grade toward the root, not toward a ring
+        axes = _separable_axes(symbol, g)
+        if axes is None:
+            return _variance_tensor(symbol, g, q, tol)
+        return _separable_reduction(axes, g.lo, g.hi, symbol.root, q, tol)
+    raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
+
+
+def _scheme_corrected(symbol, g, q, shift, tol):
+    """Per q, V(q) - V(q + shift) to ``tol``, V by ``_route`` and shift = 2/dt.
+
+    The difference may lose R = (V(q) + V(q + shift)) / (V(q) - V(q + shift))
+    <= 1 + dt max(q - f) times the tolerance of its terms.  One pass takes both
+    terms of every p at ``tol``; a p whose R rounds to 1 keeps it, its V(q) that
+    of dt = 0.  Each other p is taken again at tol / 2**k, 2**k >= 2 R, the p of
+    one k in one pass, and its new R must be at most 2**k.  Where that fails, or
+    tol / 2**k < ``_CANCEL_FLOOR``, QuadratureError names the cancellation.
+    """
+
+    def corrected(x, inner):
+        if not np.all(np.isfinite(x + shift)):
+            raise QuadratureError(f"q + 2/dt overflows at q = {x.item(0)}")
+        v, v_shift = np.split(_route(symbol, g, np.concatenate([x, x + shift]), inner), 2)
+        diff = v - v_shift
+        return diff, np.where(diff > 0.0, (v + v_shift) / diff, math.inf)
+
+    value, ratio = corrected(q, tol)
+    k = np.where(ratio > 1.0, np.ceil(np.log2(2.0 * ratio)), 0.0)
+    for k_i in sorted(set(k[k > 0.0].tolist())):
+        idx = np.flatnonzero(k == k_i)
+        inner = tol * 2.0**-k_i
+        try:
+            if inner < _CANCEL_FLOOR:
+                raise QuadratureError(f"past the smallest inner tolerance {_CANCEL_FLOOR:g}")
+            value[idx], again = corrected(q[idx], inner)
+            if not np.all(again <= 2.0**k_i):
+                raise QuadratureError(f"still above {2.0**k_i:g} at inner tolerance {inner:.3g}")
+        except QuadratureError as err:
+            raise QuadratureError(f"the dt correction V(q) - V(q + 2/dt) cancels at p = "
+                                  f"{-q.item(idx[0])!r}: R = {ratio[idx[0]]:.3g}, {err}") from None
     return value
 
 

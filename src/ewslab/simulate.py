@@ -64,7 +64,7 @@ from .noise import as_generator
 # perfbench/test_harness.py checks that the tracer wraps it here.
 from .noise import NoiseModel, noise_increment  # noqa: F401
 from .quadrature import TestFunction
-from .symbols import Symbol, as_finite, as_positive, square
+from .symbols import Symbol, as_finite, as_positive, power
 
 # Working-set budget of the simulation and prediction kernels: the
 # number of steps (or prediction rows) per block is derived from it so
@@ -243,7 +243,7 @@ def predict_discrete_variance(config: SimConfig) -> float:
             stationary = cov / (np.outer(lam[part], lam) * config.dt - lam[part, None] - lam)
             total += w[part] @ stationary @ w
     with np.errstate(over="ignore"):
-        value = float(square(config.sigma) * total)
+        value = float(power(config.sigma, 2) * total)
     _check_positive(value, "the predicted discrete variance")
     return value
 
@@ -282,7 +282,7 @@ def _stationary_factor(lam, mix, sigma: float, dt: float) -> np.ndarray:
         return sigma * mix / np.sqrt(2.0 * np.abs(lam) + lam**2 * dt)
     pair = np.outer(lam, lam) * dt - lam[:, None] - lam
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = square(sigma) * (mix.T @ mix) / pair
+        cov = power(sigma, 2) * (mix.T @ mix) / pair
     if not np.all(np.isfinite(cov)):
         raise FloatingPointError(f"the chains' stationary covariance overflows at sigma = {sigma!r}")
     eig, vectors = np.linalg.eigh(cov)
@@ -365,16 +365,23 @@ def _schedule(config: SimConfig, values, support) -> tuple[int, int]:
 def _estimate(series: np.ndarray, n_batches: int, p: float) -> VarianceEstimate:
     """Sample variance and batch-means error of (replicas, steps) series.
 
-    A variance or error that is not a positive double, as series of a
-    huge ``sigma`` give when their squares overflow, raises
-    FloatingPointError.
+    Series whose largest magnitude reaches 2**250 are scaled by 2**-k to
+    just below it, and the estimates scaled back by ldexp: below 2**250 no
+    sum of squared errors overflows for fewer than 2**24 replicas, and
+    smaller series, taken as they are, keep every bit (Python's x**2 is
+    not exact under a power of two).  A variance or error that is not a
+    positive double, as a huge ``sigma`` gives where the variance itself
+    is past the largest double, raises FloatingPointError.
     """
     r, n_kept = series.shape
     replica_vars = []
     replica_errs = []
     replica_means = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for values in series:
+        # one row at a time, so that no copy of the whole series is made
+        k = max(0, math.frexp(max(-series.min(), series.max()))[1] - 250)
+        for row in series:
+            values = np.ldexp(row, -k)
             replica_means.append(float(np.mean(values)))
             replica_vars.append(float(np.var(values, ddof=1)))
             usable = (n_kept // n_batches) * n_batches
@@ -382,13 +389,14 @@ def _estimate(series: np.ndarray, n_batches: int, p: float) -> VarianceEstimate:
             block_vars = np.var(blocks, axis=1, ddof=1)
             replica_errs.append(float(np.std(block_vars, ddof=1) / math.sqrt(n_batches)))
         variance = float(np.mean(replica_vars))
-        se_within = math.sqrt(sum(square(e) for e in replica_errs)) / r
+        se_within = math.sqrt(sum(power(e, 2) for e in replica_errs)) / r
         se_between = float(np.std(replica_vars, ddof=1) / math.sqrt(r)) if r > 1 else 0.0
-    stderr = max(se_within, se_between)
+        variance, stderr, *replica_vars = np.ldexp([variance, max(se_within, se_between),
+                                                    *replica_vars], 2 * k).tolist()
     _check_positive(variance, f"the simulated variance at p = {p!r}")
     _check_positive(stderr, f"the standard error of the simulated variance at p = {p!r}")
     return VarianceEstimate(
-        mean=float(np.mean(replica_means)),
+        mean=math.ldexp(float(np.mean(replica_means)), k),
         variance=variance,
         stderr=stderr,
         effective_samples=r * n_batches,

@@ -72,12 +72,12 @@ def as_positive(value, name: str) -> float:
     return value
 
 
-def square(x: float) -> float:
-    """``x**2``, or inf where it overflows: Python's float power raises
-    OverflowError there, and callers report the inf as a value that is
-    not a positive double."""
+def power(x: float, e: float) -> float:
+    """``x**e`` for x >= 0, or inf where it overflows: Python's float power
+    raises OverflowError there, and callers take the inf as a value past
+    every double."""
     try:
-        return x**2
+        return x**e
     except OverflowError:
         return math.inf
 
@@ -296,7 +296,7 @@ class ToolAlpha(Symbol):
         return -np.abs((z - self.root[0]) + y) ** self.alpha
 
     def root_scale(self, q: float) -> float:
-        return float(q) ** (1.0 / self.alpha)
+        return power(float(q), 1.0 / self.alpha)
 
     def to_dict(self) -> dict:
         lo, hi = (float(v[0]) for v in self.domain)
@@ -435,7 +435,7 @@ class Radial2D(Symbol):
         return -(r2 ** (self.exponent / 2.0))
 
     def root_scale(self, q: float) -> float:
-        return float(q) ** (1.0 / self.exponent)
+        return power(float(q), 1.0 / self.exponent)
 
     def __repr__(self):
         return f"Radial2D(exponent={self.exponent})"

@@ -573,22 +573,24 @@ def test_overflowing_side_integral_exits_4(tmp_path, capsys):
 
 
 _SIMULATE = ["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p=-0.5", "--nt", "3000"]
+_COMPARE = ["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-3:-1",
+            "--n", "39", "--sim-decades=-1:0", "--nt", "6000"]
 
 
+# each value or prediction is past the largest double here: the quadrature
+# at p = -0.1 is 3.18 sigma**2, the prediction at p = -0.5 is 8.7e-3 sigma**2
+# and 1.1e-4 sigma**2 with the rank-4 noise
 @pytest.mark.parametrize("argv", [
     ["sweep", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-3:-1",
      "--sigma", "1e200"],
     ["spectral", "--symbol", "power2m:1", "--g", "box:-0.5,0.5", "--p-decades=-3:-1",
      "--sigma", "1e200"],
-    ["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-3:-1", "--n", "39",
-     "--sim-decades=-1:0", "--nt", "6000", "--sigma", "1e200"],
-    # the quadrature is finite here; the simulated error, about sigma**4, is not
-    ["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-3:-1", "--n", "39",
-     "--sim-decades=-1:0", "--nt", "6000", "--sigma", "1e80", "--noise-rank", "4"],
+    [*_COMPARE, "--sigma", "1e200"],
+    [*_COMPARE, "--sigma", "1e155", "--noise-rank", "4"],
     [*_SIMULATE, "--sigma", "1e200"],
-    [*_SIMULATE, "--sigma", "1e154"],
-    [*_SIMULATE, "--sigma", "1e150"],
-    [*_SIMULATE, "--sigma", "1e150", "--noise-rank", "4"],
+    [*_SIMULATE, "--sigma", "1e156"],
+    [*_SIMULATE, "--sigma", "1e200", "--noise-rank", "4"],
+    [*_SIMULATE, "--sigma", "1e157", "--noise-rank", "4"],
 ])
 def test_a_huge_sigma_exits_4_and_writes_nothing(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 4
@@ -596,6 +598,46 @@ def test_a_huge_sigma_exits_4_and_writes_nothing(argv, tmp_path, capsys):
     assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
     assert "is inf, not a positive double" in err
     assert not list(tmp_path.iterdir())
+
+
+# the simulated variance and error, taken on scaled series, stay finite
+# wherever the variance does
+@pytest.mark.parametrize("argv", [
+    [*_COMPARE, "--sigma", "1e80", "--noise-rank", "4"],
+    [*_SIMULATE, "--sigma", "1e154"],
+    [*_SIMULATE, "--sigma", "1e150"],
+    [*_SIMULATE, "--sigma", "1e150", "--noise-rank", "4"],
+])
+def test_a_large_sigma_below_the_largest_variance_exits_0_with_finite_values(argv, tmp_path):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert any("simulat" in path.name for path in paths), paths
+    for path in paths:
+        _csv_rows(path, simulated="simulat" in path.name)
+
+
+@pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
+def test_a_vanishing_dt_writes_the_bytes_of_dt_0(dt, tmp_path):
+    # V(q + 2/dt) is below the last bit of V(q), or 2/dt overflows: the
+    # correction is 0, and the value that of dt = 0
+    for symbol, window in (("tool:2", "box:-0.5,0.5"), ("sh1d", "box:-2,2"),
+                           ("radial:2", "disc:1"), ("mono:2,4", "box:-1,1,0,1")):
+        texts = []
+        for value in ("0", dt):
+            out = tmp_path / symbol / value
+            assert main(["sweep", "--symbol", symbol, "--g", window, "--p-decades=-6:-1",
+                         "--points", "6", "--dt", value, "--out", str(out)]) == 0
+            texts.append((out / "sweep.csv").read_bytes())
+        assert texts[0] == texts[1], symbol
+
+
+def test_a_cancelling_scheme_correction_exits_4(tmp_path, capsys):
+    # V(q) - V(q + 2/dt) cancels by R = 1 + dt q = 1e10 for f = 0
+    assert main(["sweep", "--symbol", "zero", "--g", "box:0,2", "--p-decades=-1:0",
+                 "--points", "2", "--dt", "1e10", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "V(q) - V(q + 2/dt) cancels" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_validation_errors_exit_3(tmp_path, capsys):
@@ -683,8 +725,9 @@ def test_missing_input_file_exit_3(tmp_path):
 
 _REAL = st.floats(0.3, 6.0)
 # log-uniform over [1e-3, 1e200]: the variance, about sigma**2, overflows
-# from sigma near 1e154 on (and a simulation's error, about sigma**4,
-# from near 1e77)
+# from sigma near 1e154 on, where sigma**2 does; a simulation takes its
+# variance and error on series scaled by a power of two, so they overflow
+# only with the variance
 _SIGMA = st.floats(-3.0, 200.0).map(lambda e: repr(10.0 ** e))
 
 

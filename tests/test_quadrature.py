@@ -54,6 +54,20 @@ def _value(symbol, g, p, sigma=SQRT2, **kw):
     return variance_quadrature(VarianceQuery(symbol, g, p, sigma), **kw)
 
 
+# dt from {0} and log-uniform over [1e-4, 1e2]
+_DT = st.just(0.0) | st.floats(-4.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+def _assert_refused(err, v, v_shift, bound=4096):
+    """``err`` is the scheme correction's refusal, and its cancellation ratio
+    R = (V(q) + V(q + 2/dt)) / (V(q) - V(q + 2/dt)), from the reference terms
+    ``v`` and ``v_shift``, is near or past ``bound``: 4096 at the
+    one-dimensional default tolerance, 2**18 at 1e-6."""
+    assert "cancels" in str(err), err
+    ratio = (v + v_shift) / (v - v_shift)
+    assert ratio > 0.99 * bound, (float(ratio), err)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_power_multiplier_is_the_tool_family_bit_for_bit(m):
     tool = ToolAlpha(2 * m, 0.0, (-3.0, 3.0))
@@ -241,7 +255,7 @@ def _double_zero_kernel():
     return ConvolutionKernel(np.real(np.fft.ifft(-(k ** 2 - 1.0) ** 2)) / dx, dx)
 
 
-@pytest.mark.parametrize("dt", [0.0, 0.01, 0.5])
+@pytest.mark.parametrize("dt", [0.0, 1e-4, 0.01, 0.5, 7.3, 100.0])
 def test_kernel_matches_interpolant_brute_force(dt):
     ker = _double_zero_kernel()
     grid, mult = ker.freq_grid, ker.multiplier
@@ -260,13 +274,21 @@ def test_kernel_matches_interpolant_brute_force(dt):
 
 def test_scheme_corrected_resolvent_oracle():
     # with the implicit-scheme correction the integrand becomes
-    # 1/(t + dt t^2 / 2); for f = 0 this is vol / (q (1 + dt q / 2))
-    q, dt = 0.25, 0.1
-    got = _value(Zero(1), IndicatorBox(0.0, 2.0), -q, dt=dt)
-    want = 2.0 / (q * (1.0 + 0.5 * dt * q))
-    assert math.isclose(got, want, rel_tol=1e-10)
-    plain = _value(Zero(1), IndicatorBox(0.0, 2.0), -q)
-    assert got < plain
+    # 1/(t + dt t^2 / 2); for f = 0 this is vol / (q (1 + dt q / 2)), and
+    # V(q) - V(q + 2/dt) cancels by R = 1 + dt q, taken up to 4096 at the
+    # one-dimensional default 1e-8 and up to 2**18 at 1e-6
+    for dim, bound in ((1, 4096), (2, 2**18)):
+        g = IndicatorBox.cube(2.0 ** (1.0 / dim), dim)
+        for q, dt_q in ((0.25, 0.025), (1e-6, 1e-10), (1.0, 1.0), (0.5, 100.0), (2.0, 1000.0),
+                        (1.0, 0.99 * bound)):
+            dt = dt_q / q
+            got = _value(Zero(dim), g, -q, dt=dt)
+            want = 2.0 / (q * (1.0 + 0.5 * dt * q))
+            assert math.isclose(got, want, rel_tol=1e-10), (dim, q, dt, got, want)
+            assert got < _value(Zero(dim), g, -q)
+        for q, dt_q in ((1.0, 1.01 * bound), (1.0, 1e10)):
+            with pytest.raises(QuadratureError, match=r"V\(q\) - V\(q \+ 2/dt\) cancels"):
+                _value(Zero(dim), g, -q, dt=dt_q / q)
 
 
 def test_query_validation():
@@ -464,14 +486,16 @@ def _power_law_cases(draw, kind):
 
 @pytest.mark.parametrize("kind", ["on", "off", "radial", "ring"])
 @settings(max_examples=7, deadline=None)
-@given(data=st.data(), log10_q=_LOG10_Q, dt=st.sampled_from((0.0, 0.01)))
+@given(data=st.data(), log10_q=_LOG10_Q, dt=_DT)
 def test_power_law_routes_match_mpmath(kind, data, log10_q, dt):
     symbol, g, alpha, pieces, factor = data.draw(_power_law_cases(kind))
     q = 10.0 ** log10_q
     try:
         got = variance_quadrature(VarianceQuery(symbol, g, -q), dt=dt)
     except QuadratureError as err:
-        assert "overflows" in str(err), (symbol, g, q, dt)
+        if "overflows" not in str(err):
+            _assert_refused(err, *(sum(_mp_power_law(alpha, lo, hi, x, 0.0) for lo, hi in pieces)
+                                   for x in (q, q + 2.0 / dt)))
         return
     want = factor * sum(_mp_power_law(alpha, lo, hi, q, dt) for lo, hi in pieces)
     assert math.isclose(got, float(want), rel_tol=1e-10), (symbol, g, q, dt, got, want)
@@ -479,7 +503,7 @@ def test_power_law_routes_match_mpmath(kind, data, log10_q, dt):
 
 @settings(max_examples=20, deadline=None)
 @given(a=st.floats(-2.5, 0.99), b=st.floats(1.01, 3.0), log10_q=_LOG10_Q,
-       dt=st.sampled_from((0.0, 0.01)))
+       dt=_DT)
 def test_sh1d_box_holding_k_1_matches_mpmath(a, b, log10_q, dt):
     # the layer sqrt(q)/2 at k = 1 spans a few ulps of 1 from q = 1e-30 down;
     # (1 - x**2)**2 + Q = (c**2 - x**2)(conj(c)**2 - x**2), c = sqrt(1 - i sqrt(Q)),
@@ -492,15 +516,20 @@ def test_sh1d_box_holding_k_1_matches_mpmath(a, b, log10_q, dt):
             c = mpmath.sqrt(1 - 1j * mpmath.sqrt(big_q))
             return mpmath.im((mpmath.atanh(b / c) - mpmath.atanh(a / c)) / c) / mpmath.sqrt(big_q)
 
-        want = part(mpmath.mpf(q)) - (part(mpmath.mpf(q) + 2 / mpmath.mpf(dt)) if dt else 0)
-    got = variance_quadrature(VarianceQuery(SwiftHohenberg1D(), IndicatorBox(a, b), -q), dt=dt)
+        v, v_shift = part(mpmath.mpf(q)), part(mpmath.mpf(q) + 2 / mpmath.mpf(dt)) if dt else 0
+        want = v - v_shift
+    try:
+        got = variance_quadrature(VarianceQuery(SwiftHohenberg1D(), IndicatorBox(a, b), -q), dt=dt)
+    except QuadratureError as err:
+        _assert_refused(err, v, v_shift)
+        return
     assert math.isclose(got, float(want / 2), rel_tol=1e-10), (a, b, q, dt, got, want)
 
 
 @pytest.mark.parametrize("kind", ["tool", "mono"])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), gamma=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-       eps=st.floats(0.1, 2.0), log10_q=_LOG10_Q, dt=st.sampled_from((0.0, 0.01)))
+       eps=st.floats(0.1, 2.0), log10_q=_LOG10_Q, dt=_DT)
 def test_power_windows_on_a_zero_at_0_match_mpmath(kind, data, gamma, eps, log10_q, dt):
     # with beta = 1 - 2 gamma, integral_0^eps x**(beta - 1) dx / (c + d x**alpha) is
     # eps**beta 2F1(1, beta/alpha; 1 + beta/alpha; -d eps**alpha / c) / (beta c),
@@ -520,12 +549,17 @@ def test_power_windows_on_a_zero_at_0_match_mpmath(kind, data, gamma, eps, log10
         def part(c, d):
             return e ** beta * mpmath.hyp2f1(1, beta / a, 1 + beta / a, -d * e ** a / c) / (beta * c)
 
-        want = (part(mpmath.mpf(q), 1) - h * part(1 + h * mpmath.mpf(q), h)) / 2
+        v, v_shift = part(mpmath.mpf(q), 1), h * part(1 + h * mpmath.mpf(q), h)
+        want = (v - v_shift) / 2
     try:
         got = variance_quadrature(VarianceQuery(symbol, PowerIndicator(gamma, eps), -q), dt=dt)
     except QuadratureError as err:
-        # only a variance past the largest double is refused, and the message says so
-        assert want > sys.float_info.max and "not a positive double" in str(err), (err, want)
+        # only a variance past the largest double, or the scheme correction's
+        # cancellation past its bound, is refused, and the message says so
+        if "not a positive double" not in str(err):
+            _assert_refused(err, v, v_shift)
+        else:
+            assert want > sys.float_info.max, (err, want)
         return
     assert math.isclose(got, float(want), rel_tol=1e-10), (symbol, gamma, eps, q, dt, got, want)
 
@@ -825,7 +859,7 @@ def _separable_sums(draw):
 
 
 @settings(max_examples=12, deadline=None)
-@given(_separable_sums(), st.floats(-4.0, -1.0), st.sampled_from((0.0, 0.01)))
+@given(_separable_sums(), st.floats(-4.0, -1.0), _DT)
 def test_separable_sum_matches_tensor_route(case, log_q, dt):
     poly, g = case
     q = 10.0 ** log_q
@@ -893,12 +927,13 @@ def test_axis_rule_with_one_anchor_is_the_per_panel_construction():
 
 def test_tensor_route_values_are_frozen():
     # x**2 + y**2 + xy/2 is not separable, so the box takes the tensor levels;
-    # the values are the ones computed before the 1-D route shared its rule
+    # the dt = 0 values are the ones computed before the 1-D route shared its
+    # rule, the dt = 0.01 ones those of V(q) - V(q + 2/dt) in the router
     symbol = Polynomial({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.5}, domain=((-1, -1), (1, 1)))
     g = IndicatorBox((-1.0, -1.0), (1.0, 1.0))
-    frozen = {(-1e-2, 0.0): 7.770380603225569, (-1e-2, 0.01): 7.760414271700268,
-              (-1e-4, 0.0): 15.227617873154765, (-1e-4, 0.01): 15.217651049930272,
-              (-1e-6, 0.0): 22.698499837237446, (-1e-6, 0.01): 22.688533009095714}
+    frozen = {(-1e-2, 0.0): 7.770380603225569, (-1e-2, 0.01): 7.7604142717002675,
+              (-1e-4, 0.0): 15.227617873154765, (-1e-4, 0.01): 15.217651049930273,
+              (-1e-6, 0.0): 22.698499837237446, (-1e-6, 0.01): 22.688533009095718}
     for (p, dt), want in frozen.items():
         assert variance_quadrature(VarianceQuery(symbol, g, p), dt=dt) == want
 
@@ -909,35 +944,35 @@ _FROZEN_2D = {
     "radial-2-box": (
         Radial2D(2.0), IndicatorBox((-0.5, -0.3), (0.7, 0.9)),
         {(-1e-2, 0.0): 5.62059690510545, (-1e-2, 0.01): 5.617003187746411,
-         (-1e-4, 0.0): 12.794245460328419, (-1e-4, 0.01): 12.790651565381726,
-         (-1e-6, 0.0): 20.02740906812144, (-1e-6, 0.01): 20.023815171398788}),
+         (-1e-4, 0.0): 12.794245460328419, (-1e-4, 0.01): 12.79065156538173,
+         (-1e-6, 0.0): 20.02740906812144, (-1e-6, 0.01): 20.023815171398784}),
     "radial-0.5-box": (
         Radial2D(0.5), IndicatorBox((-1.0, -1.0), (1.0, 1.0)),
-        {(-1e-2, 0.0): 2.4653531020949213, (-1e-2, 0.01): 2.4553961982048467,
-         (-1e-4, 0.0): 2.4996201856371694, (-1e-4, 0.01): 2.489662790979829,
-         (-1e-6, 0.0): 2.4999691431707958, (-1e-6, 0.01): 2.4900117436055362}),
+        {(-1e-2, 0.0): 2.4653531020949213, (-1e-2, 0.01): 2.455396198200493,
+         (-1e-4, 0.0): 2.4996201856371694, (-1e-4, 0.01): 2.4896627909754745,
+         (-1e-6, 0.0): 2.4999691431707958, (-1e-6, 0.01): 2.4900117436011837}),
     "zero-box-corner": (
         Zero(2), IndicatorBox((0.0, 0.0), (1.0, 2.0)),
-        {(-1e-2, 0.0): 99.99999999999999, (-1e-2, 0.01): 99.9950002499875,
-         (-1e-4, 0.0): 10000.000000000002, (-1e-4, 0.01): 9999.995000002498,
-         (-1e-6, 0.0): 1000000.0000000001, (-1e-6, 0.01): 999999.9950000003}),
+        {(-1e-2, 0.0): 99.99999999999999, (-1e-2, 0.01): 99.99500024998748,
+         (-1e-4, 0.0): 10000.000000000002, (-1e-4, 0.01): 9999.995000002502,
+         (-1e-6, 0.0): 1000000.0000000001, (-1e-6, 0.01): 999999.9950000001}),
     "custom-box-edge": (
         CustomSymbol(lambda x: -(x[..., 0] ** 2 + x[..., 1] ** 2 + 0.5 * x[..., 0] * x[..., 1]),
                      dim=2),
         IndicatorBox((0.0, -1.0), (1.0, 1.0)),
-        {(-1e-2, 0.0): 3.8851903016127856, (-1e-2, 0.01): 3.880207135850134,
-         (-1e-4, 0.0): 7.6138089365773824, (-1e-4, 0.01): 7.608825524965135,
-         (-1e-6, 0.0): 11.349249918618725, (-1e-6, 0.01): 11.344266504547857}),
+        {(-1e-2, 0.0): 3.8851903016127856, (-1e-2, 0.01): 3.8802071358501347,
+         (-1e-4, 0.0): 7.6138089365773824, (-1e-4, 0.01): 7.608825524965137,
+         (-1e-6, 0.0): 11.349249918618725, (-1e-6, 0.01): 11.34426650454786}),
     "ring-disc-0.5": (
         SwiftHohenberg2D(), Disc(0.5),
         {(-1e-2, 0.0): 0.5165230681293631, (-1e-2, 0.01): 0.5145672079470973,
-         (-1e-4, 0.0): 0.523527033269091, (-1e-4, 0.01): 0.5215710766434265,
-         (-1e-6, 0.0): 0.5235980580750603, (-1e-6, 0.01): 0.521642100484914}),
+         (-1e-4, 0.0): 0.523527033269091, (-1e-4, 0.01): 0.5215710766434266,
+         (-1e-6, 0.0): 0.5235980580750603, (-1e-6, 0.01): 0.5216421004849139}),
     "ring-disc-1": (
         SwiftHohenberg2D(), Disc(1.0),
         {(-1e-2, 0.0): 23.108419470426245, (-1e-2, 0.01): 23.10057893100787,
-         (-1e-4, 0.0): 245.16936605717515, (-1e-4, 0.01): 245.1615251302943,
-         (-1e-6, 0.0): 2465.8303044691424, (-1e-6, 0.01): 2465.8224635383863}),
+         (-1e-4, 0.0): 245.16936605717515, (-1e-4, 0.01): 245.16152513029434,
+         (-1e-6, 0.0): 2465.8303044691424, (-1e-6, 0.01): 2465.8224635383867}),
 }
 
 

@@ -25,6 +25,7 @@ from ewslab.simulate import (
     SimConfig,
     VarianceEstimate,
     _drift_vector,
+    _estimate,
     _lumped_chains,
     _relax_steps,
     _schedule,
@@ -696,23 +697,56 @@ def test_a_block_stays_within_the_block_budget(points, rank, replicas):
     assert _BLOCK_BYTES / 2 < peak - series - sums - buffers - state_rows <= _BLOCK_BYTES
 
 
-@pytest.mark.parametrize("sigma, rank, message", [
-    (1e200, None, "the predicted discrete variance is inf"),
-    (1e154, None, "the simulated variance at p = -0.5 is inf"),
-    (1e150, None, "the standard error of the simulated variance at p = -0.5 is inf"),
-    (1e150, 4, "the standard error of the simulated variance at p = -0.5 is inf"),
-])
-def test_a_huge_sigma_raises_instead_of_returning_inf(sigma, rank, message):
+def _huge_sigma_config(sigma, rank):
     config = dataclasses.replace(_acceptance_config(-0.5, sigma=sigma), nt=3000)
     if rank is not None:
         idx, _ = projection_weights(config.g, config.mesh)
         config = dataclasses.replace(
             config, noise=build_noise_model(config.mesh.size, idx, m=rank, seed=3))
-    # the prediction, about sigma**2, overflows only with sigma**2; the
-    # estimate squares the states, and its error squares the variances
+    return config
+
+
+@pytest.mark.parametrize("sigma, rank, message", [
+    (1e200, None, "the predicted discrete variance is inf"),
+    (1e157, 4, "the predicted discrete variance is inf"),
+])
+def test_a_huge_sigma_raises_instead_of_returning_inf(sigma, rank, message):
+    # the prediction, 8.7e-3 sigma**2 and 1.1e-4 sigma**2 with the rank-4
+    # noise, is past the largest double
+    config = _huge_sigma_config(sigma, rank)
     with pytest.raises(FloatingPointError, match=message):
         predict_discrete_variance(config)
         run(config)
+
+
+@pytest.mark.parametrize("sigma, rank", [(1e154, None), (1e150, None), (1e150, 4)])
+def test_a_huge_sigma_below_the_largest_variance_gives_finite_estimates(sigma, rank):
+    # the estimates are taken on series scaled by a power of two, so no
+    # square overflows; they are sigma**2 times those at sigma = 1, but for
+    # the rounding of the steps
+    config = _huge_sigma_config(sigma, rank)
+    big, unit = run(config), run(dataclasses.replace(config, sigma=1.0))
+    assert math.isclose(big.variance / sigma**2, unit.variance, rel_tol=1e-6)
+    assert math.isclose(big.stderr / sigma**2, unit.stderr, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("shift", [2, 46, 246])
+def test_estimates_past_2_250_scale_exactly_with_a_power_of_two(shift):
+    # both series reach past 2**250, so each is scaled to the same series below it
+    series = np.ldexp(np.random.default_rng(11).standard_normal((3, 600)), 254)
+    base, scaled = _estimate(series, 10, -0.5), _estimate(np.ldexp(series, shift), 10, -0.5)
+    assert scaled.mean == math.ldexp(base.mean, shift)
+    assert (scaled.variance, scaled.stderr) == (math.ldexp(base.variance, 2 * shift),
+                                                math.ldexp(base.stderr, 2 * shift))
+    assert scaled.replica_variances == tuple(math.ldexp(v, 2 * shift)
+                                             for v in base.replica_variances)
+
+
+def test_an_estimate_past_the_largest_double_raises():
+    # the variance of these series, about 2**1328 = 1e400, is past the largest double
+    series = np.ldexp(np.random.default_rng(5).standard_normal((2, 400)), 664)
+    with pytest.raises(FloatingPointError, match="the simulated variance at p = -0.5 is inf"):
+        _estimate(series, 8, -0.5)
 
 
 def test_an_overflowing_stationary_covariance_raises():
