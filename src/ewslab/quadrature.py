@@ -72,7 +72,7 @@ from .symbols import (
     as_finite,
     as_multi_index,
     as_positive,
-    power,
+    split_square,
 )
 
 REL_TOL_1D = 1e-8
@@ -837,7 +837,8 @@ def _variance(query, q, rel_tol, dt):
     with np.errstate(all="ignore"):
         value = (_scheme_corrected(symbol, g, q, shift, tol) if shift < math.inf
                  else _route(symbol, g, q, tol))
-        value = 0.5 * power(query.sigma, 2) * value
+        square, k = split_square(query.sigma)
+        value = np.ldexp(0.5 * square * value, k)
     for x, v in zip(q.tolist(), value.tolist()):
         if not 0.0 < v < math.inf:
             raise QuadratureError(f"the variance at p = {-x!r} is {v!r}, not a positive double")

@@ -41,19 +41,29 @@ starts at u = 0 instead and steps its burn-in (``_starts_stationary``).
 on p, and every p draws the same normals (common random numbers): each
 replica's start normals are drawn once and mapped through the factor of
 every p that starts stationary, and a block's step increments are
-staged once for every p.  Each replica's normals are drawn into one
-reused (steps, M) array and mapped through the chain noise map into a
-contiguous (steps, replicas, chains) row, which is scaled by sqrt(dt)
-and sigma in place and copied into every p's slab of the block in one
-broadcast (a single p maps its draws into its slab).  One step loop
-then advances the whole (p, replicas, chains) state as flat rows.  Each
-p keeps its own start, recorded steps and batch count and gets the
-estimate ``run`` gives it alone; ``run`` is the sweep of one config.
+staged once for every p.  Two threads draw a block's normals, split by
+replica: a worker thread fills (steps, M) arrays for the last r // 2
+replicas while the calling thread fills those of the others, wherever
+that half takes enough normals a block to pay for waking the worker;
+the calling thread then fills those the worker has not taken, so a
+worker kept off its core holds a block up only by the replica it is
+drawing.  Each replica has its own stream, consumed in the same order
+as by one thread, so the split changes no bit; numpy fills an array
+with the GIL released, so the two fills run at the same time.  The
+calling thread then maps every replica's normals through the chain
+noise map, scales them by sqrt(dt) and sigma in place, and copies them
+into every p's slab of the block in one broadcast (a single p maps them
+into its slab).  One step loop then advances the whole (p, replicas,
+chains) state as flat rows.  Each p keeps its own start, recorded steps
+and batch count and gets the estimate ``run`` gives it alone; ``run``
+is the sweep of one config.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -64,7 +74,7 @@ from .noise import as_generator
 # perfbench/test_harness.py checks that the tracer wraps it here.
 from .noise import NoiseModel, noise_increment  # noqa: F401
 from .quadrature import TestFunction
-from .symbols import Symbol, as_finite, as_positive, power
+from .symbols import Symbol, as_finite, as_positive, power, split_square
 
 # Working-set budget of the simulation and prediction kernels: the
 # number of steps (or prediction rows) per block is derived from it so
@@ -242,8 +252,9 @@ def predict_discrete_variance(config: SimConfig) -> float:
             cov = scaled[part] @ basis.T
             stationary = cov / (np.outer(lam[part], lam) * config.dt - lam[part, None] - lam)
             total += w[part] @ stationary @ w
+    square, k = split_square(config.sigma)
     with np.errstate(over="ignore"):
-        value = float(power(config.sigma, 2) * total)
+        value = float(np.ldexp(square * total, k))
     _check_positive(value, "the predicted discrete variance")
     return value
 
@@ -281,8 +292,9 @@ def _stationary_factor(lam, mix, sigma: float, dt: float) -> np.ndarray:
     if mix.ndim == 1:
         return sigma * mix / np.sqrt(2.0 * np.abs(lam) + lam**2 * dt)
     pair = np.outer(lam, lam) * dt - lam[:, None] - lam
+    square, k = split_square(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = power(sigma, 2) * (mix.T @ mix) / pair
+        cov = np.ldexp(square * (mix.T @ mix) / pair, k)
     if not np.all(np.isfinite(cov)):
         raise FloatingPointError(f"the chains' stationary covariance overflows at sigma = {sigma!r}")
     eig, vectors = np.linalg.eigh(cov)
@@ -315,12 +327,22 @@ def _starts_stationary(mix, replicas: int, relax: int) -> bool:
 
 
 def _steps_per_block(points: int, replicas: int, chains: int, draws: int) -> int:
-    # one step of a block holds a row of one replica's draws, a state row
-    # per p and replica, and the increments mapped to the chains: one
-    # replica's temporary row with a single p, the staged row of every
-    # replica with several; blocks of these arrays stay near 1 MB
-    extra = chains if points == 1 else replicas * chains
-    return max(1, _BLOCK_BYTES // (8 * (points * replicas * chains + extra + draws)))
+    # one step of a block holds a state row per p and replica, a row of
+    # draws for the calling thread's replicas and one for each replica
+    # the worker may draw (run_sweep), and with several p the staged row
+    # of every replica's increments; blocks of these arrays stay near 1 MB
+    extra = 0 if points == 1 else replicas * chains
+    rows = points * replicas * chains + extra + (1 + replicas // 2) * draws
+    return max(1, _BLOCK_BYTES // (8 * rows))
+
+
+# run_sweep's worker thread draws half the replicas only where that half
+# takes at least this many normals a block.  Waking the worker after a
+# block's step loop costs 50-120 us on a 2-core Xeon VM, the time of
+# 3,000-8,000 normals.  There the split made a pass of 8,900 normals a
+# thread per block (rank-32 noise, 2 replicas, 3 p) 4% slower, and one of
+# 37,000 (identity noise, 51 chains, 4 replicas) 20% faster.
+_WORKER_DRAWS = 1 << 14
 
 
 # fields run_sweep needs shared: the same objects, or equal values
@@ -423,6 +445,15 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     ``step``, each p recording the projection, the sum of its chains;
     each replica reports the sample variance of its series and a
     batch-means standard error.  Estimate i equals ``run(configs[i])``.
+
+    Where replicas r - r // 2 to r - 1 take at least ``_WORKER_DRAWS``
+    normals a block, a worker thread may draw their normals while the
+    calling thread draws those of the others, which then draws any of
+    them the worker has not taken; every replica's stream is consumed in
+    the same order as by one thread, so the estimates do not depend on
+    which thread draws what.  The worker runs nothing but numpy's fills;
+    it is joined before this returns or raises, and an exception it
+    meets is raised here.
     """
     configs = list(configs)
     if not configs:
@@ -465,52 +496,112 @@ def run_sweep(configs) -> list[VarianceEstimate]:
             first.append(burn)
     kept = [base.nt - burn for burn in burns]
     steps = max(lo + n for lo, n in zip(first, kept))
+    # the series first, the block's arrays after them: in this order the
+    # mc-white benchmark's peak RSS, set by its check after the run, read
+    # lower than the other way in 6 of 8 fresh processes
+    series = [np.empty((r, n)) for n in kept]
     sqrt_dt = np.sqrt(base.dt)
     chunk = _steps_per_block(points, r, chains, mix.shape[0])
     block = np.empty((chunk,) + u.shape)
-    # every p steps on the same increments.  A single p maps each
-    # replica's fresh draws into its slab through a temporary (mapped in
-    # place, the arrays freed after a run stayed resident at the top of
-    # the heap in about half of the mc-white benchmark runs, 1.2 MB more
-    # peak RSS).  Several p draw into one reused array, stage the
-    # increments once in a contiguous row and copy that to every slab.
+    # every p steps on the same increments, mapped by the calling thread
+    # into the slab of a single p, or staged once in a contiguous row that
+    # is copied to every slab of several p.  The calling thread's replicas
+    # share draw row 0, each mapped as soon as it is drawn; each replica
+    # the worker may take has a row of its own, mapped once all are drawn.
+    split = r - r // 2 if r // 2 * chunk * mix.shape[0] >= _WORKER_DRAWS else r
+    mine, theirs = range(split), range(split, r)
+    slot = [0] * len(mine) + list(range(1, len(theirs) + 1))
+    normals = np.empty((len(theirs) + 1, chunk, mix.shape[0]))
     staged = block[:, 0] if points == 1 else np.empty((chunk, r, chains))
-    xi = None if points == 1 else np.empty((chunk, mix.shape[0]))
     to_chains = np.multiply if mix.ndim == 1 else np.matmul
+
+    def fill(k, rep):
+        # numpy only: this also runs on the worker thread
+        rngs[rep].standard_normal(out=normals[slot[rep], :k])
+
+    def to_increments(k, rep):
+        to_chains(normals[slot[rep], :k], mix, out=staged[:k, rep])
+
+    if theirs:
+        wake, jobs, done = queue.SimpleQueue(), queue.SimpleQueue(), queue.SimpleQueue()
+        worker = threading.Thread(target=_serve, args=(wake, jobs, done, fill), daemon=True)
+        worker.start()
     # the step loop runs on flat rows of the whole (p, replica, chain) state
     rows, flat_u, flat_denom = block.reshape(chunk, -1), u.reshape(-1), denom.reshape(-1)
-    series = [np.empty((r, n)) for n in kept]
-    for start in range(0, steps, chunk):
-        k = min(chunk, steps - start)
-        drawn = staged[:k]
-        for rep in range(r):
-            if points == 1:
-                drawn[:, rep] = to_chains(rngs[rep].standard_normal((k, mix.shape[0])), mix)
-            else:
-                rngs[rep].standard_normal(out=xi[:k])
-                to_chains(xi[:k], mix, out=drawn[:, rep])
-        # sqrt(dt), then sigma, then the division, in the order of
-        # noise_increment and step: every chain state matches the
-        # one-step update of that chain bit for bit (multiplying by a
-        # sigma of 1.0 changes no bit, so it is skipped)
-        drawn *= sqrt_dt
-        if base.sigma != 1.0:
-            drawn *= base.sigma
-        if points > 1:
-            block[:k] = drawn[:, None]
-        prev = flat_u
-        for row in rows[:k]:
-            row += prev
-            row /= flat_denom
-            prev = row
-        flat_u[...] = prev
-        sums = block[:k].sum(axis=-1)
-        for j, (lo, n) in enumerate(zip(first, kept)):
-            a, b = max(lo - start, 0), min(lo + n - start, k)
-            if a < b:
-                series[j][:, start + a - lo:start + b - lo] = sums[a:b, j].T
+    try:
+        for start in range(0, steps, chunk):
+            k = min(chunk, steps - start)
+            if theirs:
+                for rep in theirs:
+                    jobs.put((k, rep))
+                wake.put(k)
+            for rep in mine:
+                fill(k, rep)
+                to_increments(k, rep)
+            if theirs:
+                # a replica the worker has not taken yet is drawn here, so a
+                # worker kept off its core holds the block up only by the
+                # replica it is drawing
+                owed = len(theirs)
+                while (job := _take(jobs)) is not None:
+                    fill(*job)
+                    owed -= 1
+                for _ in range(owed):
+                    if (failure := done.get()) is not None:
+                        raise failure
+                for rep in theirs:
+                    to_increments(k, rep)
+            # sqrt(dt), then sigma, then the division, in the order of
+            # noise_increment and step: every chain state matches the
+            # one-step update of that chain bit for bit (multiplying by a
+            # sigma of 1.0 changes no bit, so it is skipped)
+            drawn = staged[:k]
+            drawn *= sqrt_dt
+            if base.sigma != 1.0:
+                drawn *= base.sigma
+            if points > 1:
+                block[:k] = drawn[:, None]
+            prev = flat_u
+            for row in rows[:k]:
+                row += prev
+                row /= flat_denom
+                prev = row
+            flat_u[...] = prev
+            sums = block[:k].sum(axis=-1)
+            for j, (lo, n) in enumerate(zip(first, kept)):
+                a, b = max(lo - start, 0), min(lo + n - start, k)
+                if a < b:
+                    series[j][:, start + a - lo:start + b - lo] = sums[a:b, j].T
+    finally:
+        if theirs:
+            wake.put(None)
+            worker.join()
     return [_estimate(s, n_batches, float(config.p))
             for s, n_batches, config in zip(series, batches, configs)]
+
+
+def _take(jobs):
+    """The next job of a queue, or None if it is empty."""
+    try:
+        return jobs.get_nowait()
+    except queue.Empty:
+        return None
+
+
+def _serve(wake, jobs, done, fill) -> None:
+    """Worker loop of ``run_sweep``: at each wake-up until None, fill(k, rep)
+    for every job (k, rep) it can take, answering None on ``done`` for
+    each.  Any exception is answered instead, for the caller to raise,
+    and ends the loop, so the caller never waits on a worker that has
+    stopped."""
+    while wake.get() is not None:
+        while (job := _take(jobs)) is not None:
+            try:
+                fill(*job)
+            except BaseException as failure:
+                done.put(failure)
+                return
+            done.put(None)
 
 
 def run(config: SimConfig) -> VarianceEstimate:

@@ -82,6 +82,18 @@ def power(x: float, e: float) -> float:
         return math.inf
 
 
+def split_square(x: float) -> tuple[float, int]:
+    """``x**2`` as (s, k) with x**2 = s * 2**k: (x**2, 0) wherever that is
+    a finite double, so ``np.ldexp(s * y, k)`` is the product as written
+    bit for bit, and (m**2, 2 e) for x = m 2**e where x**2 overflows, so a
+    product such as the variance sigma**2 y overflows only with its value."""
+    square = power(x, 2)
+    if square < math.inf:
+        return square, 0
+    m, e = math.frexp(x)
+    return m * m, 2 * e
+
+
 def as_coefficient_map(coeffs: Mapping) -> dict[MultiIndex, float]:
     """``coeffs`` as {multi-index: finite float}; every reader of coefficient maps uses it.
 

@@ -579,7 +579,7 @@ _COMPARE = ["compare", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades
 
 # each value or prediction is past the largest double here: the quadrature
 # at p = -0.1 is 3.18 sigma**2, the prediction at p = -0.5 is 8.7e-3 sigma**2
-# and 1.1e-4 sigma**2 with the rank-4 noise
+# and 3.8e-4 sigma**2 with the rank-4 noise of seed 0
 @pytest.mark.parametrize("argv", [
     ["sweep", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p-decades=-3:-1",
      "--sigma", "1e200"],
@@ -607,6 +607,9 @@ def test_a_huge_sigma_exits_4_and_writes_nothing(argv, tmp_path, capsys):
     [*_SIMULATE, "--sigma", "1e154"],
     [*_SIMULATE, "--sigma", "1e150"],
     [*_SIMULATE, "--sigma", "1e150", "--noise-rank", "4"],
+    # sigma**2 overflows, the prediction (8.7e307) and the simulated
+    # variance do not
+    [*_SIMULATE, "--sigma", "1e155"],
 ])
 def test_a_large_sigma_below_the_largest_variance_exits_0_with_finite_values(argv, tmp_path):
     assert main([*argv, "--out", str(tmp_path)]) == 0
@@ -724,10 +727,12 @@ def test_missing_input_file_exit_3(tmp_path):
 
 
 _REAL = st.floats(0.3, 6.0)
-# log-uniform over [1e-3, 1e200]: the variance, about sigma**2, overflows
-# from sigma near 1e154 on, where sigma**2 does; a simulation takes its
-# variance and error on series scaled by a power of two, so they overflow
-# only with the variance
+# log-uniform over [1e-3, 1e200]: the variance, a multiple of sigma**2,
+# overflows where that multiple passes the largest double, between sigma
+# near 1e154 and 1e156 for these symbols; the quadrature, the prediction and
+# the start factor take sigma**2 split by a power of two, and a simulation
+# its variance and error on series scaled by one, so each overflows only
+# with its own value
 _SIGMA = st.floats(-3.0, 200.0).map(lambda e: repr(10.0 ** e))
 
 

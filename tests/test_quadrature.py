@@ -118,6 +118,16 @@ def test_sigma_scaling_is_exact():
     assert scaled == pytest.approx(9.0 * base, rel=1e-14)
 
 
+@pytest.mark.parametrize("dt", [0.0, 0.01])
+def test_a_sigma_whose_square_overflows_scales_the_variance_by_a_power_of_two(dt):
+    # sigma = 0.75 * 2**513: sigma**2 is past the largest double, the
+    # variance at p = -4 (0.069 at sigma = 0.75, 5.0e307 here) is not
+    g = IndicatorBox(-0.5, 0.5)
+    base = variance_quadrature(VarianceQuery(ToolAlpha(2.0), g, -4.0, 0.75), dt=dt)
+    big = variance_quadrature(VarianceQuery(ToolAlpha(2.0), g, -4.0, math.ldexp(0.75, 513)), dt=dt)
+    assert big == math.ldexp(base, 1026)
+
+
 def test_power_window_arctan_oracle():
     # gamma = 1/4 window on the linear tool: substituting x = t^2 gives
     # integral of x^(-1/2)/(x+q) over [0,1] = 2 arctan(1/sqrt(q))/sqrt(q)

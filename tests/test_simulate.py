@@ -9,6 +9,9 @@ sigma^2 dt a^2 / (1 - a^2) = sigma^2 / (2|lambda| + lambda^2 dt).
 import contextlib
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -396,6 +399,10 @@ def _reference_run(config):
     (2, None, 3, True, "ragged"),
     (2, 9, 3, False, "below"),
     (2, 9, 1, False, "ragged"),
+    # a worker thread may draw the last two replicas: an even and an odd split
+    (1, None, 4, False, "ragged"),
+    (1, None, 5, False, "ragged"),
+    (1, 32, 5, False, "ragged"),
 ])
 def test_run_matches_step_by_step_reference(dim, rank, replicas, unweighted, timing):
     _check_against_reference(dim, rank, replicas, unweighted, timing, p=-0.3)
@@ -501,18 +508,158 @@ def test_run_sweep_mixes_stationary_and_stepped_starts():
     assert [str(w.message).split(" starts")[0] for w in record] == ["p = -6.0"]
 
 
-@pytest.mark.parametrize("sigma", [0.8, 1.0])
-def test_run_identity_noise_states_match_reference_exactly(sigma):
+@pytest.mark.parametrize("sigma, replicas", [
+    pytest.param(0.8, 3, id="0.8"), pytest.param(1.0, 3, id="1.0"),
+    (0.8, 4), (1.0, 4), (0.8, 5), (1.0, 5)])
+def test_run_identity_noise_states_match_reference_exactly(sigma, replicas):
     # with one support point the projection is the one chain, so equal
     # estimates need every recorded state to match the one-step update;
-    # run skips the multiply by a sigma of 1.0, step does not
+    # run skips the multiply by a sigma of 1.0, step does not.  A worker
+    # thread may draw the last replica of three, the last two of four or five
     mesh = Mesh(1.0, 199, 1)
     g = IndicatorBox(-0.004, 0.004)
     assert projection_weights(g, mesh)[0].size == 1
-    chunk = _steps_per_block(1, 3, 1, 1)
+    chunk = _steps_per_block(1, replicas, 1, 1)
     config = SimConfig(ToolAlpha(2.0), g, -0.3, mesh, dt=0.05, nt=2 * chunk + 37, sigma=sigma,
-                       burn_in=chunk + 11, replicas=3, seed=11, batches=4)
+                       burn_in=chunk + 11, replicas=replicas, seed=11, batches=4)
     assert run(config) == _reference_run(config)
+
+
+class _Stream:
+    """A replica's generator that logs the thread drawing each of its
+    blocks, and can stall or fail its first block."""
+
+    def __init__(self, rng, rep, log, stall, fail):
+        self.rng, self.rep, self.log, self.stall, self.fail = rng, rep, log, stall, fail
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        if out is None:  # the start's normals
+            return self.rng.standard_normal(*args, **kwargs)
+        first = self.rep not in self.log
+        self.log.setdefault(self.rep, []).append(threading.current_thread())
+        if first and self.fail:
+            raise ZeroDivisionError("a failing stream")
+        if first:
+            time.sleep(self.stall)
+        return self.rng.standard_normal(*args, out=out, **kwargs)
+
+
+def _log_streams(monkeypatch, stall=None, fail=None):
+    """Route run_sweep's streams through _Stream; the log maps each replica
+    to the threads that drew its blocks, in order."""
+    log, stall, real = {}, stall or {}, simulate.as_generator
+
+    def as_generator(seed):
+        rep = seed.spawn_key[0]
+        return _Stream(real(seed), rep, log, stall.get(rep, 0.0), rep == fail)
+
+    monkeypatch.setattr(simulate, "as_generator", as_generator)
+    return log
+
+
+@pytest.mark.parametrize("points, rank, replicas, worker", [
+    (1, None, 4, {2, 3}),  # the mc-white runs: 2 x 367 steps x 51 normals a block
+    (1, None, 5, {3, 4}),
+    (1, 32, 5, {3, 4}),
+    (2, None, 4, {2, 3}),
+    (3, 32, 2, set()),  # the compare-structured sweep: 1 x 277 steps x 32 normals
+    (1, 12, 3, set()),
+    (1, None, 1, set()),
+])
+def test_a_worker_draws_the_last_half_of_the_replicas_where_it_takes_enough_normals(
+        monkeypatch, points, rank, replicas, worker):
+    mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
+    idx, _ = projection_weights(g, mesh)
+    noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
+    chunk = _steps_per_block(points, replicas, 51, 51 if rank is None else rank)
+    configs = [SimConfig(symbol, g, -0.3 - 0.1 * j, mesh, dt=0.05, nt=2 * chunk + 37,
+                         burn_in=chunk + 11, replicas=replicas, seed=1, noise=noise, batches=4)
+               for j in range(points)]
+    want = [run(c) for c in configs]
+    # replica 0 stalls the calling thread in the first block, so a worker
+    # takes its replicas of that block
+    log = _log_streams(monkeypatch, stall={0: 0.2})
+    assert run_sweep(configs) == want
+    caller = threading.current_thread()
+    assert {rep for rep in range(replicas) if log[rep][0] is not caller} == worker
+    assert all(thread is caller for rep in range(replicas) if rep not in worker
+               for thread in log[rep])
+
+
+def test_the_calling_thread_draws_what_a_stalled_worker_has_not_taken(monkeypatch):
+    # of four replicas a worker may take 2 and 3: it takes both jobs of the
+    # first block while replica 0 stalls the calling thread, and stalls on
+    # replica 2 longer, so the calling thread draws replica 3 itself
+    config = dataclasses.replace(_acceptance_config(-0.3), nt=1600, replicas=4)
+    want = run(config)
+    log = _log_streams(monkeypatch, stall={0: 0.1, 2: 0.4})
+    assert run(config) == want
+    caller = threading.current_thread()
+    assert log[2][0] is not caller and log[3][0] is caller
+
+
+@pytest.mark.parametrize("replicas", [1, 4])
+def test_run_sweep_leaves_no_thread_behind(replicas):
+    config = dataclasses.replace(_acceptance_config(-0.3), nt=1600, replicas=replicas)
+    before = threading.active_count()
+    run_sweep([config, dataclasses.replace(config, p=-0.7)])
+    assert threading.active_count() == before
+
+
+def test_concurrent_sweeps_switching_every_microsecond_keep_their_bits():
+    # four sweeps at once, each with its worker: eight threads on the
+    # host's cores, the interpreter switching between them every
+    # microsecond; each sweep must give the estimates it gives alone
+    base = dataclasses.replace(_acceptance_config(-0.3, sigma=0.8), nt=1600, batches=4)
+    idx, _ = projection_weights(base.g, base.mesh)
+    noise = build_noise_model(base.mesh.size, idx, m=12, seed=3)
+    cases = [[dataclasses.replace(base, replicas=replicas, seed=seed, noise=model, p=p)
+              for p in (-0.3, -0.7)]
+             for replicas, seed, model in ((2, 1, None), (3, 2, noise), (4, 3, None), (5, 4, noise))]
+    want = [run_sweep(configs) for configs in cases]
+    got = [None] * len(cases)
+
+    def sweep(i):
+        got[i] = run_sweep(cases[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,), daemon=True) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+@pytest.mark.parametrize("failing", [0, 3])
+def test_a_failing_stream_raises_in_the_caller_and_leaves_no_thread(monkeypatch, failing):
+    # of four replicas the calling thread draws 0 and 1, and a worker 2
+    # and 3 of the first block while replica 1 stalls the calling thread;
+    # the stream of replica ``failing`` raises at its first block
+    config = dataclasses.replace(_acceptance_config(-0.3), nt=1600, replicas=4)
+    log = _log_streams(monkeypatch, stall={1: 0.2}, fail=failing)
+    raised = []
+
+    def call():
+        try:
+            run(config)
+        except ZeroDivisionError as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    # a hang fails the test instead of stalling the suite
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "run_sweep hung on a failing stream"
+    assert len(raised) == 1 and len(log[failing]) == 1
+    assert (log[failing][0] is caller) == (failing < 2)
+    assert threading.active_count() == before
 
 
 def test_every_stream_comes_from_the_one_sfc64_constructor():
@@ -717,6 +864,22 @@ def test_a_huge_sigma_raises_instead_of_returning_inf(sigma, rank, message):
     with pytest.raises(FloatingPointError, match=message):
         predict_discrete_variance(config)
         run(config)
+
+
+def test_a_sigma_whose_square_overflows_scales_the_prediction_by_a_power_of_two():
+    # sigma = 0.75 * 2**513: sigma**2 is past the largest double, the
+    # prediction (3.5e306 and 4.5e304 with the rank-4 noise) is not
+    small, big = 0.75, math.ldexp(0.75, 513)
+    for rank in (None, 4):
+        config = _huge_sigma_config(big, rank)
+        want = predict_discrete_variance(dataclasses.replace(config, sigma=small))
+        assert predict_discrete_variance(config) == math.ldexp(want, 1026)
+    # the rank-4 start factor: F F^T is S, 2**1026 times that at sigma = 0.75
+    lam, mix = _chains_of(config)
+    f_big = np.ldexp(_stationary_factor(lam, mix, big, config.dt), -513)
+    f_small = _stationary_factor(lam, mix, small, config.dt)
+    s_small = f_small @ f_small.T
+    assert np.max(np.abs(f_big @ f_big.T - s_small)) <= 1e-12 * np.max(np.abs(s_small))
 
 
 @pytest.mark.parametrize("sigma, rank", [(1e154, None), (1e150, None), (1e150, 4)])

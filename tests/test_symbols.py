@@ -24,6 +24,7 @@ from ewslab.symbols import (
     as_positive,
     minimal_support,
     real_part_symbol,
+    split_square,
 )
 from ewslab.quadrature import (
     Disc,
@@ -544,3 +545,16 @@ def test_every_kind_survives_a_json_round_trip(symbol):
 def test_constructors_reject_non_finite_input(build):
     with pytest.raises(ValueError, match="must be finite"):
         build()
+
+
+@pytest.mark.parametrize("x, finite", [
+    (1e-300, True), (0.75, True), (3.0, True), (1e154, True),
+    (math.ldexp(1.0 - 2.0 ** -53, 512), True),  # the largest x whose square is a double
+    (math.ldexp(1.0, 512), False), (1e155, False), (1e300, False)])
+def test_split_square_is_the_square_where_it_is_a_double_and_split_past_it(x, finite):
+    s, k = split_square(x)
+    if finite:
+        assert (s, k) == (x**2, 0)
+    else:
+        m, e = math.frexp(x)
+        assert (s, k) == (m * m, 2 * e) and 0.25 <= s < 1.0
