@@ -68,7 +68,6 @@ from .simulate import (
     SimConfig,
     VarianceEstimate,
     predict_discrete_variance,
-    project,
     projection_weights,
     run,
     run_sweep,

@@ -40,23 +40,23 @@ starts at u = 0 instead and steps its burn-in (``_starts_stationary``).
 ``run_sweep`` takes a grid of p in one pass.  The chains do not depend
 on p, and every p draws the same normals (common random numbers): each
 replica's start normals are drawn once and mapped through the factor of
-every p that starts stationary, and a block's step increments are
-staged once for every p.  Two threads draw a block's normals, split by
-replica: a worker thread fills (steps, M) arrays for the last r // 2
-replicas while the calling thread fills those of the others, wherever
-that half takes enough normals a block to pay for waking the worker;
-the calling thread then fills those the worker has not taken, so a
-worker kept off its core holds a block up only by the replica it is
-drawing.  Each replica has its own stream, consumed in the same order
-as by one thread, so the split changes no bit; numpy fills an array
-with the GIL released, so the two fills run at the same time.  The
-calling thread then maps every replica's normals through the chain
-noise map, scales them by sqrt(dt) and sigma in place, and copies them
-into every p's slab of the block in one broadcast (a single p maps them
-into its slab).  One step loop then advances the whole (p, replicas,
-chains) state as flat rows.  Each p keeps its own start, recorded steps
-and batch count and gets the estimate ``run`` gives it alone; ``run``
-is the sweep of one config.
+every p that starts stationary, and a block's step increments are staged
+once for every p.  Two threads draw the normals, one block ahead: once
+every replica's normals of a block are in, the calling thread posts one
+job per replica for the next block, which a worker thread draws into a
+second buffer while the calling thread scales, steps and sums this one.
+On reaching the next block, the calling thread draws the jobs the worker
+has not taken and maps each replica's normals as its fill is answered.
+A replica's jobs go out one block at a time, so each replica's stream is
+consumed in the order one thread would use and the split changes no bit;
+numpy fills an array with the GIL released, so the fills run while the
+calling thread works.  The calling thread maps each replica's normals
+through the chain noise map, scales them by sqrt(dt) and sigma in place,
+and copies them into every p's slab of the block in one broadcast (a
+single p maps them into its slab).  One step loop then advances the
+whole (p, replicas, chains) state as flat rows.  Each p keeps its own
+start, recorded steps and batch count and gets the estimate ``run``
+gives it alone; ``run`` is the sweep of one config.
 """
 
 from __future__ import annotations
@@ -145,15 +145,6 @@ def projection_weights(g: TestFunction, mesh: Mesh, unweighted: bool = False):
         raise ValueError("the window has no support on the mesh")
     weights = gvals[idx] if unweighted else mesh.h**mesh.dim * gvals[idx]
     return idx, weights
-
-
-def project(u, g: TestFunction, mesh: Mesh, unweighted: bool = False) -> float:
-    """Project a state vector onto the window observable."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.size,):
-        raise ValueError(f"state must have shape ({mesh.size},)")
-    idx, w = projection_weights(g, mesh, unweighted)
-    return float(w @ u[idx])
 
 
 @dataclass(frozen=True)
@@ -327,22 +318,13 @@ def _starts_stationary(mix, replicas: int, relax: int) -> bool:
 
 
 def _steps_per_block(points: int, replicas: int, chains: int, draws: int) -> int:
-    # one step of a block holds a state row per p and replica, a row of
-    # draws for the calling thread's replicas and one for each replica
-    # the worker may draw (run_sweep), and with several p the staged row
-    # of every replica's increments; blocks of these arrays stay near 1 MB
+    # one step of a block holds a state row per p and replica, two rows of
+    # draws per replica (run_sweep fills the next block's while it steps
+    # this one's), and with several p the staged row of every replica's
+    # increments; blocks of these arrays stay near 1 MB
     extra = 0 if points == 1 else replicas * chains
-    rows = points * replicas * chains + extra + (1 + replicas // 2) * draws
+    rows = points * replicas * chains + extra + 2 * replicas * draws
     return max(1, _BLOCK_BYTES // (8 * rows))
-
-
-# run_sweep's worker thread draws half the replicas only where that half
-# takes at least this many normals a block.  Waking the worker after a
-# block's step loop costs 50-120 us on a 2-core Xeon VM, the time of
-# 3,000-8,000 normals.  There the split made a pass of 8,900 normals a
-# thread per block (rank-32 noise, 2 replicas, 3 p) 4% slower, and one of
-# 37,000 (identity noise, 51 chains, 4 replicas) 20% faster.
-_WORKER_DRAWS = 1 << 14
 
 
 # fields run_sweep needs shared: the same objects, or equal values
@@ -446,14 +428,14 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     each replica reports the sample variance of its series and a
     batch-means standard error.  Estimate i equals ``run(configs[i])``.
 
-    Where replicas r - r // 2 to r - 1 take at least ``_WORKER_DRAWS``
-    normals a block, a worker thread may draw their normals while the
-    calling thread draws those of the others, which then draws any of
-    them the worker has not taken; every replica's stream is consumed in
-    the same order as by one thread, so the estimates do not depend on
-    which thread draws what.  The worker runs nothing but numpy's fills;
-    it is joined before this returns or raises, and an exception it
-    meets is raised here.
+    A sweep of more than one block draws on two threads: each block's
+    jobs (one per replica) are posted once the block before is drawn, a
+    worker thread draws them while the calling thread steps that block,
+    and the calling thread then draws any the worker has not taken; every replica's stream is consumed in the same order
+    as by one thread, so the estimates do not depend on which thread
+    draws what.  The worker runs nothing but numpy's fills; it is joined
+    before this returns or raises, and an exception it meets is raised
+    here.
     """
     configs = list(configs)
     if not configs:
@@ -505,52 +487,53 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     block = np.empty((chunk,) + u.shape)
     # every p steps on the same increments, mapped by the calling thread
     # into the slab of a single p, or staged once in a contiguous row that
-    # is copied to every slab of several p.  The calling thread's replicas
-    # share draw row 0, each mapped as soon as it is drawn; each replica
-    # the worker may take has a row of its own, mapped once all are drawn.
-    split = r - r // 2 if r // 2 * chunk * mix.shape[0] >= _WORKER_DRAWS else r
-    mine, theirs = range(split), range(split, r)
-    slot = [0] * len(mine) + list(range(1, len(theirs) + 1))
-    normals = np.empty((len(theirs) + 1, chunk, mix.shape[0]))
+    # is copied to every slab of several p.  A block's normals are drawn
+    # into one of two buffers while the block before steps on the other.
+    normals = np.empty((2, r, chunk, mix.shape[0]))
     staged = block[:, 0] if points == 1 else np.empty((chunk, r, chains))
     to_chains = np.multiply if mix.ndim == 1 else np.matmul
 
-    def fill(k, rep):
+    def fill(buf, rep, k):
         # numpy only: this also runs on the worker thread
-        rngs[rep].standard_normal(out=normals[slot[rep], :k])
+        rngs[rep].standard_normal(out=normals[buf, rep, :k])
 
-    def to_increments(k, rep):
-        to_chains(normals[slot[rep], :k], mix, out=staged[:k, rep])
+    def to_increments(buf, rep, k):
+        to_chains(normals[buf, rep, :k], mix, out=staged[:k, rep])
 
-    if theirs:
-        wake, jobs, done = queue.SimpleQueue(), queue.SimpleQueue(), queue.SimpleQueue()
-        worker = threading.Thread(target=_serve, args=(wake, jobs, done, fill), daemon=True)
+    # a job is one replica's normals of one block; the jobs of a block are
+    # posted only once every fill of the block before has been answered,
+    # so each stream is consumed in the order one thread would use
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def post(start):
+        for rep in range(r):
+            jobs.put((start // chunk % 2, rep, min(chunk, steps - start)))
+
+    post(0)
+    worker = None
+    if steps > chunk:
+        worker = threading.Thread(target=_serve, args=(jobs, done, fill), daemon=True)
         worker.start()
-    # the step loop runs on flat rows of the whole (p, replica, chain) state
-    rows, flat_u, flat_denom = block.reshape(chunk, -1), u.reshape(-1), denom.reshape(-1)
+    # the step loop runs on flat rows of the whole (p, replica, chain)
+    # state, views built once
+    rows, flat_u, flat_denom = list(block.reshape(chunk, -1)), u.reshape(-1), denom.reshape(-1)
     try:
         for start in range(0, steps, chunk):
             k = min(chunk, steps - start)
-            if theirs:
-                for rep in theirs:
-                    jobs.put((k, rep))
-                wake.put(k)
-            for rep in mine:
-                fill(k, rep)
-                to_increments(k, rep)
-            if theirs:
-                # a replica the worker has not taken yet is drawn here, so a
-                # worker kept off its core holds the block up only by the
-                # replica it is drawing
-                owed = len(theirs)
-                while (job := _take(jobs)) is not None:
-                    fill(*job)
-                    owed -= 1
-                for _ in range(owed):
-                    if (failure := done.get()) is not None:
-                        raise failure
-                for rep in theirs:
-                    to_increments(k, rep)
+            # draw every job the worker has not taken, then map each replica
+            # the worker drew as its fill is answered
+            owed = r
+            while (job := _take(jobs)) is not None:
+                fill(*job)
+                to_increments(*job)
+                owed -= 1
+            for _ in range(owed):
+                job, failure = done.get()
+                if failure is not None:
+                    raise failure
+                to_increments(*job)
+            if start + chunk < steps:
+                post(start + chunk)
             # sqrt(dt), then sigma, then the division, in the order of
             # noise_increment and step: every chain state matches the
             # one-step update of that chain bit for bit (multiplying by a
@@ -573,8 +556,12 @@ def run_sweep(configs) -> list[VarianceEstimate]:
                 if a < b:
                     series[j][:, start + a - lo:start + b - lo] = sums[a:b, j].T
     finally:
-        if theirs:
-            wake.put(None)
+        if worker is not None:
+            # jobs a raise left behind are dropped, so the worker stops
+            # after the fill it is in
+            while _take(jobs) is not None:
+                pass
+            jobs.put(None)
             worker.join()
     return [_estimate(s, n_batches, float(config.p))
             for s, n_batches, config in zip(series, batches, configs)]
@@ -588,20 +575,18 @@ def _take(jobs):
         return None
 
 
-def _serve(wake, jobs, done, fill) -> None:
-    """Worker loop of ``run_sweep``: at each wake-up until None, fill(k, rep)
-    for every job (k, rep) it can take, answering None on ``done`` for
-    each.  Any exception is answered instead, for the caller to raise,
-    and ends the loop, so the caller never waits on a worker that has
-    stopped."""
-    while wake.get() is not None:
-        while (job := _take(jobs)) is not None:
-            try:
-                fill(*job)
-            except BaseException as failure:
-                done.put(failure)
-                return
-            done.put(None)
+def _serve(jobs, done, fill) -> None:
+    """Worker loop of ``run_sweep``: fill(*job) for every job it takes until
+    None, answering (job, None) on ``done`` for each.  An exception is
+    answered instead, (job, exception), for the caller to raise, and ends
+    the loop, so the caller never waits on a worker that has stopped."""
+    while (job := jobs.get()) is not None:
+        try:
+            fill(*job)
+        except BaseException as failure:
+            done.put((job, failure))
+            return
+        done.put((job, None))
 
 
 def run(config: SimConfig) -> VarianceEstimate:

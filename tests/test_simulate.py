@@ -37,7 +37,6 @@ from ewslab.simulate import (
     _steps_per_block,
     _symbol_values,
     predict_discrete_variance,
-    project,
     projection_weights,
     run,
     run_sweep,
@@ -117,14 +116,6 @@ def test_projection_weights_include_cell_volume():
     idx_u, w_u = projection_weights(g, mesh, unweighted=True)
     np.testing.assert_array_equal(idx_u, idx)
     np.testing.assert_allclose(w_u, [1.0, 1.0])
-
-
-def test_project_is_weighted_sum():
-    mesh = Mesh(1.0, 4, 1)
-    g = IndicatorBox(-1.0, 1.0)
-    u = np.array([1.0, 2.0, 3.0, 4.0])
-    got = project(u, g, mesh)
-    assert math.isclose(got, mesh.h * 10.0)
 
 
 def test_config_validation():
@@ -399,7 +390,7 @@ def _reference_run(config):
     (2, None, 3, True, "ragged"),
     (2, 9, 3, False, "below"),
     (2, 9, 1, False, "ragged"),
-    # a worker thread may draw the last two replicas: an even and an odd split
+    # several replicas, their blocks drawn on two threads
     (1, None, 4, False, "ragged"),
     (1, None, 5, False, "ragged"),
     (1, 32, 5, False, "ragged"),
@@ -515,7 +506,7 @@ def test_run_identity_noise_states_match_reference_exactly(sigma, replicas):
     # with one support point the projection is the one chain, so equal
     # estimates need every recorded state to match the one-step update;
     # run skips the multiply by a sigma of 1.0, step does not.  A worker
-    # thread may draw the last replica of three, the last two of four or five
+    # thread may draw any block of any replica
     mesh = Mesh(1.0, 199, 1)
     g = IndicatorBox(-0.004, 0.004)
     assert projection_weights(g, mesh)[0].size == 1
@@ -527,7 +518,7 @@ def test_run_identity_noise_states_match_reference_exactly(sigma, replicas):
 
 class _Stream:
     """A replica's generator that logs the thread drawing each of its
-    blocks, and can stall or fail its first block."""
+    blocks, and can stall or fail one of them."""
 
     def __init__(self, rng, rep, log, stall, fail):
         self.rng, self.rep, self.log, self.stall, self.fail = rng, rep, log, stall, fail
@@ -535,67 +526,63 @@ class _Stream:
     def standard_normal(self, *args, out=None, **kwargs):
         if out is None:  # the start's normals
             return self.rng.standard_normal(*args, **kwargs)
-        first = self.rep not in self.log
-        self.log.setdefault(self.rep, []).append(threading.current_thread())
-        if first and self.fail:
+        threads = self.log.setdefault(self.rep, [])
+        threads.append(threading.current_thread())
+        if (self.rep, len(threads) - 1) == self.fail:
             raise ZeroDivisionError("a failing stream")
-        if first:
-            time.sleep(self.stall)
+        time.sleep(self.stall.get((self.rep, len(threads) - 1), 0.0))
         return self.rng.standard_normal(*args, out=out, **kwargs)
 
 
 def _log_streams(monkeypatch, stall=None, fail=None):
     """Route run_sweep's streams through _Stream; the log maps each replica
-    to the threads that drew its blocks, in order."""
+    to the threads that drew its blocks, in order.  ``stall`` maps a
+    (replica, block) to the seconds its fill sleeps first, and the fill of
+    the (replica, block) ``fail`` raises."""
     log, stall, real = {}, stall or {}, simulate.as_generator
 
     def as_generator(seed):
-        rep = seed.spawn_key[0]
-        return _Stream(real(seed), rep, log, stall.get(rep, 0.0), rep == fail)
+        return _Stream(real(seed), seed.spawn_key[0], log, stall, fail)
 
     monkeypatch.setattr(simulate, "as_generator", as_generator)
     return log
 
 
-@pytest.mark.parametrize("points, rank, replicas, worker", [
-    (1, None, 4, {2, 3}),  # the mc-white runs: 2 x 367 steps x 51 normals a block
-    (1, None, 5, {3, 4}),
-    (1, 32, 5, {3, 4}),
-    (2, None, 4, {2, 3}),
-    (3, 32, 2, set()),  # the compare-structured sweep: 1 x 277 steps x 32 normals
-    (1, 12, 3, set()),
-    (1, None, 1, set()),
-])
-def test_a_worker_draws_the_last_half_of_the_replicas_where_it_takes_enough_normals(
-        monkeypatch, points, rank, replicas, worker):
-    mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.5)
-    idx, _ = projection_weights(g, mesh)
-    noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=3)
-    chunk = _steps_per_block(points, replicas, 51, 51 if rank is None else rank)
-    configs = [SimConfig(symbol, g, -0.3 - 0.1 * j, mesh, dt=0.05, nt=2 * chunk + 37,
-                         burn_in=chunk + 11, replicas=replicas, seed=1, noise=noise, batches=4)
-               for j in range(points)]
-    want = [run(c) for c in configs]
-    # replica 0 stalls the calling thread in the first block, so a worker
-    # takes its replicas of that block
-    log = _log_streams(monkeypatch, stall={0: 0.2})
-    assert run_sweep(configs) == want
+def _one_chain_config(replicas, blocks):
+    # one support point and identity noise: a block is 2**17 / (3 replicas)
+    # steps, a step loop of several ms per block on one lane of each replica,
+    # and the sweep is exactly ``blocks`` blocks long
+    mesh, g = Mesh(1.0, 199, 1), IndicatorBox(-0.004, 0.004)
+    assert projection_weights(g, mesh)[0].size == 1
+    chunk = _steps_per_block(1, replicas, 1, 1)
+    return SimConfig(ToolAlpha(2.0), g, -0.3, mesh, dt=0.05, nt=blocks * chunk + 11,
+                     burn_in=11, replicas=replicas, seed=11, batches=4)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_a_worker_draws_the_next_block_while_this_one_steps(monkeypatch, blocks):
+    # block b + 1 is posted once block b is drawn, and a worker draws it
+    # during block b's step loop; a sweep of one block starts no worker
+    config = _one_chain_config(1, blocks)
+    want = run(config)
+    log = _log_streams(monkeypatch)
+    assert run(config) == want
     caller = threading.current_thread()
-    assert {rep for rep in range(replicas) if log[rep][0] is not caller} == worker
-    assert all(thread is caller for rep in range(replicas) if rep not in worker
-               for thread in log[rep])
+    assert len(log[0]) == blocks
+    assert all(thread is not caller for thread in log[0][1:])
+    assert blocks > 1 or log[0] == [caller]
 
 
 def test_the_calling_thread_draws_what_a_stalled_worker_has_not_taken(monkeypatch):
-    # of four replicas a worker may take 2 and 3: it takes both jobs of the
-    # first block while replica 0 stalls the calling thread, and stalls on
-    # replica 2 longer, so the calling thread draws replica 3 itself
-    config = dataclasses.replace(_acceptance_config(-0.3), nt=1600, replicas=4)
+    # of four replicas a worker takes block 1 of replica 0 during block 0's
+    # step loop and stalls on it, so the calling thread draws block 1 of
+    # replicas 1 to 3 itself
+    config = _one_chain_config(4, 2)
     want = run(config)
-    log = _log_streams(monkeypatch, stall={0: 0.1, 2: 0.4})
+    log = _log_streams(monkeypatch, stall={(0, 1): 0.3})
     assert run(config) == want
     caller = threading.current_thread()
-    assert log[2][0] is not caller and log[3][0] is caller
+    assert [log[rep][1] is caller for rep in range(4)] == [False, True, True, True]
 
 
 @pytest.mark.parametrize("replicas", [1, 4])
@@ -638,11 +625,12 @@ def test_concurrent_sweeps_switching_every_microsecond_keep_their_bits():
 
 @pytest.mark.parametrize("failing", [0, 3])
 def test_a_failing_stream_raises_in_the_caller_and_leaves_no_thread(monkeypatch, failing):
-    # of four replicas the calling thread draws 0 and 1, and a worker 2
-    # and 3 of the first block while replica 1 stalls the calling thread;
-    # the stream of replica ``failing`` raises at its first block
-    config = dataclasses.replace(_acceptance_config(-0.3), nt=1600, replicas=4)
-    log = _log_streams(monkeypatch, stall={1: 0.2}, fail=failing)
+    # as above, a worker takes block 1 of replica 0 and stalls on it, and
+    # the calling thread draws block 1 of replicas 1 to 3; the stream of
+    # replica ``failing`` raises at block 1, on the worker or on the
+    # calling thread
+    config = _one_chain_config(4, 3)
+    log = _log_streams(monkeypatch, stall={(0, 1): 0.3}, fail=(failing, 1))
     raised = []
 
     def call():
@@ -657,8 +645,8 @@ def test_a_failing_stream_raises_in_the_caller_and_leaves_no_thread(monkeypatch,
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive(), "run_sweep hung on a failing stream"
-    assert len(raised) == 1 and len(log[failing]) == 1
-    assert (log[failing][0] is caller) == (failing < 2)
+    assert len(raised) == 1 and len(log[failing]) == 2
+    assert (log[failing][1] is caller) == (failing > 0)
     assert threading.active_count() == before
 
 
@@ -788,16 +776,18 @@ def test_run_sweep_equals_run_per_p(dim, rank, replicas, burns):
     # recorded lengths nt - burn
     targets = (chunk // 2, chunk + chunk // 3, 2 * chunk + chunk // 5)
     # the slowest support drift is p (the symbol vanishes on the support),
-    # so this p gives an automatic burn-in of about the target
-    ps = [-math.log(1e4) / (2.0 * dt * t) for t in targets]
+    # and _relax_steps rounds up, so this p gives an automatic burn-in, and
+    # the steps a start at u = 0 needs, of exactly the target
+    ps = [-math.log(1e4) / (2.0 * dt * (t - 0.5)) for t in targets]
+    assert [_relax_steps(p, dt) for p in ps] == list(targets)
     explicit = {"explicit": targets, "automatic": (None,) * 3,
                 "mixed": (targets[0], None, targets[2])}[burns]
     configs = [SimConfig(symbol, g, p, mesh, dt=dt, nt=nt, sigma=0.8, burn_in=b,
                          replicas=replicas, seed=11, noise=noise, batches=4)
                for p, b in zip(ps, explicit)]
     idx, _ = projection_weights(g, mesh)
-    actual = [_schedule(c, _symbol_values(c), idx)[0] for c in configs]
-    assert [b // chunk for b in actual] == [0, 1, 2] and all(b % chunk for b in actual)
+    assert [_schedule(c, _symbol_values(c), idx)[0] for c in configs] == list(targets)
+    assert [t // chunk for t in targets] == [0, 1, 2] and all(t % chunk for t in targets)
     assert run_sweep(configs) == [run(c) for c in configs]
 
 
@@ -816,8 +806,8 @@ def test_staged_sweep_at_unit_sigma_equals_run_per_p(dim, rank):
     (1, None, 1), (1, None, 4), (1, 32, 2), (3, None, 2), (3, 32, 2), (6, 32, 4)])
 def test_a_block_stays_within_the_block_budget(points, rank, replicas):
     # _steps_per_block sizes the arrays of a block (the states of every p,
-    # one replica's draws, and their map to the chains: a temporary for
-    # one p, the staged increments of every replica for several) to
+    # two buffers of every replica's draws, and for several p the staged
+    # increments of every replica) to
     # _BLOCK_BYTES; what else a sweep holds at its peak does not
     # grow with the block: the recorded series, one block's chain sums,
     # numpy's ufunc buffers (np.getbufsize() elements for each of at most
