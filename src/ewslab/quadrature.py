@@ -7,29 +7,11 @@ p < 0, the stationary variance observed through a window g is
 
 The integrand develops a boundary layer of width ``root_scale(-p)``
 around the zero set of f as p approaches 0 from below, which is exactly
-the regime of interest.  Every route is a sequence of composite
-Gauss-Legendre levels, each evaluated on one node array and accepted by
-``_settled`` once two successive levels agree.  Every one-dimensional
-query but a sampled kernel takes one rule (``_offset_rule``): the window
-is cut at the zeros of f, at the midpoints between them and, for a power
-window x**(-gamma), at its singular point 0; each piece is taken in the
-offset y = |x - c| from its center c, f as ``Symbol.offset_value``, which
-is exact in y for the closed kinds, and in v = log y with the integrand
-in logs, so the weight is the term -2 gamma v; the panels grade away
-from the layer log root_scale(q) (``_log_levels``), and all pieces are
-one node array.  A power law |x - root|**alpha (``ToolAlpha``, a radial
-or ring disc after u = r**2) takes it with t = q + e**(alpha v) in logs
-(``_power_law``), which reaches every positive q.  On boxes in two and
-three dimensions, a sum of one-axis powers c_k (x_k - r_k)**a_k with c_k > 0,
-each term nonnegative on the box, reduces exactly to one integral in
-s = log t of exp(-q t) times a product of per-axis incomplete gamma
-functions (``_separable_reduction``), on the levels of ``_log_levels``.
-Every other box query takes the tensorized route: each axis is one
-graded rule (``_axis_rule``) toward the root coordinate, its smallest
-panel the layer width of the axis's lowest power for a ``Polynomial``
-and ``root_scale / 64`` otherwise, and a level evaluates the symbol on
-the product grid of its axis rules (``Symbol.on_grid``) one slab of
-first-axis nodes at a time and contracts each slab with the weights.
+the regime of interest.  ``route_of`` is the one place that reads the
+kinds of symbol and window: it names the route of a pair and gives its
+function of a grid of q, or refuses the pair.  Every route is a sequence
+of composite Gauss-Legendre levels, each evaluated on one node array and
+accepted by ``_settled`` once two successive levels agree.
 
 A sweep (``variance_values``) takes every p of its grid through the
 route at once, and ``variance_quadrature`` is the sweep of one p.  A
@@ -55,6 +37,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import groupby
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -417,7 +400,7 @@ def _log_levels(log_fn, spans, first, rel_tol, what):
 
 
 # ---------------------------------------------------------------------------
-# 1-D variance dispatch
+# one-dimensional routes
 
 
 def _offset_pieces(a, b, centers):
@@ -522,20 +505,16 @@ def _stable(t):
     return t
 
 
-def _kernel_variance(symbol, g, a, b, q):
+def _kernel_variance(symbol, a, b, q):
     """Per q, the exact integral over [a, b] of the resolvent of the piecewise-linear
     multiplier interpolant.
 
     On each grid segment the resolvent of a linear function integrates
     to a logarithm, which stays finite as long as q > 0, so no special
     treatment of near-zero multiplier values is needed.  Accuracy is
-    limited by the kernel's sample resolution, not by this step.  The
-    window must be a box: the interpolant has a kink at every node, which
-    a weighted window's graded rule would not put a panel edge on.  Only
+    limited by the kernel's sample resolution, not by this step.  Only
     t = q - f depends on q: each q is one row of the segment sums.
     """
-    if not isinstance(g, IndicatorBox):
-        raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
     grid = symbol.freq_grid
     if a < grid[0] or b > grid[-1]:
         raise ValueError("window exceeds the kernel's resolved frequency range")
@@ -550,33 +529,12 @@ def _kernel_variance(symbol, g, a, b, q):
     return seg.sum(axis=1)
 
 
-def _variance_1d(symbol, g, a, b, q, rel_tol):
-    """Per q, integral over [a, b] of g**2 / (q - f), for g a box or the power window
-    x**(-gamma).
-
-    A ``Piecewise`` symbol splits at its root, each side on its own route;
-    a ``ToolAlpha`` takes ``_power_law`` unless a power window's 0 is not
-    its root; every other symbol but a sampled kernel takes
-    ``_offset_rule`` from the zeros of f near [a, b] (its root without
-    any) and, for gamma > 0, from 0, with its layer at log root_scale(q).
-    """
-    root = float(symbol.root[0])
-    if isinstance(symbol, Piecewise):
-        total = 0.0
-        if a < root:
-            total += _variance_1d(symbol.left, g, a, min(b, root), q, rel_tol)
-        if b > root:
-            total += _variance_1d(symbol.right, g, max(a, root), b, q, rel_tol)
-        return total
-    if isinstance(symbol, ConvolutionKernel):
-        return _kernel_variance(symbol, g, a, b, q)
-    gamma = g.gamma if isinstance(g, PowerIndicator) else 0.0
-    if isinstance(symbol, ToolAlpha) and (root == 0.0 or not gamma):
-        return _power_law(symbol.alpha, _offset_pieces(a, b, [root]), q, rel_tol,
-                          "power-law quadrature", gamma)
-
+def _offset_log(symbol, a, b, gamma, q, rel_tol):
+    """Per q, integral over [a, b] of |x|**(-2 gamma) / (q - f) by ``_offset_rule``, from
+    the zeros of f near [a, b] (its root without any) and, for gamma > 0, from 0, with its
+    layer at log root_scale(q)."""
     margin = b - a
-    zeros = {*symbol.zeros_in(a - margin, b + margin)} or {root}
+    zeros = {*symbol.zeros_in(a - margin, b + margin)} or {float(symbol.root[0])}
     pieces = _offset_pieces(a, b, sorted(zeros | {0.0} if gamma else zeros))
     centers_signs = np.array([p[:2] for p in pieces]).T
     layers = np.array([math.log(max(symbol.root_scale(x), _TINY)) for x in q.tolist()])
@@ -662,14 +620,13 @@ def _variance_tensor(symbol, g, q, rel_tol):
 
 
 def _separable_axes(symbol, g):
-    """Per-axis ``(c, a)`` of f = -sum_k c_k (x_k - r_k)**a_k, None on an axis without a term.
+    """Per-axis ``(c, a)`` of the ``Polynomial`` f = -sum_k c_k (x_k - r_k)**a_k, None on an
+    axis without a term.
 
-    None instead, for the tensor route, unless f is a ``Polynomial`` with
-    c_k > 0, at most one term per axis and every term nonnegative on the
-    box g (a_k even, or the box above the root on that axis).
+    None instead, for the tensor route, unless c_k > 0, there is at most
+    one term per axis and every term is nonnegative on the box g (a_k
+    even, or the box above the root on that axis).
     """
-    if not isinstance(symbol, Polynomial):
-        return None
     axes = [None] * symbol.dim
     for j, c in symbol.coeffs.items():
         if not c:
@@ -816,10 +773,8 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     (2|f+p| + (f+p)**2 dt), which is the right reference when comparing
     against discretized simulations (``_scheme_corrected``).
 
-    Physical and frequency symbols alike take the one router, here on one
-    p (``variance_values`` is it on a grid); sampled kernels, alone or as
-    a ``Piecewise`` side, take the exact integral of their interpolant, on
-    box windows only.
+    Every symbol and window takes the route ``route_of`` names for the
+    pair, here on one p (``variance_values`` is it on a grid).
     """
     return float(_variance(query, np.array([-query.p]), rel_tol, dt)[0])
 
@@ -830,13 +785,14 @@ def _variance(query, q, rel_tol, dt):
     _check_rel_tol(rel_tol)
     if as_finite(dt, "dt") < 0:
         raise ValueError("dt must be nonnegative")
-    symbol, g = query.symbol, query.test_function
+    symbol = query.symbol
     tol = rel_tol if rel_tol is not None else REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND
     # 2/dt overflows for dt below about 1.1e-308, where the correction is 0
     shift = 2.0 / dt if dt > 0 else math.inf
     with np.errstate(all="ignore"):
-        value = (_scheme_corrected(symbol, g, q, shift, tol) if shift < math.inf
-                 else _route(symbol, g, q, tol))
+        route = route_of(symbol, query.test_function)
+        value = (_scheme_corrected(route, q, shift, tol) if shift < math.inf
+                 else route.values(q, tol))
         square, k = split_square(query.sigma)
         value = np.ldexp(0.5 * square * value, k)
     for x, v in zip(q.tolist(), value.tolist()):
@@ -845,13 +801,35 @@ def _variance(query, q, rel_tol, dt):
     return value
 
 
-def _route(symbol, g, q, tol):
-    """Per q of the array ``q``, integral g**2 / (q - f) dx by the route of (symbol, g)."""
+class Route(NamedTuple):
+    """A variance route: its ``name`` and ``values(q, tol)``, per q of the array ``q`` the
+    integral of g**2 / (q - f) dx to the relative tolerance ``tol``."""
+
+    name: str
+    values: Callable
+
+
+def route_of(symbol: Symbol, g: TestFunction) -> Route:
+    """The route of the variance integral of ``symbol`` through the window ``g``.
+
+    The one place that reads the kinds of both.  Its rows, in the order
+    they are tried (the first four in one dimension, ``_route_1d``):
+
+    - ``piecewise``: a ``Piecewise`` symbol, each side the window reaches on its own row;
+    - ``kernel exact``: a sampled kernel on a box (``_kernel_variance``);
+    - ``power law``: a ``ToolAlpha`` on a box, or on a power window whose 0 is its root;
+    - ``offset-log``: every other one-dimensional pair (``_offset_log``);
+    - ``polar``: a radial or ring multiplier on a disc, as a power law in u = r**2;
+    - ``separable reduction``: a sum of one-axis powers on a 2-D/3-D box (``_separable_axes``);
+    - ``tensor``: every other 2-D/3-D box but the ring multiplier's (``_variance_tensor``).
+
+    A pair that no row takes raises ValueError.
+    """
     if symbol.dim == 1:
         if isinstance(g, PowerIndicator):
-            return _variance_1d(symbol, g, 0.0, g.eps, q, tol)
+            return _route_1d(symbol, g, 0.0, g.eps)
         if isinstance(g, IndicatorBox):
-            return _variance_1d(symbol, g, float(g.lo[0]), float(g.hi[0]), q, tol)
+            return _route_1d(symbol, g, float(g.lo[0]), float(g.hi[0]))
         raise ValueError(f"unsupported window {g!r} for a one-dimensional symbol")
     if isinstance(g, Disc) and isinstance(symbol, (Radial2D, SwiftHohenberg2D)):
         # polar coordinates and u = r**2 turn the disc integral into the one-dimensional
@@ -861,19 +839,46 @@ def _route(symbol, g, q, tol):
         alpha, root = ((symbol.exponent / 2.0, 0.0) if isinstance(symbol, Radial2D)
                        else (2.0, 1.0))
         pieces = _offset_pieces(0.0, g.radius**2, [root])
-        return 0.5 * g.angle * _power_law(alpha, pieces, q, tol, "polar quadrature")
+        return Route("polar", lambda q, tol: 0.5 * g.angle * _power_law(
+            alpha, pieces, q, tol, "polar quadrature"))
     if (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
             and not isinstance(symbol, SwiftHohenberg2D)):
         # the tensor panels grade toward the root, not toward a ring
-        axes = _separable_axes(symbol, g)
+        axes = _separable_axes(symbol, g) if isinstance(symbol, Polynomial) else None
         if axes is None:
-            return _variance_tensor(symbol, g, q, tol)
-        return _separable_reduction(axes, g.lo, g.hi, symbol.root, q, tol)
+            return Route("tensor", lambda q, tol: _variance_tensor(symbol, g, q, tol))
+        return Route("separable reduction", lambda q, tol: _separable_reduction(
+            axes, g.lo, g.hi, symbol.root, q, tol))
     raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
 
 
-def _scheme_corrected(symbol, g, q, shift, tol):
-    """Per q, V(q) - V(q + shift) to ``tol``, V by ``_route`` and shift = 2/dt.
+def _route_1d(symbol, g, a, b):
+    """The row of ``route_of`` for a one-dimensional symbol on [a, b], g a box or the power
+    window x**(-gamma) on [0, eps]."""
+    root = float(symbol.root[0])
+    if isinstance(symbol, Piecewise):
+        sides = []
+        if a < root:
+            sides.append(_route_1d(symbol.left, g, a, min(b, root)))
+        if b > root:
+            sides.append(_route_1d(symbol.right, g, max(a, root), b))
+        return Route("piecewise", lambda q, tol: sum((side.values(q, tol) for side in sides), 0.0))
+    if isinstance(symbol, ConvolutionKernel):
+        # the interpolant has a kink at every node, on which the graded rule of a
+        # weighted window would put no panel edge
+        if not isinstance(g, IndicatorBox):
+            raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
+        return Route("kernel exact", lambda q, tol: _kernel_variance(symbol, a, b, q))
+    gamma = g.gamma if isinstance(g, PowerIndicator) else 0.0
+    if isinstance(symbol, ToolAlpha) and (root == 0.0 or not gamma):
+        pieces = _offset_pieces(a, b, [root])
+        return Route("power law", lambda q, tol: _power_law(
+            symbol.alpha, pieces, q, tol, "power-law quadrature", gamma))
+    return Route("offset-log", lambda q, tol: _offset_log(symbol, a, b, gamma, q, tol))
+
+
+def _scheme_corrected(route, q, shift, tol):
+    """Per q, V(q) - V(q + shift) to ``tol``, V by ``route.values`` and shift = 2/dt.
 
     The difference may lose R = (V(q) + V(q + shift)) / (V(q) - V(q + shift))
     <= 1 + dt max(q - f) times the tolerance of its terms.  One pass takes both
@@ -886,7 +891,7 @@ def _scheme_corrected(symbol, g, q, shift, tol):
     def corrected(x, inner):
         if not np.all(np.isfinite(x + shift)):
             raise QuadratureError(f"q + 2/dt overflows at q = {x.item(0)}")
-        v, v_shift = np.split(_route(symbol, g, np.concatenate([x, x + shift]), inner), 2)
+        v, v_shift = np.split(route.values(np.concatenate([x, x + shift]), inner), 2)
         diff = v - v_shift
         return diff, np.where(diff > 0.0, (v + v_shift) / diff, math.inf)
 

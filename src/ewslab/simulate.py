@@ -426,7 +426,10 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     advance together, a block of steps at a time, with the arithmetic of
     ``step``, each p recording the projection, the sum of its chains;
     each replica reports the sample variance of its series and a
-    batch-means standard error.  Estimate i equals ``run(configs[i])``.
+    batch-means standard error.  Estimate i equals ``run(configs[i])``,
+    for rank-M noise up to the last bits: the BLAS product of a block's
+    draws with the noise map may round a block's tail rows differently,
+    and a sweep's blocks need not have the row count of one ``run``'s.
 
     A sweep of more than one block draws on two threads: each block's
     jobs (one per replica) are posted once the block before is drawn, a

@@ -44,8 +44,7 @@ def _check_frequency_kind(symbol):
 
 def predicted_spectral_law(symbol: Symbol, ghat: TestFunction | None = None) -> ScalingLaw:
     """:func:`predicted_law` for the frequency families only."""
-    if not isinstance(symbol, FREQUENCY_KINDS):
-        raise TypeError("not a frequency symbol")
+    _check_frequency_kind(symbol)
     return predicted_law(symbol, ghat)
 
 

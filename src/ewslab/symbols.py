@@ -597,32 +597,18 @@ class ConvolutionKernel(Symbol):
         return np.interp(arr, self.freq_grid, self.multiplier)
 
     def zeros_in(self, lo: float, hi: float) -> tuple[float, ...]:
-        scale = _ZERO_TOL * max(1.0, float(np.max(np.abs(self.multiplier))))
-        found = []
-        sel = (self.freq_grid >= lo) & (self.freq_grid <= hi)
-        for k in self.freq_grid[sel][np.abs(self.multiplier[sel]) <= scale]:
-            found.append(float(k))
-        # Sign changes between adjacent samples locate off-grid zeros of the
-        # interpolated multiplier; bisect each bracketing interval.
-        vals = self.multiplier
-        for i in range(self.freq_grid.size - 1):
-            a, b = self.freq_grid[i], self.freq_grid[i + 1]
-            if b < lo or a > hi:
-                continue
-            fa, fb = vals[i], vals[i + 1]
-            if abs(fa) <= scale or abs(fb) <= scale or fa * fb > 0:
-                continue
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = float(np.interp(mid, self.freq_grid, vals))
-                if fa * fm <= 0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            root = 0.5 * (a + b)
-            if lo <= root <= hi:
-                found.append(float(root))
-        return tuple(sorted(found))
+        k, f = self.freq_grid, self.multiplier
+        scale = _ZERO_TOL * max(1.0, float(np.max(np.abs(f))))
+        small = np.abs(f) <= scale
+        on_nodes = k[(k >= lo) & (k <= hi) & small]
+        # a sign change between adjacent samples brackets one zero of the linear interpolant,
+        # (k0 f1 - k1 f0) / (f1 - f0), which negates exactly on a mirrored segment
+        k0, k1, f0, f1 = k[:-1], k[1:], f[:-1], f[1:]
+        bracket = (k1 >= lo) & (k0 <= hi) & ~small[:-1] & ~small[1:] & (f0 * f1 <= 0)
+        k0, k1, f0, f1 = k0[bracket], k1[bracket], f0[bracket], f1[bracket]
+        roots = (k0 * f1 - k1 * f0) / (f1 - f0)
+        roots = roots[(lo <= roots) & (roots <= hi)]
+        return tuple(sorted(np.concatenate([on_nodes, roots]).tolist()))
 
     def __repr__(self):
         return f"ConvolutionKernel(n={self.samples.size}, spacing={self.spacing})"

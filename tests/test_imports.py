@@ -4,6 +4,7 @@ No import goes unused (a line marked ``# noqa: F401`` keeps one on
 purpose), and no module reaches into another ewslab module for a
 ``_``-prefixed name: what modules share is public.  A process that runs
 every quadrature route and a simulation never loads ``scipy.integrate``.
+In ``quadrature.py`` only the route table tests the kind of a window.
 """
 import ast
 import os
@@ -61,6 +62,30 @@ def test_the_exemption_marker_covers_one_pinned_import():
     marked = [(path.name, line.strip()) for path in MODULES
               for line in path.read_text().splitlines() if "# noqa: F401" in line]
     assert marked == [("simulate.py", "from .noise import NoiseModel, noise_increment  # noqa: F401")]
+
+
+def test_only_the_route_table_tests_window_kinds():
+    tree = ast.parse((MODULES[0].parent / "quadrature.py").read_text())
+    windows = {"TestFunction"}
+    for node in tree.body:  # the window classes, each defined after its base
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in windows
+                                                  for b in node.bases):
+            windows.add(node.name)
+    assert {"IndicatorBox", "PowerIndicator", "Disc", "QuarterDisc"} <= windows
+    scopes = (ast.FunctionDef, ast.ClassDef)
+    found = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, scopes))]:
+        todo = list(scope.body)  # the scope's own code, not that of a def nested in it
+        while todo:
+            node = todo.pop()
+            if isinstance(node, scopes):
+                continue
+            todo.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                if kinds & windows:
+                    found.append(getattr(scope, "name", "the module"))
+    assert found and set(found) <= {"route_of", "_route_1d"}, found
 
 
 # one query through every quadrature route and one tiny simulation, in a

@@ -7,7 +7,9 @@ next to the formulas that produced them.
 """
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from ewslab.quadrature import (
     _ladders,
     appendix_c_integral,
     monomial_integral,
+    route_of,
     variance_quadrature,
 )
 from ewslab.symbols import (
@@ -43,6 +46,7 @@ from ewslab.symbols import (
     Radial2D,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
+    Symbol,
     ToolAlpha,
     Zero,
 )
@@ -1213,3 +1217,109 @@ def test_a_kernel_side_of_a_piecewise_symbol_takes_the_exact_route(dt):
         want = (_value(ker, IndicatorBox(-1.0, 0.0), p, dt=dt)
                 + _value(ToolAlpha(2.0), IndicatorBox(0.0, 1.0), p, dt=dt))
         assert math.isclose(got, want, rel_tol=1e-14), p
+
+
+# the route table: one example of every symbol kind (several where the kind's
+# dimension or coefficients change its route) and of every window kind
+_LAPLACIAN = ConvolutionKernel([-2.0, 1.0] + [0.0] * 13 + [1.0], 1.0)
+_TABLE_SYMBOLS = {
+    "tool": ToolAlpha(2.0),
+    "tool off 0": ToolAlpha(2.0, root=0.3),
+    "power2m": PowerWavenumber(1),
+    "polynomial 1-D": Polynomial({(2,): 1.0, (3,): 0.5}, root=0.0, domain=(-0.5, 1.0)),
+    "piecewise": Piecewise(ToolAlpha(2.0), ToolAlpha(4.0)),
+    "piecewise, kernel right": Piecewise(ToolAlpha(2.0), _LAPLACIAN),
+    "sh1d": SwiftHohenberg1D(),
+    "kernel": _LAPLACIAN,
+    "zero 1-D": Zero(1),
+    "custom 1-D": CustomSymbol(lambda x: -(x ** 2)),
+    "radial": Radial2D(2.0),
+    "sh2d": SwiftHohenberg2D(),
+    "polynomial separable 2-D": Polynomial({(2, 0): 1.0, (0, 4): 1.0}),
+    "polynomial 2-D": Polynomial({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 0.5}),
+    "zero 2-D": Zero(2),
+    "custom 2-D": CustomSymbol(lambda x: -(x[..., 0] ** 2 + x[..., 1] ** 2), dim=2),
+    "polynomial separable 3-D": Polynomial({(2, 0, 0): 1.0, (0, 2, 0): 2.0, (0, 0, 4): 1.0}),
+    "polynomial 3-D": Polynomial({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (1, 1, 0): 0.5}),
+    "zero 4-D": Zero(4),
+}
+_TABLE_WINDOWS = {
+    "box 1-D": IndicatorBox(-0.5, 1.0),
+    "power": PowerIndicator(0.25, 1.0),
+    "box 2-D": IndicatorBox((-0.5, 0.0), (1.0, 1.0)),
+    "disc": Disc(1.5),
+    "quarter disc": QuarterDisc(0.5),
+    "box 3-D": IndicatorBox.cube(1.0, 3),
+    "box 4-D": IndicatorBox.cube(1.0, 4),
+}
+# the route of every pair of one dimension, None where the pair is refused
+_TABLE = {
+    ("tool", "box 1-D"): "power law",
+    ("tool", "power"): "power law",
+    ("tool off 0", "box 1-D"): "power law",
+    ("tool off 0", "power"): "offset-log",  # the window's singular 0 is not the root
+    ("power2m", "box 1-D"): "power law",
+    ("power2m", "power"): "power law",
+    ("polynomial 1-D", "box 1-D"): "offset-log",
+    ("polynomial 1-D", "power"): "offset-log",
+    ("piecewise", "box 1-D"): "piecewise",
+    ("piecewise", "power"): "piecewise",
+    ("piecewise, kernel right", "box 1-D"): "piecewise",
+    ("piecewise, kernel right", "power"): None,  # its kernel side takes boxes only
+    ("sh1d", "box 1-D"): "offset-log",
+    ("sh1d", "power"): "offset-log",
+    ("kernel", "box 1-D"): "kernel exact",
+    ("kernel", "power"): None,
+    ("zero 1-D", "box 1-D"): "offset-log",
+    ("zero 1-D", "power"): "offset-log",
+    ("custom 1-D", "box 1-D"): "offset-log",
+    ("custom 1-D", "power"): "offset-log",
+    ("radial", "box 2-D"): "tensor",
+    ("radial", "disc"): "polar",
+    ("radial", "quarter disc"): "polar",
+    ("sh2d", "box 2-D"): None,  # the tensor panels grade toward a point, not a ring
+    ("sh2d", "disc"): "polar",
+    ("sh2d", "quarter disc"): "polar",
+    ("polynomial separable 2-D", "box 2-D"): "separable reduction",
+    ("polynomial separable 2-D", "disc"): None,
+    ("polynomial separable 2-D", "quarter disc"): None,
+    ("polynomial 2-D", "box 2-D"): "tensor",
+    ("polynomial 2-D", "disc"): None,
+    ("polynomial 2-D", "quarter disc"): None,
+    ("zero 2-D", "box 2-D"): "tensor",
+    ("zero 2-D", "disc"): None,
+    ("zero 2-D", "quarter disc"): None,
+    ("custom 2-D", "box 2-D"): "tensor",
+    ("custom 2-D", "disc"): None,
+    ("custom 2-D", "quarter disc"): None,
+    ("polynomial separable 3-D", "box 3-D"): "separable reduction",
+    ("polynomial 3-D", "box 3-D"): "tensor",
+    ("zero 4-D", "box 4-D"): None,
+}
+
+
+def test_the_route_table_covers_every_kind():
+    # a kind registered without rows here fails
+    assert {s.kind for s in _TABLE_SYMBOLS.values()} == set(Symbol.kinds) | {CustomSymbol.kind}
+    assert {g.kind for g in _TABLE_WINDOWS.values()} == set(TestFunction.kinds)
+    pairs = {(s, g) for s, symbol in _TABLE_SYMBOLS.items() for g, window in _TABLE_WINDOWS.items()
+             if symbol.dim == window.dim}
+    assert pairs == set(_TABLE)
+
+
+@pytest.mark.parametrize("pair", sorted(_TABLE), ids=" / ".join)
+def test_every_pair_takes_its_route_or_is_refused(pair):
+    symbol, g = _TABLE_SYMBOLS[pair[0]], _TABLE_WINDOWS[pair[1]]
+    if _TABLE[pair] is None:
+        with pytest.raises(ValueError, match="^unsupported"):
+            route_of(symbol, g)
+    else:
+        assert route_of(symbol, g).name == _TABLE[pair]
+
+
+def test_the_readme_lists_the_routes_of_the_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Variance routes", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^- `([^`]+)`:", section, flags=re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(_TABLE.values()) - {None}

@@ -175,7 +175,8 @@ def test_predicted_law_is_window_aware():
     for symbol in (Radial2D(2.0), Piecewise(ToolAlpha(1.0), ToolAlpha(2.0))):
         with pytest.raises(LawUnavailableError):
             predicted_law(symbol)
-    with pytest.raises(TypeError):
+    # the one kind check of the frequency entry points, with its one message
+    with pytest.raises(TypeError, match="^symbol must be one of the frequency multiplier kinds$"):
         predicted_spectral_law(ToolAlpha(2.0))
 
 

@@ -1,6 +1,7 @@
 """Drift symbol construction, evaluation, stability checks, serialization."""
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -288,9 +289,32 @@ def test_convolution_kernel_locates_sign_change_zeros():
     zeros = f.zeros_in(-3.0, 3.0)
     assert len(zeros) == 2
     assert zeros[0] == -zeros[1]
-    # the bisection root sits on the interpolated multiplier's zero
-    assert abs(float(f(np.array([zeros[1]]))[0])) < 1e-10
+    # the linear root sits on the interpolated multiplier's zero
+    assert abs(float(f(np.array([zeros[1]]))[0])) < 1e-15
     assert not f.sign_ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=40), st.floats(0.05, 2.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_kernel_zeros_are_the_roots_of_the_interpolant(samples, spacing, a, b):
+    # one zero per sign-changing segment inside [lo, hi], each within a few ulps of
+    # the exact root of the segment's line, and the near-zero nodes themselves
+    f = ConvolutionKernel(samples, spacing)
+    k, m = f.freq_grid.tolist(), f.multiplier.tolist()
+    lo, hi = sorted(k[0] + (k[-1] - k[0]) * t for t in (a, b))
+    scale = 1e-12 * max(1.0, max(map(abs, m)))
+    want = [(Fraction(x), 0.0) for x, y in zip(k, m) if lo <= x <= hi and abs(y) <= scale]
+    for k0, k1, f0, f1 in zip(k, k[1:], m, m[1:]):
+        if min(abs(f0), abs(f1)) > scale and (f0 < 0) != (f1 < 0):
+            k0, k1, f0, f1 = map(Fraction, (k0, k1, f0, f1))
+            root = k0 + (k1 - k0) * f0 / (f0 - f1)
+            if lo <= root <= hi:
+                want.append((root, 4 * math.ulp(float(max(abs(k0), abs(k1))))))
+    got = f.zeros_in(lo, hi)
+    assert len(got) == len(want)
+    for z, (root, tol) in zip(got, sorted(want)):
+        assert abs(Fraction(z) - root) <= tol
 
 
 def test_convolution_kernel_input_validation():
