@@ -11,18 +11,26 @@ predicted rates can be cross-checked against each other.
 from .symbols import (
     ConvolutionKernel,
     CustomSymbol,
+    LawUnavailableError,
     MultiIndex,
     Piecewise,
     Polynomial,
     PowerWavenumber,
     Radial2D,
+    ScalingLaw,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
     Symbol,
     ToolAlpha,
     Zero,
     as_multi_index,
+    best_upper_bound,
+    law_1d,
+    law_analytic_1d,
+    law_upper_bound,
     minimal_support,
+    polynomial_law,
+    predicts_convergence,
     real_part_symbol,
 )
 from .quadrature import (
@@ -39,21 +47,12 @@ from .quadrature import (
 )
 from .scaling import (
     FitResult,
-    LawUnavailableError,
-    ScalingLaw,
     SweepResult,
-    best_upper_bound,
     classify,
-    covers_zero_set,
     default_exponent_candidates,
     fit_loglog,
-    law_1d,
-    law_analytic_1d,
-    law_upper_bound,
     log_spaced_p,
-    polynomial_law,
     predicted_law,
-    predicts_convergence,
     quadrature_sweep,
 )
 from .noise import (
@@ -71,7 +70,6 @@ from .simulate import (
     projection_weights,
     run,
     run_sweep,
-    step,
 )
 from .spectral import predicted_spectral_law, spectral_sweep, variance_spectral
 

@@ -34,13 +34,9 @@ from .quadrature import (
     appendix_c_integral,
 )
 from .scaling import (
-    LawUnavailableError,
-    ScalingLaw,
     SweepResult,
     classify,
     fit_loglog,
-    law_1d,
-    law_upper_bound,
     log_spaced_p,
     predicted_law,
     quadrature_sweep,
@@ -51,15 +47,19 @@ from .spectral import predicted_spectral_law, spectral_sweep
 from .symbols import (
     FREQUENCY_KINDS,
     ConvolutionKernel,
+    LawUnavailableError,
     Piecewise,
     Polynomial,
     PowerWavenumber,
     Radial2D,
+    ScalingLaw,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
     Symbol,
     ToolAlpha,
     Zero,
+    law_1d,
+    law_upper_bound,
 )
 
 EXIT_USAGE = 2

@@ -802,11 +802,13 @@ def _variance(query, q, rel_tol, dt):
 
 
 class Route(NamedTuple):
-    """A variance route: its ``name`` and ``values(q, tol)``, per q of the array ``q`` the
-    integral of g**2 / (q - f) dx to the relative tolerance ``tol``."""
+    """A variance route: its ``name``; ``values(q, tol)``, per q of the array ``q`` the
+    integral of g**2 / (q - f) dx to the relative tolerance ``tol``; and ``law()``, the
+    symbol's catalog law through the window (``Symbol.law``), computed only when called."""
 
     name: str
     values: Callable
+    law: Callable
 
 
 def route_of(symbol: Symbol, g: TestFunction) -> Route:
@@ -823,7 +825,13 @@ def route_of(symbol: Symbol, g: TestFunction) -> Route:
     - ``separable reduction``: a sum of one-axis powers on a 2-D/3-D box (``_separable_axes``);
     - ``tensor``: every other 2-D/3-D box but the ring multiplier's (``_variance_tensor``).
 
-    A pair that no row takes raises ValueError.
+    Each row gives ``Symbol.law`` whether the window reaches the zero set:
+    in one dimension whether [a, b] holds a zero (``zeros_in``), with the
+    gamma of a power window whose 0 is the root; on a disc whether R
+    reaches the root of the power law in u = r**2; on a box whether it
+    holds the root.  A ``piecewise`` row gives the law of the ``Piecewise``
+    symbol itself.  A pair that no row takes raises ValueError, and so
+    has no law.
     """
     if symbol.dim == 1:
         if isinstance(g, PowerIndicator):
@@ -840,15 +848,17 @@ def route_of(symbol: Symbol, g: TestFunction) -> Route:
                        else (2.0, 1.0))
         pieces = _offset_pieces(0.0, g.radius**2, [root])
         return Route("polar", lambda q, tol: 0.5 * g.angle * _power_law(
-            alpha, pieces, q, tol, "polar quadrature"))
+            alpha, pieces, q, tol, "polar quadrature"),
+            lambda: symbol.law(reached=g.radius >= root))
     if (isinstance(g, IndicatorBox) and symbol.dim in (2, 3)
             and not isinstance(symbol, SwiftHohenberg2D)):
         # the tensor panels grade toward the root, not toward a ring
         axes = _separable_axes(symbol, g) if isinstance(symbol, Polynomial) else None
+        law = lambda: symbol.law(reached=bool(g(symbol.root) > 0))
         if axes is None:
-            return Route("tensor", lambda q, tol: _variance_tensor(symbol, g, q, tol))
+            return Route("tensor", lambda q, tol: _variance_tensor(symbol, g, q, tol), law)
         return Route("separable reduction", lambda q, tol: _separable_reduction(
-            axes, g.lo, g.hi, symbol.root, q, tol))
+            axes, g.lo, g.hi, symbol.root, q, tol), law)
     raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
 
 
@@ -856,25 +866,28 @@ def _route_1d(symbol, g, a, b):
     """The row of ``route_of`` for a one-dimensional symbol on [a, b], g a box or the power
     window x**(-gamma) on [0, eps]."""
     root = float(symbol.root[0])
+    gamma = g.gamma if isinstance(g, PowerIndicator) else 0.0
+    # x**(-gamma) shifts the law only where its singular end meets the root
+    law = lambda: symbol.law(gamma if root == 0.0 else 0.0, bool(symbol.zeros_in(a, b)))
     if isinstance(symbol, Piecewise):
         sides = []
         if a < root:
             sides.append(_route_1d(symbol.left, g, a, min(b, root)))
         if b > root:
             sides.append(_route_1d(symbol.right, g, max(a, root), b))
-        return Route("piecewise", lambda q, tol: sum((side.values(q, tol) for side in sides), 0.0))
+        return Route("piecewise", lambda q, tol: sum((side.values(q, tol) for side in sides), 0.0),
+                     law)
     if isinstance(symbol, ConvolutionKernel):
         # the interpolant has a kink at every node, on which the graded rule of a
         # weighted window would put no panel edge
         if not isinstance(g, IndicatorBox):
             raise ValueError(f"unsupported combination of symbol {symbol!r} and window {g!r}")
-        return Route("kernel exact", lambda q, tol: _kernel_variance(symbol, a, b, q))
-    gamma = g.gamma if isinstance(g, PowerIndicator) else 0.0
+        return Route("kernel exact", lambda q, tol: _kernel_variance(symbol, a, b, q), law)
     if isinstance(symbol, ToolAlpha) and (root == 0.0 or not gamma):
         pieces = _offset_pieces(a, b, [root])
         return Route("power law", lambda q, tol: _power_law(
-            symbol.alpha, pieces, q, tol, "power-law quadrature", gamma))
-    return Route("offset-log", lambda q, tol: _offset_log(symbol, a, b, gamma, q, tol))
+            symbol.alpha, pieces, q, tol, "power-law quadrature", gamma), law)
+    return Route("offset-log", lambda q, tol: _offset_log(symbol, a, b, gamma, q, tol), law)
 
 
 def _scheme_corrected(route, q, shift, tol):

@@ -125,11 +125,6 @@ class Mesh:
         return np.stack([xs.ravel(), ys.ravel()], axis=-1)
 
 
-def step(u, drift, dt: float, increment, sigma: float):
-    """One implicit Euler update: (u + sigma * increment) / (1 - drift * dt)."""
-    return (u + sigma * increment) / (1.0 - drift * dt)
-
-
 def projection_weights(g: TestFunction, mesh: Mesh, unweighted: bool = False):
     """Mesh indices inside the window and their projection weights.
 
@@ -424,12 +419,13 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     when an explicit ``burn_in`` is shorter than the ``_relax_steps`` its
     slowest mode needs to forget that start.  All p and replicas
     advance together, a block of steps at a time, with the arithmetic of
-    ``step``, each p recording the projection, the sum of its chains;
-    each replica reports the sample variance of its series and a
-    batch-means standard error.  Estimate i equals ``run(configs[i])``,
-    for rank-M noise up to the last bits: the BLAS product of a block's
-    draws with the noise map may round a block's tail rows differently,
-    and a sweep's blocks need not have the row count of one ``run``'s.
+    the implicit Euler update (u + sigma dW) / (1 - (f + p) dt), each p
+    recording the projection, the sum of its chains; each replica
+    reports the sample variance of its series and a batch-means standard
+    error.  Estimate i equals ``run(configs[i])``, for rank-M noise up
+    to the last bits: the BLAS product of a block's draws with the noise
+    map may round a block's tail rows differently, and a sweep's blocks
+    need not have the row count of one ``run``'s.
 
     A sweep of more than one block draws on two threads: each block's
     jobs (one per replica) are posted once the block before is drawn, a
@@ -538,9 +534,9 @@ def run_sweep(configs) -> list[VarianceEstimate]:
             if start + chunk < steps:
                 post(start + chunk)
             # sqrt(dt), then sigma, then the division, in the order of
-            # noise_increment and step: every chain state matches the
-            # one-step update of that chain bit for bit (multiplying by a
-            # sigma of 1.0 changes no bit, so it is skipped)
+            # noise_increment and the implicit update (u + sigma dW) / (1 - drift dt):
+            # every chain state matches the one-step update of that chain bit
+            # for bit (multiplying by a sigma of 1.0 changes no bit, so it is skipped)
             drawn = staged[:k]
             drawn *= sqrt_dt
             if base.sigma != 1.0:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .quadrature import TestFunction, VarianceQuery, variance_quadrature, variance_values
-from .scaling import ScalingLaw, SweepResult, predicted_law
-from .symbols import FREQUENCY_KINDS, Symbol
+from .scaling import SweepResult, predicted_law
+from .symbols import FREQUENCY_KINDS, ScalingLaw, Symbol
 
 REL_TOL_SPECTRAL = 1e-8
 

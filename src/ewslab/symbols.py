@@ -5,7 +5,13 @@ drift acts as multiplication by f(x) + p.  A symbol is the function f:
 real valued, nonpositive on its domain, vanishing where the
 deterministic part loses stability.  This module holds the structured
 symbol families that the quadrature, scaling and simulation layers
-accept, plus inspection helpers for polynomial coefficient maps.
+accept, the rate catalog, and inspection helpers for polynomial
+coefficient maps.
+
+The rate catalog gives the law of the variance as p -> 0-: the rules
+(``law_1d``, ``law_upper_bound`` and those built on them) and, per kind,
+``Symbol.law``, the law of a symbol seen through a window that the
+route table (``quadrature.route_of``) describes by two arguments.
 
 Spatial kinds (``ToolAlpha``, ``Polynomial``, ``Piecewise``,
 ``Radial2D``, ``Zero``) vanish at a designated root.  Frequency kinds
@@ -18,7 +24,8 @@ stability check applies to them.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -112,6 +119,173 @@ def as_coefficient_map(coeffs: Mapping) -> dict[MultiIndex, float]:
     if len({len(j) for j in terms}) != 1:
         raise ValueError("all multi-indices must have the same number of components")
     return terms
+
+
+def minimal_support(coeffs: Mapping) -> frozenset[MultiIndex]:
+    """Componentwise-minimal multi-indices among the nonzero coefficients.
+
+    A multi-index j belongs to the result exactly when no other stored
+    multi-index d with a nonzero coefficient satisfies d <= j in every
+    component.  The scan sorts by total degree so one forward pass
+    suffices: a dominator always has total degree at most that of the
+    dominated index, and equal-degree indices never dominate each other.
+    """
+    entries = [j for j, a in as_coefficient_map(coeffs).items() if a != 0.0]
+    if not entries:
+        raise ValueError("coefficient map has no nonzero entries")
+    entries.sort(key=lambda j: (sum(j), j))
+    minima: list[MultiIndex] = []
+    for j in entries:
+        if not any(all(md <= jd for md, jd in zip(m, j)) for m in minima):
+            minima.append(j)
+    return frozenset(minima)
+
+
+@dataclass(frozen=True)
+class ScalingLaw:
+    """Asymptotic rate V(p) ~ (-p)**s * (-log(-p))**k, or boundedness.
+
+    ``s`` lies in [-1, 0] and ``k`` is a nonnegative integer.  A
+    convergent law has s = k = 0 and means the variance stays bounded;
+    the divergent pair (0, 0) does not occur, logarithms are the
+    slowest divergence in the catalog.
+    """
+
+    s: float
+    k: int
+    convergent: bool = False
+
+    def __post_init__(self):
+        if self.convergent:
+            if self.s != 0.0 or self.k != 0:
+                raise ValueError("a convergent law must have s = 0 and k = 0")
+            return
+        if not -1.0 <= self.s <= 0.0:
+            raise ValueError("the divergence exponent s must lie in [-1, 0]")
+        if self.k < 0 or self.k != int(self.k):
+            raise ValueError("the log power k must be a nonnegative integer")
+        if self.s == 0.0 and self.k == 0:
+            raise ValueError("the pair (0, 0) is reserved for convergent laws")
+
+    @classmethod
+    def bounded(cls) -> "ScalingLaw":
+        return cls(0.0, 0, convergent=True)
+
+
+def law_1d(alpha: float, gamma: float = 0.0) -> ScalingLaw:
+    """Catalog law for f = -|x|**alpha observed through x**(-gamma) on [0, eps].
+
+    The balance parameter is 2*gamma + alpha: below 1 the variance
+    stays bounded, at 1 it diverges logarithmically, above 1 it runs
+    like a power with exponent -1 + (1 - 2*gamma)/alpha.
+    """
+    alpha = as_positive(alpha, "alpha")
+    gamma = as_finite(gamma, "gamma")
+    if not 0.0 <= gamma < 0.5:
+        raise ValueError("gamma must lie in [0, 1/2)")
+    balance = 2.0 * gamma + alpha
+    if balance < 1.0:
+        return ScalingLaw.bounded()
+    if balance == 1.0:
+        return ScalingLaw(0.0, 1)
+    return ScalingLaw(-1.0 + (1.0 - 2.0 * gamma) / alpha, 0)
+
+
+def law_analytic_1d(coeffs: Mapping, gamma: float = 0.0) -> ScalingLaw:
+    """Law for an analytic one-dimensional drift -sum a_m x**m.
+
+    Only the least order m with a nonzero coefficient matters: near the
+    root the drift behaves like -a_m x**m, so the rate is the tool-law
+    with alpha = m (and the window exponent ``gamma``).
+    """
+    terms = as_coefficient_map(coeffs)
+    if len(next(iter(terms))) != 1:
+        raise ValueError("the analytic law applies to one-dimensional coefficient maps")
+    if terms.get((0,), 0.0) != 0.0:
+        raise ValueError("constant terms are not allowed, f must vanish at the root")
+    nonzero = [j[0] for j, a in terms.items() if a != 0.0]
+    if not nonzero:
+        raise ValueError("coefficient map has no nonzero entries")
+    return law_1d(float(min(nonzero)), gamma)
+
+
+def law_upper_bound(j) -> ScalingLaw:
+    """Corner upper bound for the monomial drift -x**j on [0, eps]**N.
+
+    Zero components integrate out and are dropped; the all-zero index
+    has no bifurcation and raises ValueError.  Sorting the remaining
+    components ascending, the dominant exponent is the largest one: the
+    bound is (-p)**(-1 + 1/i_max) with one logarithm per additional
+    repeat of i_max.  The all-ones index degenerates to a pure
+    logarithmic power N, and a single component gives the
+    one-dimensional law of :func:`law_1d`.
+    """
+    comps = sorted(c for c in as_multi_index(j) if c > 0)
+    if not comps:
+        raise ValueError(
+            "no bifurcation: the zero multi-index keeps the variance bounded, "
+            "report a convergent law"
+        )
+    i_max = comps[-1]
+    if i_max == 1:
+        return ScalingLaw(0.0, len(comps))
+    repeats = comps.count(i_max)
+    return ScalingLaw(-1.0 + 1.0 / i_max, repeats - 1)
+
+
+def _law_sort_key(law: ScalingLaw):
+    # tightest bound first: largest s, then fewest logarithms
+    return (law.s, -law.k)
+
+
+def best_upper_bound(cplus: Iterable) -> ScalingLaw:
+    """Tightest corner bound over a minimal support set.
+
+    Every member of the minimal support provides a valid upper bound,
+    so the slowest-growing :func:`law_upper_bound` wins.  The all-zero
+    index contributes a bounded law.
+    """
+    laws = [law_upper_bound(j) if any(as_multi_index(j)) else ScalingLaw.bounded()
+            for j in cplus]
+    if not laws:
+        raise ValueError("empty minimal support")
+    return max(laws, key=_law_sort_key)
+
+
+def predicts_convergence(coeffs: Mapping) -> bool:
+    """Convergence test for multi-variable polynomial drifts.
+
+    Returns True when at least two distinct unit multi-indices (a single
+    1, all other components 0) carry strictly positive coefficients.
+    Two independent linear directions of contact are enough to keep the
+    stationary variance bounded as p approaches 0 from below, whatever
+    the remaining terms do.
+    """
+    terms = as_coefficient_map(coeffs)
+    if len(next(iter(terms))) < 2:
+        raise ValueError("the convergence test needs at least two variables")
+    return sum(1 for j, a in terms.items() if sum(j) == 1 and a > 0.0) >= 2
+
+
+def polynomial_law(coeffs: Mapping) -> ScalingLaw:
+    """Predicted law for a polynomial drift from its coefficient map.
+
+    One-dimensional maps use the analytic least-order law.  In several
+    dimensions, two positive linear directions force boundedness and
+    override the corner bounds; otherwise the tightest corner bound
+    over the minimal support is returned (an upper bound, not always
+    attained).
+    """
+    terms = as_coefficient_map(coeffs)
+    if len(next(iter(terms))) == 1:
+        return law_analytic_1d(terms)
+    if predicts_convergence(terms):
+        return ScalingLaw.bounded()
+    return best_upper_bound(minimal_support(terms))
+
+
+class LawUnavailableError(RuntimeError):
+    """No closed-form law for this symbol; fit a sweep instead."""
 
 
 def _as_point(value, dim: int) -> np.ndarray:
@@ -238,6 +412,28 @@ class Symbol(Registered):
         so that at a zero z the value is exact in y however small y is."""
         return self(np.asarray(z) + y)
 
+    def law(self, gamma: float = 0.0, reached: bool = True) -> ScalingLaw:
+        """The catalog law of the variance as p -> 0-, or LawUnavailableError.
+
+        ``reached`` says whether the window meets the zero set, and
+        ``gamma`` is the exponent of a power window x**(-gamma) whose
+        singular end x = 0 is the root; ``quadrature.route_of`` gives both
+        for a window, and the defaults give the law of the symbol alone.
+        A window that misses the zero set keeps the variance bounded.
+        Otherwise the tool family, the power multiplier -k**(2m) (alpha =
+        2m) and polynomials in one variable (alpha = the least order)
+        follow the one-dimensional law.  Polynomials in several variables
+        take the corner law of their coefficient map, which holds on a box
+        whose closed extent holds the root (``reached``); any other window
+        has no catalog law.  Both pattern-forming multipliers vanish
+        quadratically across their zero set, and integrating across it
+        (after the radial reduction in the plane) gives the square-root
+        divergence.  Sampled kernels carry no expansion around their zeros
+        and the remaining kinds no catalog row, so no law is offered; fit a
+        sweep instead.
+        """
+        raise LawUnavailableError(f"no catalog law for {self.kind} symbols")
+
 
 def _lattice(domain, dim):
     lo, hi = domain
@@ -310,6 +506,9 @@ class ToolAlpha(Symbol):
     def root_scale(self, q: float) -> float:
         return power(float(q), 1.0 / self.alpha)
 
+    def law(self, gamma: float = 0.0, reached: bool = True) -> ScalingLaw:
+        return law_1d(self.alpha, gamma) if reached else ScalingLaw.bounded()
+
     def to_dict(self) -> dict:
         lo, hi = (float(v[0]) for v in self.domain)
         return {**super().to_dict(), "root": float(self.root[0]), "domain": [lo, hi]}
@@ -377,6 +576,16 @@ class Polynomial(Symbol):
         degrees = [sum(j) for j, a in self.coeffs.items() if a]
         amax = max(abs(a) for a in self.coeffs.values())
         return (float(q) / amax) ** (1.0 / min(degrees))
+
+    def law(self, gamma: float = 0.0, reached: bool = True) -> ScalingLaw:
+        if self.dim == 1:
+            return law_analytic_1d(self.coeffs, gamma) if reached else ScalingLaw.bounded()
+        if not reached:
+            raise LawUnavailableError(
+                "the corner law of a polynomial needs a box window that holds its root; "
+                "run a sweep and use fit_loglog"
+            )
+        return polynomial_law(self.coeffs)
 
     def to_dict(self) -> dict:
         coeffs = [{"index": list(j), "coeff": a} for j, a in self.coeffs.items()]
@@ -534,6 +743,9 @@ class SwiftHohenberg1D(Symbol):
     def zeros_in(self, lo: float, hi: float) -> tuple[float, ...]:
         return tuple(z for z in (-1.0, 1.0) if lo <= z <= hi)
 
+    def law(self, gamma: float = 0.0, reached: bool = True) -> ScalingLaw:
+        return ScalingLaw(-0.5, 0) if reached else ScalingLaw.bounded()
+
     def __repr__(self):
         return "SwiftHohenberg1D()"
 
@@ -554,6 +766,9 @@ class SwiftHohenberg2D(Symbol):
         arr = self._coerce(x)
         r2 = arr[..., 0] ** 2 + arr[..., 1] ** 2
         return -((1.0 - r2) ** 2)
+
+    def law(self, gamma: float = 0.0, reached: bool = True) -> ScalingLaw:
+        return ScalingLaw(-0.5, 0) if reached else ScalingLaw.bounded()
 
     def __repr__(self):
         return "SwiftHohenberg2D()"
@@ -610,6 +825,14 @@ class ConvolutionKernel(Symbol):
         roots = roots[(lo <= roots) & (roots <= hi)]
         return tuple(sorted(np.concatenate([on_nodes, roots]).tolist()))
 
+    def law(self, gamma: float = 0.0, reached: bool = True) -> ScalingLaw:
+        if not reached:
+            return ScalingLaw.bounded()
+        raise LawUnavailableError(
+            "sampled kernels have no expansion around their zero set; "
+            "run a sweep and use fit_loglog"
+        )
+
     def __repr__(self):
         return f"ConvolutionKernel(n={self.samples.size}, spacing={self.spacing})"
 
@@ -664,23 +887,3 @@ def real_part_symbol(fn: Callable, dim: int = 1, root=None, domain=None) -> Symb
     if np.max(np.abs(symbol(_lattice(symbol.domain, symbol.dim)))) <= _ZERO_TOL:
         return Zero(symbol.dim, domain=symbol.domain)
     return symbol
-
-
-def minimal_support(coeffs: Mapping) -> frozenset[MultiIndex]:
-    """Componentwise-minimal multi-indices among the nonzero coefficients.
-
-    A multi-index j belongs to the result exactly when no other stored
-    multi-index d with a nonzero coefficient satisfies d <= j in every
-    component.  The scan sorts by total degree so one forward pass
-    suffices: a dominator always has total degree at most that of the
-    dominated index, and equal-degree indices never dominate each other.
-    """
-    entries = [j for j, a in as_coefficient_map(coeffs).items() if a != 0.0]
-    if not entries:
-        raise ValueError("coefficient map has no nonzero entries")
-    entries.sort(key=lambda j: (sum(j), j))
-    minima: list[MultiIndex] = []
-    for j in entries:
-        if not any(all(md <= jd for md, jd in zip(m, j)) for m in minima):
-            minima.append(j)
-    return frozenset(minima)

@@ -4,7 +4,10 @@ No import goes unused (a line marked ``# noqa: F401`` keeps one on
 purpose), and no module reaches into another ewslab module for a
 ``_``-prefixed name: what modules share is public.  A process that runs
 every quadrature route and a simulation never loads ``scipy.integrate``.
-In ``quadrature.py`` only the route table tests the kind of a window.
+In ``quadrature.py`` only the route table tests the kind of a window,
+and ``scaling.py`` tests no kind at all: the route table and
+``Symbol.law`` decide the law.  The layers keep their order: ``symbols``
+imports no ewslab module and ``quadrature`` imports only ``symbols``.
 """
 import ast
 import os
@@ -13,6 +16,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ewslab.quadrature import TestFunction
+from ewslab.symbols import CustomSymbol, Symbol
 
 MODULES = sorted(p for p in (Path(__file__).parents[1] / "src" / "ewslab").glob("*.py")
                  if p.name != "__init__.py")
@@ -86,6 +92,36 @@ def test_only_the_route_table_tests_window_kinds():
                 if kinds & windows:
                     found.append(getattr(scope, "name", "the module"))
     assert found and set(found) <= {"route_of", "_route_1d"}, found
+
+
+def _internal_imports(path):
+    """The ewslab modules that ``path`` imports anywhere in its code: relative ones by
+    their own name, absolute ones by their full dotted name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found.update(n for n in names if n.split(".")[0] == "ewslab")
+    return found
+
+
+def test_the_layers_import_in_order():
+    # the rate catalog sits in symbols, so quadrature's route table can name laws
+    # without a cycle through scaling
+    assert _internal_imports(MODULES[0].parent / "symbols.py") == set()
+    assert _internal_imports(MODULES[0].parent / "quadrature.py") == {"symbols"}
+
+
+def test_scaling_tests_no_kind():
+    kinds = {cls.__name__ for cls in (Symbol, CustomSymbol, TestFunction,
+                                      *Symbol.kinds.values(), *TestFunction.kinds.values())}
+    kinds.add("FREQUENCY_KINDS")
+    tests = [node for node in ast.walk(ast.parse((MODULES[0].parent / "scaling.py").read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"]
+    named = {n.id for t in tests for n in ast.walk(t.args[1]) if isinstance(n, ast.Name)}
+    assert not named & kinds, named & kinds
 
 
 # one query through every quadrature route and one tiny simulation, in a

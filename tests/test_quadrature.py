@@ -37,13 +37,16 @@ from ewslab.quadrature import (
     route_of,
     variance_quadrature,
 )
+from ewslab.scaling import predicted_law
 from ewslab.symbols import (
     ConvolutionKernel,
     CustomSymbol,
+    LawUnavailableError,
     Piecewise,
     Polynomial,
     PowerWavenumber,
     Radial2D,
+    ScalingLaw,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
     Symbol,
@@ -1252,50 +1255,96 @@ _TABLE_WINDOWS = {
     "box 3-D": IndicatorBox.cube(1.0, 3),
     "box 4-D": IndicatorBox.cube(1.0, 4),
 }
-# the route of every pair of one dimension, None where the pair is refused
+# the law of predicted_law: a ScalingLaw, or the error type and the start of its text
+_HALF = ScalingLaw(-0.5, 0)
+_THREE_QUARTERS = ScalingLaw(-0.75, 0)  # the power window x**(-1/4) at the root
+_TWO_LOGS = ScalingLaw(0.0, 2)  # the corner bound of the mixed term x*y
+_BOUNDED = ScalingLaw.bounded()
+_KERNEL = (LawUnavailableError, "sampled kernels have no expansion around their zero set")
+_REFUSED = (ValueError, "unsupported")
+
+
+def _no_row(kind):
+    return (LawUnavailableError, f"no catalog law for {kind} symbols")
+
+
+# the route and the law of every pair of one dimension, the route None where the
+# pair is refused
 _TABLE = {
-    ("tool", "box 1-D"): "power law",
-    ("tool", "power"): "power law",
-    ("tool off 0", "box 1-D"): "power law",
-    ("tool off 0", "power"): "offset-log",  # the window's singular 0 is not the root
-    ("power2m", "box 1-D"): "power law",
-    ("power2m", "power"): "power law",
-    ("polynomial 1-D", "box 1-D"): "offset-log",
-    ("polynomial 1-D", "power"): "offset-log",
-    ("piecewise", "box 1-D"): "piecewise",
-    ("piecewise", "power"): "piecewise",
-    ("piecewise, kernel right", "box 1-D"): "piecewise",
-    ("piecewise, kernel right", "power"): None,  # its kernel side takes boxes only
-    ("sh1d", "box 1-D"): "offset-log",
-    ("sh1d", "power"): "offset-log",
-    ("kernel", "box 1-D"): "kernel exact",
-    ("kernel", "power"): None,
-    ("zero 1-D", "box 1-D"): "offset-log",
-    ("zero 1-D", "power"): "offset-log",
-    ("custom 1-D", "box 1-D"): "offset-log",
-    ("custom 1-D", "power"): "offset-log",
-    ("radial", "box 2-D"): "tensor",
-    ("radial", "disc"): "polar",
-    ("radial", "quarter disc"): "polar",
-    ("sh2d", "box 2-D"): None,  # the tensor panels grade toward a point, not a ring
-    ("sh2d", "disc"): "polar",
-    ("sh2d", "quarter disc"): "polar",
-    ("polynomial separable 2-D", "box 2-D"): "separable reduction",
-    ("polynomial separable 2-D", "disc"): None,
-    ("polynomial separable 2-D", "quarter disc"): None,
-    ("polynomial 2-D", "box 2-D"): "tensor",
-    ("polynomial 2-D", "disc"): None,
-    ("polynomial 2-D", "quarter disc"): None,
-    ("zero 2-D", "box 2-D"): "tensor",
-    ("zero 2-D", "disc"): None,
-    ("zero 2-D", "quarter disc"): None,
-    ("custom 2-D", "box 2-D"): "tensor",
-    ("custom 2-D", "disc"): None,
-    ("custom 2-D", "quarter disc"): None,
-    ("polynomial separable 3-D", "box 3-D"): "separable reduction",
-    ("polynomial 3-D", "box 3-D"): "tensor",
-    ("zero 4-D", "box 4-D"): None,
+    ("tool", "box 1-D"): ("power law", _HALF),
+    ("tool", "power"): ("power law", _THREE_QUARTERS),
+    ("tool off 0", "box 1-D"): ("power law", _HALF),
+    ("tool off 0", "power"): ("offset-log", _HALF),  # the window's singular 0 is not the root
+    ("power2m", "box 1-D"): ("power law", _HALF),
+    ("power2m", "power"): ("power law", _THREE_QUARTERS),
+    ("polynomial 1-D", "box 1-D"): ("offset-log", _HALF),
+    ("polynomial 1-D", "power"): ("offset-log", _THREE_QUARTERS),
+    ("piecewise", "box 1-D"): ("piecewise", _no_row("piecewise")),
+    ("piecewise", "power"): ("piecewise", _no_row("piecewise")),
+    ("piecewise, kernel right", "box 1-D"): ("piecewise", _no_row("piecewise")),
+    ("piecewise, kernel right", "power"): (None, _REFUSED),  # its kernel side takes boxes only
+    ("sh1d", "box 1-D"): ("offset-log", _HALF),
+    ("sh1d", "power"): ("offset-log", _HALF),
+    ("kernel", "box 1-D"): ("kernel exact", _KERNEL),
+    ("kernel", "power"): (None, _REFUSED),
+    ("zero 1-D", "box 1-D"): ("offset-log", _no_row("zero")),
+    ("zero 1-D", "power"): ("offset-log", _no_row("zero")),
+    ("custom 1-D", "box 1-D"): ("offset-log", _no_row("custom")),
+    ("custom 1-D", "power"): ("offset-log", _no_row("custom")),
+    ("radial", "box 2-D"): ("tensor", _no_row("radial2d")),
+    ("radial", "disc"): ("polar", _no_row("radial2d")),
+    ("radial", "quarter disc"): ("polar", _no_row("radial2d")),
+    ("sh2d", "box 2-D"): (None, _REFUSED),  # the tensor panels grade toward a point, not a ring
+    ("sh2d", "disc"): ("polar", _HALF),
+    ("sh2d", "quarter disc"): ("polar", _BOUNDED),
+    ("polynomial separable 2-D", "box 2-D"): ("separable reduction", _HALF),
+    ("polynomial separable 2-D", "disc"): (None, _REFUSED),
+    ("polynomial separable 2-D", "quarter disc"): (None, _REFUSED),
+    ("polynomial 2-D", "box 2-D"): ("tensor", _TWO_LOGS),
+    ("polynomial 2-D", "disc"): (None, _REFUSED),
+    ("polynomial 2-D", "quarter disc"): (None, _REFUSED),
+    ("zero 2-D", "box 2-D"): ("tensor", _no_row("zero")),
+    ("zero 2-D", "disc"): (None, _REFUSED),
+    ("zero 2-D", "quarter disc"): (None, _REFUSED),
+    ("custom 2-D", "box 2-D"): ("tensor", _no_row("custom")),
+    ("custom 2-D", "disc"): (None, _REFUSED),
+    ("custom 2-D", "quarter disc"): (None, _REFUSED),
+    ("polynomial separable 3-D", "box 3-D"): ("separable reduction", _HALF),
+    ("polynomial 3-D", "box 3-D"): ("tensor", _TWO_LOGS),
+    ("zero 4-D", "box 4-D"): (None, _REFUSED),
 }
+# the law of every symbol alone, predicted_law without a window
+_SYMBOL_LAWS = {
+    "tool": _HALF,
+    "tool off 0": _HALF,
+    "power2m": _HALF,
+    "polynomial 1-D": _HALF,
+    "piecewise": _no_row("piecewise"),
+    "piecewise, kernel right": _no_row("piecewise"),
+    "sh1d": _HALF,
+    "kernel": _KERNEL,
+    "zero 1-D": _no_row("zero"),
+    "custom 1-D": _no_row("custom"),
+    "radial": _no_row("radial2d"),
+    "sh2d": _HALF,
+    "polynomial separable 2-D": _HALF,
+    "polynomial 2-D": _TWO_LOGS,
+    "zero 2-D": _no_row("zero"),
+    "custom 2-D": _no_row("custom"),
+    "polynomial separable 3-D": _HALF,
+    "polynomial 3-D": _TWO_LOGS,
+    "zero 4-D": _no_row("zero"),
+}
+
+
+def _assert_law(call, want):
+    if isinstance(want, ScalingLaw):
+        assert call() == want
+    else:
+        error, text = want
+        with pytest.raises(Exception, match="^" + re.escape(text)) as info:
+            call()
+        assert info.type is error
 
 
 def test_the_route_table_covers_every_kind():
@@ -1305,16 +1354,32 @@ def test_the_route_table_covers_every_kind():
     pairs = {(s, g) for s, symbol in _TABLE_SYMBOLS.items() for g, window in _TABLE_WINDOWS.items()
              if symbol.dim == window.dim}
     assert pairs == set(_TABLE)
+    assert set(_SYMBOL_LAWS) == set(_TABLE_SYMBOLS)
 
 
 @pytest.mark.parametrize("pair", sorted(_TABLE), ids=" / ".join)
 def test_every_pair_takes_its_route_or_is_refused(pair):
     symbol, g = _TABLE_SYMBOLS[pair[0]], _TABLE_WINDOWS[pair[1]]
-    if _TABLE[pair] is None:
+    if _TABLE[pair][0] is None:
         with pytest.raises(ValueError, match="^unsupported"):
             route_of(symbol, g)
     else:
-        assert route_of(symbol, g).name == _TABLE[pair]
+        assert route_of(symbol, g).name == _TABLE[pair][0]
+
+
+@pytest.mark.parametrize("pair", sorted(_TABLE), ids=" / ".join)
+def test_every_pair_has_the_law_of_its_route(pair, monkeypatch):
+    symbol, g = _TABLE_SYMBOLS[pair[0]], _TABLE_WINDOWS[pair[1]]
+    _assert_law(lambda: predicted_law(symbol, g), _TABLE[pair][1])
+    if _TABLE[pair][0] is not None:
+        # every variance call looks its route up: the route does no law work until asked
+        monkeypatch.setattr(symbol, "law", lambda *a, **k: pytest.fail("law computed"))
+        route_of(symbol, g)
+
+
+@pytest.mark.parametrize("name", sorted(_SYMBOL_LAWS))
+def test_every_symbol_alone_has_its_law(name):
+    _assert_law(lambda: predicted_law(_TABLE_SYMBOLS[name]), _SYMBOL_LAWS[name])
 
 
 def test_the_readme_lists_the_routes_of_the_table():
@@ -1322,4 +1387,4 @@ def test_the_readme_lists_the_routes_of_the_table():
     section = readme.split("### Variance routes", 1)[1].split("\n#", 1)[0]
     listed = re.findall(r"^- `([^`]+)`:", section, flags=re.M)
     assert len(listed) == len(set(listed))
-    assert set(listed) == set(_TABLE.values()) - {None}
+    assert set(listed) == {route for route, _ in _TABLE.values()} - {None}

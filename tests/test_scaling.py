@@ -19,34 +19,34 @@ from ewslab.quadrature import (
 )
 from ewslab.scaling import (
     FitResult,
-    LawUnavailableError,
-    ScalingLaw,
     SweepResult,
-    best_upper_bound,
     classify,
     default_exponent_candidates,
     fit_loglog,
-    law_1d,
-    law_analytic_1d,
-    law_upper_bound,
     log_spaced_p,
-    polynomial_law,
     predicted_law,
-    predicts_convergence,
     quadrature_sweep,
 )
 from ewslab.spectral import spectral_sweep, variance_spectral
 from ewslab.symbols import (
     FREQUENCY_KINDS,
     ConvolutionKernel,
+    LawUnavailableError,
     Piecewise,
     Polynomial,
     PowerWavenumber,
     Radial2D,
+    ScalingLaw,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
     ToolAlpha,
+    best_upper_bound,
+    law_1d,
+    law_analytic_1d,
+    law_upper_bound,
     minimal_support,
+    polynomial_law,
+    predicts_convergence,
 )
 
 

@@ -40,13 +40,18 @@ from ewslab.simulate import (
     projection_weights,
     run,
     run_sweep,
-    step,
 )
 from ewslab.quadrature import Disc, IndicatorBox, QuarterDisc
 from ewslab.symbols import CustomSymbol, Radial2D, ToolAlpha, Zero
 
 AR1_SINGLE_MODE = 1.0 / 2.1  # lambda=-1, sigma=1, dt=0.1
 AR1_TWO_MODE = 1.0 / 2.01 + 1.0 / 4.04  # lambdas -1,-2 at dt=0.01
+
+
+def step(u, drift, dt, increment, sigma):
+    """One implicit Euler update, (u + sigma * increment) / (1 - drift * dt): the
+    independent reference that the step-by-step runs below advance with."""
+    return (u + sigma * increment) / (1.0 - drift * dt)
 
 
 def test_mesh_geometry():

@@ -6,26 +6,21 @@ import pytest
 from scipy import integrate
 
 from ewslab.quadrature import Disc, IndicatorBox, PowerIndicator, QuarterDisc, VarianceQuery
-from ewslab.scaling import (
-    LawUnavailableError,
-    ScalingLaw,
-    covers_zero_set,
-    fit_loglog,
-    log_spaced_p,
-    polynomial_law,
-    predicted_law,
-)
+from ewslab.scaling import fit_loglog, log_spaced_p, predicted_law
 from ewslab.spectral import predicted_spectral_law, spectral_sweep, variance_spectral
 from ewslab.symbols import (
     ConvolutionKernel,
+    LawUnavailableError,
     Piecewise,
     Polynomial,
     PowerWavenumber,
     Radial2D,
+    ScalingLaw,
     SwiftHohenberg1D,
     SwiftHohenberg2D,
     Symbol,
     ToolAlpha,
+    polynomial_law,
 )
 
 PI_SQ_HALF = math.pi ** 2 / 2.0  # 4.934802200544679
@@ -62,19 +57,25 @@ def test_query_validation():
 
 
 def test_zero_set_coverage_rules():
-    assert covers_zero_set(PowerWavenumber(1), IndicatorBox(-1.0, 1.0))
-    assert not covers_zero_set(PowerWavenumber(1), IndicatorBox(0.5, 1.0))
-    assert covers_zero_set(SwiftHohenberg1D(), IndicatorBox(-2.0, 2.0))
-    assert not covers_zero_set(SwiftHohenberg1D(), IndicatorBox(-0.5, 0.5))
-    assert covers_zero_set(SwiftHohenberg2D(), Disc(1.5))
-    assert not covers_zero_set(SwiftHohenberg2D(), Disc(0.5))
+    # a window that covers the zero set gives the kind's law, one that misses it a bounded law
+    half, bounded = ScalingLaw(-0.5, 0), ScalingLaw.bounded()
+    assert predicted_law(PowerWavenumber(1), IndicatorBox(-1.0, 1.0)) == half
+    assert predicted_law(PowerWavenumber(1), IndicatorBox(0.5, 1.0)) == bounded
+    assert predicted_law(SwiftHohenberg1D(), IndicatorBox(-2.0, 2.0)) == half
+    assert predicted_law(SwiftHohenberg1D(), IndicatorBox(-0.5, 0.5)) == bounded
+    assert predicted_law(SwiftHohenberg2D(), Disc(1.5)) == half
+    assert predicted_law(SwiftHohenberg2D(), Disc(0.5)) == bounded
     crossing = _kernel_with_multiplier(lambda k: -(k ** 2 - 1.0))
-    assert covers_zero_set(crossing, IndicatorBox(-3.0, 3.0))
-    assert not covers_zero_set(crossing, IndicatorBox(2.0, 3.0))
-    assert covers_zero_set(ToolAlpha(1.0), PowerIndicator(0.25, 1.0))
-    assert not covers_zero_set(ToolAlpha(1.0, root=-0.5), PowerIndicator(0.25, 1.0))
-    assert covers_zero_set(SwiftHohenberg2D(), QuarterDisc(2.0))
-    assert not covers_zero_set(SwiftHohenberg2D(), QuarterDisc(0.5))
+    with pytest.raises(LawUnavailableError, match="^sampled kernels have no expansion"):
+        predicted_law(crossing, IndicatorBox(-3.0, 3.0))
+    assert predicted_law(crossing, IndicatorBox(2.0, 3.0)) == bounded
+    assert predicted_law(ToolAlpha(1.0), PowerIndicator(0.25, 1.0)) == half
+    assert predicted_law(ToolAlpha(1.0, root=-0.5), PowerIndicator(0.25, 1.0)) == bounded
+    assert predicted_law(SwiftHohenberg2D(), QuarterDisc(2.0)) == half
+    assert predicted_law(SwiftHohenberg2D(), QuarterDisc(0.5)) == bounded
+    # a zero on the window's edge is reached
+    assert predicted_law(SwiftHohenberg2D(), Disc(1.0)) == half
+    assert predicted_law(SwiftHohenberg1D(), IndicatorBox(1.0, 2.0)) == half
 
 
 def test_power_multiplier_variance_brute_force():

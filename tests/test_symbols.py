@@ -23,7 +23,9 @@ from ewslab.symbols import (
     as_finite,
     as_multi_index,
     as_positive,
+    law_1d,
     minimal_support,
+    predicts_convergence,
     real_part_symbol,
     split_square,
 )
@@ -36,7 +38,6 @@ from ewslab.quadrature import (
     appendix_c_integral,
     monomial_integral,
 )
-from ewslab.scaling import law_1d, predicts_convergence
 from ewslab.simulate import Mesh, SimConfig
 
 
