@@ -41,7 +41,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 from .symbols import (
     ConvolutionKernel,
@@ -182,6 +181,12 @@ class QuarterDisc(Disc):
         return super().__call__(arr) * ((arr[..., 0] >= 0) & (arr[..., 1] >= 0))
 
 
+def _check_dims(symbol: Symbol, g: TestFunction) -> None:
+    """Raise ValueError unless ``symbol`` and the window ``g`` have one dimension."""
+    if symbol.dim != g.dim:
+        raise ValueError(f"symbol dimension {symbol.dim} does not match window dimension {g.dim}")
+
+
 class VarianceQuery:
     """One stationary-variance evaluation: symbol, window, p < 0 and sigma."""
 
@@ -192,10 +197,7 @@ class VarianceQuery:
         sigma = as_positive(sigma, "sigma")
         if p >= 0:
             raise ValueError("p must be negative, the equation is only stable for p < 0")
-        if symbol.dim != test_function.dim:
-            raise ValueError(
-                f"symbol dimension {symbol.dim} does not match window dimension {test_function.dim}"
-            )
+        _check_dims(symbol, test_function)
         self.symbol = symbol
         self.test_function = test_function
         self.p = p
@@ -641,14 +643,59 @@ def _separable_axes(symbol, g):
     return axes
 
 
-def _incomplete_gamma(a):
-    """Regularized lower and upper incomplete gamma functions of shape 1/a, on arrays of z."""
+def _incomplete_gamma(a, z):
+    """Regularized lower and upper incomplete gamma functions P(1/a, z) and Q(1/a, z) on the
+    array z, for an integer a >= 1.
+
+    Shape 1 is -expm1(-z) and exp(-z).  Otherwise, with s = 1/a, below
+    z = 1 + s P is z**s e**-z / Gamma(1 + s) times the series of positive
+    terms sum_n z**n / ((s + 1)...(s + n)) (DLMF 8.7.1), to the last term
+    above 2**-56 at the largest z, and Q = 1 - P.  Above it Q is
+    z**s e**-z / Gamma(s) times Legendre's continued fraction
+    1 / (z + 1 - s - 1(1 - s) / (z + 3 - s - 2(2 - s) / ...)) (DLMF 8.9.2),
+    and P = 1 - Q.  The fraction converges slowest at the smallest z, so it
+    is cut where the modified Lentz iteration settles there (Gautschi, ACM
+    TOMS 5, 1979) and evaluated from the bottom up on the whole array.  The
+    prefactor is a power times an exponential: as exp(s log z - z - log
+    Gamma(s)) it would carry the rounding of that log, |log| ulps, into P
+    at tiny z and into Q at large z.
+    """
     if a == 1:
-        return (lambda z: -np.expm1(-z)), (lambda z: np.exp(-z))
-    if a == 2:
-        return (lambda z: special.erf(np.sqrt(z))), (lambda z: special.erfc(np.sqrt(z)))
-    shape = 1.0 / a
-    return (lambda z: special.gammainc(shape, z)), (lambda z: special.gammaincc(shape, z))
+        return -np.expm1(-z), np.exp(-z)
+    s = 1.0 / a
+    p, q = np.empty_like(z), np.empty_like(z)
+    low = z < 1.0 + s
+    x = z[low]
+    if x.size:
+        coef, top = [1.0], float(x.max())
+        while coef[-1] * top ** (len(coef) - 1) >= 2.0**-56:
+            coef.append(coef[-1] / (s + len(coef)))
+        series = np.full_like(x, coef[-1])
+        for c in reversed(coef[:-1]):
+            series *= x
+            series += c
+        p[low] = series * x**s * np.exp(-x) / math.gamma(1.0 + s)
+        q[low] = 1.0 - p[low]
+    x = np.minimum(z[~low], 750.0)  # Q underflows to 0 from there, and z may be inf
+    if x.size:
+        # the convergents h_n at the smallest x, h_n / h_(n-1) = c d; c starts infinite
+        # so that its first value is the first denominator
+        b = float(x.min()) + 1.0 - s
+        c, d, depth = math.inf, 1.0 / b, 0
+        while True:
+            depth += 1
+            an = -depth * (depth - s)
+            b += 2.0
+            d = 1.0 / (b + an * d)
+            c = b + an / c
+            if abs(c * d - 1.0) <= 2.0**-52:
+                break
+        tail = np.zeros_like(x)
+        for n in range(depth, 0, -1):
+            tail = -n * (n - s) / (x + (1.0 - s + 2.0 * n) + tail)
+        q[~low] = x**s * np.exp(-x) / math.gamma(s) / (x + (1.0 - s) + tail)
+        p[~low] = 1.0 - q[~low]
+    return p, q
 
 
 def _axis_weight(c, a, lo, hi, r):
@@ -663,7 +710,6 @@ def _axis_weight(c, a, lo, hi, r):
     underflowed, so w is ``near``.  ``turns`` are the log t where some
     z is 1.
     """
-    lower, upper = _incomplete_gamma(a)
     d_lo, d_hi = lo - r, hi - r
     if d_lo < 0.0 < d_hi:
         near, far = [-d_lo, d_hi], []
@@ -679,10 +725,11 @@ def _axis_weight(c, a, lo, hi, r):
     def w(s):
         total = np.zeros_like(s)
         for lz in near:
-            total += lower(np.exp(s + lz))
+            total += _incomplete_gamma(a, np.exp(s + lz))[0]
         for lz1, lz2 in far:
             z1, z2 = np.exp(np.minimum(s + lz1, _LOG_750)), np.exp(np.minimum(s + lz2, _LOG_750))
-            total += np.where(z1 < 1.0, lower(z2) - lower(z1), upper(z1) - upper(z2))
+            (p1, q1), (p2, q2) = _incomplete_gamma(a, z1), _incomplete_gamma(a, z2)
+            total += np.where(z1 < 1.0, p2 - p1, q1 - q2)
         return total
 
     return w, len(near), settle, [-lz for lz in near] + [-lz for pair in far for lz in pair]
@@ -830,9 +877,10 @@ def route_of(symbol: Symbol, g: TestFunction) -> Route:
     gamma of a power window whose 0 is the root; on a disc whether R
     reaches the root of the power law in u = r**2; on a box whether it
     holds the root.  A ``piecewise`` row gives the law of the ``Piecewise``
-    symbol itself.  A pair that no row takes raises ValueError, and so
-    has no law.
+    symbol itself.  A pair of two dimensions, or one that no row takes,
+    raises ValueError, and so has no law.
     """
+    _check_dims(symbol, g)
     if symbol.dim == 1:
         if isinstance(g, PowerIndicator):
             return _route_1d(symbol, g, 0.0, g.eps)
@@ -1103,12 +1151,13 @@ def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:
     big_l = -math.log(q)
     start = max(0.0, -big_l)
     what = "log-power integral"
+    m_log = (lambda u: m * np.log(u)) if m else (lambda u: 0.0)  # log(u**m), 0 at m = 0
     with np.errstate(all="ignore"):
-        head = _log_levels(lambda u, _: special.xlogy(m, u) - 2.0 * u - 2.0 * np.log1p(np.exp(-u)),
+        head = _log_levels(lambda u, _: m_log(u) - 2.0 * u - 2.0 * np.log1p(np.exp(-u)),
                            _one_span(start, start + 64.0, [0.0, start]), 2.0, rel_tol, what)
         value = (-1) ** m * float(head[0])
         if big_l > 0.0:
-            tail = _log_levels(lambda u, _: special.xlogy(m, u) - 2.0 * np.log1p(np.exp(-u)),
+            tail = _log_levels(lambda u, _: m_log(u) - 2.0 * np.log1p(np.exp(-u)),
                                _one_span(0.0, big_l, [0.0, big_l]), 2.0, rel_tol, what)
             value += float(tail[0])
     return value

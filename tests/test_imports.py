@@ -2,12 +2,14 @@
 
 No import goes unused (a line marked ``# noqa: F401`` keeps one on
 purpose), and no module reaches into another ewslab module for a
-``_``-prefixed name: what modules share is public.  A process that runs
-every quadrature route and a simulation never loads ``scipy.integrate``.
-In ``quadrature.py`` only the route table tests the kind of a window,
-and ``scaling.py`` tests no kind at all: the route table and
-``Symbol.law`` decide the law.  The layers keep their order: ``symbols``
-imports no ewslab module and ``quadrature`` imports only ``symbols``.
+``_``-prefixed name: what modules share is public.  The package runs on
+numpy alone: no module imports ``scipy``, a process that runs every
+quadrature route and a simulation loads no ``scipy`` module, and the CLI
+writes the same bytes with ``scipy`` blocked.  In ``quadrature.py`` only
+the route table tests the kind of a window, and ``scaling.py`` tests no
+kind at all: the route table and ``Symbol.law`` decide the law.  The
+layers keep their order: ``symbols`` imports no ewslab module and
+``quadrature`` imports only ``symbols``.
 """
 import ast
 import os
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from ewslab.cli import main
 from ewslab.quadrature import TestFunction
 from ewslab.symbols import CustomSymbol, Symbol
 
@@ -94,16 +97,25 @@ def test_only_the_route_table_tests_window_kinds():
     assert found and set(found) <= {"route_of", "_route_1d"}, found
 
 
+def _absolute_imports(path):
+    """The full dotted names of the modules that ``path`` imports by absolute name
+    anywhere in its code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
 def _internal_imports(path):
     """The ewslab modules that ``path`` imports anywhere in its code: relative ones by
     their own name, absolute ones by their full dotted name."""
-    found = set()
+    found = {n for n in _absolute_imports(path) if n.split(".")[0] == "ewslab"}
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             found.update([node.module] if node.module else (a.name for a in node.names))
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
-            found.update(n for n in names if n.split(".")[0] == "ewslab")
     return found
 
 
@@ -152,13 +164,51 @@ for symbol, g, dt in queries:
 assert ew.monomial_integral((1, 2), 1.0, 1e-4) > 0.0
 assert ew.appendix_c_integral(1, 1e-4) > 0.0
 ew.run(ew.SimConfig(ew.ToolAlpha(2.0), box(-0.5, 0.5), -0.5, ew.Mesh(1.0, 9, 1), 0.01, 2000))
-print("scipy.integrate" in sys.modules)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def test_no_route_loads_scipy_integrate():
+def _run_python(*args):
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _EVERY_ROUTE], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_no_module_imports_scipy():
+    found = [path.name for path in MODULES[0].parent.glob("*.py")
+             if any(name.split(".")[0] == "scipy" for name in _absolute_imports(path))]
+    assert not found, found
+
+
+def test_no_route_loads_scipy():
+    out = _run_python("-c", _EVERY_ROUTE)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+# each command once with scipy blocked: a separable sweep of shape 1/4 and one of
+# shape 1/2, the resolvent self check and a simulation
+_BLOCKED = "import sys; sys.modules['scipy'] = None; from ewslab.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --symbol mono:4,0 --g box:0,1,0,1 --p-decades -8:-2 --points 7",
+    "sweep --symbol mono:2,0 --g box:0,1,0,1 --p-decades -8:-2 --points 7",
+    "appendix-check",
+    "simulate --symbol tool:2 --g box:-0.5,0.5 --p -0.5 --n 9 --nt 2000 --replicas 2",
+], ids=["sweep 1/4", "sweep 1/2", "appendix-check", "simulate"])
+def test_the_cli_runs_with_scipy_blocked(argv, tmp_path, capsys):
+    runs = {}
+    for blocked in (True, False):
+        out = tmp_path / str(blocked)
+        args = argv.split() + (["--out", str(out)] if argv != "appendix-check" else [])
+        if blocked:
+            run = _run_python("-c", _BLOCKED, *args)
+            assert run.returncode == 0, run.stderr
+            stdout = run.stdout
+        else:
+            assert main(args) == 0
+            stdout = capsys.readouterr().out
+        csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        runs[blocked] = csvs or stdout
+    assert runs[True] and runs[True] == runs[False]

@@ -16,7 +16,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from ewslab.quadrature import (
     Disc,
@@ -30,6 +30,7 @@ from ewslab.quadrature import (
     _corner_edges,
     _corner_end,
     _gamma_mixture,
+    _incomplete_gamma,
     _ladder_edges,
     _ladders,
     appendix_c_integral,
@@ -886,6 +887,60 @@ def test_separable_sum_matches_tensor_route(case, log_q, dt):
     assert math.isclose(_value(poly, g, -q, dt=dt), _value(custom, g, -q, dt=dt), rel_tol=1e-6)
 
 
+def _gamma_pair(a, z):
+    p, q = _incomplete_gamma(a, np.array([z]))
+    return p.item(), q.item()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 12), st.one_of(st.floats(-300.0, 3.0), st.floats(-0.5, 0.5)))
+def test_incomplete_gamma_matches_scipy(a, log10_z):
+    # P(1/a, z) and Q(1/a, z) against scipy where its value is a normal double, to 16
+    # ulps times two known losses.  scipy takes the prefactor as exp(L), L = s log z - z
+    # - log Gamma(s), which carries |L| ulps of L's rounding (9e-14 at z = 529 against
+    # mpmath); below z = 1 + s each code's Q = 1 - P carries P's rounding times P/Q.
+    z, s = 10.0**log10_z, 1.0 / a
+    p, q = _gamma_pair(a, z)
+    log_prefactor = abs(s * math.log(z) - z - math.lgamma(s))
+    for got, want, loss in ((p, special.gammainc(s, z), 1.0),
+                            (q, special.gammaincc(s, z), 1.0 + p / q if z < 1.0 + s else 1.0)):
+        if want >= sys.float_info.min:
+            assert abs(got / want - 1.0) <= 2.0**-48 * (1.0 + log_prefactor) * loss
+
+
+@pytest.mark.parametrize("a, z", [(2, 6.4e-285), (12, 1e-300), (3, 1.76e-14), (10, 1.08),
+                                  (12, 0.93), (8, 1.13), (2, 1.51), (4, 572.0), (2, 700.0)])
+def test_incomplete_gamma_against_mpmath(a, z):
+    # where scipy is off by its prefactor (the first and the last two) and where the
+    # pair is least accurate: P to 4 ulps, Q above z = 1 + s to 16 ulps, and Q = 1 - P
+    # below it to 4 ulps times P/Q; the shape is the double 1/a, as in the code
+    mpmath = pytest.importorskip("mpmath")
+    s = 1.0 / a
+    p, q = _gamma_pair(a, z)
+    with mpmath.workdps(40):
+        want_p = mpmath.gammainc(s, 0, z, regularized=True)
+        want_q = mpmath.gammainc(s, z, mpmath.inf, regularized=True)
+        assert abs(p / want_p - 1) <= 2.0**-50
+        assert abs(q / want_q - 1) <= (2.0**-50 * (1.0 + p / q) if z < 1.0 + s else 2.0**-48)
+
+
+@pytest.mark.parametrize("a", range(1, 13))
+def test_incomplete_gamma_at_the_ends(a):
+    p, q = _incomplete_gamma(a, np.array([0.0, 750.0, 1e308, math.inf]))
+    assert p.tolist() == [0.0, 1.0, 1.0, 1.0] and q.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("q", [1e-3, 1e-8])
+def test_separable_reduction_of_far_apart_coefficients(q):
+    # c1 x**2 + c2 y**2 on the unit square: one axis's z passes the largest double
+    # while the other's is still below 1.  With c2 / c1 = 1e600 the y integral is
+    # (pi/2) / sqrt(c2 (q + c1 x**2)) to a relative 1e-146, and the x integral is exact.
+    c1, c2 = 1e-300, 1e300
+    exact = math.pi / 2.0 / math.sqrt(c2) * math.asinh(math.sqrt(c1 / q)) / math.sqrt(c1)
+    poly = Polynomial({(2, 0): c1, (0, 2): c2})
+    assert math.isclose(_value(poly, IndicatorBox((0.0, 0.0), (1.0, 1.0)), -q), exact, rel_tol=1e-10)
+
+
 # --------------------------------------------------------------------------
 # the graded Gauss-Legendre panel rule shared by the 1-D and tensor routes
 
@@ -1375,6 +1430,19 @@ def test_every_pair_has_the_law_of_its_route(pair, monkeypatch):
         # every variance call looks its route up: the route does no law work until asked
         monkeypatch.setattr(symbol, "law", lambda *a, **k: pytest.fail("law computed"))
         route_of(symbol, g)
+
+
+@pytest.mark.parametrize("symbol, g", [
+    (Polynomial({(2, 0): 1.0, (0, 2): 1.0}), IndicatorBox(-1.0, 1.0)),
+    (Polynomial({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}),
+     IndicatorBox((-1.0, -1.0), (1.0, 1.0))),
+    (ToolAlpha(2.0), IndicatorBox((-1.0, -1.0), (1.0, 1.0))),
+], ids=["2-D on 1-D", "3-D on 2-D", "1-D on 2-D"])
+def test_a_window_of_another_dimension_is_refused(symbol, g):
+    text = f"^symbol dimension {symbol.dim} does not match window dimension {g.dim}$"
+    for call in (route_of, predicted_law, lambda s, w: VarianceQuery(s, w, -0.1)):
+        with pytest.raises(ValueError, match=text):
+            call(symbol, g)
 
 
 @pytest.mark.parametrize("name", sorted(_SYMBOL_LAWS))
