@@ -600,6 +600,9 @@ def _tensor_level(symbol, lo, hi, q, floors, ratio, n_gl, budget):
 def _variance_tensor(symbol, g, q, rel_tol):
     """Per q, the tensorized box integral; each q has its own levels and evaluation budget."""
     lo, hi, qs = np.asarray(g.lo, dtype=float), np.asarray(g.hi, dtype=float), q.tolist()
+    # every level's panels meet at each axis's ends and root, where no Gauss node lies:
+    # a zero of q - f there is refused before any level
+    _stable(q.min() - np.max(symbol.on_grid(list(zip(lo, np.clip(symbol.root, lo, hi), hi)))))
     floors = [[f if math.isfinite(f) else float(np.max(hi - lo)) for f in _axis_floors(symbol, x)]
               for x in qs]
     plan = ([(4.0, 10), (4.0, 14), (2.0, 14)] if symbol.dim == 3
@@ -879,6 +882,10 @@ def route_of(symbol: Symbol, g: TestFunction) -> Route:
     holds the root.  A ``piecewise`` row gives the law of the ``Piecewise``
     symbol itself.  A pair of two dimensions, or one that no row takes,
     raises ValueError, and so has no law.
+
+    A zero of q - f on the closed window is refused (ValueError), not
+    graded toward: every row checks its nodes, and the tensor row first
+    checks where its panels meet (each axis's ends and root).
     """
     _check_dims(symbol, g)
     if symbol.dim == 1:

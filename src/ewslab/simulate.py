@@ -7,56 +7,46 @@ uniform interior mesh with the drift treated implicitly, so the update
 
 is unconditionally stable.  The lattice points are not coupled: the
 drift acts by multiplication, so every mesh point is an independent
-autoregressive chain of order one, and the stationary variance of any
-linear observable is available in closed form, which
-``predict_discrete_variance`` evaluates.
+autoregressive chain of order one.  Only the points on the window
+support reach the projection, and points with one symbol value share
+one multiplier, so the weighted sum of the points in each such group is
+itself an AR(1) chain, driven by the weighted sum of their noise.  These
+chains, one per distinct symbol value (``_chains``), are the one model
+of the simulation: with identity noise a chain's noise is one normal
+scaled by the root of its summed squared weights, with rank-M noise it
+is the M mode normals through the weight-summed basis rows.  The
+projection is the sum of the chains, exact in distribution.
 
-``run`` estimates the same quantity from trajectories.  Only the points
-on the window support reach the projection, and points with one symbol
-value share one multiplier, so the weighted sum of the points in each
-such group is itself an AR(1) chain, driven by the weighted sum of
-their noise.  ``run`` steps one chain per distinct symbol value: with
-identity noise that sum is one normal per chain scaled by the root of
-its summed squared weights, with rank-M noise it is the M mode normals
-through the weight-summed basis rows.  The projection is the sum of
-the chains, exact in distribution.  Time advances in blocks of steps,
-all replicas together as one (replicas, chains) array.
-
-A replica starts in the chains' exact stationary law wherever that is
-cheaper than forgetting a start, so no step is spent on it.  The chains
-are AR(1) with chain noise covariance C (per unit time), and their
-stationary covariance is
+The chains are AR(1) with chain noise covariance C (per unit time), and
+their stationary covariance is
 
     S_ij = sigma**2 C_ij / (|lam_i| + |lam_j| + lam_i lam_j dt),
 
-the pair factor ``predict_discrete_variance`` sums; the start is
-N(0, S) through a factor F with F F^T = S, and the burn-in then runs no
-steps: it only shortens the recorded series to nt - burn_in steps.  For
-identity noise F is a diagonal.  For rank-M noise it is a dense chains x
-chains eigendecomposition, so a config whose factor would outgrow the
-block budget, or cost more than stepping the slowest mode's relaxation,
-starts at u = 0 instead and steps its burn-in (``_starts_stationary``).
+the pair factor of ``_chain_covariance``.  ``predict_discrete_variance``
+sums S, the exact stationary variance of the projection.  ``run``
+estimates the same quantity from trajectories of the chains, a block of
+steps at a time, all replicas together as one (replicas, chains) array.
+A replica starts in the chains' exact stationary law N(0, S), through a
+factor F with F F^T = S, wherever that is cheaper than forgetting a
+start; the burn-in then runs no steps: it only shortens the recorded
+series to nt - burn_in steps.  For identity noise F is a diagonal.  For
+rank-M noise it is a dense chains x chains eigendecomposition, so a
+config whose factor would outgrow the block budget, or cost more than
+stepping the slowest mode's relaxation, starts at u = 0 instead and
+steps its burn-in (``_starts_stationary``).
 
 ``run_sweep`` takes a grid of p in one pass.  The chains do not depend
 on p, and every p draws the same normals (common random numbers): each
 replica's start normals are drawn once and mapped through the factor of
 every p that starts stationary, and a block's step increments are staged
-once for every p.  Two threads draw the normals, one block ahead: once
-every replica's normals of a block are in, the calling thread posts one
-job per replica for the next block, which a worker thread draws into a
-second buffer while the calling thread scales, steps and sums this one.
-On reaching the next block, the calling thread draws the jobs the worker
-has not taken and maps each replica's normals as its fill is answered.
-A replica's jobs go out one block at a time, so each replica's stream is
-consumed in the order one thread would use and the split changes no bit;
-numpy fills an array with the GIL released, so the fills run while the
-calling thread works.  The calling thread maps each replica's normals
-through the chain noise map, scales them by sqrt(dt) and sigma in place,
-and copies them into every p's slab of the block in one broadcast (a
-single p maps them into its slab).  One step loop then advances the
-whole (p, replicas, chains) state as flat rows.  Each p keeps its own
-start, recorded steps and batch count and gets the estimate ``run``
-gives it alone; ``run`` is the sweep of one config.
+once for every p.  Two threads draw the normals, one block ahead, and
+the split changes no bit (``run_sweep``).  The calling thread maps each
+replica's normals through the chain noise map, scales them by sqrt(dt)
+and sigma in place, and copies them into every p's slab of the block in
+one broadcast (a single p maps them into its slab).  One step loop then
+advances the whole (p, replicas, chains) state as flat rows.  Each p
+keeps its own start, recorded steps and batch count and gets the
+estimate ``run`` gives it alone; ``run`` is the sweep of one config.
 """
 
 from __future__ import annotations
@@ -195,49 +185,39 @@ class VarianceEstimate:
     replica_variances: tuple[float, ...]
 
 
-def _symbol_values(config: SimConfig) -> np.ndarray:
-    return np.asarray(config.symbol(config.mesh.grid()), dtype=float)
-
-
-def _drift_vector(config: SimConfig, values: np.ndarray | None = None) -> np.ndarray:
-    # ``values`` are the symbol on the mesh, when a caller already has them
-    drift = (_symbol_values(config) if values is None else values) + config.p
-    if np.max(drift) >= 0:
+def _chains(configs):
+    """The chains of a call (module docstring), built once from the configs' shared
+    symbol, window, mesh and noise: the chain drifts, one row per config's p, and the
+    chains' noise map (``_lumped_chains``).  A drift that is not negative everywhere on
+    the mesh raises ValueError."""
+    base = configs[0]
+    values = np.asarray(base.symbol(base.mesh.grid()), dtype=float)
+    idx, w = projection_weights(base.g, base.mesh, base.unweighted)
+    model = base.noise if base.noise is not None else NoiseModel.identity(base.mesh.size)
+    chain_values, mix = _lumped_chains(values, idx, w, model)
+    ps = np.array([config.p for config in configs])
+    if np.max(values) + np.max(ps) >= 0:
         raise ValueError("drift is not strictly stable on the mesh")
-    return drift
+    # each row is bit for bit the support drifts values + p of its chains
+    return chain_values + ps[:, None], mix
 
 
 def predict_discrete_variance(config: SimConfig) -> float:
     """Exact stationary variance of the discretized window observable.
 
-    Each mesh point is the chain u' = a (u + sigma dW) with
-    a = 1/(1 - lam dt), so two points whose noise has covariance c have
-    stationary covariance sigma**2 c dt a_i a_j/(1 - a_i a_j) =
-    sigma**2 c/(|lam_i| + |lam_j| + lam_i lam_j dt), taken in the second
-    form, whose terms do not cancel as lam dt -> 0.  Identity noise sums
-    the diagonal, sigma**2 c/(2|lam| + lam**2 dt), over the window with
-    squared projection weights; a rank-M model routes the mode
-    covariance through the same pair factors, one block of support rows
-    at a time so memory stays bounded for large windows.  A value that
-    is not a positive double, as a huge ``sigma`` gives, raises
-    FloatingPointError.
+    The observable is the sum of the chains ``run`` steps, so its variance
+    is the sum of every entry of their stationary covariance S
+    (``_chain_covariance``), taken a block of rows at a time so memory
+    stays bounded for many chains.  A value that is not a positive
+    double, as a huge ``sigma`` gives, raises FloatingPointError.
     """
-    drift = _drift_vector(config)
-    idx, w = projection_weights(config.g, config.mesh, config.unweighted)
-    lam = drift[idx]
-    model = config.noise
-    if model is None or model.is_identity:
-        total = np.sum(w**2 / (2.0 * np.abs(lam) + lam**2 * config.dt))
-    else:
-        basis = model.basis[idx, :]
-        scaled = basis * model.eigenvalues
-        rows = max(1, _BLOCK_BYTES // (8 * idx.size))
-        total = 0.0
-        for lo in range(0, idx.size, rows):
-            part = slice(lo, lo + rows)
-            cov = scaled[part] @ basis.T
-            stationary = cov / (np.outer(lam[part], lam) * config.dt - lam[part, None] - lam)
-            total += w[part] @ stationary @ w
+    (lam,), mix = _chains([config])
+    rows = max(1, _BLOCK_BYTES // (8 * lam.size))
+    total = 0.0
+    for lo in range(0, lam.size, rows):
+        part = _chain_covariance(lam, mix, config.dt, slice(lo, lo + rows))
+        # identity noise gives the root of the diagonal of S
+        total += np.sum(part**2 if mix.ndim == 1 else part)
     square, k = split_square(config.sigma)
     with np.errstate(over="ignore"):
         value = float(np.ldexp(square * total, k))
@@ -265,22 +245,36 @@ def _lumped_chains(values, idx, w, model: NoiseModel):
     return lam, (rows * np.sqrt(model.eigenvalues)).T
 
 
+def _chain_covariance(lam, mix, dt, rows=slice(None), scale=1.0):
+    """Rows of the chains' stationary covariance S per unit sigma**2, times ``scale``.
+
+    ``lam`` holds the chain drifts and ``mix`` is the chain noise map of
+    ``_lumped_chains``, so C = mix^T mix.  This is the one place that
+    writes the pair factor of the module docstring, and its diagonal.
+    Rank-M noise gives the ``rows`` of S, as (scale * C) / pair.
+    Identity noise makes S diagonal, C_ii = mix_i**2, and gives the root
+    of the diagonal on ``rows`` instead, (scale * mix) / sqrt(2|lam| +
+    lam**2 dt): at scale sigma, the start factor itself.
+    """
+    part = lam[rows]
+    if mix.ndim == 1:
+        return scale * mix[rows] / np.sqrt(2.0 * np.abs(part) + part**2 * dt)
+    return scale * (mix[:, rows].T @ mix) / (np.outer(part, lam) * dt - part[:, None] - lam)
+
+
 def _stationary_factor(lam, mix, sigma: float, dt: float) -> np.ndarray:
     """A factor F of the chains' stationary covariance S, F F^T = S.
 
-    ``lam`` holds the chain drifts and ``mix`` is the chain noise map of
-    ``_lumped_chains``.  Identity noise makes S diagonal and F its root,
-    returned as the diagonal; rank-M noise forms S from C = mix^T mix
-    with the pair factor of the module docstring and takes F = V sqrt(e)
-    from its eigendecomposition, eigenvalues clipped at 0; an S that
-    overflows raises FloatingPointError.
+    Identity noise makes S diagonal and F its root, returned as the
+    diagonal; rank-M noise takes F = V sqrt(e) from the eigendecomposition
+    of S, eigenvalues clipped at 0.  Both come from ``_chain_covariance``;
+    an S that overflows raises FloatingPointError.
     """
     if mix.ndim == 1:
-        return sigma * mix / np.sqrt(2.0 * np.abs(lam) + lam**2 * dt)
-    pair = np.outer(lam, lam) * dt - lam[:, None] - lam
+        return _chain_covariance(lam, mix, dt, scale=sigma)
     square, k = split_square(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = np.ldexp(square * (mix.T @ mix) / pair, k)
+        cov = np.ldexp(_chain_covariance(lam, mix, dt, scale=square), k)
     if not np.all(np.isfinite(cov)):
         raise FloatingPointError(f"the chains' stationary covariance overflows at sigma = {sigma!r}")
     eig, vectors = np.linalg.eigh(cov)
@@ -338,17 +332,17 @@ def _check_shared(configs) -> None:
                 raise ValueError(f"run_sweep configs must have equal {name}")
 
 
-def _schedule(config: SimConfig, values, support) -> tuple[int, int]:
-    """Burn-in and batch count of one config.
+def _schedule(config: SimConfig, lam) -> tuple[int, int]:
+    """Burn-in and batch count of one config, whose chain drifts are ``lam``.
 
-    Both follow the slowest window mode, the support drift lam_max
+    Both follow the slowest window mode, the chain drift lam_max
     nearest 0.  The automatic burn-in is the time that mode takes to
     forget a start, ``_relax_steps``; a stationary start steps none of
     it, so it only shortens the recorded series.  The batch count is
     capped so each batch spans several of its correlation times
     1/|lam_max|.
     """
-    lam_max = float(np.max(_drift_vector(config, values)[support]))
+    lam_max = float(np.max(lam))
     relax_steps = _relax_steps(lam_max, config.dt)
     burn = config.burn_in if config.burn_in is not None else min(relax_steps, config.nt - 1)
     n_kept = config.nt - burn
@@ -428,26 +422,22 @@ def run_sweep(configs) -> list[VarianceEstimate]:
     need not have the row count of one ``run``'s.
 
     A sweep of more than one block draws on two threads: each block's
-    jobs (one per replica) are posted once the block before is drawn, a
-    worker thread draws them while the calling thread steps that block,
-    and the calling thread then draws any the worker has not taken; every replica's stream is consumed in the same order
-    as by one thread, so the estimates do not depend on which thread
-    draws what.  The worker runs nothing but numpy's fills; it is joined
-    before this returns or raises, and an exception it meets is raised
-    here.
+    jobs (one per replica) are posted once every fill of the block
+    before is answered, a worker thread draws them into a second buffer
+    while the calling thread steps that block, and the calling thread
+    then draws any the worker has not taken.  Every replica's stream is
+    consumed in the order one thread would use, so the estimates do not
+    depend on which thread draws what.  The worker runs nothing but
+    numpy's fills, which release the GIL; it is joined before this
+    returns or raises, and an exception it meets is raised here.
     """
     configs = list(configs)
     if not configs:
         return []
     _check_shared(configs)
     base = configs[0]
-    values = _symbol_values(base)
-    idx, w = projection_weights(base.g, base.mesh, base.unweighted)
-    burns, batches = zip(*(_schedule(config, values, idx) for config in configs))
-    model = base.noise if base.noise is not None else NoiseModel.identity(base.mesh.size)
-    chain_values, mix = _lumped_chains(values, idx, w, model)
-    # the chain drifts are chain_values + p, bit for bit the support drifts
-    lam = chain_values + np.array([config.p for config in configs])[:, None]
+    lam, mix = _chains(configs)
+    burns, batches = zip(*(_schedule(config, row) for config, row in zip(configs, lam)))
 
     points, r, chains = len(configs), base.replicas, lam.shape[1]
     denom = np.ascontiguousarray(

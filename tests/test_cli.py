@@ -721,6 +721,21 @@ def test_malformed_symbol_file_exit_3(tmp_path, capsys, content):
     assert "bad symbol spec" in capsys.readouterr().err
 
 
+def test_a_tensor_sweep_past_its_evaluation_budget_exits_4(tmp_path, capsys):
+    # the cross term keeps the 3-D box on the tensor levels, whose level at
+    # p = -1e-4 needs more evaluations than EVAL_CAP leaves it
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(Polynomial(
+        {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (1, 1, 0): 0.5}).to_dict()))
+    out = tmp_path / "out"
+    assert main(["sweep", "--symbol", f"poly:{path}", "--g", "box:-1,1,-1,1,-1,1",
+                 "--p-decades=-4:-2", "--points", "3", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert "over the remaining budget" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_missing_input_file_exit_3(tmp_path):
     assert main(["fit", "--csv", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path)]) == 3

@@ -9,7 +9,8 @@ writes the same bytes with ``scipy`` blocked.  In ``quadrature.py`` only
 the route table tests the kind of a window, and ``scaling.py`` tests no
 kind at all: the route table and ``Symbol.law`` decide the law.  The
 layers keep their order: ``symbols`` imports no ewslab module and
-``quadrature`` imports only ``symbols``.
+``quadrature`` imports only ``symbols``.  Outside ``noise.py`` the noise
+basis is read only where the simulation lumps it into its chains.
 """
 import ast
 import os
@@ -95,6 +96,26 @@ def test_only_the_route_table_tests_window_kinds():
                 if kinds & windows:
                     found.append(getattr(scope, "name", "the module"))
     assert found and set(found) <= {"route_of", "_route_1d"}, found
+
+
+def test_only_the_chain_builder_reads_the_noise_basis():
+    # the chains are the simulation's one model: the prediction, the start
+    # factor and the steps all take the chain noise map of _lumped_chains
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+            todo = list(scope.body)  # the scope's own code, not that of a def nested in it
+            while todo:
+                node = todo.pop()
+                if isinstance(node, ast.FunctionDef):
+                    continue
+                todo.extend(ast.iter_child_nodes(node))
+                if isinstance(node, ast.Attribute) and node.attr == "basis" and isinstance(
+                        node.ctx, ast.Load):
+                    found.append((path.name, getattr(scope, "name", "the module")))
+    assert {name for name, _ in found} == {"noise.py", "simulate.py"}, found
+    assert {scope for name, scope in found if name != "noise.py"} == {"_lumped_chains"}, found
 
 
 def _absolute_imports(path):

@@ -37,6 +37,7 @@ from ewslab.quadrature import (
     monomial_integral,
     route_of,
     variance_quadrature,
+    variance_values,
 )
 from ewslab.scaling import predicted_law
 from ewslab.symbols import (
@@ -1053,6 +1054,48 @@ def test_tensor_floors_and_ring_discs_are_frozen(case):
     symbol, g, frozen = _FROZEN_2D[case]
     for (p, dt), want in frozen.items():
         assert variance_quadrature(VarianceQuery(symbol, g, p), dt=dt) == want, (p, dt)
+
+
+@pytest.mark.parametrize("p", [-0.5, -1e-3])
+def test_a_zero_of_q_minus_f_where_the_tensor_panels_meet_is_refused(p):
+    # x + y**2 on [-0.5, 1] x [-0.5, 0.5]: at p = -0.5, q - f vanishes at (-0.5, 0),
+    # on the box edge and on the y axis's root, where every level's panels meet and
+    # no Gauss node lies; at p = -1e-3 it is negative there
+    symbol, g = Polynomial({(1, 0): 1.0, (0, 2): 1.0}), IndicatorBox((-0.5, -0.5), (1.0, 0.5))
+    assert route_of(symbol, g).name == "tensor"
+    with pytest.raises(ValueError, match=r"drift \+ p is not negative on the window"):
+        variance_quadrature(VarianceQuery(symbol, g, p))
+    with pytest.raises(ValueError, match=r"drift \+ p is not negative on the window"):
+        variance_values(symbol, g, [p, -2.0])
+
+
+def test_the_tensor_evaluation_budget_refuses_a_level_past_it():
+    # the cross term keeps the 3-D box on the tensor levels; at p = -1e-4 a
+    # level needs more evaluations than EVAL_CAP leaves it
+    symbol = Polynomial({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0, (1, 1, 0): 0.5})
+    g = IndicatorBox((-1.0,) * 3, (1.0,) * 3)
+    assert route_of(symbol, g).name == "tensor"
+    assert variance_quadrature(VarianceQuery(symbol, g, -1e-2)) == 6.8489290867352155
+    with pytest.raises(QuadratureError, match="tensor quadrature needs 21249536 evaluations, "
+                                              "over the remaining budget 9033216"):
+        variance_quadrature(VarianceQuery(symbol, g, -1e-4))
+
+
+@pytest.mark.parametrize("p", [-1e-2, -1e-4, -1e-6])
+def test_a_root_off_the_singular_end_of_a_power_window_matches_mpmath(p):
+    # tool:2 at root 0.3 through x**-0.25 on [0, 1] takes the offset-log row: the
+    # window's singular 0 is not the root.  The reference is 1/2 int_0^1 x**-0.5 /
+    # (q + (x - 0.3)**2) dx in 40 digits, split at the root and at the layer's
+    # edges 0.3 +- 10 sqrt(q) inside [0, 1]
+    mpmath = pytest.importorskip("mpmath")
+    symbol, g = ToolAlpha(2.0, root=0.3), PowerIndicator(0.25, 1.0)
+    assert route_of(symbol, g).name == "offset-log"
+    with mpmath.workdps(40):
+        q, r = mpmath.mpf(-p), mpmath.mpf(0.3)
+        splits = [r + s * 10 * mpmath.sqrt(q) for s in (-1, 0, 1)]
+        points = [0, *(x for x in splits if 0 < x < 1), 1]
+        want = float(mpmath.quad(lambda x: x ** -0.5 / (q + (x - r) ** 2), points) / 2)
+    assert math.isclose(variance_quadrature(VarianceQuery(symbol, g, p)), want, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("root", [0.3, 0.9, -0.55])

@@ -24,10 +24,10 @@ from ewslab import simulate
 from ewslab.noise import NoiseModel, as_generator, build_noise_model, noise_increment
 from ewslab.simulate import (
     _BLOCK_BYTES,
+    _chains,
     Mesh,
     SimConfig,
     VarianceEstimate,
-    _drift_vector,
     _estimate,
     _lumped_chains,
     _relax_steps,
@@ -35,7 +35,6 @@ from ewslab.simulate import (
     _starts_stationary,
     _stationary_factor,
     _steps_per_block,
-    _symbol_values,
     predict_discrete_variance,
     projection_weights,
     run,
@@ -46,6 +45,11 @@ from ewslab.symbols import CustomSymbol, Radial2D, ToolAlpha, Zero
 
 AR1_SINGLE_MODE = 1.0 / 2.1  # lambda=-1, sigma=1, dt=0.1
 AR1_TWO_MODE = 1.0 / 2.01 + 1.0 / 4.04  # lambdas -1,-2 at dt=0.01
+
+
+def _drift(config):
+    """The drift f + p at every mesh point."""
+    return np.asarray(config.symbol(config.mesh.grid()), dtype=float) + config.p
 
 
 def step(u, drift, dt, increment, sigma):
@@ -213,14 +217,16 @@ def test_predicted_variance_structured_noise():
 
 
 def test_predicted_variance_row_blocks_match_dense_formula():
-    # a support wide enough that the structured prediction takes several row blocks
-    mesh = Mesh(1.0, 401, 1)
-    g = IndicatorBox(-0.95, 0.95)
+    # a window off the root, one chain per support point: enough chains that the
+    # prediction takes several row blocks, with rank-M and with identity noise
+    mesh = Mesh(1.0, 801, 1)
+    g = IndicatorBox(0.0, 0.95)
     idx, w = projection_weights(g, mesh)
-    assert _BLOCK_BYTES // (8 * idx.size) < idx.size
     noise = build_noise_model(mesh.size, idx, m=40, seed=7)
     config = SimConfig(ToolAlpha(2.0), g, -0.2, mesh, dt=0.02, nt=100,
                        sigma=0.7, noise=noise)
+    lam, _ = _chains_of(config)
+    assert lam.size == idx.size and _BLOCK_BYTES // (8 * lam.size) < lam.size
     lam = -mesh.grid()[idx] ** 2 - 0.2
     a = 1.0 / (1.0 - lam * 0.02)
     basis = noise.basis[idx]
@@ -228,6 +234,49 @@ def test_predicted_variance_row_blocks_match_dense_formula():
     pair = np.outer(a, a)
     want = float(w @ (0.7 ** 2 * 0.02 * cov * pair / (1.0 - pair)) @ w)
     assert math.isclose(predict_discrete_variance(config), want, rel_tol=1e-12)
+    want = float(np.sum(0.7 ** 2 * 0.02 * w ** 2 * a ** 2 / (1.0 - a ** 2)))
+    identity = dataclasses.replace(config, noise=None)
+    assert math.isclose(predict_discrete_variance(identity), want, rel_tol=1e-12)
+
+
+def _support_point_prediction(config):
+    """The discrete prediction summed over the support points, apart from the chains:
+    each point is its own AR(1) chain, and two points whose noise has covariance c
+    have stationary covariance sigma**2 c / (|lam_i| + |lam_j| + lam_i lam_j dt),
+    paired by their projection weights.  Identity noise sums the diagonal, rank-M
+    noise the dense support x support matrix of the basis rows."""
+    idx, w = projection_weights(config.g, config.mesh, config.unweighted)
+    lam = _drift(config)[idx]
+    if config.noise is None:
+        total = np.sum(w ** 2 / (2.0 * np.abs(lam) + lam ** 2 * config.dt))
+    else:
+        basis = config.noise.basis[idx]
+        cov = (basis * config.noise.eigenvalues) @ basis.T
+        total = w @ (cov / (np.abs(lam)[:, None] + np.abs(lam) + np.outer(lam, lam) * config.dt)) @ w
+    return config.sigma ** 2 * float(total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)), st.sampled_from((None, 1, 3, 8, 32)),
+       st.sampled_from((1.0, 0.8, 2.5, 1e-3)), st.sampled_from((0.01, 0.1, 1.0)),
+       st.floats(-3.0, 0.0, exclude_max=True).filter(lambda p: p < -1e-8), st.booleans(),
+       st.integers(0, 2**16))
+@example(1, None, 1.0, 0.01, -1e-8, False, 0)
+@example(2, 32, 1e-3, 1.0, -2.5, True, 1)
+def test_chain_prediction_matches_the_support_point_sum(dim, rank, sigma, dt, p, unweighted,
+                                                        seed):
+    # the chains lump mirrored and equal-valued support points: the sum over
+    # their covariance is the sum over the points', regrouped
+    if dim == 1:
+        mesh, symbol, g = Mesh(1.0, 199, 1), ToolAlpha(2.0), IndicatorBox(-0.5, 0.7)
+    else:
+        mesh, symbol, g = Mesh(1.0, 15, 2), Radial2D(2.0), QuarterDisc(0.8)
+    idx, _ = projection_weights(g, mesh)
+    noise = None if rank is None else build_noise_model(mesh.size, idx, m=rank, seed=seed)
+    config = SimConfig(symbol, g, p, mesh, dt=dt, nt=100, sigma=sigma, noise=noise,
+                       unweighted=unweighted)
+    assert math.isclose(predict_discrete_variance(config), _support_point_prediction(config),
+                        rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("p", [-1e-6, -1e-8])
@@ -242,7 +291,7 @@ def test_structured_prediction_does_not_cancel_as_lam_dt_goes_to_0(p):
     config = SimConfig(ToolAlpha(2.0), g, p, mesh, dt=0.01, nt=100, noise=noise)
     with mpmath.workdps(50):
         mp = lambda values: [mpmath.mpf(float(v)) for v in values]
-        lam = mp(_drift_vector(config)[idx])
+        lam = mp(_drift(config)[idx])
         basis = [mp(row) for row in noise.basis[idx]]
         ev = mp(noise.eigenvalues)
         dt = mpmath.mpf(0.01)
@@ -273,7 +322,7 @@ def _acceptance_config(p=-0.1, sigma=1.0):
 
 
 def _chains_of(config):
-    drift = _drift_vector(config)
+    drift = _drift(config)
     idx, w = projection_weights(config.g, config.mesh, config.unweighted)
     model = config.noise if config.noise is not None else NoiseModel.identity(config.mesh.size)
     return _lumped_chains(drift, idx, w, model)
@@ -286,7 +335,8 @@ def test_mirrored_support_points_share_a_chain():
     assert lam.size == scale.size == 51
     # run_sweep lumps by symbol value, independent of p: the same 51 chains
     idx, w = projection_weights(config.g, config.mesh)
-    values, _ = _lumped_chains(_symbol_values(config), idx, w, NoiseModel.identity(199))
+    values, _ = _lumped_chains(config.symbol(config.mesh.grid()), idx, w,
+                               NoiseModel.identity(199))
     assert np.array_equal(values + config.p, lam)
 
 
@@ -346,7 +396,7 @@ def _reference_run(config):
         # so a last-bit change of mix moves the eigenvectors, and F z, by
         # about 2e-12, more than the 1e-12 these tests allow
         mix = _lumped_chains(drift, idx, w, model)[1]
-    burn, n_batches = _schedule(config, _symbol_values(config), idx)
+    burn, n_batches = _schedule(config, lam)
     stationary = _starts_stationary(mix, config.replicas, _relax_steps(lam.max(), config.dt))
     factor = _stationary_factor(lam, mix, config.sigma, config.dt) if stationary else None
     n_kept = config.nt - burn
@@ -690,7 +740,7 @@ def test_start_factor_is_the_exact_stationary_law(log10_minus_p, dim, rank):
     # S from the point noise covariance summed over each chain's support
     # points, C_ab = sum over i in a, j in b of w_i w_j Q_ij, apart from
     # the chain noise map that run steps and factors
-    drift = _drift_vector(config)
+    drift = _drift(config)
     lam, group = np.unique(drift[idx], return_inverse=True)
     if config.noise is None:
         point_cov = np.diag(w ** 2)
@@ -790,8 +840,7 @@ def test_run_sweep_equals_run_per_p(dim, rank, replicas, burns):
     configs = [SimConfig(symbol, g, p, mesh, dt=dt, nt=nt, sigma=0.8, burn_in=b,
                          replicas=replicas, seed=11, noise=noise, batches=4)
                for p, b in zip(ps, explicit)]
-    idx, _ = projection_weights(g, mesh)
-    assert [_schedule(c, _symbol_values(c), idx)[0] for c in configs] == list(targets)
+    assert [_schedule(c, _chains([c])[0][0])[0] for c in configs] == list(targets)
     assert [t // chunk for t in targets] == [0, 1, 2] and all(t % chunk for t in targets)
     assert run_sweep(configs) == [run(c) for c in configs]
 
@@ -910,7 +959,7 @@ def test_an_estimate_past_the_largest_double_raises():
 def test_an_overflowing_stationary_covariance_raises():
     config = _acceptance_config(-0.5)
     idx, w = projection_weights(config.g, config.mesh)
-    lam, mix = _lumped_chains(_drift_vector(config), idx, w,
+    lam, mix = _lumped_chains(_drift(config), idx, w,
                               build_noise_model(config.mesh.size, idx, m=4, seed=3))
     assert np.all(np.isfinite(_stationary_factor(lam, mix, 1e150, config.dt)))
     with pytest.raises(FloatingPointError, match="stationary covariance overflows"):
