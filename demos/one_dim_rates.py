@@ -26,7 +26,7 @@ def main():
 
     print(f"{'alpha':>6} {'catalog':>22} {'fitted s':>9} {'fitted k':>9}")
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        sweep = ew.quadrature_sweep(ew.ToolAlpha(alpha), g, ps, threads=4)
+        sweep = ew.quadrature_sweep(ew.ToolAlpha(alpha), g, ps)
         law = ew.law_1d(alpha)
         fit = ew.fit_loglog(sweep)
         label = ("bounded" if law.convergent

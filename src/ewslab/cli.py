@@ -45,7 +45,6 @@ from .simulate import (Mesh, SimConfig, predict_discrete_variance, projection_we
                        run, run_sweep)
 from .spectral import predicted_spectral_law, spectral_sweep
 from .symbols import (
-    FREQUENCY_KINDS,
     ConvolutionKernel,
     LawUnavailableError,
     Piecewise,
@@ -70,74 +69,86 @@ EXIT_NUMERICAL = 4
 # --------------------------------------------------------------------------
 # small DSL: symbols and windows from command-line strings
 
-def parse_symbol(text: str) -> Symbol:
-    """Build a drift symbol from its compact command-line form.
+def _load_symbol(path: str) -> Symbol:
+    with open(path, "r", encoding="utf-8") as fh:
+        return Symbol.build(json.load(fh))
 
-    Forms: tool:ALPHA, zero[:DIM], radial:BETA, mono:I1,I2[,I3],
-    pw:ALPHA_LEFT,ALPHA_RIGHT, poly:FILE.json, power2m:M, sh1d, sh2d,
-    conv:FILE:SPACING.
-    """
+
+def _mono(rest: str) -> Polynomial:
+    return Polynomial({tuple(int(tok) for tok in rest.split(",")): 1.0})
+
+
+def _pw(rest: str) -> Piecewise:
+    left, right = (float(tok) for tok in rest.split(","))
+    return Piecewise(ToolAlpha(left), ToolAlpha(right))
+
+
+def _conv(rest: str) -> ConvolutionKernel:
+    path, _, spacing = rest.rpartition(":")
+    return ConvolutionKernel(np.loadtxt(path, dtype=float, ndmin=1), float(spacing))
+
+
+# the symbol grammar: each head, its form as --help shows it, and its builder of the rest
+SYMBOL_FORMS = {
+    "tool": ("tool:ALPHA", lambda rest: ToolAlpha(float(rest))),
+    "zero": ("zero[:DIM]", lambda rest: Zero(int(rest) if rest else 1)),
+    "radial": ("radial:BETA", lambda rest: Radial2D(float(rest))),
+    "mono": ("mono:I1,I2[,I3]", _mono),
+    "pw": ("pw:ALPHA_LEFT,ALPHA_RIGHT", _pw),
+    "poly": ("poly:FILE.json", _load_symbol),
+    "power2m": ("power2m:M", lambda rest: PowerWavenumber(int(rest))),
+    "sh1d": ("sh1d", lambda rest: SwiftHohenberg1D()),
+    "sh2d": ("sh2d", lambda rest: SwiftHohenberg2D()),
+    "conv": ("conv:FILE:SPACING", _conv),
+}
+
+
+def _box(rest: str, dim: int) -> IndicatorBox:
+    vals = [float(tok) for tok in rest.split(",")]
+    if len(vals) != 2 * dim:
+        raise ValueError(f"box needs {2 * dim} numbers for dimension {dim}")
+    lo, hi = vals[0::2], vals[1::2]
+    return IndicatorBox(lo if dim > 1 else lo[0], hi if dim > 1 else hi[0])
+
+
+def _power(rest: str, dim: int) -> PowerIndicator:
+    gamma, eps = (float(tok) for tok in rest.split(","))
+    return PowerIndicator(gamma, eps)
+
+
+# the window grammar, as SYMBOL_FORMS; each builder takes the rest and the symbol's dimension
+WINDOW_FORMS = {
+    "box": ("box:LO,HI per axis", _box),
+    "cube": ("cube:EPS", lambda rest, dim: IndicatorBox.cube(float(rest), dim)),
+    "power": ("power:GAMMA,EPS", _power),
+    "qdisc": ("qdisc:R", lambda rest, dim: QuarterDisc(float(rest))),
+    "disc": ("disc:R", lambda rest, dim: Disc(float(rest))),
+}
+
+
+def _help(what: str, forms: dict) -> str:
+    return f"{what}, one of: " + "; ".join(form for form, _ in forms.values())
+
+
+def _parse(text: str, what: str, forms: dict, *args):
     head, _, rest = text.partition(":")
     head = head.strip().lower()
+    if head not in forms:
+        raise ValueError(f"unknown {what} kind {head!r}; see --help for the grammar")
     try:
-        if head == "tool":
-            return ToolAlpha(float(rest))
-        if head == "zero":
-            return Zero(int(rest) if rest else 1)
-        if head == "radial":
-            return Radial2D(float(rest))
-        if head == "mono":
-            idx = tuple(int(tok) for tok in rest.split(","))
-            return Polynomial({idx: 1.0})
-        if head == "pw":
-            left, right = (float(tok) for tok in rest.split(","))
-            return Piecewise(ToolAlpha(left), ToolAlpha(right))
-        if head == "poly":
-            with open(rest, "r", encoding="utf-8") as fh:
-                return Symbol.build(json.load(fh))
-        if head == "power2m":
-            return PowerWavenumber(int(rest))
-        if head == "sh1d":
-            return SwiftHohenberg1D()
-        if head == "sh2d":
-            return SwiftHohenberg2D()
-        if head == "conv":
-            path, _, spacing = rest.rpartition(":")
-            samples = np.loadtxt(path, dtype=float, ndmin=1)
-            return ConvolutionKernel(samples, float(spacing))
+        return forms[head][1](rest, *args)
     except (TypeError, ValueError, OSError) as exc:
-        raise ValueError(f"bad symbol spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown symbol kind {head!r}; see --help for the grammar")
+        raise ValueError(f"bad {what} spec {text!r}: {exc}") from exc
+
+
+def parse_symbol(text: str) -> Symbol:
+    """Build a drift symbol from its compact command-line form (``SYMBOL_FORMS``)."""
+    return _parse(text, "symbol", SYMBOL_FORMS)
 
 
 def parse_window(text: str, dim: int):
-    """Build a spatial window from its command-line form.
-
-    Forms: box:lo,hi per axis (lo1,hi1[,lo2,hi2[,...]]), cube:EPS,
-    power:GAMMA,EPS, qdisc:R, disc:R.
-    """
-    head, _, rest = text.partition(":")
-    head = head.strip().lower()
-    try:
-        if head == "box":
-            vals = [float(tok) for tok in rest.split(",")]
-            if len(vals) != 2 * dim:
-                raise ValueError(f"box needs {2 * dim} numbers for dimension {dim}")
-            lo = vals[0::2]
-            hi = vals[1::2]
-            return IndicatorBox(lo if dim > 1 else lo[0], hi if dim > 1 else hi[0])
-        if head == "cube":
-            return IndicatorBox.cube(float(rest), dim)
-        if head == "power":
-            gamma, eps = (float(tok) for tok in rest.split(","))
-            return PowerIndicator(gamma, eps)
-        if head == "qdisc":
-            return QuarterDisc(float(rest))
-        if head == "disc":
-            return Disc(float(rest))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad window spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown window kind {head!r}; see --help for the grammar")
+    """Build a spatial window from its command-line form (``WINDOW_FORMS``)."""
+    return _parse(text, "window", WINDOW_FORMS, dim)
 
 
 def parse_decades(text: str) -> tuple[int, int]:
@@ -248,9 +259,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_spectral(args) -> int:
     symbol = parse_symbol(args.symbol)
-    if not isinstance(symbol, FREQUENCY_KINDS):
-        raise ValueError(f"spectral takes a frequency symbol (power2m:M, sh1d, sh2d or "
-                         f"conv:FILE:SPACING), not {args.symbol!r}")
     g = parse_window(args.g, symbol.dim)
     lo, hi = parse_decades(args.p_decades)
     ps = log_spaced_p(lo, hi, args.points)
@@ -406,8 +414,8 @@ def cmd_appendix_check(args) -> int:
 # parser
 
 def _add_sweep_args(sub, simulation: bool = False):
-    sub.add_argument("--symbol", required=True, help="drift symbol spec")
-    sub.add_argument("--g", required=True, help="window spec")
+    sub.add_argument("--symbol", required=True, help=_help("drift symbol", SYMBOL_FORMS))
+    sub.add_argument("--g", required=True, help=_help("window", WINDOW_FORMS))
     sub.add_argument("--sigma", type=float, default=1.0)
     if not simulation:
         sub.add_argument("--p-decades", required=True,

@@ -47,18 +47,19 @@ from .symbols import (
     Piecewise,
     Polynomial,
     Radial2D,
-    Registered,
     SwiftHohenberg2D,
     Symbol,
     ToolAlpha,
     as_finite,
     as_multi_index,
     as_positive,
+    most_divergent,
     split_square,
 )
 
 REL_TOL_1D = 1e-8
 REL_TOL_ND = 1e-6
+_MONOMIAL_TOL = 1e-9
 EVAL_CAP = 2**24
 # the smallest inner tolerance of the scheme correction: R up to 4096 at rel_tol 1e-8
 _CANCEL_FLOOR = 1e-12
@@ -79,18 +80,14 @@ class QuadratureError(RuntimeError):
 # test functions
 
 
-class TestFunction(Registered):
+class TestFunction:
     """Observation window g; subclasses define the support and the profile."""
 
     dim: int
-    kinds = {}
 
 
 class IndicatorBox(TestFunction):
     """g = 1 on the closed box [lo, hi], 0 outside."""
-
-    kind = "box"
-    fields = ("lo", "hi")
 
     def __init__(self, lo, hi):
         lo = np.atleast_1d(as_finite(lo, "box corners"))
@@ -127,9 +124,6 @@ class PowerIndicator(TestFunction):
     query is rejected outright.
     """
 
-    kind = "power"
-    fields = ("gamma", "eps")
-
     def __init__(self, gamma: float, eps: float = 1.0):
         gamma = as_finite(gamma, "gamma")
         if not 0.0 <= gamma < 0.5:
@@ -152,8 +146,6 @@ class PowerIndicator(TestFunction):
 class Disc(TestFunction):
     """g = 1 on the full disc of given radius centered at the origin."""
 
-    kind = "disc"
-    fields = ("radius",)
     angle = 2.0 * math.pi  # of the sector the window covers
 
     def __init__(self, radius: float):
@@ -172,8 +164,6 @@ class Disc(TestFunction):
 class QuarterDisc(Disc):
     """g = 1 on the quarter disc of given radius in the closed positive quadrant."""
 
-    kind = "quarter_disc"
-    fields = ("radius",)
     angle = math.pi / 2.0
 
     def __call__(self, x):
@@ -879,8 +869,8 @@ def route_of(symbol: Symbol, g: TestFunction) -> Route:
     in one dimension whether [a, b] holds a zero (``zeros_in``), with the
     gamma of a power window whose 0 is the root; on a disc whether R
     reaches the root of the power law in u = r**2; on a box whether it
-    holds the root.  A ``piecewise`` row gives the law of the ``Piecewise``
-    symbol itself.  A pair of two dimensions, or one that no row takes,
+    holds the root.  A ``piecewise`` row gives the most divergent law of
+    the side rows it sums.  A pair of two dimensions, or one that no row takes,
     raises ValueError, and so has no law.
 
     A zero of q - f on the closed window is refused (ValueError), not
@@ -931,7 +921,7 @@ def _route_1d(symbol, g, a, b):
         if b > root:
             sides.append(_route_1d(symbol.right, g, max(a, root), b))
         return Route("piecewise", lambda q, tol: sum((side.values(q, tol) for side in sides), 0.0),
-                     law)
+                     lambda: most_divergent([side.law() for side in sides]))
     if isinstance(symbol, ConvolutionKernel):
         # the interpolant has a kink at every node, on which the graded rule of a
         # weighted window would put no panel edge
@@ -1058,7 +1048,7 @@ def _corner_edges(split, end, ratio):
     return np.array([0.0, *(x for x in inner if 0.0 < x < end), end])
 
 
-def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-9) -> float:
+def monomial_integral(j, eps: float = 1.0, q: float = 1e-4) -> float:
     """integral over [0, eps]**N of dx / (x**j + q) for a monomial index j, any N.
 
     Zero components reduce out as powers of eps, and x -> eps x leaves
@@ -1070,18 +1060,17 @@ def monomial_integral(j, eps: float = 1.0, q: float = 1e-4, rel_tol: float = 1e-
     s = log(1/q), and accepted by ``_settled``.  S dominates each
     Gamma term's variable, so no term integrates to more than I_j and
     rounding in their signed sum loses at most about n * eps_machine *
-    sum |c|; above rel_tol, as for clustered exponents, QuadratureError
-    is raised.
+    sum |c|; above the tolerance ``_MONOMIAL_TOL``, as for clustered
+    exponents, QuadratureError is raised.
     """
     idx = as_multi_index(j)
     q = as_positive(q, "q")
     eps = as_positive(eps, "eps")
-    _check_rel_tol(rel_tol)
     # zero components only scale the value, which is done in logs
     reduced = tuple(c for c in idx if c > 0)
     try:
         if reduced:
-            value = _corner_reduction(reduced, len(idx), eps, q, rel_tol)
+            value = _corner_reduction(reduced, len(idx), eps, q, _MONOMIAL_TOL)
         else:
             value = eps ** len(idx) / q
     except OverflowError:
@@ -1131,7 +1120,7 @@ def _corner_reduction(reduced, n, eps, q, rel_tol):
         return _settled(levels, 1, rel_tol, "monomial reduction")[0]
 
 
-def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:
+def appendix_c_integral(m: int, q: float) -> float:
     """integral_0^(1/q) z * log(z)**m / (z+1)**2 dz.
 
     The inner workhorse behind the logarithmic divergence rates: as q
@@ -1147,24 +1136,24 @@ def appendix_c_integral(m: int, q: float, rel_tol: float = 1e-8) -> float:
     cut at 64 beyond its start where it has lost e**-128, and integral
     u**m / (1 + e**-u)**2 du from 0 to L = -log(q), so the value is
     finite for every positive double q.  Each is
-    taken in logs on the levels of ``_log_levels``, with panels at most 2
-    wide at u = 0, where the poles sit at +- i pi, doubling away from it.
+    taken in logs on the levels of ``_log_levels`` to ``REL_TOL_1D``, with
+    panels at most 2 wide at u = 0, where the poles sit at +- i pi,
+    doubling away from it.
     """
     m = int(m)
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
     q = as_positive(q, "q")
-    _check_rel_tol(rel_tol)
     big_l = -math.log(q)
     start = max(0.0, -big_l)
     what = "log-power integral"
     m_log = (lambda u: m * np.log(u)) if m else (lambda u: 0.0)  # log(u**m), 0 at m = 0
     with np.errstate(all="ignore"):
         head = _log_levels(lambda u, _: m_log(u) - 2.0 * u - 2.0 * np.log1p(np.exp(-u)),
-                           _one_span(start, start + 64.0, [0.0, start]), 2.0, rel_tol, what)
+                           _one_span(start, start + 64.0, [0.0, start]), 2.0, REL_TOL_1D, what)
         value = (-1) ** m * float(head[0])
         if big_l > 0.0:
             tail = _log_levels(lambda u, _: m_log(u) - 2.0 * np.log1p(np.exp(-u)),
-                               _one_span(0.0, big_l, [0.0, big_l]), 2.0, rel_tol, what)
+                               _one_span(0.0, big_l, [0.0, big_l]), 2.0, REL_TOL_1D, what)
             value += float(tail[0])
     return value

@@ -15,7 +15,6 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -212,25 +211,21 @@ def default_exponent_candidates() -> tuple[float, ...]:
     return tuple(sorted(vals))
 
 
-def classify(
-    s_hat: float,
-    k_hat: float,
-    candidates: Sequence[float] | None = None,
-    tol: float = 0.05,
-) -> ScalingLaw | None:
+_CLASSIFY_TOL = 0.05
+
+
+def classify(s_hat: float, k_hat: float) -> ScalingLaw | None:
     """Snap fitted exponents onto the catalog; None when unclassified.
 
     ``k_hat`` is rounded to the nearest integer in [0, 3] and ``s_hat``
-    to the nearest candidate exponent; both must land within ``tol``.
+    to the nearest of ``default_exponent_candidates``; both must land
+    within ``_CLASSIFY_TOL``.
     """
-    cands = tuple(candidates) if candidates is not None else default_exponent_candidates()
-    if not cands:
-        raise ValueError("candidate exponent set is empty")
     k_snap = int(min(max(round(k_hat), 0), 3))
-    if abs(k_hat - k_snap) > tol:
+    if abs(k_hat - k_snap) > _CLASSIFY_TOL:
         return None
-    s_snap = min(cands, key=lambda s: abs(s - s_hat))
-    if abs(s_hat - s_snap) > tol:
+    s_snap = min(default_exponent_candidates(), key=lambda s: abs(s - s_hat))
+    if abs(s_hat - s_snap) > _CLASSIFY_TOL:
         return None
     if s_snap == 0.0 and k_snap == 0:
         return ScalingLaw.bounded()

@@ -26,20 +26,24 @@ from .symbols import FREQUENCY_KINDS, ScalingLaw, Symbol
 REL_TOL_SPECTRAL = 1e-8
 
 
-def variance_spectral(query: VarianceQuery, rel_tol: float | None = None) -> float:
+def variance_spectral(query: VarianceQuery) -> float:
     """Stationary variance of a frequency-window observable.
 
     The multiplier is the same resolvent integral as a physical-space
     drift, so this is :func:`variance_quadrature` at the spectral
-    default tolerance.  The query's symbol must be a frequency kind.
+    tolerance.  The query's symbol must be a frequency kind.
     """
     _check_frequency_kind(query.symbol)
-    return variance_quadrature(query, rel_tol=rel_tol if rel_tol is not None else REL_TOL_SPECTRAL)
+    return variance_quadrature(query, rel_tol=REL_TOL_SPECTRAL)
 
 
 def _check_frequency_kind(symbol):
+    """The one test of the frequency kinds: ValueError, as ``route_of`` raises for a
+    pair it refuses, unless ``symbol`` is one."""
     if not isinstance(symbol, FREQUENCY_KINDS):
-        raise TypeError("symbol must be one of the frequency multiplier kinds")
+        names = ", ".join(kind.__name__ for kind in FREQUENCY_KINDS)
+        raise ValueError(f"symbol must be one of the frequency multiplier kinds "
+                         f"({names}), not {symbol!r}")
 
 
 def predicted_spectral_law(symbol: Symbol, ghat: TestFunction | None = None) -> ScalingLaw:

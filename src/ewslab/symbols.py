@@ -2,11 +2,10 @@
 
 The equation under study is du = (f(x) + p) u dt + sigma dW, where the
 drift acts as multiplication by f(x) + p.  A symbol is the function f:
-real valued, nonpositive on its domain, vanishing where the
-deterministic part loses stability.  This module holds the structured
-symbol families that the quadrature, scaling and simulation layers
-accept, the rate catalog, and inspection helpers for polynomial
-coefficient maps.
+real valued, nonpositive, vanishing where the deterministic part loses
+stability.  This module holds the structured symbol families that the
+quadrature, scaling and simulation layers accept, the rate catalog, and
+inspection helpers for polynomial coefficient maps.
 
 The rate catalog gives the law of the variance as p -> 0-: the rules
 (``law_1d``, ``law_upper_bound`` and those built on them) and, per kind,
@@ -238,6 +237,11 @@ def _law_sort_key(law: ScalingLaw):
     return (law.s, -law.k)
 
 
+def most_divergent(laws: Iterable[ScalingLaw]) -> ScalingLaw:
+    """The law that diverges fastest: the lowest s, then the most logarithms."""
+    return min(laws, key=_law_sort_key)
+
+
 def best_upper_bound(cplus: Iterable) -> ScalingLaw:
     """Tightest corner bound over a minimal support set.
 
@@ -308,7 +312,7 @@ def _as_box(domain, lo, hi, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _plain(value):
     """JSON-ready form of a stored constructor argument."""
-    if isinstance(value, Registered):
+    if isinstance(value, Symbol):
         return value.to_dict()
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
@@ -317,20 +321,29 @@ def _plain(value):
     return value
 
 
-class Registered:
-    """Kind registry and dictionary form shared by symbols and windows.
+class Symbol:
+    """Common interface for drift multipliers f(x).
 
-    A base class that sets ``kinds = {}`` starts a registry.  Every
-    subclass that defines its own ``fields``, the names of its
-    constructor arguments (stored under the same attribute names), is
-    entered in it under its ``kind``; classes without ``fields`` have no
-    serialized form.  Subclasses whose stored form differs from their
-    constructor arguments override ``to_dict`` and ``from_dict``.
+    Subclasses evaluate elementwise on scalars or arrays when ``dim`` is
+    1, and on arrays whose last axis holds the coordinates when ``dim``
+    is 2 or more.  ``sign_ok`` records whether the strict stability
+    check passed: f <= 0 everywhere and f < 0 away from the zero set
+    the family is allowed to have.
+
+    ``kinds`` is the registry behind the dictionary form: every subclass
+    that defines its own ``fields``, the names of its constructor
+    arguments (stored under the same attribute names), is entered in it
+    under its ``kind``; classes without ``fields`` have no serialized
+    form.  Subclasses whose stored form differs from their constructor
+    arguments override ``to_dict`` and ``from_dict``.
     """
 
     kind = "abstract"
-    kinds: dict[str, type]
+    kinds: dict[str, type] = {}
     fields: tuple[str, ...]
+    dim: int
+    root: np.ndarray
+    sign_ok: bool
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -358,23 +371,6 @@ class Registered:
             return cls.kinds[kind].from_dict(data)
         except KeyError as exc:
             raise ValueError(f"{kind} description lacks the entry {exc}") from exc
-
-
-class Symbol(Registered):
-    """Common interface for drift multipliers f(x).
-
-    Subclasses evaluate elementwise on scalars or arrays when ``dim`` is
-    1, and on arrays whose last axis holds the coordinates when ``dim``
-    is 2 or more.  ``sign_ok`` records whether the strict stability
-    check passed: f <= 0 everywhere on the domain and f < 0 away from
-    the zero set the family is allowed to have.
-    """
-
-    dim: int
-    root: np.ndarray
-    domain: tuple[np.ndarray, np.ndarray]
-    sign_ok: bool
-    kinds = {}
 
     def __call__(self, x):
         raise NotImplementedError
@@ -421,8 +417,10 @@ class Symbol(Registered):
         for a window, and the defaults give the law of the symbol alone.
         A window that misses the zero set keeps the variance bounded.
         Otherwise the tool family, the power multiplier -k**(2m) (alpha =
-        2m) and polynomials in one variable (alpha = the least order)
-        follow the one-dimensional law.  Polynomials in several variables
+        2m), polynomials in one variable (alpha = the least order) and the
+        radial drift -r**beta (alpha = beta/2, the power law in u = r**2)
+        follow the one-dimensional law, and a piecewise symbol takes the
+        most divergent law of its two sides.  Polynomials in several variables
         take the corner law of their coefficient map, which holds on a box
         whose closed extent holds the root (``reached``); any other window
         has no catalog law.  Both pattern-forming multipliers vanish
@@ -484,16 +482,15 @@ def _check_sign(symbol: Symbol, strict: bool = True) -> bool:
 
 
 class ToolAlpha(Symbol):
-    """f(x) = -|x - root|**alpha on an interval around the root."""
+    """f(x) = -|x - root|**alpha."""
 
     kind = "tool_alpha"
-    fields = ("alpha", "root", "domain")
+    fields = ("alpha", "root")
 
-    def __init__(self, alpha: float, root: float = 0.0, domain=None):
+    def __init__(self, alpha: float, root: float = 0.0):
         self.alpha = as_positive(alpha, "alpha")
         self.dim = 1
         self.root = _as_point(root, 1)
-        self.domain = _as_box(domain, self.root - 1.0, self.root + 1.0, 1)
         self.sign_ok = True
 
     def __call__(self, x):
@@ -510,8 +507,7 @@ class ToolAlpha(Symbol):
         return law_1d(self.alpha, gamma) if reached else ScalingLaw.bounded()
 
     def to_dict(self) -> dict:
-        lo, hi = (float(v[0]) for v in self.domain)
-        return {**super().to_dict(), "root": float(self.root[0]), "domain": [lo, hi]}
+        return {**super().to_dict(), "root": float(self.root[0])}
 
     def __repr__(self):
         return f"ToolAlpha(alpha={self.alpha}, root={self.root[0]})"
@@ -619,7 +615,6 @@ class Piecewise(Symbol):
         self.right = right
         self.dim = 1
         self.root = left.root.copy()
-        self.domain = (left.domain[0].copy(), right.domain[1].copy())
         self.sign_ok = left.sign_ok and right.sign_ok
 
     def __call__(self, x):
@@ -628,6 +623,11 @@ class Piecewise(Symbol):
 
     def root_scale(self, q: float) -> float:
         return min(self.left.root_scale(q), self.right.root_scale(q))
+
+    def law(self, gamma: float = 0.0, reached: bool = True) -> ScalingLaw:
+        if not reached:
+            return ScalingLaw.bounded()
+        return most_divergent([self.left.law(gamma), self.right.law(gamma)])
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Piecewise":
@@ -641,13 +641,12 @@ class Radial2D(Symbol):
     """f(x) = -(x1**2 + x2**2)**(exponent/2), radially symmetric in the plane."""
 
     kind = "radial2d"
-    fields = ("exponent", "domain")
+    fields = ("exponent",)
 
-    def __init__(self, exponent: float = 2.0, domain=None):
+    def __init__(self, exponent: float = 2.0):
         self.exponent = as_positive(exponent, "exponent")
         self.dim = 2
         self.root = np.zeros(2)
-        self.domain = _as_box(domain, -np.ones(2), np.ones(2), 2)
         self.sign_ok = True
 
     def __call__(self, x):
@@ -658,6 +657,10 @@ class Radial2D(Symbol):
     def root_scale(self, q: float) -> float:
         return power(float(q), 1.0 / self.exponent)
 
+    def law(self, gamma: float = 0.0, reached: bool = True) -> ScalingLaw:
+        # in polar coordinates and u = r**2 the drift is the power law -u**(exponent/2)
+        return law_1d(self.exponent / 2.0, gamma) if reached else ScalingLaw.bounded()
+
     def __repr__(self):
         return f"Radial2D(exponent={self.exponent})"
 
@@ -666,19 +669,18 @@ class Zero(Symbol):
     """f identically zero.
 
     A degenerate study case: the drift reduces to the constant p, every
-    point of the domain is marginal, and the strict stability check is
-    impossible, so ``sign_ok`` is always False.
+    point is marginal, and the strict stability check is impossible, so
+    ``sign_ok`` is always False.
     """
 
     kind = "zero"
-    fields = ("dim", "domain")
+    fields = ("dim",)
 
-    def __init__(self, dim: int = 1, domain=None):
+    def __init__(self, dim: int = 1):
         self.dim = int(as_finite(dim, "dim"))
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         self.root = np.zeros(self.dim)
-        self.domain = _as_box(domain, np.zeros(self.dim), np.ones(self.dim), self.dim)
         self.sign_ok = False
 
     def __call__(self, x):
@@ -699,19 +701,19 @@ class Zero(Symbol):
 class PowerWavenumber(ToolAlpha):
     """Fourier multiplier f(k) = -k**(2m) of the operator -(-Laplace)**m.
 
-    The tool family with alpha = 2m at the origin on [-3, 3], stored by m.
+    The tool family with alpha = 2m at the origin, stored by m.
     """
 
     kind = "power2m"
     fields = ("m",)
-    to_dict = Registered.to_dict
+    to_dict = Symbol.to_dict
 
     def __init__(self, m: int = 1):
         m = int(as_finite(m, "m"))
         if m < 1:
             raise ValueError("m must be a positive integer")
         self.m = m
-        super().__init__(2.0 * m, 0.0, (-3.0, 3.0))
+        super().__init__(2.0 * m)
 
     def __repr__(self):
         return f"PowerWavenumber(m={self.m})"
@@ -726,7 +728,6 @@ class SwiftHohenberg1D(Symbol):
     def __init__(self):
         self.dim = 1
         self.root = np.zeros(1)
-        self.domain = _as_box(None, -3.0, 3.0, 1)
         self.sign_ok = True
 
     def __call__(self, x):
@@ -759,7 +760,6 @@ class SwiftHohenberg2D(Symbol):
     def __init__(self):
         self.dim = 2
         self.root = np.zeros(2)
-        self.domain = _as_box(None, (-3.0, -3.0), (3.0, 3.0), 2)
         self.sign_ok = True
 
     def __call__(self, x):
@@ -804,7 +804,6 @@ class ConvolutionKernel(Symbol):
         self.multiplier = transform.real[order]
         self.dim = 1
         self.root = np.zeros(1)
-        self.domain = _as_box(None, self.freq_grid[0], self.freq_grid[-1], 1)
         self.sign_ok = bool(np.max(self.multiplier) <= _ZERO_TOL)
 
     def __call__(self, x):
@@ -885,5 +884,5 @@ def real_part_symbol(fn: Callable, dim: int = 1, root=None, domain=None) -> Symb
     """
     symbol = CustomSymbol(lambda x: np.real(fn(x)), dim, root, domain)
     if np.max(np.abs(symbol(_lattice(symbol.domain, symbol.dim)))) <= _ZERO_TOL:
-        return Zero(symbol.dim, domain=symbol.domain)
+        return Zero(symbol.dim)
     return symbol

@@ -419,6 +419,35 @@ def _subcommands():
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def _grammar_heads(section):
+    """The heads of the specs in the first column of one README grammar table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split(f"### {section}", 1)[1].split("\n#", 1)[0]
+    specs = [row.split("|")[1] for row in table.splitlines() if row.startswith("| `")]
+    return {re.match(r"[a-z0-9]+", spec).group()
+            for cell in specs for spec in re.findall(r"`([^`]+)`", cell)}
+
+
+def test_help_and_readme_show_every_head_the_parsers_accept(capsys):
+    # an unknown head points to --help for the grammar
+    for parse, grammar in ((parse_symbol, cli.SYMBOL_FORMS),
+                           (lambda t: parse_window(t, 1), cli.WINDOW_FORMS)):
+        with pytest.raises(ValueError, match="see --help for the grammar$"):
+            parse("warp:9")
+        for head, (form, _) in grammar.items():
+            assert re.match(r"[a-z0-9]+", form).group() == head
+    assert _grammar_heads("Symbol grammar") == set(cli.SYMBOL_FORMS)
+    assert _grammar_heads("Window grammar") == set(cli.WINDOW_FORMS)
+    taking = {name for name, sub in _subcommands().items() if "--symbol" in sub._option_string_actions}
+    assert taking == {"sweep", "spectral", "simulate", "compare"}
+    for name in sorted(taking):
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for form, _ in (*cli.SYMBOL_FORMS.values(), *cli.WINDOW_FORMS.values()):
+            assert form in text, (name, form)
+
+
 def test_only_sweep_and_compare_take_threads():
     assert {name for name, sub in _subcommands().items()
             if "--threads" in sub._option_string_actions} == {"sweep", "compare"}
@@ -668,7 +697,7 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     # a physical-space symbol has no frequency route
     assert main(["spectral", "--symbol", "tool:2", "--g", "box:0,1", "--p-decades", "-4:-2",
                  "--points", "3", "--out", str(tmp_path)]) == 3
-    assert "frequency symbol" in capsys.readouterr().err
+    assert "symbol must be one of the frequency multiplier kinds" in capsys.readouterr().err
     # the tensor route grades toward the origin, not toward the ring |k| = 1
     assert main(["sweep", "--symbol", "sh2d", "--g", "box:0,1.5,0,1.5", "--p-decades=-6:-3",
                  "--points", "4", "--out", str(tmp_path)]) == 3

@@ -6,11 +6,13 @@ purpose), and no module reaches into another ewslab module for a
 numpy alone: no module imports ``scipy``, a process that runs every
 quadrature route and a simulation loads no ``scipy`` module, and the CLI
 writes the same bytes with ``scipy`` blocked.  In ``quadrature.py`` only
-the route table tests the kind of a window, and ``scaling.py`` tests no
-kind at all: the route table and ``Symbol.law`` decide the law.  The
-layers keep their order: ``symbols`` imports no ewslab module and
-``quadrature`` imports only ``symbols``.  Outside ``noise.py`` the noise
-basis is read only where the simulation lumps it into its chains.
+the route table tests the kind of a window, ``scaling.py`` and ``cli.py``
+test no kind at all (the route table and ``Symbol.law`` decide the law,
+the grammar tables the parse), and ``spectral.py`` tests one, in its
+frequency-kind check.  The layers keep their order: ``symbols`` imports
+no ewslab module and ``quadrature`` imports only ``symbols``.  Outside
+``noise.py`` the noise basis is read only where the simulation lumps it
+into its chains.
 """
 import ast
 import os
@@ -21,8 +23,7 @@ from pathlib import Path
 import pytest
 
 from ewslab.cli import main
-from ewslab.quadrature import TestFunction
-from ewslab.symbols import CustomSymbol, Symbol
+from ewslab import quadrature, symbols
 
 MODULES = sorted(p for p in (Path(__file__).parents[1] / "src" / "ewslab").glob("*.py")
                  if p.name != "__init__.py")
@@ -74,16 +75,10 @@ def test_the_exemption_marker_covers_one_pinned_import():
     assert marked == [("simulate.py", "from .noise import NoiseModel, noise_increment  # noqa: F401")]
 
 
-def test_only_the_route_table_tests_window_kinds():
-    tree = ast.parse((MODULES[0].parent / "quadrature.py").read_text())
-    windows = {"TestFunction"}
-    for node in tree.body:  # the window classes, each defined after its base
-        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in windows
-                                                  for b in node.bases):
-            windows.add(node.name)
-    assert {"IndicatorBox", "PowerIndicator", "Disc", "QuarterDisc"} <= windows
-    scopes = (ast.FunctionDef, ast.ClassDef)
-    found = []
+def _scoped(path, scopes=(ast.FunctionDef,)):
+    """Each node of the module at ``path`` with the name of the innermost of ``scopes``
+    that holds it, "the module" outside every one."""
+    tree = ast.parse(path.read_text())
     for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, scopes))]:
         todo = list(scope.body)  # the scope's own code, not that of a def nested in it
         while todo:
@@ -91,29 +86,35 @@ def test_only_the_route_table_tests_window_kinds():
             if isinstance(node, scopes):
                 continue
             todo.extend(ast.iter_child_nodes(node))
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-                kinds = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
-                if kinds & windows:
-                    found.append(getattr(scope, "name", "the module"))
+            yield getattr(scope, "name", "the module"), node
+
+
+def _isinstance_names(node):
+    """The names in the class argument of an ``isinstance`` call, else the empty set."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        return {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    return set()
+
+
+def test_only_the_route_table_tests_window_kinds():
+    path = MODULES[0].parent / "quadrature.py"
+    windows = {"TestFunction"}
+    for node in ast.parse(path.read_text()).body:  # the window classes, each after its base
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in windows
+                                                  for b in node.bases):
+            windows.add(node.name)
+    assert {"IndicatorBox", "PowerIndicator", "Disc", "QuarterDisc"} <= windows
+    found = [scope for scope, node in _scoped(path, (ast.FunctionDef, ast.ClassDef))
+             if _isinstance_names(node) & windows]
     assert found and set(found) <= {"route_of", "_route_1d"}, found
 
 
 def test_only_the_chain_builder_reads_the_noise_basis():
     # the chains are the simulation's one model: the prediction, the start
     # factor and the steps all take the chain noise map of _lumped_chains
-    found = []
-    for path in MODULES:
-        tree = ast.parse(path.read_text())
-        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
-            todo = list(scope.body)  # the scope's own code, not that of a def nested in it
-            while todo:
-                node = todo.pop()
-                if isinstance(node, ast.FunctionDef):
-                    continue
-                todo.extend(ast.iter_child_nodes(node))
-                if isinstance(node, ast.Attribute) and node.attr == "basis" and isinstance(
-                        node.ctx, ast.Load):
-                    found.append((path.name, getattr(scope, "name", "the module")))
+    found = [(path.name, scope) for path in MODULES for scope, node in _scoped(path)
+             if isinstance(node, ast.Attribute) and node.attr == "basis"
+             and isinstance(node.ctx, ast.Load)]
     assert {name for name, _ in found} == {"noise.py", "simulate.py"}, found
     assert {scope for name, scope in found if name != "noise.py"} == {"_lumped_chains"}, found
 
@@ -147,14 +148,27 @@ def test_the_layers_import_in_order():
     assert _internal_imports(MODULES[0].parent / "quadrature.py") == {"symbols"}
 
 
+# the names of the symbol and window kinds: every class of the two modules that
+# define them, and the tuple of the frequency kinds
+_KINDS = {name for module in (symbols, quadrature) for name, value in vars(module).items()
+          if isinstance(value, type) and issubclass(value, (symbols.Symbol, quadrature.TestFunction))}
+_KINDS.add("FREQUENCY_KINDS")
+
+
+def _kind_tests(name):
+    """The scopes of module ``name`` that test a symbol or window kind by isinstance."""
+    return [scope for scope, node in _scoped(MODULES[0].parent / name)
+            if _isinstance_names(node) & _KINDS]
+
+
 def test_scaling_tests_no_kind():
-    kinds = {cls.__name__ for cls in (Symbol, CustomSymbol, TestFunction,
-                                      *Symbol.kinds.values(), *TestFunction.kinds.values())}
-    kinds.add("FREQUENCY_KINDS")
-    tests = [node for node in ast.walk(ast.parse((MODULES[0].parent / "scaling.py").read_text()))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"]
-    named = {n.id for t in tests for n in ast.walk(t.args[1]) if isinstance(n, ast.Name)}
-    assert not named & kinds, named & kinds
+    assert {"Symbol", "CustomSymbol", "Radial2D", "TestFunction", "QuarterDisc"} <= _KINDS
+    assert _kind_tests("scaling.py") == []
+
+
+def test_the_cli_tests_no_kind_and_spectral_one_check():
+    assert _kind_tests("cli.py") == []
+    assert _kind_tests("spectral.py") == ["_check_frequency_kind"]
 
 
 # one query through every quadrature route and one tiny simulation, in a

@@ -434,14 +434,27 @@ def test_classify_snaps_to_catalog():
     assert classify(-0.5, 0.4) is None
 
 
-def test_classify_custom_candidates():
-    got = classify(-0.335, 0.0, candidates=[-1.0 / 3.0], tol=0.01)
-    assert got == ScalingLaw(-1.0 / 3.0, 0, False)
-    assert classify(-0.335, 0.0, candidates=[-0.25], tol=0.01) is None
-
-
 def test_default_candidates_include_tool_rates():
     cands = default_exponent_candidates()
     assert 0.0 in cands and -1.0 in cands
     assert any(math.isclose(c, -0.5) for c in cands)
     assert any(math.isclose(c, -1.0 + 1.0 / 12.0) for c in cands)
+
+
+@pytest.mark.parametrize("symbol, g, law", [
+    (Radial2D(1.0), Disc(1.0), ScalingLaw.bounded()),
+    (Radial2D(2.0), Disc(1.0), ScalingLaw(0.0, 1)),
+    (Radial2D(3.0), Disc(1.0), law_1d(1.5)),  # s = -1/3
+    (Piecewise(ToolAlpha(1.0), ToolAlpha(2.0)), IndicatorBox(-1.0, 1.0), ScalingLaw(-0.5, 0)),
+    # no right side is summed on [-1, 0]: the left side's logarithm
+    (Piecewise(ToolAlpha(1.0), ToolAlpha(2.0)), IndicatorBox(-1.0, 0.0), ScalingLaw(0.0, 1)),
+    # a power window at the root reaches the right side alone
+    (Piecewise(ToolAlpha(0.5), ToolAlpha(3.0)), PowerIndicator(0.25, 1.0), law_1d(3.0, 0.25)),
+], ids=["radial:1", "radial:2", "radial:3", "pw:1,2 on [-1,1]", "pw:1,2 on [-1,0]",
+        "pw:0.5,3 on power:0.25,1"])
+def test_radial_and_piecewise_laws_match_their_fits(symbol, g, law):
+    # the radial drift is the power law u**(beta/2) in u = r**2; a piecewise symbol
+    # diverges as fast as the fastest side its window sums
+    assert predicted_law(symbol, g) == law
+    fit = fit_loglog(quadrature_sweep(symbol, g, log_spaced_p(-10, -4, 24)))
+    assert abs(fit.s - law.s) <= 0.01 and abs(fit.k - law.k) <= 0.05, fit

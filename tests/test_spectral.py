@@ -47,7 +47,7 @@ def test_query_validation():
     g = IndicatorBox(-1.0, 1.0)
     with pytest.raises(ValueError):
         VarianceQuery(PowerWavenumber(1), g, 0.0, 1.0)
-    with pytest.raises(TypeError, match="frequency"):
+    with pytest.raises(ValueError, match="frequency"):
         variance_spectral(VarianceQuery(ToolAlpha(2.0), g, -1.0, 1.0))
     with pytest.raises(ValueError):
         VarianceQuery(SwiftHohenberg2D(), g, -1.0, 1.0)  # needs a disc window
@@ -173,11 +173,15 @@ def test_predicted_law_is_window_aware():
     assert predicted_law(line, IndicatorBox(0.5, 1.0)) == ScalingLaw.bounded()
     plane = Polynomial({(2, 0): 1.0, (0, 4): 1.0})
     assert predicted_law(plane, IndicatorBox((0.0, 0.0), (1.0, 1.0))) == polynomial_law(plane.coeffs)
-    for symbol in (Radial2D(2.0), Piecewise(ToolAlpha(1.0), ToolAlpha(2.0))):
-        with pytest.raises(LawUnavailableError):
-            predicted_law(symbol)
+    # the radial drift is the power law u**(beta/2) in u = r**2, and a piecewise
+    # symbol takes the most divergent law of its sides
+    assert predicted_law(Radial2D(2.0)) == ScalingLaw(0.0, 1)
+    assert predicted_law(Radial2D(2.0), IndicatorBox((0.5, 0.5), (1.0, 1.0))) == ScalingLaw.bounded()
+    assert predicted_law(Piecewise(ToolAlpha(1.0), ToolAlpha(2.0))) == ScalingLaw(-0.5, 0)
     # the one kind check of the frequency entry points, with its one message
-    with pytest.raises(TypeError, match="^symbol must be one of the frequency multiplier kinds$"):
+    with pytest.raises(ValueError, match=r"^symbol must be one of the frequency multiplier kinds "
+                                         r"\(PowerWavenumber, SwiftHohenberg1D, SwiftHohenberg2D, "
+                                         r"ConvolutionKernel\), not ToolAlpha\(alpha=2.0, root=0.0\)$"):
         predicted_spectral_law(ToolAlpha(2.0))
 
 
