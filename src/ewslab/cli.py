@@ -251,9 +251,7 @@ def cmd_sweep(args) -> int:
     g = parse_window(args.g, symbol.dim)
     lo, hi = parse_decades(args.p_decades)
     ps = log_spaced_p(lo, hi, args.points)
-    sweep = quadrature_sweep(symbol, g, ps, sigma=args.sigma,
-                             threads=args.threads, rel_tol=args.rel_tol,
-                             dt=args.dt)
+    sweep = quadrature_sweep(symbol, g, ps, sigma=args.sigma, threads=args.threads, dt=args.dt)
     return _emit(args, "sweep", _sweep_texts(args, "sweep", sweep))
 
 
@@ -262,7 +260,7 @@ def cmd_spectral(args) -> int:
     g = parse_window(args.g, symbol.dim)
     lo, hi = parse_decades(args.p_decades)
     ps = log_spaced_p(lo, hi, args.points)
-    sweep = spectral_sweep(symbol, g, ps, sigma=args.sigma, rel_tol=args.rel_tol)
+    sweep = spectral_sweep(symbol, g, ps, sigma=args.sigma)
     try:
         law = predicted_spectral_law(symbol, g)
         print(f"predicted law: s={law.s:g} k={law.k} convergent={law.convergent}")
@@ -336,6 +334,17 @@ def cmd_simulate(args) -> int:
     return _emit(args, "simulate", _sweep_texts(args, "simulate", sweep))
 
 
+def _law_curve(law: ScalingLaw, quad: SweepResult) -> list[Series]:
+    """The law's curve V0 (q/q0)**s (log(1/q)/log(1/q0))**k on the grid points with
+    q = -p < 1, through the first of them; none where fewer than two have q < 1."""
+    qs = tuple(-p for p in quad.ps if p > -1.0)  # the grid's tail: ps increase
+    if len(qs) < 2:
+        return []
+    q0, v0 = qs[0], quad.values[-len(qs)]
+    curve = tuple(v0 * (q / q0) ** law.s * (math.log(q) / math.log(q0)) ** law.k for q in qs)
+    return [Series(qs, curve, label=f"reference law s={law.s:g} k={law.k}", markers=False)]
+
+
 def cmd_compare(args) -> int:
     symbol = parse_symbol(args.symbol)
     g = parse_window(args.g, symbol.dim)
@@ -368,7 +377,9 @@ def cmd_compare(args) -> int:
               sweep_series(sim, label="simulation", line=False)]
     annotation = f"fitted slope {fit.s:.2f} ± {fit.s_err:.2f}"
     ref_kwargs = {}
-    if law is not None and not law.convergent:
+    if law is not None and law.k:
+        series += _law_curve(law, quad)
+    elif law is not None and not law.convergent:
         anchor = (-quad.ps[0], quad.values[0])
         ref_kwargs = {"ref_slope": law.s, "ref_anchor": anchor,
                       "ref_label": f"reference slope {law.s:g}"}
@@ -472,7 +483,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_file_args(sweep, "sweep")
     _add_sweep_args(sweep)
     sweep.add_argument("--threads", type=int, default=1, help="worker threads")
-    sweep.add_argument("--rel-tol", type=float, default=None)
     sweep.add_argument("--dt", type=float, default=0.0,
                        help="include the implicit-scheme correction")
     sweep.set_defaults(func=cmd_sweep)
@@ -480,7 +490,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     spect = subs.add_parser("spectral", help="frequency-space variance sweep")
     _add_file_args(spect, "spectral")
     _add_sweep_args(spect)
-    spect.add_argument("--rel-tol", type=float, default=None)
     spect.set_defaults(func=cmd_spectral)
 
     fit = subs.add_parser("fit", help="fit s and k on a sweep CSV")
@@ -567,8 +576,13 @@ def main(argv=None) -> int:
     pre.add_argument("--config", default=None)
     config_path = pre.parse_known_args(argv)[0].config if command in _WRITING_COMMANDS else None
     try:
-        parser = build_parser(_load_config(config_path) if config_path else None)
-        args = parser.parse_args(argv)
+        config = _load_config(config_path) if config_path else {}
+        args = build_parser(config).parse_args(argv)
+        # build_parser drops a key that names no flag of the subcommand; null sets nothing
+        flags = vars(args).keys() - {"command", "func"}
+        unknown = sorted(k for k, v in config.items() if v is not None and k not in flags)
+        if unknown:
+            raise ValueError(f"config key {unknown[0]!r} names no flag of {args.command}")
         args._started = started
         return args.func(args)
     except (QuadratureError, LawUnavailableError, ArithmeticError) as exc:

@@ -61,7 +61,7 @@ REL_TOL_1D = 1e-8
 REL_TOL_ND = 1e-6
 _MONOMIAL_TOL = 1e-9
 EVAL_CAP = 2**24
-# the smallest inner tolerance of the scheme correction: R up to 4096 at rel_tol 1e-8
+# the smallest inner tolerance of the scheme correction: R up to 4096 at REL_TOL_1D
 _CANCEL_FLOOR = 1e-12
 # grid points per slab of a tensor level: each temporary stays near 256 kB
 _SLAB_POINTS = 1 << 15
@@ -208,12 +208,6 @@ class VarianceQuery:
 def _gl_nodes(n: int):
     x, w = leggauss(n)
     return x, w
-
-
-def _check_rel_tol(rel_tol):
-    """ValueError unless ``rel_tol`` is None or a number in (0, 1); NaN and infinity fail."""
-    if rel_tol is not None and not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be a finite number in (0, 1), got {rel_tol!r}")
 
 
 def _ladders(ends, z, owner, floor, ratio):
@@ -783,7 +777,7 @@ def _separable_reduction(axes, lo, hi, root, q, rel_tol):
 
 
 def variance_values(symbol: Symbol, g: TestFunction, ps, sigma: float = 1.0,
-                    rel_tol: float | None = None, dt: float = 0.0) -> np.ndarray:
+                    dt: float = 0.0) -> np.ndarray:
     """``variance_quadrature`` at every p of the grid ``ps``, all p through their route at once.
 
     Every value is the one ``variance_quadrature`` gives for its p alone:
@@ -797,14 +791,13 @@ def variance_values(symbol: Symbol, g: TestFunction, ps, sigma: float = 1.0,
         q = -np.asarray(ps, dtype=float)
         # the check of VarianceQuery on the other p: where one fails, the loop raises its error
         if q.ndim == 1 and np.all(q > 0.0) and np.all(np.isfinite(q)):
-            return _variance(query, q, rel_tol, dt)
+            return _variance(query, q, dt)
     except Exception:
         pass  # whatever failed, and for whichever p, the loop below raises that p's own error
-    return np.array([variance_quadrature(VarianceQuery(symbol, g, p, sigma), rel_tol, dt)
-                     for p in ps])
+    return np.array([variance_quadrature(VarianceQuery(symbol, g, p, sigma), dt) for p in ps])
 
 
-def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: float = 0.0) -> float:
+def variance_quadrature(query: VarianceQuery, dt: float = 0.0) -> float:
     """Stationary variance of the window observable by direct quadrature.
 
     Evaluates (sigma**2/2) * integral g**2 / (-f - p) dx for the query.
@@ -816,17 +809,17 @@ def variance_quadrature(query: VarianceQuery, rel_tol: float | None = None, dt: 
     Every symbol and window takes the route ``route_of`` names for the
     pair, here on one p (``variance_values`` is it on a grid).
     """
-    return float(_variance(query, np.array([-query.p]), rel_tol, dt)[0])
+    return float(_variance(query, np.array([-query.p]), dt)[0])
 
 
-def _variance(query, q, rel_tol, dt):
-    """The router, and the one place that knows ``dt``: the variance of ``query`` at
-    every q = -p of the array ``q``, with floating-point warnings off."""
-    _check_rel_tol(rel_tol)
+def _variance(query, q, dt):
+    """The router, and the one place that knows ``dt`` and picks the tolerance of a variance
+    (by the symbol's dimension): the variance of ``query`` at every q = -p of the array
+    ``q``, with floating-point warnings off."""
     if as_finite(dt, "dt") < 0:
         raise ValueError("dt must be nonnegative")
     symbol = query.symbol
-    tol = rel_tol if rel_tol is not None else REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND
+    tol = REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND
     # 2/dt overflows for dt below about 1.1e-308, where the correction is 0
     shift = 2.0 / dt if dt > 0 else math.inf
     with np.errstate(all="ignore"):

@@ -113,15 +113,8 @@ def log_spaced_p(decade_lo: float, decade_hi: float, points: int) -> np.ndarray:
     return -qs[::-1]
 
 
-def quadrature_sweep(
-    symbol: Symbol,
-    g: TestFunction,
-    ps,
-    sigma: float = 1.0,
-    threads: int = 1,
-    rel_tol: float | None = None,
-    dt: float = 0.0,
-) -> SweepResult:
+def quadrature_sweep(symbol: Symbol, g: TestFunction, ps, sigma: float = 1.0, threads: int = 1,
+                     dt: float = 0.0) -> SweepResult:
     """Evaluate the variance quadrature on a grid of p values.
 
     All p go through their route at once (``variance_values``); with
@@ -132,7 +125,7 @@ def quadrature_sweep(
     ps = np.asarray(ps, dtype=float)
 
     def chunk_values(chunk):
-        return variance_values(symbol, g, chunk, sigma, rel_tol, dt)
+        return variance_values(symbol, g, chunk, sigma, dt)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:

@@ -23,18 +23,16 @@ from .quadrature import TestFunction, VarianceQuery, variance_quadrature, varian
 from .scaling import SweepResult, predicted_law
 from .symbols import FREQUENCY_KINDS, ScalingLaw, Symbol
 
-REL_TOL_SPECTRAL = 1e-8
-
 
 def variance_spectral(query: VarianceQuery) -> float:
     """Stationary variance of a frequency-window observable.
 
     The multiplier is the same resolvent integral as a physical-space
-    drift, so this is :func:`variance_quadrature` at the spectral
-    tolerance.  The query's symbol must be a frequency kind.
+    drift, so this is :func:`variance_quadrature`, at its tolerance.
+    The query's symbol must be a frequency kind.
     """
     _check_frequency_kind(query.symbol)
-    return variance_quadrature(query, rel_tol=REL_TOL_SPECTRAL)
+    return variance_quadrature(query)
 
 
 def _check_frequency_kind(symbol):
@@ -52,19 +50,11 @@ def predicted_spectral_law(symbol: Symbol, ghat: TestFunction | None = None) -> 
     return predicted_law(symbol, ghat)
 
 
-def spectral_sweep(
-    symbol: Symbol,
-    ghat: TestFunction,
-    ps,
-    sigma: float = 1.0,
-    rel_tol: float | None = None,
-) -> SweepResult:
+def spectral_sweep(symbol: Symbol, ghat: TestFunction, ps, sigma: float = 1.0) -> SweepResult:
     """Evaluate the spectral variance on a grid of p values, all p at once
     (``variance_values``); each value is ``variance_spectral`` at its p."""
     ps = np.asarray(ps, dtype=float)
     if len(ps):
         # the first p's own error comes before the kind's, as in variance_spectral
         _check_frequency_kind(VarianceQuery(symbol, ghat, ps[0], sigma).symbol)
-    values = variance_values(symbol, ghat, ps, sigma,
-                             rel_tol if rel_tol is not None else REL_TOL_SPECTRAL)
-    return SweepResult(ps, values, source="spectral")
+    return SweepResult(ps, variance_values(symbol, ghat, ps, sigma), source="spectral")

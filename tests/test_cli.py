@@ -27,6 +27,7 @@ from ewslab.symbols import (
     Polynomial,
     PowerWavenumber,
     Radial2D,
+    ScalingLaw,
     SwiftHohenberg1D,
     ToolAlpha,
     Zero,
@@ -217,6 +218,58 @@ def test_manifest_replay_restores_the_seed(tmp_path):
     assert json.loads((b / "simulate_manifest.json").read_text())["seed"] == 5
 
 
+def test_no_subcommand_takes_a_tolerance(tmp_path):
+    # the quadrature picks its own tolerance, by the symbol's dimension
+    assert not [name for name, sub in _subcommands().items()
+                if "--rel-tol" in sub._option_string_actions]
+    for command, symbol, window in (("sweep", "tool:2", "box:0,1"),
+                                    ("spectral", "sh1d", "box:-2,2")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--symbol", symbol, "--g", window, "--p-decades=-9:-3",
+                  "--points", "3", "--rel-tol", "1e-10", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+# the params of a spectral manifest written before --rel-tol went
+_OLD_SPECTRAL_PARAMS = {"g": "box:-2,2", "p_decades": "-5:-2", "points": 5, "prefix": "spectral",
+                        "sigma": 1.0, "svg": False, "symbol": "sh1d"}
+
+
+def _old_manifest(path, rel_tol):
+    path.write_text(json.dumps({"tool": "ewslab", "version": "0.1.0", "command": "spectral",
+                                "params": {**_OLD_SPECTRAL_PARAMS, "rel_tol": rel_tol},
+                                "seed": 0, "outputs": ["spectral.csv"], "duration_s": 0.01}))
+    return path
+
+
+def test_config_replays_a_null_key_that_names_no_flag(tmp_path):
+    # every manifest written with --rel-tol unset holds "rel_tol": null
+    fresh, replay = tmp_path / "fresh", tmp_path / "replay"
+    assert main(["spectral", "--symbol", "sh1d", "--g", "box:-2,2", "--p-decades=-5:-2",
+                 "--points", "5", "--out", str(fresh)]) == 0
+    config = _old_manifest(tmp_path / "old.json", None)
+    assert main(["spectral", "--config", str(config), "--out", str(replay)]) == 0
+    assert (fresh / "spectral.csv").read_bytes() == (replay / "spectral.csv").read_bytes()
+    params = json.loads((replay / "spectral_manifest.json").read_text())["params"]
+    assert params == _OLD_SPECTRAL_PARAMS
+
+
+def test_config_refuses_a_key_that_names_no_flag(tmp_path, capsys):
+    # a manifest written with --rel-tol 1e-10 would replay at another tolerance
+    config = _old_manifest(tmp_path / "old.json", 1e-10)
+    assert main(["spectral", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    assert "config key 'rel_tol' names no flag of spectral" in capsys.readouterr().err
+    # a typo in a bare params file, and a flag of another subcommand
+    for key, command in (("point", "sweep"), ("threads", "spectral"), ("command", "sweep")):
+        params = tmp_path / f"{key}.json"
+        params.write_text(json.dumps({"symbol": "tool:2", "g": "box:0,1", "p_decades": "-5:-2",
+                                      key: 6 if key != "command" else "sweep"}))
+        assert main([command, "--config", str(params), "--out", str(tmp_path / "o")]) == 3
+        assert f"config key {key!r} names no flag of {command}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_flags_can_be_overridden(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -361,6 +414,28 @@ def test_compare_reference_line_uses_the_window(tmp_path):
                  "--n", "49", "--nt", "3000", "--dt", "0.05",
                  "--replicas", "2", "--svg", "--out", str(out)]) == 0
     assert "reference slope -0.5<" in (out / "compare.svg").read_text()
+
+
+def test_compare_draws_the_curve_of_a_log_law(tmp_path, capsys):
+    # tool:1 on a box diverges like log(1/q): a reference line of slope 0 would lie flat
+    assert main(["compare", "--symbol", "tool:1", "--g", "box:-1,1", "--p-decades=-6:-1",
+                 "--points", "24", "--sim-points", "2", "--sim-decades=-1:0", "--n", "39",
+                 "--nt", "3000", "--burn-in", "0", "--replicas", "2", "--svg",
+                 "--out", str(tmp_path)]) == 0
+    svg = (tmp_path / "compare.svg").read_text()
+    assert "reference slope" not in svg and "reference law s=0 k=1<" in svg
+    quad = SweepResult.from_csv((tmp_path / "compare_quadrature.csv").read_text())
+    (curve,) = cli._law_curve(ScalingLaw(0.0, 1), quad)
+    q0, v0 = -quad.ps[0], quad.values[0]
+    assert curve.x == tuple(-quad.ps) and curve.y[0] == v0 and not curve.markers
+    for q, v, law_v in zip(curve.x, quad.values, curve.y):
+        assert math.isclose(law_v, v0 * math.log(q) / math.log(q0), rel_tol=1e-14)
+        assert abs(law_v / v - 1.0) < 0.05, (q, v, law_v)
+    # the curve needs two points with log(1/q) > 0
+    assert cli._law_curve(ScalingLaw(0.0, 1), SweepResult([-10.0, -0.1], [1.0, 2.0])) == []
+    three = cli._law_curve(ScalingLaw(-0.5, 2), SweepResult([-2.0, -0.1, -0.01], [1.0, 2.0, 3.0]))
+    assert three[0].x == (0.1, 0.01)
+    assert math.isclose(three[0].y[1], 2.0 * 0.1 ** -0.5 * 2.0 ** 2, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("box, reference", [
@@ -715,13 +790,6 @@ def test_validation_errors_exit_3(tmp_path, capsys):
         assert main(["sweep", "--symbol", symbol, "--g", window, "--p-decades=-4:-2",
                      "--points", "3", "--out", str(tmp_path)]) == 3, (symbol, window)
         assert "not negative on the window" in capsys.readouterr().err
-    # a NaN or infinite tolerance would turn off the error-estimate gate
-    for command, symbol, window in (("sweep", "tool:2", "box:0,1"),
-                                    ("spectral", "sh1d", "box:-2,2")):
-        for rel_tol in ("nan", "inf", "0", "-1"):
-            assert main([command, "--symbol", symbol, "--g", window, "--p-decades=-9:-3",
-                         "--points", "3", f"--rel-tol={rel_tol}", "--out", str(tmp_path)]) == 3
-            assert "rel_tol must be a finite number in (0, 1)" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -5,6 +5,7 @@ not take: textbook antiderivatives, scipy's generic adaptive quad on
 the raw integrand, or tensor brute force.  Frozen decimals are recorded
 next to the formulas that produced them.
 """
+import inspect
 import math
 import re
 import sys
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from ewslab import quadrature
 from ewslab.quadrature import (
     Disc,
     IndicatorBox,
@@ -38,7 +40,8 @@ from ewslab.quadrature import (
     variance_quadrature,
     variance_values,
 )
-from ewslab.scaling import predicted_law
+from ewslab.scaling import predicted_law, quadrature_sweep
+from ewslab.spectral import spectral_sweep
 from ewslab.symbols import (
     ConvolutionKernel,
     CustomSymbol,
@@ -258,7 +261,7 @@ def test_ring_multiplier_disc_matches_polar_brute_force(radius):
     # the planar ring multiplier -(1 - |k|^2)^2 goes through the same
     # polar reduction as the radial drift; brute force in r
     for q in (1e-3, 1e-8):
-        got = _value(SwiftHohenberg2D(), Disc(radius), -q, rel_tol=1e-10)
+        got = _value(SwiftHohenberg2D(), Disc(radius), -q)
         want = 2.0 * math.pi * integrate.quad(
             lambda r: r / ((1.0 - r ** 2) ** 2 + q), 0.0, radius,
             points=[1.0] if radius > 1.0 else None, epsabs=0.0, epsrel=1e-12, limit=300,
@@ -1259,15 +1262,18 @@ def test_appendix_integral_validation():
         appendix_c_integral(0, 0.0)
 
 
-@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 2.0])
-def test_every_entry_point_takes_one_rel_tol_rule(rel_tol):
-    # a NaN tolerance used to switch off the error-estimate gate
-    calls = (lambda: _value(ToolAlpha(2.0), IndicatorBox(0.0, 1.0), -1e-3, rel_tol=rel_tol),
-             lambda: variance_values(ToolAlpha(2.0), IndicatorBox(0.0, 1.0), [-1e-3, -1e-2],
-                                     rel_tol=rel_tol))
-    for call in calls:
-        with pytest.raises(ValueError, match=r"rel_tol must be a finite number in \(0, 1\)"):
-            call()
+def test_one_tolerance_rule_and_no_entry_point_takes_one():
+    # the tolerance of a variance is REL_TOL_1D or REL_TOL_ND by the symbol's
+    # dimension, picked in _variance alone
+    for entry in (variance_values, variance_quadrature, quadrature_sweep, spectral_sweep):
+        assert "rel_tol" not in inspect.signature(entry).parameters, entry.__name__
+    package = Path(quadrature.__file__).parent
+    naming = {path.name for path in package.glob("*.py")
+              if re.search(r"REL_TOL|rel_tol", path.read_text())}
+    assert naming == {"quadrature.py"}
+    source = Path(quadrature.__file__).read_text()
+    assert re.findall(r"REL_TOL_1D if .* else REL_TOL_ND", source) == \
+        ["REL_TOL_1D if symbol.dim == 1 else REL_TOL_ND"]
 
 
 @pytest.mark.parametrize("window", [PowerIndicator(0.2, 1.0), PowerIndicator(0.0, 1.0),

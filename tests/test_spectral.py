@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from ewslab.quadrature import Disc, IndicatorBox, PowerIndicator, QuarterDisc, VarianceQuery
-from ewslab.scaling import fit_loglog, log_spaced_p, predicted_law
+from ewslab.scaling import fit_loglog, log_spaced_p, predicted_law, quadrature_sweep
 from ewslab.spectral import predicted_spectral_law, spectral_sweep, variance_spectral
 from ewslab.symbols import (
     ConvolutionKernel,
@@ -214,3 +214,21 @@ def test_sh1d_sweep_shows_square_root_rate():
     assert sweep.source == "spectral"
     fit = fit_loglog(sweep)
     assert abs(fit.s + 0.5) < 0.01
+
+
+@pytest.mark.parametrize("symbol, window", [
+    (PowerWavenumber(1), IndicatorBox(-1.0, 1.0)),
+    (PowerWavenumber(2), IndicatorBox(-1.0, 1.0)),
+    (SwiftHohenberg1D(), IndicatorBox(-2.0, 2.0)),
+    (SwiftHohenberg2D(), Disc(math.sqrt(2.0))),
+    (_kernel_with_multiplier(lambda k: -(k ** 2 - 1.0) ** 2), IndicatorBox(-3.0, 3.0)),
+    (SwiftHohenberg2D(), QuarterDisc(1.2)),
+    (SwiftHohenberg2D(), Disc(0.5)),
+])
+def test_spectral_values_are_the_quadrature_values(symbol, window):
+    # one tolerance rule: the frequency entry points take the quadrature's own bits
+    ps = log_spaced_p(-12, -1, 12)
+    for sigma in (0.3, 1.0, math.sqrt(2.0), 7.5):
+        want = quadrature_sweep(symbol, window, ps, sigma=sigma).values
+        assert spectral_sweep(symbol, window, ps, sigma).values.tobytes() == want.tobytes()
+        assert variance_spectral(VarianceQuery(symbol, window, ps[5], sigma)) == want[5]
