@@ -496,18 +496,18 @@ def _kernel_variance(symbol, a, b, q):
     multiplier interpolant.
 
     On each grid segment the resolvent of a linear function integrates
-    to a logarithm, which stays finite as long as q > 0, so no special
-    treatment of near-zero multiplier values is needed.  Accuracy is
-    limited by the kernel's sample resolution, not by this step.  Only
-    t = q - f depends on q: each q is one row of the segment sums.
+    to a logarithm, which stays finite while t = q - f > 0 (``_stable``
+    refuses any other t), so no special treatment of near-zero
+    multiplier values is needed.  Accuracy is limited by the kernel's
+    sample resolution, not by this step.  Only t = q - f depends on q:
+    each q is one row of the segment sums.
     """
     grid = symbol.freq_grid
     if a < grid[0] or b > grid[-1]:
         raise ValueError("window exceeds the kernel's resolved frequency range")
     ks = np.unique(np.concatenate([grid[(grid > a) & (grid < b)], [a, b]]))
     tvals = q[:, None] - np.interp(ks, grid, symbol.multiplier)
-    if np.any(tvals <= 0):
-        raise ValueError("kernel multiplier is positive inside the window, no stable regime")
+    _stable(tvals.min())
     dk = np.diff(ks)
     t1, t2 = tvals[:, :-1], tvals[:, 1:]
     close = np.abs(t2 - t1) <= 1e-12 * np.maximum(t1, t2)

@@ -326,9 +326,10 @@ class Symbol:
 
     Subclasses evaluate elementwise on scalars or arrays when ``dim`` is
     1, and on arrays whose last axis holds the coordinates when ``dim``
-    is 2 or more.  ``sign_ok`` records whether the strict stability
-    check passed: f <= 0 everywhere and f < 0 away from the zero set
-    the family is allowed to have.
+    is 2 or more.  No symbol records whether it is stable: ``Polynomial``
+    refuses, when it is built, a map that is positive on its sampled box,
+    and every quadrature route and the simulation refuse a drift f + p
+    that is not negative where they evaluate it.
 
     ``kinds`` is the registry behind the dictionary form: every subclass
     that defines its own ``fields``, the names of its constructor
@@ -343,7 +344,6 @@ class Symbol:
     fields: tuple[str, ...]
     dim: int
     root: np.ndarray
-    sign_ok: bool
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -443,28 +443,21 @@ def _lattice(domain, dim):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _check_sign(symbol: Symbol, strict: bool = True) -> bool:
-    """Sampled stability check.
+def _check_sign(symbol: Symbol) -> None:
+    """The input check of a ``Polynomial``, sampled on a lattice over its domain.
 
-    Verifies f <= 0 on a lattice over the domain, f(root) = 0, and
-    strict negativity away from the coordinate hyperplanes through the
-    root (in one dimension, away from the root itself).  Hyperplane
-    contact is allowed because monomial drifts with several variables
-    vanish wherever one factor does.
+    Refuses f > 0 somewhere on the lattice, f(root) != 0, and f = 0 away
+    from the coordinate hyperplanes through the root (in one dimension,
+    away from the root itself).  Hyperplane contact is allowed because
+    monomial drifts with several variables vanish wherever one factor does.
     """
     pts = _lattice(symbol.domain, symbol.dim)
     vals = np.asarray(symbol(pts), dtype=float)
     if np.max(vals) > _ZERO_TOL:
-        if strict:
-            raise ValueError(
-                f"{symbol.kind} symbol is positive somewhere on the sampled lattice"
-            )
-        return False
+        raise ValueError(f"{symbol.kind} symbol is positive somewhere on the sampled lattice")
     at_root = float(np.asarray(symbol(symbol.root if symbol.dim > 1 else symbol.root[0])))
     if abs(at_root) > _ZERO_TOL:
-        if strict:
-            raise ValueError(f"{symbol.kind} symbol does not vanish at its root")
-        return False
+        raise ValueError(f"{symbol.kind} symbol does not vanish at its root")
     lo, hi = symbol.domain
     if symbol.dim == 1:
         spacing = (hi[0] - lo[0]) / (len(pts) - 1)
@@ -473,12 +466,7 @@ def _check_sign(symbol: Symbol, strict: bool = True) -> bool:
         spacing = np.max(hi - lo) / 20.0
         off = np.min(np.abs(pts - symbol.root), axis=-1) > spacing
     if np.any(vals[off] >= 0.0):
-        if strict:
-            raise ValueError(
-                f"{symbol.kind} symbol vanishes away from its admissible zero set"
-            )
-        return False
-    return True
+        raise ValueError(f"{symbol.kind} symbol vanishes away from its admissible zero set")
 
 
 class ToolAlpha(Symbol):
@@ -491,7 +479,6 @@ class ToolAlpha(Symbol):
         self.alpha = as_positive(alpha, "alpha")
         self.dim = 1
         self.root = _as_point(root, 1)
-        self.sign_ok = True
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -533,7 +520,7 @@ class Polynomial(Symbol):
         self.coeffs = dict(sorted(terms.items()))
         self.root = _as_point(root if root is not None else np.zeros(self.dim), self.dim)
         self.domain = _as_box(domain, self.root, self.root + 1.0, self.dim)
-        self.sign_ok = _check_sign(self, strict=True)
+        _check_sign(self)
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -615,7 +602,6 @@ class Piecewise(Symbol):
         self.right = right
         self.dim = 1
         self.root = left.root.copy()
-        self.sign_ok = left.sign_ok and right.sign_ok
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -647,7 +633,6 @@ class Radial2D(Symbol):
         self.exponent = as_positive(exponent, "exponent")
         self.dim = 2
         self.root = np.zeros(2)
-        self.sign_ok = True
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -668,9 +653,8 @@ class Radial2D(Symbol):
 class Zero(Symbol):
     """f identically zero.
 
-    A degenerate study case: the drift reduces to the constant p, every
-    point is marginal, and the strict stability check is impossible, so
-    ``sign_ok`` is always False.
+    A degenerate study case: the drift reduces to the constant p and
+    every point is marginal.
     """
 
     kind = "zero"
@@ -681,7 +665,6 @@ class Zero(Symbol):
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         self.root = np.zeros(self.dim)
-        self.sign_ok = False
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -728,7 +711,6 @@ class SwiftHohenberg1D(Symbol):
     def __init__(self):
         self.dim = 1
         self.root = np.zeros(1)
-        self.sign_ok = True
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -760,7 +742,6 @@ class SwiftHohenberg2D(Symbol):
     def __init__(self):
         self.dim = 2
         self.root = np.zeros(2)
-        self.sign_ok = True
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -804,7 +785,6 @@ class ConvolutionKernel(Symbol):
         self.multiplier = transform.real[order]
         self.dim = 1
         self.root = np.zeros(1)
-        self.sign_ok = bool(np.max(self.multiplier) <= _ZERO_TOL)
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -842,20 +822,19 @@ FREQUENCY_KINDS = (PowerWavenumber, SwiftHohenberg1D, SwiftHohenberg2D, Convolut
 class CustomSymbol(Symbol):
     """Wrapper around an arbitrary real-valued callable.
 
-    Used by :func:`real_part_symbol`; carries no serialized form.  The
-    stability check is sampled and recorded in ``sign_ok`` instead of
-    raising, so degenerate inputs stay inspectable.  ``offset_value`` forms
-    z + y: the quadrature resolves no layer narrower than the ulps of z.
+    Used by :func:`real_part_symbol`; carries no serialized form.  Building
+    one does not call ``fn``: every evaluation checks that it gave one value
+    per point, and a route or the simulation that meets f + p >= 0 refuses
+    it there.  ``offset_value`` forms z + y: the quadrature resolves no
+    layer narrower than the ulps of z.
     """
 
     kind = "custom"
 
-    def __init__(self, fn: Callable, dim: int = 1, root=None, domain=None):
+    def __init__(self, fn: Callable, dim: int = 1, root=None):
         self.fn = fn
         self.dim = int(dim)
         self.root = _as_point(root if root is not None else np.zeros(self.dim), self.dim)
-        self.domain = _as_box(domain, self.root - 1.0, self.root + 1.0, self.dim)
-        self.sign_ok = _check_sign(self, strict=False)
 
     def __call__(self, x):
         arr = self._coerce(x)
@@ -877,12 +856,13 @@ def real_part_symbol(fn: Callable, dim: int = 1, root=None, domain=None) -> Symb
 
     The imaginary part of the drift only rotates phases and drops out of
     the stationary variance, so the returned symbol evaluates Re f.  A
-    real part that vanishes identically on the sampled domain collapses
-    to the degenerate :class:`Zero` symbol, which carries
-    ``sign_ok=False``; other sign violations are likewise flagged rather
-    than raised.
+    real part that vanishes on a lattice over the box ``domain`` (root - 1
+    to root + 1 on every axis when None) collapses to the degenerate
+    :class:`Zero` symbol; any other real part is a :class:`CustomSymbol`,
+    refused where a route or the simulation meets f + p >= 0.
     """
-    symbol = CustomSymbol(lambda x: np.real(fn(x)), dim, root, domain)
-    if np.max(np.abs(symbol(_lattice(symbol.domain, symbol.dim)))) <= _ZERO_TOL:
+    symbol = CustomSymbol(lambda x: np.real(fn(x)), dim, root)
+    box = _as_box(domain, symbol.root - 1.0, symbol.root + 1.0, symbol.dim)
+    if np.max(np.abs(symbol(_lattice(box, symbol.dim)))) <= _ZERO_TOL:
         return Zero(symbol.dim)
     return symbol

@@ -785,11 +785,15 @@ def test_validation_errors_exit_3(tmp_path, capsys):
         assert "unsupported combination" in capsys.readouterr().err
     assert main(["simulate", "--symbol", "tool:2", "--g", "box:-0.5,0.5", "--p", "-0.5",
                  "--n", "9", "--nt", "200", "--half-width", "nan", "--out", str(tmp_path)]) == 3
-    # drifts that turn positive inside the window: the 1-D and the tensor routes
-    for symbol, window in (("mono:1", "box:-1,1"), ("mono:1,2", "box:-1,1,-1,1")):
+    # drifts that turn positive inside the window: the 1-D, the tensor and the kernel
+    # routes, this one with the multiplier 2 - 2 cos k
+    rising = tmp_path / "rising.txt"
+    np.savetxt(rising, [2.0, -1.0] + [0.0] * 12 + [-1.0])
+    for symbol, window in (("mono:1", "box:-1,1"), ("mono:1,2", "box:-1,1,-1,1"),
+                           (f"conv:{rising}:1", "box:-1,1")):
         assert main(["sweep", "--symbol", symbol, "--g", window, "--p-decades=-4:-2",
                      "--points", "3", "--out", str(tmp_path)]) == 3, (symbol, window)
-        assert "not negative on the window" in capsys.readouterr().err
+        assert "drift + p is not negative on the window" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

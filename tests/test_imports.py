@@ -12,10 +12,13 @@ the grammar tables the parse), and ``spectral.py`` tests one, in its
 frequency-kind check.  The layers keep their order: ``symbols`` imports
 no ewslab module and ``quadrature`` imports only ``symbols``.  Outside
 ``noise.py`` the noise basis is read only where the simulation lumps it
-into its chains.
+into its chains.  No symbol stores a stability verdict: ``Polynomial``'s
+constructor alone runs the sampled sign check, and in ``quadrature.py``
+only ``_stable`` refuses a drift that is not negative.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +120,50 @@ def test_only_the_chain_builder_reads_the_noise_basis():
              and isinstance(node.ctx, ast.Load)]
     assert {name for name, _ in found} == {"noise.py", "simulate.py"}, found
     assert {scope for name, scope in found if name != "noise.py"} == {"_lumped_chains"}, found
+
+
+def _qualified_calls(path, name):
+    """The ``Class.function`` scope of each call of ``name`` in the module at ``path``,
+    "the module" outside every def and class."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+                found.append(".".join(scope) or "the module")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_no_symbol_stores_a_stability_verdict():
+    # stability is refused where a drift is evaluated, never recorded on a symbol
+    found = [(path.name, node.lineno) for path in MODULES[0].parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if getattr(node, "attr", None) == "sign_ok" or getattr(node, "id", None) == "sign_ok"]
+    assert not found, found
+    found = [(path.name, scope) for path in MODULES for scope in _qualified_calls(path, "_check_sign")]
+    assert found == [("symbols.py", "Polynomial.__init__")], found
+
+
+def test_only_stable_refuses_an_unstable_drift():
+    # every raise that speaks of the sign of the drift or multiplier is _stable's,
+    # and every route that evaluates q - f, the kernel row too, calls it
+    path = MODULES[0].parent / "quadrature.py"
+    refusals = []
+    for scope, node in _scoped(path):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = " ".join(n.value for n in ast.walk(node.exc)
+                            if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if re.search(r"(drift|multiplier|symbol).*(positive|negative|stable)", text):
+                refusals.append(scope)
+    assert refusals == ["_stable"], refusals
+    assert set(_qualified_calls(path, "_stable")) == {
+        "_kernel_variance", "_offset_log.log_t", "_tensor_level", "_variance_tensor"}
 
 
 def _absolute_imports(path):

@@ -863,7 +863,7 @@ def test_separable_sum_matches_tensor_route(case, log_q, dt):
     q = 10.0 ** log_q
     # wrapped in a CustomSymbol, the same map is not seen as separable and
     # takes the graded tensor route
-    custom = CustomSymbol(poly, dim=poly.dim, root=poly.root, domain=poly.domain)
+    custom = CustomSymbol(poly, dim=poly.dim, root=poly.root)
     assert math.isclose(_value(poly, g, -q, dt=dt), _value(custom, g, -q, dt=dt), rel_tol=1e-6)
 
 
@@ -1046,6 +1046,30 @@ def test_a_zero_of_q_minus_f_where_the_tensor_panels_meet_is_refused(p):
         variance_quadrature(VarianceQuery(symbol, g, p))
     with pytest.raises(ValueError, match=r"drift \+ p is not negative on the window"):
         variance_values(symbol, g, [p, -2.0])
+
+
+# a drift that turns positive inside the window, on each route row that takes
+# a symbol whose sign is not fixed by its kind
+_RISING = CustomSymbol(lambda x: x)
+_UNSTABLE = {
+    "kernel exact": (ConvolutionKernel([2.0, -1.0] + [0.0] * 13 + [-1.0], 1.0),  # 2 - 2 cos k
+                     IndicatorBox(-1.0, 1.0)),
+    "offset-log": (_RISING, IndicatorBox(-1.0, 1.0)),
+    "piecewise": (Piecewise(ToolAlpha(2.0), _RISING), IndicatorBox(-1.0, 1.0)),
+    "tensor": (CustomSymbol(lambda x: x[..., 0] - x[..., 1] ** 2, dim=2),
+               IndicatorBox((-1.0, -1.0), (1.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_UNSTABLE))
+@pytest.mark.parametrize("dt", [0.0, 0.01])
+def test_every_route_row_refuses_an_unstable_drift_through_one_check(row, dt):
+    symbol, g = _UNSTABLE[row]
+    assert route_of(symbol, g).name == row
+    with pytest.raises(ValueError, match=r"drift \+ p is not negative on the window"):
+        variance_quadrature(VarianceQuery(symbol, g, -1e-2), dt=dt)
+    with pytest.raises(ValueError, match=r"drift \+ p is not negative on the window"):
+        variance_values(symbol, g, [-1e-2, -1e-4], dt=dt)
 
 
 def test_the_tensor_evaluation_budget_refuses_a_level_past_it():

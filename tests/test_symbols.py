@@ -38,6 +38,7 @@ from ewslab.quadrature import (
     appendix_c_integral,
     monomial_integral,
     route_of,
+    variance_quadrature,
     variance_values,
 )
 from ewslab.simulate import Mesh, SimConfig
@@ -232,7 +233,6 @@ def test_radial2d_is_rotation_invariant():
 
 def test_zero_symbol_flags_marginal_stability():
     f = Zero(2)
-    assert not f.sign_ok
     assert f.root_scale(1e-8) == math.inf
     assert f.zeros_in(-1.0, 1.0) == ()
     np.testing.assert_array_equal(f(np.zeros((4, 2))), np.zeros(4))
@@ -278,7 +278,6 @@ def test_convolution_kernel_flat_multiplier():
     f = ConvolutionKernel(samples, dx)
     k = np.linspace(-2.0, 2.0, 9)
     np.testing.assert_allclose(f(k), -np.ones(9), atol=1e-12)
-    assert f.sign_ok
     assert f.zeros_in(-2.0, 2.0) == ()
 
 
@@ -292,7 +291,6 @@ def test_convolution_kernel_locates_sign_change_zeros():
     assert zeros[0] == -zeros[1]
     # the linear root sits on the interpolated multiplier's zero
     assert abs(float(f(np.array([zeros[1]]))[0])) < 1e-15
-    assert not f.sign_ok
 
 
 @settings(max_examples=100, deadline=None)
@@ -332,14 +330,27 @@ def test_real_part_passthrough_and_zero_collapse():
     assert isinstance(g, Zero)
 
 
-def test_real_part_symbol_keeps_an_explicit_domain():
+def test_real_part_symbol_samples_an_explicit_domain():
     f = real_part_symbol(lambda x: -x ** 2 + 0.5j * x, dim=1, root=0.5, domain=(0.5, 2.0))
-    assert isinstance(f, CustomSymbol) and f.sign_ok is False
-    assert [v.tolist() for v in f.domain] == [[0.5], [2.0]]
+    assert isinstance(f, CustomSymbol)
     assert f.root.tolist() == [0.5]
     np.testing.assert_array_equal(f(np.array([1.0, 2.0])), [-1.0, -4.0])
-    # the zero collapse samples the domain too, and keeps the dimension
-    z = real_part_symbol(lambda x: 1j * x[..., 0], dim=2, domain=((0.0, 0.0), (2.0, 3.0)))
+    # the zero collapse samples the box it is given, root - 1 to root + 1 without one:
+    # Re f = min(x - 0.5, 0) vanishes on [0.5, 2] and not on [-0.5, 1.5]
+    seen = []
+
+    def fn(x):
+        seen.append(np.asarray(x))
+        return np.minimum(x - 0.5, 0.0) + 0.5j * x
+
+    assert isinstance(real_part_symbol(fn, dim=1, root=0.5), CustomSymbol)
+    assert (seen[0].min(), seen[0].max()) == (-0.5, 1.5)
+    assert isinstance(real_part_symbol(fn, dim=1, root=0.5, domain=(0.5, 2.0)), Zero)
+    assert (seen[1].min(), seen[1].max()) == (0.5, 2.0)
+    # and keeps the dimension
+    re_x = lambda x: np.minimum(x[..., 0], 0.0) + 1j * x[..., 1]
+    assert isinstance(real_part_symbol(re_x, dim=2), CustomSymbol)
+    z = real_part_symbol(re_x, dim=2, domain=((0.0, 0.0), (2.0, 3.0)))
     assert isinstance(z, Zero) and z.dim == 2
     with pytest.raises(ValueError, match="positive extent"):
         real_part_symbol(lambda x: -x ** 2, domain=(1.0, 1.0))
@@ -348,8 +359,7 @@ def test_real_part_symbol_keeps_an_explicit_domain():
 def test_real_part_symbol_of_a_scalar_only_callable():
     # complex() refuses arrays, so every point is evaluated on its own
     f = real_part_symbol(lambda x: complex(-x * x, x), dim=1)
-    assert isinstance(f, CustomSymbol) and f.sign_ok
-    assert [v.tolist() for v in f.domain] == [[-1.0], [1.0]]
+    assert isinstance(f, CustomSymbol)
     np.testing.assert_array_equal(f(np.array([0.5, -2.0])), [-0.25, -4.0])
     assert float(f(3.0)) == -9.0
     z = real_part_symbol(lambda x: complex(0.0, x), dim=1)
@@ -359,9 +369,31 @@ def test_real_part_symbol_of_a_scalar_only_callable():
 def test_custom_symbol_shape_check():
     f = CustomSymbol(lambda x: -np.abs(x), dim=1)
     np.testing.assert_allclose(f(np.array([1.0, -2.0])), [-1.0, -2.0])
-    # a callable that ignores its input fails the sampled evaluation
-    with pytest.raises(ValueError):
-        CustomSymbol(lambda x: np.zeros(3), dim=1)
+    # a callable that ignores its input is refused where it is evaluated, not when
+    # it is built; the zero collapse of real_part_symbol evaluates it when built
+    bad = lambda x: np.zeros(3)
+    f = CustomSymbol(bad, dim=1)
+    with pytest.raises(ValueError, match="did not evaluate elementwise"):
+        f(np.array([1.0, -2.0]))
+    with pytest.raises(ValueError, match="did not evaluate elementwise"):
+        variance_quadrature(VarianceQuery(f, IndicatorBox(-1.0, 1.0), -1e-2))
+    with pytest.raises(ValueError, match="did not evaluate elementwise"):
+        real_part_symbol(bad, dim=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_custom_symbol_is_built_without_calling_its_callable(dim):
+    calls = []
+
+    def fn(x):
+        calls.append(np.shape(x))
+        return -np.sum(x ** 2, axis=-1) if dim > 1 else -x ** 2
+
+    f = CustomSymbol(fn, dim=dim)
+    assert calls == []
+    points = np.zeros((4, dim)) if dim > 1 else np.zeros(4)
+    np.testing.assert_array_equal(f(points), np.zeros(4))
+    assert calls == [points.shape]
 
 
 def test_symbol_call_checks_dimension():
@@ -606,7 +638,8 @@ def test_every_kind_survives_a_json_round_trip(symbol):
     lambda: Polynomial({(1,): math.nan}),
     lambda: Polynomial({(1, 1): 1.0}, root=(0.0, math.inf)),
     lambda: Radial2D(math.nan),
-    lambda: CustomSymbol(lambda x: -np.abs(x[..., 0]), dim=2, domain=((-1.0, -1.0), (1.0, math.inf))),
+    lambda: real_part_symbol(lambda x: -np.abs(x[..., 0]), dim=2,
+                             domain=((-1.0, -1.0), (1.0, math.inf))),
     lambda: Zero(math.inf),
     lambda: PowerWavenumber(math.inf),
     lambda: ConvolutionKernel([-1.0, math.nan, -1.0, -1.0], 0.5),
